@@ -12,17 +12,17 @@ from .bench import (BenchResult, Lcg, RunStats, cube_points,
                     torus_points)
 from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
                         SparseMatrix, anti_transpose, boundary_matrix,
-                        build_complex, load_cell_file, load_points,
-                        load_simplicial_file, simplex_boundary)
+                        build_complex, dual_index, load_cell_file,
+                        load_points, load_simplicial_file, simplex_boundary)
 from .core import (GF2, Chain, Field, Term, chain_axpy, chain_eq_up_to_scalar,
                    chain_from_dict, chain_low, chain_scale, field_inv,
                    op_count, reset_op_count)
 from .oracle import dense_rank, nullspace_basis, oracle_barcode, persistent_betti
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
-                          GeneratorTable, Interval, barcode_abs_hom,
+                          GeneratorTable, Interval, barcode, barcode_abs_hom,
                           barcode_from_antitranspose, barcode_rel_hom,
-                          concatenated_barcode, format_diagram, generators,
-                          pairs_to_partition, parse_diagram)
+                          compute, concatenated_barcode, format_diagram,
+                          generators, pairs_to_partition, parse_diagram)
 from .reduction import (Decomposition, PcohResult, VerifyReport,
                         pcoh, phcol, phrow, verify_decomposition)
 from .rips import rips_filtration
@@ -33,16 +33,17 @@ __all__ = [
     "BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
     "render_stats_text", "run_bench", "torus_points",
     "Cell", "ComplexError", "FilteredComplex", "ParseError", "SparseMatrix",
-    "anti_transpose", "boundary_matrix", "build_complex", "load_cell_file",
+    "anti_transpose", "boundary_matrix", "build_complex", "dual_index",
+    "load_cell_file",
     "load_points", "load_simplicial_file", "simplex_boundary",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "chain_eq_up_to_scalar",
     "chain_from_dict", "chain_low", "chain_scale", "field_inv",
     "op_count", "reset_op_count",
     "dense_rank", "nullspace_basis", "oracle_barcode", "persistent_betti",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
-    "Interval", "barcode_abs_hom", "barcode_from_antitranspose",
-    "barcode_rel_hom", "concatenated_barcode", "format_diagram", "generators",
-    "pairs_to_partition", "parse_diagram",
+    "Interval", "barcode", "barcode_abs_hom", "barcode_from_antitranspose",
+    "barcode_rel_hom", "compute", "concatenated_barcode", "format_diagram",
+    "generators", "pairs_to_partition", "parse_diagram",
     "Decomposition", "PcohResult", "VerifyReport",
     "pcoh", "phcol", "phrow", "verify_decomposition",
     "rips_filtration",

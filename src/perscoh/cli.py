@@ -17,17 +17,15 @@ import sys
 
 from .bench import (cube_points, render_stats_csv, render_stats_text,
                     run_bench, torus_points)
-from .complexes import (FilteredComplex, anti_transpose, boundary_matrix,
-                        load_cell_file, load_points, load_simplicial_file)
+from .complexes import (FilteredComplex, load_cell_file, load_points,
+                        load_simplicial_file)
 from .core import Field
 from .oracle import oracle_barcode
-from .persistence import (INF, MODULE_TAGS, barcode_abs_hom,
-                          barcode_from_antitranspose, barcode_rel_hom,
-                          format_diagram, generators, pairs_to_partition)
-from .reduction import pcoh, phcol, phrow, verify_decomposition
+from .persistence import (ALGORITHMS, MODULE_TAGS, _fmt_value, barcode,
+                          barcode_abs_hom, compute, format_diagram,
+                          generators)
+from .reduction import verify_decomposition
 from .rips import rips_filtration
-
-ALGORITHMS = ("phcol", "phrow", "pcoh")
 
 
 def _resolve_points(spec: str, seed: int) -> list[tuple[float, ...]]:
@@ -59,63 +57,33 @@ def _load_complex(args) -> FilteredComplex:
     return rips_filtration(points, args.rmax, args.maxdim, field)
 
 
-def _sigma_pairs(pairs, essential, n):
-    """Translate reversed-dual pairs/essentials to original cell indices."""
-    F = sorted(n + 1 - r for r in essential)
-    spairs = sorted((n + 1 - t, n + 1 - s) for s, t in pairs)
-    return F, spairs
+def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
+    """Lines naming where the abs_hom barcode of ``partition`` and the
+    rank oracle's differ, first difference first; empty when they agree."""
+    computed = barcode_abs_hom(partition, K, drop_zero=False).index_multiset()
+    expected = oracle_barcode(K).index_multiset()
+    if computed == expected:
+        return []
+    first = min(k for k in computed.keys() | expected.keys()
+                if computed[k] != expected[k])
+    return [f"  first difference at (dim, p, q) = {first}: "
+            f"reduction has {computed[first]}, oracle has {expected[first]}",
+            f"  reduction: {sorted(computed.items())}",
+            f"  oracle:    {sorted(expected.items())}"]
 
 
 def cmd_barcode(args) -> int:
     K = _load_complex(args)
-    field = K.field
-    n = K.n
-    D = boundary_matrix(K)
-    drop_zero = not args.keep_zero_length
-    module = args.module
-
-    if args.algorithm == "pcoh":
-        res = pcoh(anti_transpose(D), field)
-        F, spairs = _sigma_pairs(res.pairs, res.essential, n)
-        abs_partition = (F, [], [], spairs)
-        if module in ("rel_coh", "abs_coh"):
-            diagram = barcode_from_antitranspose(
-                res.pairs, res.essential, K, module, drop_zero)
-        else:
-            make = barcode_abs_hom if module == "abs_hom" else barcode_rel_hom
-            diagram = make(abs_partition, K, drop_zero)
-    else:
-        reduce_fn = phcol if args.algorithm == "phcol" else phrow
-        if module in ("abs_hom", "rel_hom"):
-            partition = pairs_to_partition(reduce_fn(D, field, keep_V=False))
-            make = barcode_abs_hom if module == "abs_hom" else barcode_rel_hom
-            diagram = make(partition, K, drop_zero)
-            abs_partition = partition
-        else:
-            dec = reduce_fn(anti_transpose(D), field, keep_V=False)
-            Ft, _, _, tpairs = pairs_to_partition(dec)
-            diagram = barcode_from_antitranspose(tpairs, Ft, K, module, drop_zero)
-            F, spairs = _sigma_pairs(tpairs, Ft, n)
-            abs_partition = (F, [], [], spairs)
-
+    run = compute(K, args.module, args.algorithm)
     if args.oracle:
-        computed = barcode_abs_hom(abs_partition, K, drop_zero=False)
-        expected = oracle_barcode(K)
-        if computed.index_multiset() != expected.index_multiset():
+        lines = _oracle_disagreement(K, run.partition)
+        if lines:
             print("oracle cross-check failed: reduction and rank oracle disagree",
-                  file=sys.stderr)
+                  *lines, sep="\n", file=sys.stderr)
             return 1
-
+    diagram = barcode(run.partition, K, args.module, not args.keep_zero_length)
     print(format_diagram(diagram, indices=args.indices))
     return 0
-
-
-def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    return format(x, "g")
 
 
 def render_generators(table, indices: bool = False) -> str:
@@ -125,7 +93,7 @@ def render_generators(table, indices: bool = False) -> str:
         if indices:
             head = f"{iv.dim} {iv.p} {iv.q}"
         else:
-            head = f"{iv.dim} {_fmt(iv.birth)} {_fmt(iv.death)}"
+            head = f"{iv.dim} {_fmt_value(iv.birth)} {_fmt_value(iv.death)}"
         lines = [head, f"  generator: {table.chain_text(e.chain)}"]
         if e.killer is not None:
             lines.append(f"  killer: {table.chain_text(e.killer)}")
@@ -135,22 +103,8 @@ def render_generators(table, indices: bool = False) -> str:
 
 def cmd_generators(args) -> int:
     K = _load_complex(args)
-    field = K.field
-    D = boundary_matrix(K)
-    drop_zero = not args.keep_zero_length
-    module = args.module
-
-    if args.algorithm == "pcoh":
-        if module != "abs_coh":
-            raise ValueError(
-                f"{module} generators are unavailable from pcoh "
-                "(it drops the columns they come from); use phcol or phrow")
-        table = generators(pcoh(anti_transpose(D), field), K, module, drop_zero)
-    else:
-        reduce_fn = phcol if args.algorithm == "phcol" else phrow
-        mat = D if module in ("abs_hom", "rel_hom") else anti_transpose(D)
-        table = generators(reduce_fn(mat, field, keep_V=True), K, module, drop_zero)
-
+    run = compute(K, args.module, args.algorithm, keep_V=True)
+    table = generators(run.result, K, args.module, not args.keep_zero_length)
     print(render_generators(table, indices=args.indices))
     return 0
 
@@ -166,32 +120,19 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     K = _load_complex(args)
-    field = K.field
-    D = boundary_matrix(K)
-
-    if args.algorithm == "pcoh":
-        res = pcoh(anti_transpose(D), field)
-        F, spairs = _sigma_pairs(res.pairs, res.essential, K.n)
-        partition = (F, [], [], spairs)
-    else:
-        reduce_fn = phcol if args.algorithm == "phcol" else phrow
-        dec = reduce_fn(D, field, keep_V=True)
-        report = verify_decomposition(D, dec, field)
+    run = compute(K, "abs_hom", args.algorithm, keep_V=True)
+    if args.algorithm != "pcoh":
+        report = verify_decomposition(run.matrix, run.result, K.field)
         if not report.ok:
             print(f"decomposition check failed: {report.message}", file=sys.stderr)
             return 1
-        partition = pairs_to_partition(dec)
-
-    computed = barcode_abs_hom(partition, K, drop_zero=False)
-    expected = oracle_barcode(K)
-    if computed.index_multiset() != expected.index_multiset():
-        print("mismatch: reduction and rank oracle disagree", file=sys.stderr)
-        print(f"  reduction: {sorted(computed.index_multiset().items())}",
-              file=sys.stderr)
-        print(f"  oracle:    {sorted(expected.index_multiset().items())}",
-              file=sys.stderr)
+    lines = _oracle_disagreement(K, run.partition)
+    if lines:
+        print("mismatch: reduction and rank oracle disagree", *lines,
+              sep="\n", file=sys.stderr)
         return 1
-    print(f"ok: {K.n} cells, {len(expected.intervals)} intervals, "
+    F, _, _, pairs = run.partition
+    print(f"ok: {K.n} cells, {len(F) + len(pairs)} intervals, "
           "barcode matches the rank oracle")
     return 0
 

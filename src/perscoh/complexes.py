@@ -5,7 +5,8 @@ Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells.  The boundary matrix ``D`` is
 strictly upper-triangular with column ``j`` equal to the boundary of
 cell ``j``; ``anti_transpose`` flips it across the minor diagonal,
-which encodes the coboundary of the reversed dual filtration.
+which encodes the coboundary of the reversed dual filtration.  Cell
+``i`` sits at index ``dual_index(n, i)`` of that reversed order.
 
 Two text formats build complexes directly:
 
@@ -31,6 +32,7 @@ coordinates) feed the Rips builder in :mod:`perscoh.rips`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Chain, Field
@@ -55,12 +57,17 @@ class Cell:
     boundary: tuple[tuple[int, int], ...]
 
 
+@dataclass(eq=False, repr=False)
 class FilteredComplex:
-    """Validated filtered cell complex over a fixed prime field."""
+    """Validated filtered cell complex over a fixed prime field.
 
-    def __init__(self, cells: list[Cell], field: Field):
-        self.cells = cells
-        self.field = field
+    ``simplex_vertices[j - 1]`` is the vertex tuple of cell ``j`` for a
+    Rips filtration; for other complexes the field is None.
+    """
+
+    cells: list[Cell]
+    field: Field
+    simplex_vertices: list[tuple[int, ...]] | None = None
 
     @property
     def n(self) -> int:
@@ -83,9 +90,9 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
                   field: Field) -> FilteredComplex:
     """Validate raw ``(dim, value, boundary terms)`` triples in filtration order.
 
-    Checks monotone filtration values, that every boundary term points
-    to an earlier cell one dimension down, and that the composite
-    boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
+    Checks that filtration values are not NaN and are monotone, that
+    every boundary term points to an earlier cell one dimension down,
+    and that the composite boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
     the first offending cell.
     """
     p = field.p
@@ -93,6 +100,8 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
     for j, (dim, value, raw_boundary) in enumerate(cells, start=1):
         if dim < 0:
             raise ComplexError(j, f"negative dimension {dim}")
+        if math.isnan(value):
+            raise ComplexError(j, "filtration value is NaN")
         if j > 1 and value < built[-1].value:
             raise ComplexError(
                 j, f"filtration value {value} drops below {built[-1].value}")
@@ -170,13 +179,26 @@ def boundary_matrix(K: FilteredComplex) -> SparseMatrix:
     return D
 
 
+def dual_index(n: int, i: int) -> int:
+    """Index of cell ``i`` in the reversed dual order of ``n`` cells.
+
+    The map is its own inverse, and it is the one translation between
+    original indices and the indices of :func:`anti_transpose`.
+    """
+    return n + 1 - i
+
+
 def anti_transpose(A: SparseMatrix) -> SparseMatrix:
-    """Flip ``A`` across its minor diagonal: out[i,j] = A[n+1-j, n+1-i]."""
+    """Flip ``A`` across its minor diagonal.
+
+    ``out[i, j] = A[dual_index(n, j), dual_index(n, i)]``.
+    """
     n = A.n
+    dual = [dual_index(n, i) for i in range(n + 1)]
     out = SparseMatrix(n)
     for j in range(1, n + 1):
         for i, coef in A.cols[j]:
-            out.cols[n + 1 - i].append((n + 1 - j, coef))
+            out.cols[dual[i]].append((dual[j], coef))
     for col in out.cols:
         col.sort()
     return out

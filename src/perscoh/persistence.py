@@ -7,10 +7,16 @@ homology/cohomology use ``1 <= p <= q <= n`` where ``q = n`` marks an
 infinite interval; relative modules use ``0 <= p <= q <= n-1`` where
 ``p = 0`` marks an interval infinite to the left.
 
-The anti-transpose route reports pairs in reversed dual indexing;
-:func:`barcode_from_antitranspose` transcribes a reversed pair (s, t)
-to the original-index interval ``[a_{n+1-t}, a_{n+1-s})`` and an
-essential r to the endpoint ``a_{n+1-r}``.
+Every diagram is built by one rule from the partition of the cells
+into essential births F and pairs (g, h), in original indices.  The
+anti-transpose route reports pairs in reversed dual indexing;
+:func:`partition_from_dual` translates them through
+:func:`~perscoh.complexes.dual_index`.  The cohomology barcodes are
+the homology barcodes of the same pairs: abs_coh equals abs_hom and
+rel_coh equals rel_hom.
+
+:func:`compute` is the single dispatch from a module and an algorithm
+to the matrix to reduce, the reduction, and the partition.
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
-from .complexes import FilteredComplex
+from .complexes import (FilteredComplex, SparseMatrix, anti_transpose,
+                        boundary_matrix, dual_index)
 from .core import Chain
-from .reduction import Decomposition, PcohResult
+from .reduction import Decomposition, PcohResult, pcoh, phcol, phrow
 
 MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
+ALGORITHMS = ("phcol", "phrow", "pcoh")
 
 INF = float("inf")
 
@@ -75,6 +83,14 @@ def pairs_to_partition(dec: Decomposition):
     return F, G, H, pairs
 
 
+def partition_from_dual(pairs, essential, n: int):
+    """The partition (F, G, H, pairs) in original indices of
+    reversed-dual ``pairs`` (s, t) and ``essential`` indices."""
+    F = sorted(dual_index(n, r) for r in essential)
+    spairs = sorted((dual_index(n, t), dual_index(n, s)) for s, t in pairs)
+    return F, sorted(g for g, _ in spairs), sorted(h for _, h in spairs), spairs
+
+
 def _interval(K: FilteredComplex, dim: int, p: int, q: int) -> Interval:
     n = K.n
     birth = -INF if p == 0 else K.value(p)
@@ -88,21 +104,35 @@ def _emit(intervals: list[Interval], drop_zero: bool) -> list[Interval]:
     return [iv for iv in intervals if iv.birth != iv.death]
 
 
-def barcode_abs_hom(partition, K: FilteredComplex,
-                    drop_zero: bool = True) -> Diagram:
+def barcode(partition, K: FilteredComplex, module_tag: str,
+            drop_zero: bool = True) -> Diagram:
+    """Diagram of ``module_tag`` from a partition in original indices.
+
+    abs_hom and abs_coh take the absolute rule, rel_hom and rel_coh the
+    relative one: an essential f gives ``<f, n>`` or ``<0, f-1>``, a pair
+    (g, h) gives ``<g, h-1>`` in dimension dim(g) or dim(h).
+    """
+    if module_tag not in MODULE_TAGS:
+        raise ValueError(f"unknown module_tag {module_tag!r}")
     F, _, _, pairs = partition
     n = K.n
-    out = [_interval(K, K.dim(f), f, n) for f in F]
-    out += [_interval(K, K.dim(g), g, h - 1) for g, h in pairs]
-    return Diagram("abs_hom", _emit(out, drop_zero))
+    if module_tag.startswith("rel_"):
+        out = [_interval(K, K.dim(f), 0, f - 1) for f in F]
+        out += [_interval(K, K.dim(h), g, h - 1) for g, h in pairs]
+    else:
+        out = [_interval(K, K.dim(f), f, n) for f in F]
+        out += [_interval(K, K.dim(g), g, h - 1) for g, h in pairs]
+    return Diagram(module_tag, _emit(out, drop_zero))
+
+
+def barcode_abs_hom(partition, K: FilteredComplex,
+                    drop_zero: bool = True) -> Diagram:
+    return barcode(partition, K, "abs_hom", drop_zero)
 
 
 def barcode_rel_hom(partition, K: FilteredComplex,
                     drop_zero: bool = True) -> Diagram:
-    F, _, _, pairs = partition
-    out = [_interval(K, K.dim(f), 0, f - 1) for f in F]
-    out += [_interval(K, K.dim(h), g, h - 1) for g, h in pairs]
-    return Diagram("rel_hom", _emit(out, drop_zero))
+    return barcode(partition, K, "rel_hom", drop_zero)
 
 
 def barcode_from_antitranspose(pairs, essential, K: FilteredComplex,
@@ -112,27 +142,53 @@ def barcode_from_antitranspose(pairs, essential, K: FilteredComplex,
 
     ``pairs`` and ``essential`` come from a reduction of the
     anti-transposed boundary matrix (``phrow(Dperp).low_of`` pairs or
-    ``pcoh(Dperp)`` output).
+    ``pcoh(D)`` output).
     """
     if module_tag not in ("rel_coh", "abs_coh"):
         raise ValueError(f"module_tag must be rel_coh or abs_coh, got {module_tag!r}")
-    n = K.n
-    out = []
-    if module_tag == "rel_coh":
-        for r in essential:
-            f = n + 1 - r
-            out.append(_interval(K, K.dim(f), 0, f - 1))
-        for s, t in pairs:
-            g, h = n + 1 - t, n + 1 - s
-            out.append(_interval(K, K.dim(h), g, h - 1))
-    else:
-        for r in essential:
-            f = n + 1 - r
-            out.append(_interval(K, K.dim(f), f, n))
-        for s, t in pairs:
-            g, h = n + 1 - t, n + 1 - s
-            out.append(_interval(K, K.dim(g), g, h - 1))
-    return Diagram(module_tag, _emit(out, drop_zero))
+    return barcode(partition_from_dual(pairs, essential, K.n), K, module_tag,
+                   drop_zero)
+
+
+@dataclass
+class Computation:
+    """One reduction run by :func:`compute`.
+
+    ``matrix`` is the matrix handed to the algorithm, ``result`` its raw
+    output, and ``partition`` the absolute partition (F, G, H, pairs) in
+    original indices.
+    """
+
+    matrix: SparseMatrix
+    result: Decomposition | PcohResult
+    partition: tuple
+
+
+def compute(K: FilteredComplex, module_tag: str, algorithm: str,
+            keep_V: bool = False) -> Computation:
+    """Run ``algorithm`` on the matrix that ``module_tag`` needs.
+
+    phcol and phrow reduce the boundary matrix D for homology and its
+    anti-transpose for cohomology; pcoh sweeps D for every module.
+    ``keep_V`` keeps the V matrix that :func:`generators` reads (pcoh
+    always keeps its cocycles).
+    """
+    if module_tag not in MODULE_TAGS:
+        raise ValueError(f"unknown module_tag {module_tag!r}")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    D = boundary_matrix(K)
+    if algorithm == "pcoh":
+        res = pcoh(D, K.field)
+        return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n))
+    reduce_fn = phcol if algorithm == "phcol" else phrow
+    if module_tag.endswith("_hom"):
+        dec = reduce_fn(D, K.field, keep_V=keep_V)
+        return Computation(D, dec, pairs_to_partition(dec))
+    Dperp = anti_transpose(D)
+    dec = reduce_fn(Dperp, K.field, keep_V=keep_V)
+    Ft, _, _, tpairs = pairs_to_partition(dec)
+    return Computation(Dperp, dec, partition_from_dual(tpairs, Ft, K.n))
 
 
 def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
@@ -186,7 +242,7 @@ class GeneratorTable:
     def term_label(self, index: int) -> str:
         """Cell label of a chain term (starred original label for cochains)."""
         if self.starred:
-            return f"{self.n + 1 - index}*"
+            return f"{dual_index(self.n, index)}*"
         return str(index)
 
     def chain_text(self, chain: Chain) -> str:
@@ -207,72 +263,48 @@ def generators(dec, K: FilteredComplex, module_tag: str,
     anti-transpose, or the pcoh output for ``abs_coh``.  Reductions run
     without V, and pcoh output for modules other than ``abs_coh``,
     raise ``ValueError`` since the needed columns were not kept.
+
+    Dual modules read the same columns: abs_hom and rel_coh take a pair's
+    chain from R and its killer from V, rel_hom and abs_coh take the
+    chain from V and have no killer.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     n = K.n
-    entries: list[GeneratorEntry] = []
+    starred = module_tag.endswith("_coh")
+    killers = module_tag in ("abs_hom", "rel_coh")
 
     if isinstance(dec, PcohResult):
         if module_tag != "abs_coh":
             raise ValueError(
-                f"{module_tag} generators are unavailable from pcoh output: "
-                "the algorithm drops the columns they come from")
-        for r, chain in zip(dec.essential, dec.essential_cocycles):
-            f = n + 1 - r
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(f), f, n), list(chain), f"Vt[{f}*]"))
-        for (s, t), chain in zip(dec.pairs, dec.pair_cocycles):
-            g, h = n + 1 - t, n + 1 - s
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(g), g, h - 1), list(chain), f"Vt[{g}*]"))
-        return _finish_table(module_tag, n, True, entries, drop_zero)
+                f"{module_tag} generators are unavailable from pcoh "
+                "(it drops the columns they come from); use phcol or phrow")
+        R = None
+        V = dict(zip(dec.essential, dec.essential_cocycles))
+        V.update((t, z) for (_, t), z in zip(dec.pairs, dec.pair_cocycles))
+        F, _, _, pairs = partition_from_dual(dec.pairs, dec.essential, n)
+    else:
+        if dec.V is None:
+            raise ValueError("generators need the V matrix; rerun with keep_V on")
+        R, V = dec.R.cols, dec.V.cols
+        F, _, _, pairs = pairs_to_partition(dec)
+        if starred:
+            F, _, _, pairs = partition_from_dual(pairs, F, n)
 
-    if dec.V is None:
-        raise ValueError("generators need the V matrix; rerun with keep_V on")
-    F, _, _, pairs = pairs_to_partition(dec)
-
-    if module_tag == "abs_hom":
-        for f in F:
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(f), f, n), list(dec.V.cols[f]), f"V[{f}]"))
-        for g, h in pairs:
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(g), g, h - 1), list(dec.R.cols[h]), f"R[{h}]",
-                list(dec.V.cols[h]), f"V[{h}]"))
-        return _finish_table(module_tag, n, False, entries, drop_zero)
-
-    if module_tag == "rel_hom":
-        for f in F:
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(f), 0, f - 1), list(dec.V.cols[f]), f"V[{f}]"))
-        for g, h in pairs:
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(h), g, h - 1), list(dec.V.cols[h]), f"V[{h}]"))
-        return _finish_table(module_tag, n, False, entries, drop_zero)
-
-    # coh modules: dec reduces the anti-transpose; F/pairs are reversed indices
-    if module_tag == "rel_coh":
-        for r in F:
-            f = n + 1 - r
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(f), 0, f - 1), list(dec.V.cols[r]), f"Vt[{f}*]"))
-        for s, t in pairs:
-            g, h = n + 1 - t, n + 1 - s
-            entries.append(GeneratorEntry(
-                _interval(K, K.dim(h), g, h - 1), list(dec.R.cols[t]), f"Rt[{g}*]",
-                list(dec.V.cols[t]), f"Vt[{g}*]"))
-        return _finish_table(module_tag, n, True, entries, drop_zero)
-
-    for r in F:
-        f = n + 1 - r
-        entries.append(GeneratorEntry(
-            _interval(K, K.dim(f), f, n), list(dec.V.cols[r]), f"Vt[{f}*]"))
-    for s, t in pairs:
-        g, h = n + 1 - t, n + 1 - s
-        entries.append(GeneratorEntry(
-            _interval(K, K.dim(g), g, h - 1), list(dec.V.cols[t]), f"Vt[{g}*]"))
-    return _finish_table(module_tag, n, True, entries, drop_zero)
+    intervals = barcode((F, [], [], pairs), K, module_tag, drop_zero=False).intervals
+    # barcode lists F's intervals, then the pairs', in order.  The cell whose
+    # column holds each class: an essential birth, else the pivot column's
+    # cell (the death h in D, the birth g in D-perp)
+    cells = F + [g if starred else h for g, h in pairs]
+    entries: list[GeneratorEntry] = []
+    for k, (iv, c) in enumerate(zip(intervals, cells)):
+        j, ref = (dual_index(n, c), f"t[{c}*]") if starred else (c, f"[{c}]")
+        if killers and k >= len(F):
+            entries.append(GeneratorEntry(iv, list(R[j]), "R" + ref,
+                                          list(V[j]), "V" + ref))
+        else:
+            entries.append(GeneratorEntry(iv, list(V[j]), "V" + ref))
+    return _finish_table(module_tag, n, starred, entries, drop_zero)
 
 
 def _finish_table(module_tag: str, n: int, starred: bool,

@@ -3,11 +3,11 @@
 All three consume a strictly upper-triangular matrix over Z/p.  The
 column and row algorithms return a full :class:`Decomposition` and are
 entry-identical on every input.  The live-cocycle algorithm
-(:func:`pcoh`) expects the anti-transpose of a boundary matrix; it
-sweeps the original cell order, keeps only the basis of live cocycles,
-and reports pairs, essential indices, and cocycle chains in the
-anti-transposed indexing, where they coincide with the row algorithm's
-output on the same input.
+(:func:`pcoh`) takes a boundary matrix D; it sweeps the cell order,
+keeps only the basis of live cocycles, and reports pairs, essential
+indices, and cocycle chains in the reversed dual indexing of
+``anti_transpose(D)``, where they coincide with the row algorithm's
+output on that matrix.
 
 Every coefficient multiply-add feeds the global counter in
 :mod:`perscoh.core`; each reduction also tracks its own peak stored
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SparseMatrix, anti_transpose
+from .complexes import SparseMatrix, dual_index
 from .core import Chain, Field, add_ops, chain_axpy, field_inv, op_count
 
 
@@ -59,39 +59,24 @@ class PcohResult:
         return self.pair_cocycles + self.essential_cocycles
 
 
-def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
-          dim_filter: int | None = None,
-          dims: list[int] | None = None,
-          engine: str = "auto") -> Decomposition:
+def phcol(D: SparseMatrix, field: Field, keep_V: bool = True) -> Decomposition:
     """Column algorithm: reduce columns left to right.
 
-    With ``dim_filter`` set, only columns of cells of that dimension
-    are reduced (``dims`` gives the cell dimensions, 1-based order);
-    the other columns are treated as zero.
-
-    ``engine`` selects the column representation: ``auto`` uses the
-    bitmask path when it applies (Z/2, no V, no filter), ``generic``
-    forces term lists, ``bits`` forces bitmasks.  Both engines produce
-    identical output and counters; the knob exists for tests.
+    Over Z/2 without V the columns are bitmasks (:func:`_phcol_gf2`),
+    otherwise term lists (:func:`_phcol_terms`); both give identical
+    output and counters.
     """
-    if dim_filter is not None and dims is None:
-        raise ValueError("dim_filter requires the cell dimensions")
-    if engine not in ("auto", "generic", "bits"):
-        raise ValueError(f"unknown engine {engine!r}")
-    p = field.p
-    bits_ok = field.p == 2 and not keep_V and dim_filter is None
-    if engine == "bits" and not bits_ok:
-        raise ValueError("bits engine needs p = 2, keep_V off, no dim_filter")
-    if bits_ok and engine != "generic":
+    if field.p == 2 and not keep_V:
         return _phcol_gf2(D)
+    return _phcol_terms(D, field, keep_V)
+
+
+def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
+    """Column algorithm on sorted term-list columns."""
+    p = field.p
     n = D.n
     ops_before = op_count()
-    R: list[Chain] = [[]]
-    for j in range(1, n + 1):
-        if dim_filter is not None and dims[j - 1] != dim_filter:
-            R.append([])
-        else:
-            R.append(list(D.cols[j]))
+    R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
@@ -234,25 +219,24 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
                          op_count() - ops_before, peak)
 
 
-def pcoh(Dperp: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
-    """Live-cocycle algorithm on the anti-transpose of a boundary matrix.
+def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
+    """Live-cocycle algorithm on a boundary matrix.
 
-    Sweeps the underlying cells in original filtration order; at each
-    step the entering cell either starts a new live cocycle or kills
-    the youngest cocycle whose coboundary contains it (found by dotting
-    live cocycles with the cell's boundary column).  Dead cocycles are
-    dropped immediately.  Pairs, essential indices, and cocycle chains
-    are reported in ``Dperp``'s own (reversed dual) indexing, matching
-    ``phrow(Dperp)``.
+    Sweeps the cells in filtration order; at each step the entering
+    cell either starts a new live cocycle or kills the youngest cocycle
+    whose coboundary contains it (found by dotting live cocycles with
+    the cell's boundary column).  Dead cocycles are dropped
+    immediately.  Pairs, essential indices, and cocycle chains are
+    reported in the reversed dual indexing of ``anti_transpose(D)``,
+    matching ``phrow(anti_transpose(D))``.
 
     ``snapshot(i, Z)`` is called after each sweep step with the live
     cocycle store, a dict mapping birth index to coefficient dict, both
     in original-order indexing; copy anything kept.
     """
     p = field.p
-    n = Dperp.n
+    n = D.n
     ops_before = op_count()
-    boundary = anti_transpose(Dperp)
 
     Z: dict[int, dict[int, int]] = {}
     support: dict[int, set[int]] = {}
@@ -264,7 +248,7 @@ def pcoh(Dperp: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
     for i in range(1, n + 1):
         acc: dict[int, int] = {}
         hits = 0
-        for t, coef in boundary.cols[i]:
+        for t, coef in D.cols[i]:
             holders = support.get(t)
             if holders:
                 for j in holders:
@@ -314,16 +298,14 @@ def pcoh(Dperp: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
         if snapshot is not None:
             snapshot(i, Z)
 
-    flip = n + 1
+    def to_dual(z: dict[int, int]) -> Chain:
+        return sorted((dual_index(n, t), a) for t, a in z.items())
 
-    def to_tau(z: dict[int, int]) -> Chain:
-        return sorted((flip - t, a) for t, a in z.items())
-
-    pairs = [(flip - d, flip - b) for b, d in sigma_pairs]
-    pair_cocycles = [to_tau(z) for z in dying_chains]
-    births = sorted(Z, reverse=True)  # ascending in flipped indexing
-    essential = [flip - b for b in births]
-    essential_cocycles = [to_tau(Z[b]) for b in births]
+    pairs = [(dual_index(n, d), dual_index(n, b)) for b, d in sigma_pairs]
+    pair_cocycles = [to_dual(z) for z in dying_chains]
+    births = sorted(Z, reverse=True)  # ascending in dual indexing
+    essential = [dual_index(n, b) for b in births]
+    essential_cocycles = [to_dual(Z[b]) for b in births]
     return PcohResult(pairs, essential, pair_cocycles, essential_cocycles,
                       op_count() - ops_before, peak)
 

@@ -10,6 +10,7 @@ sorted vertex list, so faces always precede cofaces.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .complexes import FilteredComplex, build_complex, simplex_boundary
 from .core import Field
@@ -19,6 +20,8 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
                     dim_max: int, field: Field) -> FilteredComplex:
     if not points:
         raise ValueError("empty point cloud")
+    if math.isnan(r_max):
+        raise ValueError("r_max is NaN")
     if r_max < 0 or dim_max < 0:
         raise ValueError("r_max and dim_max must be non-negative")
     width = len(points[0])
@@ -59,6 +62,5 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
         terms = simplex_boundary(verts, index_of, field.p)
         index_of[verts] = len(rows) + 1
         rows.append((len(verts) - 1, value, terms))
-    K = build_complex(rows, field)
-    K.simplex_vertices = [verts for _, verts in simplices]
-    return K
+    return replace(build_complex(rows, field),
+                   simplex_vertices=[verts for _, verts in simplices])

@@ -214,11 +214,12 @@ def test_criterion_7_live_cocycles_match_row_reduction():
     instances = rips_instances(200, 50)
     for K in instances:
         field = K.field
-        Dperp = anti_transpose(boundary_matrix(K))
+        D = boundary_matrix(K)
+        Dperp = anti_transpose(D)
         n = Dperp.n
 
         live = {}
-        res = pcoh(Dperp, field,
+        res = pcoh(D, field,
                    snapshot=lambda i, Z: live.__setitem__(
                        i, {b: dict(z) for b, z in Z.items()}))
         vsnaps = {}

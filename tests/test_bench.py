@@ -91,8 +91,8 @@ class TestRunBench:
     def test_barcode_disagreement_reports_no_stats(self, monkeypatch):
         real_pcoh = bench_mod.pcoh
 
-        def broken(Dperp, field):
-            res = real_pcoh(Dperp, field)
+        def broken(D, field):
+            res = real_pcoh(D, field)
             res.pairs = res.pairs[1:]
             res.pair_cocycles = res.pair_cocycles[1:]
             return res

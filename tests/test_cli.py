@@ -82,6 +82,7 @@ class TestBarcode:
         assert code == 1
         assert "oracle cross-check failed" in err
         assert out == ""
+        assert "(0, 1, 6): reduction has 1, oracle has 0" in err
 
 
 class TestGenerators:
@@ -152,6 +153,7 @@ class TestOracleCheck:
         assert code == 1
         assert "mismatch" in err
         assert "reduction:" in err and "oracle:" in err
+        assert "(0, 1, 6): reduction has 1, oracle has 0" in err
 
 
 class TestBench:
@@ -207,6 +209,27 @@ class TestInputHandling:
                                         "--format", "points"])
         assert code == 0
         assert out == "0 0 5\n0 0 inf\n"
+
+    def test_nan_cell_value_rejected(self, capsys, tmp_path):
+        f = tmp_path / "nan.cells"
+        f.write_text("0 1\n0 nan\n0 0.5\n")
+        code, out, err = run_cli(capsys, ["barcode", str(f)])
+        assert code == 2 and out == ""
+        assert "NaN" in err
+
+    def test_nan_simplex_value_rejected(self, capsys, tmp_path):
+        f = tmp_path / "nan.simplicial"
+        f.write_text("0 a\n0 b\nnan a b\n")
+        code, out, err = run_cli(capsys, ["barcode", str(f),
+                                          "--format", "simplicial"])
+        assert code == 2 and out == ""
+        assert "NaN" in err
+
+    def test_nan_rmax_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["barcode", "cube:5:2", "--format",
+                                          "points", "--rmax", "nan"])
+        assert code == 2 and out == ""
+        assert "NaN" in err
 
     def test_bad_point_spec(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "cube:10"])

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from perscoh import (GF2, Field, Interval, anti_transpose, barcode_abs_hom,
-                     barcode_from_antitranspose, barcode_rel_hom,
-                     boundary_matrix, build_complex, concatenated_barcode,
-                     format_diagram, generators, pairs_to_partition,
-                     parse_diagram, pcoh, phcol, phrow, rips_filtration)
+from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
+                     barcode_abs_hom, barcode_from_antitranspose,
+                     barcode_rel_hom, boundary_matrix, build_complex,
+                     compute, concatenated_barcode, format_diagram,
+                     generators, pairs_to_partition, parse_diagram, pcoh,
+                     phcol, phrow, rips_filtration)
 from perscoh.core import chain_low
 from perscoh.persistence import INF
 from conftest import random_rips
@@ -194,9 +195,9 @@ class TestSphereGenerators:
         assert (e.chain, e.source) == ([(5, 1), (6, 1)], "Vt[1*]")
 
     def test_abs_coh_from_pcoh_matches_row_route(self, sphere11):
-        Dperp = anti_transpose(boundary_matrix(sphere11))
-        via_rows = generators(phrow(Dperp, F11), sphere11, "abs_coh")
-        via_pcoh = generators(pcoh(Dperp, F11), sphere11, "abs_coh")
+        D = boundary_matrix(sphere11)
+        via_rows = generators(phrow(anti_transpose(D), F11), sphere11, "abs_coh")
+        via_pcoh = generators(pcoh(D, F11), sphere11, "abs_coh")
         for a, b in zip(via_rows.entries, via_pcoh.entries):
             assert a.interval == b.interval
             assert a.chain == b.chain
@@ -232,7 +233,7 @@ class TestGeneratorErrors:
             generators(dec, sphere11, "abs_hom")
 
     def test_pcoh_only_provides_abs_coh(self, sphere11):
-        res = pcoh(anti_transpose(boundary_matrix(sphere11)), F11)
+        res = pcoh(boundary_matrix(sphere11), F11)
         for tag in ("abs_hom", "rel_hom", "rel_coh"):
             with pytest.raises(ValueError):
                 generators(res, sphere11, tag)
@@ -275,3 +276,40 @@ class TestTextFormat:
         assert Interval(0, 1, 2, 1.0, 3.0).finite
         assert not Interval(0, 1, 2, 1.0, INF).finite
         assert not Interval(0, 0, 2, -INF, 3.0).finite
+
+
+class TestCompute:
+    """compute() plus barcode() against the acceptance gate's direct routes."""
+
+    @pytest.mark.parametrize("algorithm", ["phcol", "phrow", "pcoh"])
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom",
+                                        "abs_coh", "rel_coh"])
+    def test_matches_direct_routes(self, module, algorithm):
+        for seed in range(6):
+            for p in (2, 11):
+                K = random_rips(seed, max_points=8, p=p, dim_max=2)
+                D = boundary_matrix(K)
+                part = pairs_to_partition(phcol(D, K.field))
+                Ft, _, _, tpairs = pairs_to_partition(
+                    phcol(anti_transpose(D), K.field))
+                if module == "abs_hom":
+                    direct = barcode_abs_hom(part, K, drop_zero=False)
+                elif module == "rel_hom":
+                    direct = barcode_rel_hom(part, K, drop_zero=False)
+                else:
+                    direct = barcode_from_antitranspose(tpairs, Ft, K, module,
+                                                        drop_zero=False)
+
+                run = compute(K, module, algorithm)
+                got = barcode(run.partition, K, module, drop_zero=False)
+                assert got.module_tag == module
+                assert got.index_multiset() == direct.index_multiset()
+                assert run.partition == part
+                reduced_dual = module.endswith("_coh") and algorithm != "pcoh"
+                assert run.matrix == (anti_transpose(D) if reduced_dual else D)
+
+    def test_rejects_unknown_names(self, sphere11):
+        with pytest.raises(ValueError, match="algorithm"):
+            compute(sphere11, "abs_hom", "phdiag")
+        with pytest.raises(ValueError, match="module_tag"):
+            compute(sphere11, "cubical", "phcol")

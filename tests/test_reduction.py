@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, pairs_to_partition, phcol, phrow,
-                     verify_decomposition)
+                     boundary_matrix, phcol, phrow, verify_decomposition)
 from perscoh.core import op_count
+from perscoh.reduction import _phcol_gf2, _phcol_terms
 from conftest import all_upper_matrices, random_rips
 
 F11 = Field(11)
@@ -67,45 +67,14 @@ class TestPhcol:
         assert dec.ops > 0
         assert dec.peak_elements >= dec.R.term_count() + dec.V.term_count()
 
-    def test_dim_filter_needs_dims(self, sphere11):
-        D = boundary_matrix(sphere11)
-        with pytest.raises(ValueError):
-            phcol(D, F11, dim_filter=1)
-
-    def test_dim_filter_running_example(self, sphere11):
-        D = boundary_matrix(sphere11)
-        dec = phcol(D, F11, dim_filter=1, dims=sphere11.dims())
-        assert dec.low_of == {3: 2}
-        assert dec.R.cols[5] == [] and dec.R.cols[6] == []
-
-    def test_dim_filter_pairs_match_full_run(self):
-        for seed in range(6):
-            K = random_rips(seed, max_points=9, p=11)
-            D = boundary_matrix(K)
-            full = pairs_to_partition(phcol(D, K.field))[3]
-            for k in sorted(set(K.dims())):
-                restricted = phcol(D, K.field, dim_filter=k, dims=K.dims())
-                expected = sorted((g, h) for g, h in full if K.dim(h) == k)
-                got = sorted((low, h) for h, low in restricted.low_of.items())
-                assert got == expected
-
-    def test_engine_validation(self, sphere11):
-        D = boundary_matrix(sphere11)
-        with pytest.raises(ValueError, match="engine"):
-            phcol(D, F11, engine="quantum")
-        with pytest.raises(ValueError, match="bits"):
-            phcol(D, F11, keep_V=True, engine="bits")
-        with pytest.raises(ValueError, match="bits"):
-            phcol(D, F11, keep_V=False, engine="bits")
-
 
 class TestGf2Engine:
     def test_matches_generic_exactly(self):
         for seed in range(10):
             K = random_rips(seed, max_points=9, p=2)
             D = boundary_matrix(K)
-            bits = phcol(D, GF2, keep_V=False, engine="bits")
-            generic = phcol(D, GF2, keep_V=False, engine="generic")
+            bits = _phcol_gf2(D)
+            generic = _phcol_terms(D, GF2, keep_V=False)
             assert bits.R == generic.R
             assert bits.low_of == generic.low_of
             assert bits.ops == generic.ops
@@ -115,7 +84,7 @@ class TestGf2Engine:
         K = random_rips(1, max_points=6, p=2)
         D = boundary_matrix(K)
         auto = phcol(D, GF2, keep_V=False)
-        bits = phcol(D, GF2, keep_V=False, engine="bits")
+        bits = _phcol_gf2(D)
         assert auto.R == bits.R and auto.ops == bits.ops
         assert auto.peak_elements == bits.peak_elements
 
