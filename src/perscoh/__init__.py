@@ -15,8 +15,7 @@ from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
                         build_complex, dual_index, load_cell_file,
                         load_points, load_simplicial_file, simplex_boundary)
 from .core import (GF2, Chain, Field, Term, chain_axpy, chain_eq_up_to_scalar,
-                   chain_from_dict, chain_low, chain_scale, field_inv,
-                   op_count, reset_op_count)
+                   chain_from_dict, chain_low, chain_scale, field_inv)
 from .oracle import dense_rank, nullspace_basis, oracle_barcode, persistent_betti
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           GeneratorTable, Interval, barcode, barcode_abs_hom,
@@ -38,7 +37,6 @@ __all__ = [
     "load_points", "load_simplicial_file", "simplex_boundary",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "chain_eq_up_to_scalar",
     "chain_from_dict", "chain_low", "chain_scale", "field_inv",
-    "op_count", "reset_op_count",
     "dense_rank", "nullspace_basis", "oracle_barcode", "persistent_betti",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "barcode_abs_hom", "barcode_from_antitranspose",

@@ -1,12 +1,13 @@
 """Instrumented comparison of the column and live-cocycle algorithms.
 
-Builds one Rips filtration, runs the barcode-only column reduction and
-the live-cocycle reduction on its boundary matrix, checks that both
-produce the same barcode, and only then reports primitive-operation counts, peak stored term counts, and
-wall time.  Point clouds are generated with a fixed 64-bit linear
-congruential generator so operation counts are reproducible across
-platforms.  Wall time is informational only; the counters carry the
-comparison.
+Builds one Rips filtration, runs the barcode-only column reduction
+(abs_hom) and the live-cocycle reduction (abs_coh) through
+:func:`~perscoh.persistence.compute`, checks that both find the same
+pairing, and only then reports primitive-operation counts, peak stored
+term counts, and wall time.  Point clouds are generated with a fixed
+64-bit linear congruential generator so operation counts are
+reproducible across platforms.  Wall time is informational only; the
+counters carry the comparison.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ import math
 import time
 from dataclasses import dataclass
 
-from .complexes import boundary_matrix
-from .core import Field, GF2, reset_op_count
-from .persistence import (Diagram, barcode_abs_hom, barcode_from_antitranspose,
-                          pairs_to_partition)
-from .reduction import pcoh, phcol
+from .core import Field, GF2
+from .persistence import Diagram, barcode, compute
 from .rips import rips_filtration
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -83,17 +81,17 @@ class BenchResult:
     stats: list[RunStats]
     diagram: Diagram
 
-    def ops(self, algorithm: str) -> int:
+    def _first(self, algorithm: str) -> RunStats:
         for s in self.stats:
             if s.algorithm == algorithm:
-                return s.primitive_ops
+                return s
         raise KeyError(algorithm)
 
+    def ops(self, algorithm: str) -> int:
+        return self._first(algorithm).primitive_ops
+
     def peak(self, algorithm: str) -> int:
-        for s in self.stats:
-            if s.algorithm == algorithm:
-                return s.peak_elements
-        raise KeyError(algorithm)
+        return self._first(algorithm).peak_elements
 
     @property
     def op_ratio(self) -> float:
@@ -109,9 +107,10 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
               max_cells: int = 500_000) -> BenchResult:
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
-    Raises ``ValueError`` when the filtration exceeds ``max_cells``
-    cells, and ``AssertionError`` if the two barcodes ever disagree
-    (no stats are reported in that case).
+    Each timed run includes assembling the matrix it reduces.  Raises
+    ``ValueError`` when the filtration exceeds ``max_cells`` cells, and
+    ``AssertionError`` if the two pairings ever disagree (no stats are
+    reported in that case).
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
@@ -119,31 +118,27 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     if K.n > max_cells:
         raise ValueError(
             f"Rips filtration has {K.n} cells, above the ceiling {max_cells}")
-    D = boundary_matrix(K)
 
     stats: list[RunStats] = []
-    diagram: Diagram | None = None
     for _ in range(repeat):
-        reset_op_count()
         t0 = time.perf_counter()
-        dec = phcol(D, field, keep_V=False)
+        col = compute(K, "abs_hom", "phcol")
         col_time = time.perf_counter() - t0
-        dia_col = barcode_abs_hom(pairs_to_partition(dec), K)
 
-        reset_op_count()
         t0 = time.perf_counter()
-        res = pcoh(D, field)
+        coh = compute(K, "abs_coh", "pcoh")
         coh_time = time.perf_counter() - t0
-        dia_coh = barcode_from_antitranspose(res.pairs, res.essential, K, "abs_coh")
 
-        if dia_col.index_multiset() != dia_coh.index_multiset():
+        if col.partition != coh.partition:
             raise AssertionError(
                 "the two algorithms produced different barcodes; no stats reported")
-        diagram = dia_col
-        stats.append(RunStats("phcol", dec.ops, dec.peak_elements, col_time))
-        stats.append(RunStats("pcoh", res.ops, res.peak_elements, coh_time))
+        stats.append(RunStats("phcol", col.result.ops, col.result.peak_elements,
+                              col_time))
+        stats.append(RunStats("pcoh", coh.result.ops, coh.result.peak_elements,
+                              coh_time))
 
-    return BenchResult(len(points), K.n, field.p, stats, diagram)
+    return BenchResult(len(points), K.n, field.p, stats,
+                       barcode(col.partition, K, "abs_hom"))
 
 
 def render_stats_text(result: BenchResult) -> str:

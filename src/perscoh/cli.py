@@ -21,9 +21,8 @@ from .complexes import (FilteredComplex, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
 from .oracle import oracle_barcode
-from .persistence import (ALGORITHMS, MODULE_TAGS, _fmt_value, barcode,
-                          barcode_abs_hom, compute, format_diagram,
-                          generators)
+from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, barcode_abs_hom,
+                          compute, format_diagram, format_interval, generators)
 from .reduction import verify_decomposition
 from .rips import rips_filtration
 
@@ -89,12 +88,8 @@ def cmd_barcode(args) -> int:
 def render_generators(table, indices: bool = False) -> str:
     blocks = []
     for e in table.entries:
-        iv = e.interval
-        if indices:
-            head = f"{iv.dim} {iv.p} {iv.q}"
-        else:
-            head = f"{iv.dim} {_fmt_value(iv.birth)} {_fmt_value(iv.death)}"
-        lines = [head, f"  generator: {table.chain_text(e.chain)}"]
+        lines = [format_interval(e.interval, indices),
+                 f"  generator: {table.chain_text(e.chain)}"]
         if e.killer is not None:
             lines.append(f"  killer: {table.chain_text(e.killer)}")
         blocks.append("\n".join(lines))

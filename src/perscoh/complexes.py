@@ -213,6 +213,14 @@ def _tokenize(path: str):
             yield lineno, stripped.split()
 
 
+def _build_from_file(path: str, rows, field: Field) -> FilteredComplex:
+    """:func:`build_complex`, with a rejected complex named by its file."""
+    try:
+        return build_complex(rows, field)
+    except ComplexError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_cell_file(path: str, field: Field) -> FilteredComplex:
     """Read the cell format (``<dim> <value> [<face>:<coef> ...]``)."""
     rows: list[tuple[int, float, list[tuple[int, int]]]] = []
@@ -236,10 +244,7 @@ def load_cell_file(path: str, field: Field) -> FilteredComplex:
         rows.append((dim, value, terms))
     if not rows:
         raise ParseError(f"{path}:1: empty complex")
-    try:
-        return build_complex(rows, field)
-    except ComplexError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _build_from_file(path, rows, field)
 
 
 def simplex_boundary(vertices: tuple, index_of: dict[tuple, int],
@@ -286,7 +291,7 @@ def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
                 f"{path}:{lineno}: face {' '.join(missing.args[0])} is missing") from None
         index_of[verts] = len(rows) + 1
         rows.append((len(verts) - 1, value, terms))
-    return build_complex(rows, field)
+    return _build_from_file(path, rows, field)
 
 
 def load_points(path: str) -> list[tuple[float, ...]]:

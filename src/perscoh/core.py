@@ -3,8 +3,7 @@
 A chain is a list of ``(index, coefficient)`` pairs with strictly
 increasing 1-based indices and no zero coefficients; coefficients are
 residues in ``[0, p)``.  The empty list is the zero chain.  All column
-arithmetic in the reduction algorithms goes through :func:`chain_axpy`,
-which also feeds the global primitive-operation counter.
+arithmetic in the reduction algorithms goes through :func:`chain_axpy`.
 """
 
 from __future__ import annotations
@@ -70,34 +69,8 @@ def field_inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-# Primitive-operation counter: one unit per coefficient multiply-add
-# performed during chain arithmetic.  Owned by a single reduction run
-# (reset at run start, read at run end).
-_op_count = 0
-
-
-def reset_op_count() -> None:
-    global _op_count
-    _op_count = 0
-
-
-def op_count() -> int:
-    return _op_count
-
-
-def add_ops(k: int) -> None:
-    global _op_count
-    _op_count += k
-
-
 def chain_axpy(c: int, x: Chain, y: Chain, p: int) -> Chain:
-    """Return ``y + c*x`` as a new chain, merging sorted term lists.
-
-    Counts one primitive operation per term of ``x`` (each contributes
-    one coefficient multiply-add to the merge).
-    """
-    global _op_count
-    _op_count += len(x)
+    """Return ``y + c*x`` as a new chain, merging sorted term lists."""
     c %= p
     if c == 0 or not x:
         return list(y)

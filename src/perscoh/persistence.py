@@ -323,19 +323,17 @@ def _fmt_value(x: float) -> str:
     return format(x, "g")
 
 
-def format_diagram(diagram: Diagram, indices: bool = False) -> str:
-    """One interval per line: ``<dim> <birth> <death>``, sorted.
+def format_interval(iv: Interval, indices: bool = False) -> str:
+    """``<dim> <birth> <death>``; with ``indices``, the integer index
+    pair ``<dim> <p> <q>`` instead of real endpoints."""
+    if indices:
+        return f"{iv.dim} {iv.p} {iv.q}"
+    return f"{iv.dim} {_fmt_value(iv.birth)} {_fmt_value(iv.death)}"
 
-    With ``indices``, integer index pairs ``<dim> <p> <q>`` are emitted
-    instead of real endpoints.
-    """
-    lines = []
-    for iv in diagram.sorted():
-        if indices:
-            lines.append(f"{iv.dim} {iv.p} {iv.q}")
-        else:
-            lines.append(f"{iv.dim} {_fmt_value(iv.birth)} {_fmt_value(iv.death)}")
-    return "\n".join(lines)
+
+def format_diagram(diagram: Diagram, indices: bool = False) -> str:
+    """One interval per line (:func:`format_interval`), sorted."""
+    return "\n".join(format_interval(iv, indices) for iv in diagram.sorted())
 
 
 def parse_diagram(text: str, module_tag: str = "abs_hom") -> Diagram:

@@ -9,9 +9,9 @@ indices, and cocycle chains in the reversed dual indexing of
 ``anti_transpose(D)``, where they coincide with the row algorithm's
 output on that matrix.
 
-Every coefficient multiply-add feeds the global counter in
-:mod:`perscoh.core`; each reduction also tracks its own peak stored
-term count.
+Each reduction counts its own work: ``ops`` is one per coefficient
+multiply-add, and ``peak_elements`` the largest number of terms stored
+at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SparseMatrix, dual_index
-from .core import Chain, Field, add_ops, chain_axpy, field_inv, op_count
+from .core import Chain, Field, chain_axpy, field_inv
 
 
 @dataclass
@@ -75,12 +75,12 @@ def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
     """Column algorithm on sorted term-list columns."""
     p = field.p
     n = D.n
-    ops_before = op_count()
     R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
 
+    ops = 0
     total = sum(len(c) for c in R) + (n if keep_V else 0)
     peak = total
     low_to_col: dict[int, int] = {}
@@ -93,10 +93,12 @@ def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
                 break
             c = (col[-1][1] * field_inv(R[j][-1][1], p)) % p
             new = chain_axpy(p - c, R[j], col, p)
+            ops += len(R[j])
             total += len(new) - len(col)
             col = new
             if keep_V:
                 newv = chain_axpy(p - c, V[j], V[i], p)
+                ops += len(V[j])
                 total += len(newv) - len(V[i])
                 V[i] = newv
             if total > peak:
@@ -108,7 +110,7 @@ def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
     low_of = {j: R[j][-1][0] for j in range(1, n + 1) if R[j]}
     return Decomposition(SparseMatrix(n, R),
                          SparseMatrix(n, V) if keep_V else None,
-                         low_of, op_count() - ops_before, peak)
+                         low_of, ops, peak)
 
 
 def _phcol_gf2(D: SparseMatrix) -> Decomposition:
@@ -148,7 +150,6 @@ def _phcol_gf2(D: SparseMatrix) -> Decomposition:
         if col:
             low_to_col[col.bit_length()] = i
 
-    add_ops(ops)
     R = SparseMatrix(n)
     low_of: dict[int, int] = {}
     for j in range(1, n + 1):
@@ -178,12 +179,12 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
     """
     p = field.p
     n = D.n
-    ops_before = op_count()
     R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
 
+    ops = 0
     total = sum(len(c) for c in R) + (n if keep_V else 0)
     peak = total
     bucket: dict[int, list[int]] = {}
@@ -202,10 +203,12 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
             for j in cols[1:]:
                 c = (R[j][-1][1] * field_inv(R[piv][-1][1], p)) % p
                 new = chain_axpy(p - c, R[piv], R[j], p)
+                ops += len(R[piv])
                 total += len(new) - len(R[j])
                 R[j] = new
                 if keep_V:
                     newv = chain_axpy(p - c, V[piv], V[j], p)
+                    ops += len(V[piv])
                     total += len(newv) - len(V[j])
                     V[j] = newv
                 if total > peak:
@@ -215,8 +218,7 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
         if snapshot is not None:
             snapshot(k, R_view, V_view)
 
-    return Decomposition(R_view, V_view, low_of,
-                         op_count() - ops_before, peak)
+    return Decomposition(R_view, V_view, low_of, ops, peak)
 
 
 def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
@@ -236,25 +238,23 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
     """
     p = field.p
     n = D.n
-    ops_before = op_count()
 
     Z: dict[int, dict[int, int]] = {}
     support: dict[int, set[int]] = {}
     sigma_pairs: list[tuple[int, int]] = []
     dying_chains: list[dict[int, int]] = []
+    ops = 0
     total = 0
     peak = 0
 
     for i in range(1, n + 1):
         acc: dict[int, int] = {}
-        hits = 0
         for t, coef in D.cols[i]:
             holders = support.get(t)
             if holders:
                 for j in holders:
                     acc[j] = (acc.get(j, 0) + coef * Z[j][t]) % p
-                hits += len(holders)
-        add_ops(hits)
+                ops += len(holders)
         candidates = [j for j, v in acc.items() if v]
 
         if not candidates:
@@ -275,7 +275,7 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
                     continue
                 c = (acc[j] * inv_piv) % p
                 zj = Z[j]
-                add_ops(len(zp))
+                ops += len(zp)
                 for t, a in zp.items():
                     new = (zj.get(t, 0) - c * a) % p
                     if new:
@@ -307,7 +307,7 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
     essential = [dual_index(n, b) for b in births]
     essential_cocycles = [to_dual(Z[b]) for b in births]
     return PcohResult(pairs, essential, pair_cocycles, essential_cocycles,
-                      op_count() - ops_before, peak)
+                      ops, peak)
 
 
 def verify_decomposition(D: SparseMatrix, dec: Decomposition,
@@ -332,17 +332,13 @@ def verify_decomposition(D: SparseMatrix, dec: Decomposition,
         for t, vc in dec.V.cols[j]:
             for i, dc in D.cols[t]:
                 acc[i] = (acc.get(i, 0) + vc * dc) % p
-        product = sorted((i, c) for i, c in acc.items() if c)
-        if product != dec.R.cols[j]:
-            seen = dict(dec.R.cols[j])
-            for i, c in product:
-                if seen.get(i, 0) != c:
-                    return VerifyReport(
-                        False, f"R differs from D*V at entry ({i}, {j})", (i, j))
-            for i, c in dec.R.cols[j]:
-                if dict(product).get(i, 0) != c:
-                    return VerifyReport(
-                        False, f"R differs from D*V at entry ({i}, {j})", (i, j))
+        stored = dict(dec.R.cols[j])
+        differing = [i for i in acc.keys() | stored.keys()
+                     if acc.get(i, 0) != stored.get(i, 0)]
+        if differing:
+            i = min(differing)
+            return VerifyReport(
+                False, f"R differs from D*V at entry ({i}, {j})", (i, j))
 
     seen_lows: dict[int, int] = {}
     for j in range(1, n + 1):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-import perscoh.bench as bench_mod
+import perscoh.persistence as persistence_mod
 from perscoh import (Field, Lcg, cube_points, render_stats_csv,
                      render_stats_text, run_bench, torus_points)
 
@@ -89,7 +89,7 @@ class TestRunBench:
             run_bench(cube_points(30, 2, seed=0), math.inf, 2, max_cells=50)
 
     def test_barcode_disagreement_reports_no_stats(self, monkeypatch):
-        real_pcoh = bench_mod.pcoh
+        real_pcoh = persistence_mod.pcoh
 
         def broken(D, field):
             res = real_pcoh(D, field)
@@ -97,7 +97,7 @@ class TestRunBench:
             res.pair_cocycles = res.pair_cocycles[1:]
             return res
 
-        monkeypatch.setattr(bench_mod, "pcoh", broken)
+        monkeypatch.setattr(persistence_mod, "pcoh", broken)
         with pytest.raises(AssertionError, match="no stats"):
             run_bench(cube_points(10, 2, seed=1), 0.8, 2)
 

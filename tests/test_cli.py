@@ -223,7 +223,7 @@ class TestInputHandling:
         code, out, err = run_cli(capsys, ["barcode", str(f),
                                           "--format", "simplicial"])
         assert code == 2 and out == ""
-        assert "NaN" in err
+        assert "NaN" in err and str(f) in err
 
     def test_nan_rmax_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["barcode", "cube:5:2", "--format",

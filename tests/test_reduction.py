@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, phcol, phrow, verify_decomposition)
-from perscoh.core import op_count
+                     boundary_matrix, cube_points, load_cell_file, pcoh, phcol,
+                     phrow, rips_filtration, verify_decomposition)
 from perscoh.reduction import _phcol_gf2, _phcol_terms
-from conftest import all_upper_matrices, random_rips
+from conftest import SPHERE_PATH, all_upper_matrices, random_rips
 
 F11 = Field(11)
 
@@ -61,9 +61,7 @@ class TestPhcol:
 
     def test_ops_counter_scoped_to_run(self, sphere11):
         D = boundary_matrix(sphere11)
-        before = op_count()
         dec = phcol(D, F11)
-        assert dec.ops == op_count() - before
         assert dec.ops > 0
         assert dec.peak_elements >= dec.R.term_count() + dec.V.term_count()
 
@@ -87,6 +85,42 @@ class TestGf2Engine:
         bits = _phcol_gf2(D)
         assert auto.R == bits.R and auto.ops == bits.ops
         assert auto.peak_elements == bits.peak_elements
+
+
+def _pinned_matrix(source, p, dual):
+    if source == "sphere":
+        K = load_cell_file(SPHERE_PATH, Field(p))
+    else:
+        K = rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
+    D = boundary_matrix(K)
+    return anti_transpose(D) if dual else D
+
+
+@pytest.mark.parametrize("source, p, dual, algorithm, keep_V, ops, peak", [
+    ("sphere", 11, False, "phcol", True, 6, 14),
+    ("sphere", 11, False, "phrow", True, 6, 14),
+    ("sphere", 11, True, "phcol", True, 6, 14),
+    ("sphere", 11, True, "phrow", True, 6, 14),
+    ("sphere", 11, False, "phcol", False, 4, 8),
+    ("sphere", 11, False, "phrow", False, 4, 8),
+    ("sphere", 11, True, "phcol", False, 4, 8),
+    ("sphere", 11, True, "phrow", False, 4, 8),
+    ("sphere", 11, False, "pcoh", None, 6, 4),
+    ("sphere", 2, False, "phcol", False, 4, 8),  # the bitmask engine
+    ("cube", 2, False, "phcol", False, 20370, 6732),
+    ("cube", 2, False, "phrow", False, 20370, 7350),
+    ("cube", 2, False, "pcoh", None, 709, 474),
+])
+def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
+    """Exact work counts: one op per coefficient multiply-add, and the
+    largest number of terms stored at once."""
+    M = _pinned_matrix(source, p, dual)
+    if algorithm == "pcoh":
+        result = pcoh(M, Field(p))
+    else:
+        reduce_fn = phcol if algorithm == "phcol" else phrow
+        result = reduce_fn(M, Field(p), keep_V=keep_V)
+    assert (result.ops, result.peak_elements) == (ops, peak)
 
 
 class TestPhrow:
@@ -156,6 +190,15 @@ class TestVerifyDecomposition:
         assert not report.ok
         assert "R differs from D*V" in report.message
         assert report.location == (1, 3)
+
+    def test_tampered_r_names_first_entry(self, sphere11):
+        D = boundary_matrix(sphere11)
+        dec = phcol(D, F11)
+        dec.R.cols[5] = [(2, 1), (3, 1)]  # D*V column 5 is [(3, 1), (4, 10)]
+        report = verify_decomposition(D, dec, F11)
+        assert not report.ok
+        assert report.location == (2, 5)
+        assert "entry (2, 5)" in report.message
 
     def test_zero_v_diagonal(self, sphere11):
         D = boundary_matrix(sphere11)
