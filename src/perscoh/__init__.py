@@ -16,7 +16,8 @@ from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
                         load_points, load_simplicial_file, simplex_boundary)
 from .core import (GF2, Chain, Field, Term, chain_axpy, chain_eq_up_to_scalar,
                    chain_from_dict, chain_low, chain_scale, field_inv)
-from .oracle import dense_rank, nullspace_basis, oracle_barcode, persistent_betti
+from .oracle import (ORACLE_MAX_CELLS, dense_rank, nullspace_basis,
+                     oracle_barcode, persistent_betti, prefix_ranks)
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           GeneratorTable, Interval, barcode, barcode_abs_hom,
                           barcode_from_antitranspose, barcode_rel_hom,
@@ -37,7 +38,8 @@ __all__ = [
     "load_points", "load_simplicial_file", "simplex_boundary",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "chain_eq_up_to_scalar",
     "chain_from_dict", "chain_low", "chain_scale", "field_inv",
-    "dense_rank", "nullspace_basis", "oracle_barcode", "persistent_betti",
+    "ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
+    "persistent_betti", "prefix_ranks",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "barcode_abs_hom", "barcode_from_antitranspose",
     "barcode_rel_hom", "compute", "concatenated_barcode", "format_diagram",

@@ -20,7 +20,7 @@ from .bench import (cube_points, render_stats_csv, render_stats_text,
 from .complexes import (FilteredComplex, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
-from .oracle import oracle_barcode
+from .oracle import check_oracle_size, oracle_barcode
 from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, barcode_abs_hom,
                           compute, format_diagram, format_interval, generators)
 from .reduction import verify_decomposition
@@ -73,6 +73,8 @@ def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
 
 def cmd_barcode(args) -> int:
     K = _load_complex(args)
+    if args.oracle:
+        check_oracle_size(K)
     run = compute(K, args.module, args.algorithm)
     if args.oracle:
         lines = _oracle_disagreement(K, run.partition)
@@ -99,7 +101,7 @@ def render_generators(table, indices: bool = False) -> str:
 def cmd_generators(args) -> int:
     K = _load_complex(args)
     run = compute(K, args.module, args.algorithm, keep_V=True)
-    table = generators(run.result, K, args.module, not args.keep_zero_length)
+    table = generators(run, K, args.module, not args.keep_zero_length)
     print(render_generators(table, indices=args.indices))
     return 0
 
@@ -115,6 +117,7 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     K = _load_complex(args)
+    check_oracle_size(K)
     run = compute(K, "abs_hom", args.algorithm, keep_V=True)
     if args.algorithm != "pcoh":
         report = verify_decomposition(run.matrix, run.result, K.field)

@@ -6,6 +6,18 @@ persistent Betti numbers from ranks of boundary submatrices and a
 stacked cycle-basis matrix, then recovers interval multiplicities by
 inclusion-exclusion.  Intended for small complexes in tests and the
 CLI ``--oracle`` cross-check.
+
+Every rank the inclusion-exclusion asks for is the rank of a column
+prefix, so one column-by-column elimination (:func:`prefix_ranks`)
+answers a whole family of queries: one per dimension k for the
+boundary ranks of the (k+1)-block, and one per (k, mz) for the stacked
+matrix [Z_mz | block], where Z_mz spans the cycles among the first mz
+k-cells.  The cycle bases of every prefix come from one reduced row
+echelon form of the k-block (:func:`nullspace_basis`), because a free
+column's kernel vector is zero below that column.
+
+The blocks are dense, so the oracle refuses complexes of more than
+``ORACLE_MAX_CELLS`` cells with ``ValueError`` before it builds any.
 """
 
 from __future__ import annotations
@@ -17,31 +29,43 @@ import numpy as np
 from .complexes import FilteredComplex
 from .persistence import Diagram, Interval, INF
 
+ORACLE_MAX_CELLS = 1000
+
+
+def check_oracle_size(K: FilteredComplex) -> None:
+    """Raise ``ValueError`` if ``K`` is too large for the dense oracle."""
+    if K.n > ORACLE_MAX_CELLS:
+        raise ValueError(f"{K.n} cells exceed the rank oracle's ceiling of "
+                         f"{ORACLE_MAX_CELLS} cells")
+
+
+def prefix_ranks(M, p: int) -> list[int]:
+    """Ranks over Z/p of every column prefix of M: entry c is the rank of
+    the first c columns (Gaussian elimination on a dense copy)."""
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    rank = 0
+    ranks = [0]
+    for c in range(cols):
+        nz = np.nonzero(A[rank:, c])[0]
+        if nz.size:
+            piv = rank + int(nz[0])
+            if piv != rank:
+                A[[rank, piv]] = A[[piv, rank]]
+            inv = pow(int(A[rank, c]), p - 2, p)
+            A[rank] = (A[rank] * inv) % p
+            below = np.nonzero(A[rank + 1:, c])[0]
+            if below.size:
+                block = A[rank + 1:]
+                block[below] = (block[below] - np.outer(block[below, c], A[rank])) % p
+            rank += 1
+        ranks.append(rank)
+    return ranks
+
 
 def dense_rank(M, p: int) -> int:
     """Rank over Z/p by Gaussian elimination on a dense copy."""
-    A = np.asarray(M, dtype=np.int64) % p
-    if A.size == 0:
-        return 0
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        nz = np.nonzero(A[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        below = np.nonzero(A[rank + 1:, c])[0]
-        if below.size:
-            block = A[rank + 1:]
-            block[below] = (block[below] - np.outer(block[below, c], A[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return prefix_ranks(M, p)[-1]
 
 
 def nullspace_basis(M, p: int) -> np.ndarray:
@@ -68,26 +92,22 @@ def nullspace_basis(M, p: int) -> np.ndarray:
             A[others] = (A[others] - np.outer(A[others, c], A[rank])) % p
         pivots.append(c)
         rank += 1
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-A[r, c]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-A[:rank, free]) % p
     return basis
 
 
 class _RankTables:
-    """Cached per-dimension boundary blocks and rank quantities."""
+    """Per-dimension boundary blocks and the rank families read from them."""
 
     def __init__(self, K: FilteredComplex):
+        check_oracle_size(K)
         self.p = K.field.p
-        self.n = K.n
-        dims = K.dims()
-        self.max_dim = max(dims) if dims else 0
-        # cells[k] = ascending indices of k-cells; pos[j] = position within its dim
+        # cells[k] = ascending indices of k-cells
         self.cells: dict[int, list[int]] = {}
-        for j, d in enumerate(dims, start=1):
+        for j, d in enumerate(K.dims(), start=1):
             self.cells.setdefault(d, []).append(j)
         # block[k]: boundary columns of k-cells over (k-1)-cell rows
         self.block: dict[int, np.ndarray] = {}
@@ -99,49 +119,44 @@ class _RankTables:
                 for i, coef in K.boundary(j):
                     A[row_pos[i], cpos] = coef
             self.block[k] = A
-        self._zbasis: dict[tuple[int, int], np.ndarray] = {}
-        self._bdim: dict[tuple[int, int], int] = {}
-        self._zb: dict[tuple[int, int, int], int] = {}
+        self._kernel: dict[int, np.ndarray] = {}
+        self._bdim: dict[int, list[int]] = {}
+        self._zb: dict[tuple[int, int], tuple[int, list[int]]] = {}
 
     def kcells(self, k: int) -> list[int]:
         return self.cells.get(k, [])
 
     def zbasis(self, k: int, mz: int) -> np.ndarray:
-        key = (k, mz)
-        if key not in self._zbasis:
-            block = self.block.get(k)
-            if block is None:
-                block = np.zeros((0, 0), dtype=np.int64)
-            self._zbasis[key] = nullspace_basis(block[:, :mz], self.p)
-        return self._zbasis[key]
+        """Columns spanning the cycles among the first ``mz`` k-cells."""
+        if k not in self.block:
+            return np.zeros((0, 0), dtype=np.int64)
+        if k not in self._kernel:
+            self._kernel[k] = nullspace_basis(self.block[k], self.p)
+        full = self._kernel[k]
+        # the kernel vectors of free columns below mz, which vanish from row mz on
+        return full[:mz, ~full[mz:].any(axis=0)]
 
     def bdim(self, k: int, mb: int) -> int:
-        key = (k, mb)
-        if key not in self._bdim:
-            block = self.block.get(k + 1)
-            if block is None or mb == 0:
-                self._bdim[key] = 0
-            else:
-                self._bdim[key] = dense_rank(block[:, :mb], self.p)
-        return self._bdim[key]
+        """Rank of the boundaries of the first ``mb`` (k+1)-cells."""
+        block = self.block.get(k + 1)
+        if block is None:
+            return 0
+        if k not in self._bdim:
+            self._bdim[k] = prefix_ranks(block, self.p)
+        return self._bdim[k][mb]
 
     def rank_image(self, k: int, mz: int, mb: int) -> int:
         """rank of H_k(X_p) -> H_k(X_q) with mz k-cells and mb (k+1)-cells present."""
-        key = (k, mz, mb)
-        if key in self._zb:
-            return self._zb[key]
-        nk = len(self.kcells(k))
-        zb = self.zbasis(k, mz)
-        padded = np.zeros((nk, zb.shape[1]), dtype=np.int64)
-        padded[:mz, :] = zb
-        parts = [padded]
-        block_b = self.block.get(k + 1)
-        if block_b is not None and mb:
-            parts.append(block_b[:, :mb])
-        stacked = np.hstack(parts)
-        r = dense_rank(stacked, self.p) - self.bdim(k, mb)
-        self._zb[key] = r
-        return r
+        key = (k, mz)
+        if key not in self._zb:
+            zb = self.zbasis(k, mz)
+            padded = np.zeros((len(self.kcells(k)), zb.shape[1]), dtype=np.int64)
+            padded[:mz, :] = zb
+            block_b = self.block.get(k + 1)
+            stacked = padded if block_b is None else np.hstack([padded, block_b])
+            self._zb[key] = (zb.shape[1], prefix_ranks(stacked, self.p))
+        zcols, ranks = self._zb[key]
+        return ranks[zcols + mb] - self.bdim(k, mb)
 
     def r(self, k: int, p_idx: int, q_idx: int) -> int:
         if p_idx <= 0:

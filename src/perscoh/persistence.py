@@ -254,15 +254,16 @@ class GeneratorTable:
         return " ".join(f"{lbl}:{c}" for lbl, c in terms)
 
 
-def generators(dec, K: FilteredComplex, module_tag: str,
+def generators(run: Computation, K: FilteredComplex, module_tag: str,
                drop_zero: bool = True) -> GeneratorTable:
     """Extract the generator table of one persistence module.
 
-    For ``abs_hom``/``rel_hom`` pass a decomposition of the boundary
-    matrix; for ``rel_coh``/``abs_coh`` pass a decomposition of its
-    anti-transpose, or the pcoh output for ``abs_coh``.  Reductions run
-    without V, and pcoh output for modules other than ``abs_coh``,
-    raise ``ValueError`` since the needed columns were not kept.
+    ``run`` is the :func:`compute` result for ``module_tag``: a
+    decomposition of the boundary matrix for ``abs_hom``/``rel_hom``, of
+    its anti-transpose for ``rel_coh``/``abs_coh``, or the pcoh output
+    for ``abs_coh``.  Reductions run without V, and pcoh output for
+    modules other than ``abs_coh``, raise ``ValueError`` since the
+    needed columns were not kept.
 
     Dual modules read the same columns: abs_hom and rel_coh take a pair's
     chain from R and its killer from V, rel_hom and abs_coh take the
@@ -274,6 +275,7 @@ def generators(dec, K: FilteredComplex, module_tag: str,
     starred = module_tag.endswith("_coh")
     killers = module_tag in ("abs_hom", "rel_coh")
 
+    dec = run.result
     if isinstance(dec, PcohResult):
         if module_tag != "abs_coh":
             raise ValueError(
@@ -282,14 +284,11 @@ def generators(dec, K: FilteredComplex, module_tag: str,
         R = None
         V = dict(zip(dec.essential, dec.essential_cocycles))
         V.update((t, z) for (_, t), z in zip(dec.pairs, dec.pair_cocycles))
-        F, _, _, pairs = partition_from_dual(dec.pairs, dec.essential, n)
     else:
         if dec.V is None:
             raise ValueError("generators need the V matrix; rerun with keep_V on")
         R, V = dec.R.cols, dec.V.cols
-        F, _, _, pairs = pairs_to_partition(dec)
-        if starred:
-            F, _, _, pairs = partition_from_dual(pairs, F, n)
+    F, _, _, pairs = run.partition
 
     intervals = barcode((F, [], [], pairs), K, module_tag, drop_zero=False).intervals
     # barcode lists F's intervals, then the pairs', in order.  The cell whose

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, build_complex, generators,
-                     load_cell_file, phcol, rips_filtration)
+                     boundary_matrix, build_complex, compute, generators,
+                     load_cell_file, rips_filtration)
 from perscoh.complexes import ComplexError
 
 settings.register_profile(
@@ -115,23 +115,24 @@ def assert_generator_sanity(K):
     p = K.field.p
     D = boundary_matrix(K)
     assert_boundary_squared_zero(D, p)
-    dec = phcol(D, K.field)
-    table = generators(dec, K, "abs_hom", drop_zero=False)
+    table = generators(compute(K, "abs_hom", "phcol", keep_V=True), K,
+                       "abs_hom", drop_zero=False)
     for e in table.entries:
         assert matvec(D, e.chain, p) == [], "homology generator is not a cycle"
         if e.killer is not None:
             assert matvec(D, e.killer, p) == e.chain, "killer does not bound generator"
 
     Dp = anti_transpose(D)
-    decp = phcol(Dp, K.field)
-    tablep = generators(decp, K, "rel_coh", drop_zero=False)
+    tablep = generators(compute(K, "rel_coh", "phcol", keep_V=True), K,
+                        "rel_coh", drop_zero=False)
     for e in tablep.entries:
         if e.killer is not None:
             assert matvec(Dp, e.killer, p) == e.chain
 
     # the coboundary of an abs_coh cocycle is supported strictly past its death
     n = K.n
-    tablec = generators(decp, K, "abs_coh", drop_zero=False)
+    tablec = generators(compute(K, "abs_coh", "phcol", keep_V=True), K,
+                        "abs_coh", drop_zero=False)
     for e in tablec.entries:
         for t, _ in matvec(Dp, e.chain, p):
             assert n + 1 - t > e.interval.q, "cocycle dies before its death index"

@@ -11,10 +11,11 @@ import time
 
 from perscoh import (GF2, Field, anti_transpose, barcode_abs_hom,
                      barcode_from_antitranspose, barcode_rel_hom,
-                     boundary_matrix, chain_eq_up_to_scalar, cube_points,
-                     generators, load_cell_file, oracle_barcode,
-                     pairs_to_partition, pcoh, phcol, phrow, run_bench,
-                     torus_points, verify_decomposition)
+                     boundary_matrix, chain_eq_up_to_scalar, compute,
+                     cube_points, generators, load_cell_file, oracle_barcode,
+                     pairs_to_partition, pcoh, phcol, phrow,
+                     rips_filtration, run_bench, torus_points,
+                     verify_decomposition)
 from perscoh.persistence import INF
 from conftest import (SPHERE_PATH, all_upper_matrices,
                       assert_boundary_squared_zero, assert_generator_sanity,
@@ -99,9 +100,6 @@ def test_criterion_1_running_example_diagrams():
 
 def test_criterion_2_running_example_generators():
     K = sphere()
-    D = boundary_matrix(K)
-    dec = phcol(D, F11)
-    decp = phcol(anti_transpose(D), F11)
 
     # expectations keyed by interval index pair; cell 10 stands for -1 mod 11
     expected = {
@@ -124,7 +122,7 @@ def test_criterion_2_running_example_generators():
                     (0, 0): [(5, 1), (6, 1)]},
     }
     for tag, want in expected.items():
-        table = generators(dec if tag.endswith("hom") else decp, K, tag)
+        table = generators(compute(K, tag, "phcol", keep_V=True), K, tag)
         got = table.by_index_pair()
         assert set(got) == set(want), tag
         for key, chain in want.items():
@@ -161,6 +159,11 @@ def test_criterion_4_decomposition_validity():
 def test_criterion_5_oracle_equivalence():
     complexes = list(small_complexes())
     complexes += rips_instances(300, 100, max_points=8, dim_max=2)
+    # complete 2-skeleton of 12 points: 12 + 66 + 220 cells
+    skeleta = [rips_filtration(cube_points(12, 3, seed=5), math.inf, 2, field)
+               for field in (GF2, F11)]
+    assert [K.n for K in skeleta] == [298, 298]
+    complexes += skeleta
     for K in complexes:
         part = pairs_to_partition(phcol(boundary_matrix(K), K.field))
         computed = barcode_abs_hom(part, K, drop_zero=False)

@@ -155,6 +155,18 @@ class TestOracleCheck:
         assert "reduction:" in err and "oracle:" in err
         assert "(0, 1, 6): reduction has 1, oracle has 0" in err
 
+    @pytest.mark.parametrize("command", [["oracle-check"],
+                                         ["barcode", "--oracle"]])
+    def test_size_ceiling_before_reduction(self, capsys, tmp_path,
+                                           monkeypatch, command):
+        path = tmp_path / "points.cells"
+        path.write_text("0 1\n" * 1001)
+        monkeypatch.setattr(cli, "compute", lambda *a, **k: pytest.fail(
+            "reduction ran on a complex over the oracle ceiling"))
+        code, out, err = run_cli(capsys, [command[0], str(path), *command[1:]])
+        assert code == 2 and out == ""
+        assert "1001 cells" in err and "1000" in err
+
 
 class TestBench:
     def test_csv_output(self, capsys):

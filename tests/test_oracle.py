@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from perscoh import (GF2, Field, barcode_abs_hom, boundary_matrix,
-                     build_complex, dense_rank, nullspace_basis,
-                     oracle_barcode, pairs_to_partition, persistent_betti,
-                     phcol, rips_filtration)
+from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode_abs_hom,
+                     boundary_matrix, build_complex, dense_rank,
+                     nullspace_basis, oracle_barcode, pairs_to_partition,
+                     persistent_betti, phcol, prefix_ranks, rips_filtration)
+from perscoh.oracle import _RankTables
 from conftest import all_upper_matrices, matrix_complex, random_rips
 
 F11 = Field(11)
@@ -48,6 +51,68 @@ class TestDenseRank:
     def test_empty_shapes(self):
         assert dense_rank(np.zeros((0, 3), dtype=np.int64), 11) == 0
         assert dense_rank(np.zeros((3, 0), dtype=np.int64), 11) == 0
+
+
+def plain_rank(rows, p):
+    """Rank mod p of a list of equal-length rows, by row reduction."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _matrices(draw):
+    """(p, rows as lists) over Z/2, Z/3 or Z/11; tall, wide or empty, with
+    some columns zeroed."""
+    p = draw(st.sampled_from([2, 3, 11]))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    row = st.lists(st.integers(-12, 12), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    zero = draw(st.sets(st.integers(0, 6)))
+    return p, [[0 if c in zero else x for c, x in enumerate(r)] for r in rows], ncols
+
+
+class TestPrefixRanks:
+    @given(_matrices())
+    def test_matches_plain_elimination(self, case):
+        p, rows, ncols = case
+        M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        ranks = prefix_ranks(M, p)
+        assert ranks == [plain_rank([r[:c] for r in rows], p)
+                         for c in range(ncols + 1)]
+        assert dense_rank(M, p) == ranks[-1]
+
+    def test_empty_shapes(self):
+        assert prefix_ranks(np.zeros((0, 3), dtype=np.int64), 11) == [0, 0, 0, 0]
+        assert prefix_ranks(np.zeros((3, 0), dtype=np.int64), 11) == [0]
+
+
+class TestZbasis:
+    @pytest.mark.parametrize("seed,p", [(3, 2), (4, 11), (7, 3)])
+    def test_every_prefix_spans_its_cycles(self, seed, p):
+        K = random_rips(seed, max_points=8, p=p, dim_max=2)
+        tables = _RankTables(K)
+        checked = 0
+        for k, cells in tables.cells.items():
+            for mz in range(len(cells) + 1):
+                A = tables.block[k][:, :mz]
+                Z = tables.zbasis(k, mz)
+                assert Z.shape == (mz, mz - dense_rank(A, p))
+                assert not ((A @ Z) % p).any()
+                assert dense_rank(Z, p) == Z.shape[1]
+                checked += 1
+        assert checked > K.n
 
 
 class TestNullspaceBasis:
@@ -127,3 +192,16 @@ class TestOracleBarcode:
         assert by_index[(0, 1, 6)].death == float("inf")
         assert by_index[(0, 2, 2)].birth == 2.0
         assert by_index[(0, 2, 2)].death == 3.0
+
+
+class TestSizeCeiling:
+    def test_over_ceiling_rejected(self):
+        K = build_complex([(0, 1.0, [])] * (ORACLE_MAX_CELLS + 1), F11)
+        with pytest.raises(ValueError, match=f"{ORACLE_MAX_CELLS + 1} cells"):
+            oracle_barcode(K)
+        with pytest.raises(ValueError, match="ceiling"):
+            persistent_betti(K, 0, 1, 1)
+
+    def test_at_ceiling_accepted(self):
+        K = build_complex([(0, 1.0, [])] * ORACLE_MAX_CELLS, F11)
+        assert persistent_betti(K, 0, 1, 1) == 1

@@ -8,8 +8,8 @@ from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
                      barcode_abs_hom, barcode_from_antitranspose,
                      barcode_rel_hom, boundary_matrix, build_complex,
                      compute, concatenated_barcode, format_diagram,
-                     generators, pairs_to_partition, parse_diagram, pcoh,
-                     phcol, phrow, rips_filtration)
+                     generators, pairs_to_partition, parse_diagram, phcol,
+                     phrow, rips_filtration)
 from perscoh.core import chain_low
 from perscoh.persistence import INF
 from conftest import random_rips
@@ -144,8 +144,8 @@ class TestSphereGenerators:
         return table.by_index_pair()[(p, q)]
 
     def test_abs_hom(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11)
-        t = generators(dec, sphere11, "abs_hom")
+        t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
+                       sphere11, "abs_hom")
         assert not t.starred
         e = self.entry(t, 1, 6)
         assert (e.chain, e.source, e.killer) == ([(1, 1)], "V[1]", None)
@@ -159,8 +159,8 @@ class TestSphereGenerators:
         assert (e.chain, e.source, e.killer) == ([(5, 10), (6, 1)], "V[6]", None)
 
     def test_rel_hom(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11)
-        t = generators(dec, sphere11, "rel_hom")
+        t = generators(compute(sphere11, "rel_hom", "phcol", keep_V=True),
+                       sphere11, "rel_hom")
         assert not t.starred
         assert self.entry(t, 0, 0).chain == [(1, 1)]
         assert self.entry(t, 2, 2).chain == [(3, 1)]
@@ -170,8 +170,8 @@ class TestSphereGenerators:
         assert all(e.killer is None for e in t.entries)
 
     def test_rel_coh(self, sphere11):
-        dec = phrow(anti_transpose(boundary_matrix(sphere11)), F11)
-        t = generators(dec, sphere11, "rel_coh")
+        t = generators(compute(sphere11, "rel_coh", "phrow", keep_V=True),
+                       sphere11, "rel_coh")
         assert t.starred
         e = self.entry(t, 0, 5)
         assert (e.chain, e.source, e.killer) == ([(1, 1)], "Vt[6*]", None)
@@ -185,8 +185,8 @@ class TestSphereGenerators:
         assert (e.chain, e.source, e.killer) == ([(5, 1), (6, 1)], "Vt[1*]", None)
 
     def test_abs_coh(self, sphere11):
-        dec = phrow(anti_transpose(boundary_matrix(sphere11)), F11)
-        t = generators(dec, sphere11, "abs_coh")
+        t = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
+                       sphere11, "abs_coh")
         assert t.starred
         assert self.entry(t, 6, 6).chain == [(1, 1)]
         assert self.entry(t, 4, 4).chain == [(3, 1)]
@@ -195,32 +195,33 @@ class TestSphereGenerators:
         assert (e.chain, e.source) == ([(5, 1), (6, 1)], "Vt[1*]")
 
     def test_abs_coh_from_pcoh_matches_row_route(self, sphere11):
-        D = boundary_matrix(sphere11)
-        via_rows = generators(phrow(anti_transpose(D), F11), sphere11, "abs_coh")
-        via_pcoh = generators(pcoh(D, F11), sphere11, "abs_coh")
+        via_rows = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
+                              sphere11, "abs_coh")
+        via_pcoh = generators(compute(sphere11, "abs_coh", "pcoh", keep_V=True),
+                              sphere11, "abs_coh")
         for a, b in zip(via_rows.entries, via_pcoh.entries):
             assert a.interval == b.interval
             assert a.chain == b.chain
             assert a.source == b.source
 
     def test_entries_sorted_by_interval(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11)
-        t = generators(dec, sphere11, "abs_hom")
+        t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
+                       sphere11, "abs_hom")
         keys = [e.interval.sort_key() for e in t.entries]
         assert keys == sorted(keys)
 
 
 class TestGeneratorTableText:
     def test_plain_labels(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11)
-        t = generators(dec, sphere11, "abs_hom")
+        t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
+                       sphere11, "abs_hom")
         assert t.term_label(3) == "3"
         assert t.chain_text([(1, 1), (2, 10)]) == "1:1 2:10"
         assert t.chain_text([]) == "0"
 
     def test_starred_labels_reverse(self, sphere11):
-        dec = phrow(anti_transpose(boundary_matrix(sphere11)), F11)
-        t = generators(dec, sphere11, "abs_coh")
+        t = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
+                       sphere11, "abs_coh")
         assert t.term_label(1) == "6*"
         assert t.term_label(6) == "1*"
         assert t.chain_text([(5, 1), (6, 1)]) == "1*:1 2*:1"
@@ -228,20 +229,20 @@ class TestGeneratorTableText:
 
 class TestGeneratorErrors:
     def test_needs_v(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11, keep_V=False)
+        run = compute(sphere11, "abs_hom", "phcol", keep_V=False)
         with pytest.raises(ValueError, match="keep_V"):
-            generators(dec, sphere11, "abs_hom")
+            generators(run, sphere11, "abs_hom")
 
     def test_pcoh_only_provides_abs_coh(self, sphere11):
-        res = pcoh(boundary_matrix(sphere11), F11)
         for tag in ("abs_hom", "rel_hom", "rel_coh"):
+            run = compute(sphere11, tag, "pcoh", keep_V=True)
             with pytest.raises(ValueError):
-                generators(res, sphere11, tag)
+                generators(run, sphere11, tag)
 
     def test_unknown_tag(self, sphere11):
-        dec = phcol(boundary_matrix(sphere11), F11)
+        run = compute(sphere11, "abs_hom", "phcol", keep_V=True)
         with pytest.raises(ValueError, match="module_tag"):
-            generators(dec, sphere11, "cubical")
+            generators(run, sphere11, "cubical")
 
 
 class TestLeadingTerms:
