@@ -14,8 +14,7 @@ from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
                         SparseMatrix, anti_transpose, boundary_matrix,
                         build_complex, dual_index, load_cell_file,
                         load_points, load_simplicial_file, simplex_boundary)
-from .core import (GF2, Chain, Field, Term, chain_axpy, chain_eq_up_to_scalar,
-                   chain_from_dict, chain_low, chain_scale, field_inv)
+from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
 from .oracle import (ORACLE_MAX_CELLS, dense_rank, nullspace_basis,
                      oracle_barcode, persistent_betti, prefix_ranks)
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
@@ -25,7 +24,7 @@ from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           generators, pairs_to_partition, parse_diagram)
 from .reduction import (Decomposition, PcohResult, VerifyReport,
                         pcoh, phcol, phrow, verify_decomposition)
-from .rips import rips_filtration
+from .rips import RIPS_MAX_CELLS, rips_filtration
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,7 @@ __all__ = [
     "anti_transpose", "boundary_matrix", "build_complex", "dual_index",
     "load_cell_file",
     "load_points", "load_simplicial_file", "simplex_boundary",
-    "GF2", "Chain", "Field", "Term", "chain_axpy", "chain_eq_up_to_scalar",
-    "chain_from_dict", "chain_low", "chain_scale", "field_inv",
+    "GF2", "Chain", "Field", "Term", "chain_axpy", "field_inv",
     "ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
     "persistent_betti", "prefix_ranks",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
@@ -46,6 +44,6 @@ __all__ = [
     "generators", "pairs_to_partition", "parse_diagram",
     "Decomposition", "PcohResult", "VerifyReport",
     "pcoh", "phcol", "phrow", "verify_decomposition",
-    "rips_filtration",
+    "RIPS_MAX_CELLS", "rips_filtration",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Field, GF2
 from .persistence import Diagram, barcode, compute
-from .rips import rips_filtration
+from .rips import RIPS_MAX_CELLS, rips_filtration
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -104,20 +104,17 @@ class BenchResult:
 
 def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
               field: Field = GF2, repeat: int = 1,
-              max_cells: int = 500_000) -> BenchResult:
+              max_cells: int = RIPS_MAX_CELLS) -> BenchResult:
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
     Each timed run includes assembling the matrix it reduces.  Raises
-    ``ValueError`` when the filtration exceeds ``max_cells`` cells, and
-    ``AssertionError`` if the two pairings ever disagree (no stats are
-    reported in that case).
+    ``ValueError`` as soon as the Rips enumeration passes ``max_cells``
+    cells, and ``AssertionError`` if the two pairings ever disagree (no
+    stats are reported in that case).
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
-    K = rips_filtration(points, r_max, dim_max, field)
-    if K.n > max_cells:
-        raise ValueError(
-            f"Rips filtration has {K.n} cells, above the ceiling {max_cells}")
+    K = rips_filtration(points, r_max, dim_max, field, max_cells)
 
     stats: list[RunStats] = []
     for _ in range(repeat):

@@ -24,7 +24,7 @@ from .oracle import check_oracle_size, oracle_barcode
 from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, barcode_abs_hom,
                           compute, format_diagram, format_interval, generators)
 from .reduction import verify_decomposition
-from .rips import rips_filtration
+from .rips import RIPS_MAX_CELLS, rips_filtration
 
 
 def _resolve_points(spec: str, seed: int) -> list[tuple[float, ...]]:
@@ -53,7 +53,7 @@ def _load_complex(args) -> FilteredComplex:
     if args.format == "simplicial":
         return load_simplicial_file(args.input, field)
     points = _resolve_points(args.input, args.seed)
-    return rips_filtration(points, args.rmax, args.maxdim, field)
+    return rips_filtration(points, args.rmax, args.maxdim, field, RIPS_MAX_CELLS)
 
 
 def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
@@ -186,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeat", type=int, default=1,
                    help="run each algorithm this many times (default 1)")
-    p.add_argument("--max-cells", type=int, default=500_000, dest="max_cells",
-                   help="abort if the Rips filtration exceeds this cell count")
+    p.add_argument("--max-cells", type=int, default=RIPS_MAX_CELLS, dest="max_cells",
+                   help="abort once the Rips filtration passes this cell count "
+                        f"(default {RIPS_MAX_CELLS})")
     p.add_argument("--csv", action="store_true",
                    help="emit CSV (algorithm,ops,peak_elements,seconds)")
     p.set_defaults(func=cmd_bench)

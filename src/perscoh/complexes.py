@@ -149,22 +149,8 @@ class SparseMatrix:
                 raise ValueError("cols must have length n + 1 (slot 0 unused)")
             self.cols = cols
 
-    def column(self, j: int) -> Chain:
-        return self.cols[j]
-
-    def entry(self, i: int, j: int) -> int:
-        for idx, coef in self.cols[j]:
-            if idx == i:
-                return coef
-            if idx > i:
-                break
-        return 0
-
     def term_count(self) -> int:
         return sum(len(c) for c in self.cols)
-
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, [list(c) for c in self.cols])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparseMatrix) and other.n == self.n

@@ -31,7 +31,7 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """The prime field Z/p; holds the modulus and element helpers."""
+    """The prime field Z/p; holds the modulus."""
 
     __slots__ = ("p",)
 
@@ -41,15 +41,6 @@ class Field:
         if p >= 2**31:
             raise ValueError(f"field modulus too large: {p}")
         self.p = p
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        return field_inv(a, self.p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.p == self.p
@@ -102,33 +93,3 @@ def chain_axpy(c: int, x: Chain, y: Chain, p: int) -> Chain:
         i += 1
     out.extend(y[j:])
     return out
-
-
-def chain_low(x: Chain) -> int | None:
-    """Index of the lowest nonzero entry (the largest stored index)."""
-    return x[-1][0] if x else None
-
-
-def chain_scale(c: int, x: Chain, p: int) -> Chain:
-    c %= p
-    if c == 0:
-        return []
-    if c == 1:
-        return list(x)
-    return [(i, (c * a) % p) for i, a in x]
-
-
-def chain_from_dict(d: dict[int, int], p: int) -> Chain:
-    return [(i, a % p) for i, a in sorted(d.items()) if a % p]
-
-
-def chain_eq_up_to_scalar(x: Chain, y: Chain, p: int) -> bool:
-    """True when ``x = c*y`` for some nonzero scalar c."""
-    if len(x) != len(y):
-        return False
-    if not x:
-        return True
-    if x[0][0] != y[0][0]:
-        return False
-    c = (x[0][1] * field_inv(y[0][1], p)) % p
-    return all(xi == yi and xa == (c * ya) % p for (xi, xa), (yi, ya) in zip(x, y))

@@ -156,12 +156,14 @@ class Computation:
 
     ``matrix`` is the matrix handed to the algorithm, ``result`` its raw
     output, and ``partition`` the absolute partition (F, G, H, pairs) in
-    original indices.
+    original indices.  ``dual`` is True when the result is indexed by the
+    reversed dual order: a reduction of the anti-transpose, or pcoh.
     """
 
     matrix: SparseMatrix
     result: Decomposition | PcohResult
     partition: tuple
+    dual: bool
 
 
 def compute(K: FilteredComplex, module_tag: str, algorithm: str,
@@ -180,15 +182,16 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     D = boundary_matrix(K)
     if algorithm == "pcoh":
         res = pcoh(D, K.field)
-        return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n))
+        return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n),
+                           True)
     reduce_fn = phcol if algorithm == "phcol" else phrow
     if module_tag.endswith("_hom"):
         dec = reduce_fn(D, K.field, keep_V=keep_V)
-        return Computation(D, dec, pairs_to_partition(dec))
+        return Computation(D, dec, pairs_to_partition(dec), False)
     Dperp = anti_transpose(D)
     dec = reduce_fn(Dperp, K.field, keep_V=keep_V)
     Ft, _, _, tpairs = pairs_to_partition(dec)
-    return Computation(Dperp, dec, partition_from_dual(tpairs, Ft, K.n))
+    return Computation(Dperp, dec, partition_from_dual(tpairs, Ft, K.n), True)
 
 
 def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
@@ -261,9 +264,10 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     ``run`` is the :func:`compute` result for ``module_tag``: a
     decomposition of the boundary matrix for ``abs_hom``/``rel_hom``, of
     its anti-transpose for ``rel_coh``/``abs_coh``, or the pcoh output
-    for ``abs_coh``.  Reductions run without V, and pcoh output for
-    modules other than ``abs_coh``, raise ``ValueError`` since the
-    needed columns were not kept.
+    for ``abs_coh``.  Reductions run without V, pcoh output for modules
+    other than ``abs_coh``, and a run on the other side (D for a
+    cohomology module, the reversed dual for a homology module) raise
+    ``ValueError``.
 
     Dual modules read the same columns: abs_hom and rel_coh take a pair's
     chain from R and its killer from V, rel_hom and abs_coh take the
@@ -288,6 +292,10 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         if dec.V is None:
             raise ValueError("generators need the V matrix; rerun with keep_V on")
         R, V = dec.R.cols, dec.V.cols
+    if run.dual != starred:
+        side = "the anti-transpose" if run.dual else "the boundary matrix D"
+        raise ValueError(f"{module_tag} generators cannot be read from a "
+                         f"reduction of {side}; compute the run for {module_tag}")
     F, _, _, pairs = run.partition
 
     intervals = barcode((F, [], [], pairs), K, module_tag, drop_zero=False).intervals

@@ -5,19 +5,49 @@ filtration contains every simplex of dimension at most ``dim_max``
 whose diameter is at most ``r_max``, filtered by diameter (vertices
 enter at 0).  Ties are broken by dimension, then by the lexicographic
 sorted vertex list, so faces always precede cofaces.
+
+The complex is valid by construction, so its cells are built directly
+rather than through :func:`~perscoh.complexes.build_complex`: values are
+sorted; a face has no larger diameter and fewer vertices, so it comes
+first; faces are one dimension down; and the alternating signs
+``(-1)^i`` make the composite boundary vanish.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
-from .complexes import FilteredComplex, build_complex, simplex_boundary
+import numpy as np
+
+from .complexes import Cell, FilteredComplex
 from .core import Field
+
+# the cell ceiling of every ``--format points`` command and the default of
+# ``perscoh bench --max-cells``
+RIPS_MAX_CELLS = 500_000
+
+# The neighbour search compares squared distances summed by numpy, which
+# may differ from math.dist by a few ulps, against a bound with this
+# relative slack; the absolute term ``tiny`` covers squares that lose
+# their relative precision to underflow.  Candidates are then kept on
+# the exact math.dist value, so the slack never admits an edge.
+_SLACK = 1 + 1e-9
+
+
+def _check_ceiling(count: int, max_cells: int | None) -> None:
+    if max_cells is not None and count > max_cells:
+        raise ValueError(f"Rips filtration has at least {count} cells, "
+                         f"above the ceiling {max_cells}")
 
 
 def rips_filtration(points: list[tuple[float, ...]], r_max: float,
-                    dim_max: int, field: Field) -> FilteredComplex:
+                    dim_max: int, field: Field,
+                    max_cells: int | None = None) -> FilteredComplex:
+    """The Rips filtration of ``points`` up to diameter ``r_max``.
+
+    With ``max_cells`` set, raises ``ValueError`` naming the count and
+    the ceiling as soon as enumeration passes ``max_cells`` cells.
+    """
     if not points:
         raise ValueError("empty point cloud")
     if math.isnan(r_max):
@@ -32,35 +62,52 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
             raise ValueError(f"point {i} has a non-finite coordinate")
 
     n = len(points)
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.dist(points[i], points[j])
-            dist[i][j] = dist[j][i] = d
+    _check_ceiling(n, max_cells)
+    # exact lengths of the edges within r_max, and upper neighbours (j > i)
+    length: dict[tuple[int, int], float] = {}
+    upper: list[list[int]] = [[] for _ in range(n)]
+    if dim_max >= 1:
+        X = np.array(points, dtype=float).reshape(n, width)
+        reach = r_max * _SLACK
+        reach = reach * reach + np.finfo(float).tiny
+        with np.errstate(over="ignore"):  # an overflowing square is far out
+            for i in range(n - 1):
+                diff = X[i + 1:] - X[i]
+                near = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= reach)
+                pi = points[i]
+                for j in (near + (i + 1)).tolist():
+                    d = math.dist(pi, points[j])
+                    if d <= r_max:
+                        length[i, j] = d
+                        upper[i].append(j)
+                _check_ceiling(n + len(length), max_cells)
+    neighbours = [set(u) for u in upper]
 
-    # upper neighbor lists; a simplex is grown only by vertices above its max
-    upper = [[j for j in range(i + 1, n) if dist[i][j] <= r_max] for i in range(n)]
-
+    # depth-first clique growth; a simplex is grown only by vertices above its max
     simplices: list[tuple[float, tuple[int, ...]]] = []
-    stack: list[tuple[tuple[int, ...], float, list[int]]] = []
-    for v in range(n):
-        stack.append(((v,), 0.0, upper[v]))
+    stack: list[tuple[tuple[int, ...], float, list[int]]] = [
+        ((v,), 0.0, upper[v]) for v in range(n)]
     while stack:
         simplex, value, candidates = stack.pop()
         simplices.append((value, simplex))
-        if len(simplex) - 1 == dim_max:
+        if len(simplex) > dim_max:
             continue
-        for w in candidates:
-            grown = max(value, max(dist[v][w] for v in simplex))
-            narrowed = [u for u in candidates if u > w and dist[w][u] <= r_max]
-            stack.append((simplex + (w,), grown, narrowed))
+        for k, w in enumerate(candidates):
+            grown = max(value, max(length[v, w] for v in simplex))
+            near_w = neighbours[w]
+            stack.append((simplex + (w,), grown,
+                          [u for u in candidates[k + 1:] if u in near_w]))
+        # every simplex on the stack becomes a cell
+        _check_ceiling(len(simplices) + len(stack), max_cells)
 
     simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
+    sign = [(-1) ** i % field.p for i in range(min(dim_max + 1, n))]
     index_of: dict[tuple[int, ...], int] = {}
-    rows = []
+    cells: list[Cell] = []
     for value, verts in simplices:
-        terms = simplex_boundary(verts, index_of, field.p)
-        index_of[verts] = len(rows) + 1
-        rows.append((len(verts) - 1, value, terms))
-    return replace(build_complex(rows, field),
-                   simplex_vertices=[verts for _, verts in simplices])
+        size = len(verts)
+        faces = ([index_of[verts[:i] + verts[i + 1:]] for i in range(size)]
+                 if size > 1 else ())
+        cells.append(Cell(size - 1, value, tuple(sorted(zip(faces, sign)))))
+        index_of[verts] = len(cells)
+    return FilteredComplex(cells, field, [verts for _, verts in simplices])

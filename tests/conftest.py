@@ -2,8 +2,9 @@
 
 Provides the 6-cell running example, exhaustive enumeration of small
 strictly-upper-triangular matrices (and the subset that are valid
-filtered complexes), seeded random Rips instances, and the boundary
-sanity checks reused by the property suites.
+filtered complexes), seeded random Rips instances, the boundary
+sanity checks reused by the property suites, and chain and matrix
+helpers that only the tests need.
 """
 
 import os
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, build_complex, compute, generators,
-                     load_cell_file, rips_filtration)
+                     boundary_matrix, build_complex, compute, field_inv,
+                     generators, load_cell_file, rips_filtration)
 from perscoh.complexes import ComplexError
 
 settings.register_profile(
@@ -94,6 +95,23 @@ def random_rips(seed, max_points=10, p=2, dim_max=3):
            for _ in range(count)]
     r_max = 0.4 + rng.next_double()
     return rips_filtration(pts, r_max, dim_max, Field(p))
+
+
+def entry(A, i, j):
+    """The coefficient of row ``i`` in column ``j`` of ``A``."""
+    return dict(A.cols[j]).get(i, 0)
+
+
+def chain_eq_up_to_scalar(x, y, p):
+    """True when ``x = c*y`` for some nonzero scalar c."""
+    if len(x) != len(y):
+        return False
+    if not x:
+        return True
+    if x[0][0] != y[0][0]:
+        return False
+    c = (x[0][1] * field_inv(y[0][1], p)) % p
+    return all(xi == yi and xa == (c * ya) % p for (xi, xa), (yi, ya) in zip(x, y))
 
 
 def matvec(A, chain, p):

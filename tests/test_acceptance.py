@@ -11,7 +11,7 @@ import time
 
 from perscoh import (GF2, Field, anti_transpose, barcode_abs_hom,
                      barcode_from_antitranspose, barcode_rel_hom,
-                     boundary_matrix, chain_eq_up_to_scalar, compute,
+                     boundary_matrix, compute,
                      cube_points, generators, load_cell_file, oracle_barcode,
                      pairs_to_partition, pcoh, phcol, phrow,
                      rips_filtration, run_bench, torus_points,
@@ -19,7 +19,7 @@ from perscoh import (GF2, Field, anti_transpose, barcode_abs_hom,
 from perscoh.persistence import INF
 from conftest import (SPHERE_PATH, all_upper_matrices,
                       assert_boundary_squared_zero, assert_generator_sanity,
-                      matrix_complex, random_rips)
+                      chain_eq_up_to_scalar, matrix_complex, random_rips)
 
 F11 = Field(11)
 

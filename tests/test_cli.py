@@ -190,6 +190,14 @@ class TestBench:
         assert code == 2
         assert "cells" in err
 
+    def test_cell_budget_stops_rips_enumeration(self, capsys, monkeypatch):
+        monkeypatch.setattr("perscoh.bench.compute", lambda *a, **k: pytest.fail(
+            "reduction ran on a filtration over the cell ceiling"))
+        code, out, err = run_cli(capsys, ["bench", "cube:60:3", "--rmax", "inf",
+                                          "--maxdim", "3", "--max-cells", "100"])
+        assert code == 2 and out == ""
+        assert "at least 119 cells, above the ceiling 100" in err
+
 
 class TestInputHandling:
     def test_missing_file(self, capsys):
@@ -236,6 +244,14 @@ class TestInputHandling:
                                           "--format", "simplicial"])
         assert code == 2 and out == ""
         assert "NaN" in err and str(f) in err
+
+    def test_points_cell_ceiling(self, capsys, monkeypatch):
+        assert cli.RIPS_MAX_CELLS == 500_000
+        monkeypatch.setattr(cli, "RIPS_MAX_CELLS", 100)
+        code, out, err = run_cli(capsys, ["barcode", "cube:30:3", "--format",
+                                          "points", "--maxdim", "3"])
+        assert code == 2 and out == ""
+        assert "above the ceiling 100" in err
 
     def test_nan_rmax_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["barcode", "cube:5:2", "--format",

@@ -10,7 +10,6 @@ from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
                      compute, concatenated_barcode, format_diagram,
                      generators, pairs_to_partition, parse_diagram, phcol,
                      phrow, rips_filtration)
-from perscoh.core import chain_low
 from perscoh.persistence import INF
 from conftest import random_rips
 
@@ -244,6 +243,29 @@ class TestGeneratorErrors:
         with pytest.raises(ValueError, match="module_tag"):
             generators(run, sphere11, "cubical")
 
+    def test_run_from_the_wrong_side_rejected(self, sphere11):
+        # read as cocycles, the D run's <1, 6> column is [(5, 10), (6, 1)];
+        # the abs_coh cocycle is [(5, 1), (6, 1)]
+        run = compute(sphere11, "abs_hom", "phcol", keep_V=True)
+        with pytest.raises(ValueError, match="boundary matrix D"):
+            generators(run, sphere11, "abs_coh")
+        right = generators(compute(sphere11, "abs_coh", "phcol", keep_V=True),
+                           sphere11, "abs_coh")
+        assert right.by_index_pair()[1, 6].chain == [(5, 1), (6, 1)]
+        for tag in ("abs_coh", "rel_coh"):
+            run = compute(sphere11, tag, "phrow", keep_V=True)
+            for other in ("abs_hom", "rel_hom"):
+                with pytest.raises(ValueError, match="anti-transpose"):
+                    generators(run, sphere11, other)
+
+    def test_modules_on_the_same_side_share_a_run(self, sphere11):
+        for first, second in (("abs_hom", "rel_hom"), ("rel_coh", "abs_coh")):
+            shared = generators(compute(sphere11, first, "phcol", keep_V=True),
+                                sphere11, second)
+            own = generators(compute(sphere11, second, "phcol", keep_V=True),
+                             sphere11, second)
+            assert shared == own
+
 
 class TestLeadingTerms:
     """Every V column's low entry is its own index with coefficient 1."""
@@ -254,7 +276,6 @@ class TestLeadingTerms:
         dec = phcol(boundary_matrix(K), F11)
         for j in range(1, dec.V.n + 1):
             assert dec.V.cols[j][-1] == (j, 1)
-            assert chain_low(dec.V.cols[j]) == j
 
 
 class TestTextFormat:

@@ -223,7 +223,8 @@ class TestVerifyDecomposition:
         R = SparseMatrix(n, [[], [], [(1, 1)], [(1, 1)]])
         V = SparseMatrix(n, [[], [(1, 1)], [(2, 1)], [(3, 1)]])
         from perscoh import Decomposition
-        dec = Decomposition(R.copy(), V, {2: 1, 3: 1})
+        dec = Decomposition(SparseMatrix(n, [list(c) for c in R.cols]), V,
+                            {2: 1, 3: 1})
         report = verify_decomposition(R, dec, F11)
         assert not report.ok
         assert "repeats" in report.message

@@ -1,13 +1,41 @@
 """Vietoris-Rips filtration construction."""
 
+import itertools
 import math
 
 import pytest
 
-from perscoh import Field, rips_filtration
+from perscoh import (Field, Lcg, build_complex, cube_points, rips_filtration,
+                     simplex_boundary)
 from conftest import random_rips
 
 F11 = Field(11)
+
+
+def validating_rips(points, r_max, dim_max, field):
+    """The reference filtration: every vertex subset of diameter at most
+    ``r_max``, put through :func:`build_complex`, which checks it."""
+    simplices = []
+    for size in range(1, dim_max + 2):
+        for verts in itertools.combinations(range(len(points)), size):
+            value = max((math.dist(points[a], points[b])
+                         for a, b in itertools.combinations(verts, 2)), default=0.0)
+            if value <= r_max:
+                simplices.append((value, verts))
+    simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
+    index_of, rows = {}, []
+    for value, verts in simplices:
+        rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
+        index_of[verts] = len(rows)
+    return build_complex(rows, field).cells, [verts for _, verts in simplices]
+
+
+def assert_matches_reference(points, r_max, dim_max, field=F11):
+    K = rips_filtration(points, r_max, dim_max, field)
+    cells, vertices = validating_rips(points, r_max, dim_max, field)
+    assert K.cells == cells
+    assert K.simplex_vertices == vertices
+    return K
 
 
 def test_two_points():
@@ -97,3 +125,94 @@ def test_input_validation():
         rips_filtration([(0.0, 0.0), (1.0,)], 1.0, 1, F11)
     with pytest.raises(ValueError, match="non-finite"):
         rips_filtration([(0.0, math.nan)], 1.0, 1, F11)
+
+
+@pytest.mark.parametrize("p", [2, 11])
+def test_matches_validating_reference(p):
+    """Seeded clouds on a coarse grid, so that distances tie, with r_max
+    cycling through 0, inf, an exact pair distance and a random value."""
+    rng = Lcg(2024 + p)
+    seen = set()
+    for case in range(160):
+        count = 1 + rng.next_u64() % 9
+        ambient = 1 + rng.next_u64() % 3
+        grid = 1 + rng.next_u64() % 3
+        points = [tuple(round(rng.next_double() * grid) / grid for _ in range(ambient))
+                  for _ in range(count)]
+        kind = case % 4
+        if kind == 3 and count > 1:
+            a, b = rng.next_u64() % count, rng.next_u64() % count
+            r_max = math.dist(points[a], points[b])
+        else:
+            r_max = (0.0, math.inf, 0.5 + rng.next_double())[kind % 3]
+        dim_max = case // 4 % 4
+        assert_matches_reference(points, r_max, dim_max, Field(p))
+        lengths = [math.dist(u, v) for u, v in itertools.combinations(points, 2)]
+        if len(set(lengths)) < len(lengths):
+            seen.add("tie")
+        if r_max in lengths:
+            seen.add("exact")
+        seen.add((kind, dim_max))
+    assert {"tie", "exact"} <= seen
+    assert {(kind, d) for kind in range(4) for d in range(4)} <= seen
+
+
+def test_pair_at_exact_radius():
+    points = [(0.0, 0.0), (3.0, 4.0)]
+    K = assert_matches_reference(points, 5.0, 1)
+    assert K.n == 3 and K.value(3) == 5.0
+    K = assert_matches_reference(points, math.nextafter(5.0, 0), 1)
+    assert K.n == 2
+
+
+def test_duplicate_points_keep_zero_length_edge():
+    K = assert_matches_reference([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0)], 0.0, 2)
+    assert K.n == 4
+    assert K.simplex_vertices[3] == (0, 2) and K.value(4) == 0.0
+
+
+def test_one_point():
+    K = assert_matches_reference([(0.5, 0.5)], math.inf, 3)
+    assert K.n == 1 and K.boundary(1) == []
+
+
+def test_line_at_infinite_radius():
+    K = assert_matches_reference([(0.0,), (2.0,), (0.5,), (7.0,)], math.inf, 3)
+    assert K.n == 4 + 6 + 4 + 1
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_extreme_scales(scale):
+    """Squared distances that underflow or overflow in the neighbour search."""
+    points = [tuple(scale * x for x in pt) for pt in cube_points(7, 2, seed=3)]
+    for r_max in (math.dist(points[0], points[1]), math.dist(points[2], points[5]),
+                  math.inf):
+        assert_matches_reference(points, r_max, 2)
+
+
+def test_subnormal_squares():
+    # each square rounds up to one subnormal step, so the summed squares
+    # (two steps) exceed the square of the exact distance (one step)
+    points = [(0.0, 0.0), (1.6e-162, 1.6e-162)]
+    K = assert_matches_reference(points, math.dist(*points), 1)
+    assert K.n == 3
+
+
+class TestCellCeiling:
+    def test_stops_during_the_neighbour_search(self):
+        # 60 vertices and the 59 edges of the first one pass 100 at once
+        with pytest.raises(ValueError,
+                           match="has at least 119 cells, above the ceiling 100"):
+            rips_filtration(cube_points(60, 3, seed=0), math.inf, 3, F11,
+                            max_cells=100)
+
+    def test_vertices_alone(self):
+        with pytest.raises(ValueError, match="at least 5 cells, above the ceiling 4"):
+            rips_filtration(cube_points(5, 2, seed=0), math.inf, 0, F11, max_cells=4)
+
+    def test_exact_at_the_ceiling(self):
+        points = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)]
+        assert rips_filtration(points, 10.0, 3, F11, max_cells=15).n == 15
+        # 10 vertices and edges pass; the higher cliques do not
+        with pytest.raises(ValueError, match="at least 15 cells, above the ceiling 14"):
+            rips_filtration(points, 10.0, 3, F11, max_cells=14)
