@@ -12,16 +12,16 @@ from .bench import (BenchResult, Lcg, RunStats, cube_points,
                     torus_points)
 from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
                         SparseMatrix, anti_transpose, boundary_matrix,
-                        build_complex, dual_index, load_cell_file,
+                        build_complex, dual_dims, dual_index, load_cell_file,
                         load_points, load_simplicial_file, simplex_boundary)
 from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
 from .oracle import (ORACLE_MAX_CELLS, dense_rank, nullspace_basis,
                      oracle_barcode, persistent_betti, prefix_ranks)
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
-                          GeneratorTable, Interval, barcode, barcode_abs_hom,
-                          barcode_from_antitranspose, barcode_rel_hom,
-                          compute, concatenated_barcode, format_diagram,
-                          generators, pairs_to_partition, parse_diagram)
+                          GeneratorTable, Interval, barcode, compute,
+                          concatenated_barcode, format_diagram, generators,
+                          pairs_to_partition, partition_from_dual,
+                          parse_diagram)
 from .reduction import (Decomposition, PcohResult, VerifyReport,
                         pcoh, phcol, phrow, verify_decomposition)
 from .rips import RIPS_MAX_CELLS, rips_filtration
@@ -32,16 +32,15 @@ __all__ = [
     "BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
     "render_stats_text", "run_bench", "torus_points",
     "Cell", "ComplexError", "FilteredComplex", "ParseError", "SparseMatrix",
-    "anti_transpose", "boundary_matrix", "build_complex", "dual_index",
-    "load_cell_file",
+    "anti_transpose", "boundary_matrix", "build_complex", "dual_dims",
+    "dual_index", "load_cell_file",
     "load_points", "load_simplicial_file", "simplex_boundary",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "field_inv",
     "ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
     "persistent_betti", "prefix_ranks",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
-    "Interval", "barcode", "barcode_abs_hom", "barcode_from_antitranspose",
-    "barcode_rel_hom", "compute", "concatenated_barcode", "format_diagram",
-    "generators", "pairs_to_partition", "parse_diagram",
+    "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
+    "generators", "pairs_to_partition", "partition_from_dual", "parse_diagram",
     "Decomposition", "PcohResult", "VerifyReport",
     "pcoh", "phcol", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",

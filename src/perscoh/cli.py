@@ -21,8 +21,8 @@ from .complexes import (FilteredComplex, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
 from .oracle import check_oracle_size, oracle_barcode
-from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, barcode_abs_hom,
-                          compute, format_diagram, format_interval, generators)
+from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute,
+                          format_diagram, format_interval, generators)
 from .reduction import verify_decomposition
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
@@ -59,7 +59,7 @@ def _load_complex(args) -> FilteredComplex:
 def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
     """Lines naming where the abs_hom barcode of ``partition`` and the
     rank oracle's differ, first difference first; empty when they agree."""
-    computed = barcode_abs_hom(partition, K, drop_zero=False).index_multiset()
+    computed = barcode(partition, K, "abs_hom", drop_zero=False).index_multiset()
     expected = oracle_barcode(K).index_multiset()
     if computed == expected:
         return []

@@ -174,6 +174,14 @@ def dual_index(n: int, i: int) -> int:
     return n + 1 - i
 
 
+def dual_dims(dims: list[int]) -> list[int]:
+    """Column degrees of :func:`anti_transpose` of a matrix whose column
+    degrees are ``dims``: negated and reversed, so that a coboundary
+    column, like a boundary column, has entries one degree below its own.
+    """
+    return [-d for d in reversed(dims)]
+
+
 def anti_transpose(A: SparseMatrix) -> SparseMatrix:
     """Flip ``A`` across its minor diagonal.
 

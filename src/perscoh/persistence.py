@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from collections import Counter
 
 from .complexes import (FilteredComplex, SparseMatrix, anti_transpose,
-                        boundary_matrix, dual_index)
+                        boundary_matrix, dual_dims, dual_index)
 from .core import Chain
 from .reduction import Decomposition, PcohResult, pcoh, phcol, phrow
 
@@ -125,31 +125,6 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
     return Diagram(module_tag, _emit(out, drop_zero))
 
 
-def barcode_abs_hom(partition, K: FilteredComplex,
-                    drop_zero: bool = True) -> Diagram:
-    return barcode(partition, K, "abs_hom", drop_zero)
-
-
-def barcode_rel_hom(partition, K: FilteredComplex,
-                    drop_zero: bool = True) -> Diagram:
-    return barcode(partition, K, "rel_hom", drop_zero)
-
-
-def barcode_from_antitranspose(pairs, essential, K: FilteredComplex,
-                               module_tag: str,
-                               drop_zero: bool = True) -> Diagram:
-    """Build the rel_coh or abs_coh diagram from reversed-index pairs.
-
-    ``pairs`` and ``essential`` come from a reduction of the
-    anti-transposed boundary matrix (``phrow(Dperp).low_of`` pairs or
-    ``pcoh(D)`` output).
-    """
-    if module_tag not in ("rel_coh", "abs_coh"):
-        raise ValueError(f"module_tag must be rel_coh or abs_coh, got {module_tag!r}")
-    return barcode(partition_from_dual(pairs, essential, K.n), K, module_tag,
-                   drop_zero)
-
-
 @dataclass
 class Computation:
     """One reduction run by :func:`compute`.
@@ -170,10 +145,14 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
             keep_V: bool = False) -> Computation:
     """Run ``algorithm`` on the matrix that ``module_tag`` needs.
 
-    phcol and phrow reduce the boundary matrix D for homology and its
-    anti-transpose for cohomology; pcoh sweeps D for every module.
-    ``keep_V`` keeps the V matrix that :func:`generators` reads (pcoh
-    always keeps its cocycles).
+    The four modules share one partition, so a barcode-only phcol run
+    (``keep_V`` off) reduces the anti-transpose D-perp for every module:
+    cleared, it is the cheapest matrix.  Otherwise phcol and phrow reduce
+    the boundary matrix D for homology and D-perp for cohomology, and
+    pcoh sweeps D for every module.  phcol clears, by ``K.dims()`` on D
+    and :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
+    the V matrix that :func:`generators` reads (pcoh always keeps its
+    cocycles).
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -184,14 +163,17 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         res = pcoh(D, K.field)
         return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
-    reduce_fn = phcol if algorithm == "phcol" else phrow
-    if module_tag.endswith("_hom"):
-        dec = reduce_fn(D, K.field, keep_V=keep_V)
+    dual = module_tag.endswith("_coh") or (algorithm == "phcol" and not keep_V)
+    M = anti_transpose(D) if dual else D
+    if algorithm == "phcol":
+        dims = K.dims()
+        dec = phcol(M, K.field, keep_V, dual_dims(dims) if dual else dims)
+    else:
+        dec = phrow(M, K.field, keep_V=keep_V)
+    if not dual:
         return Computation(D, dec, pairs_to_partition(dec), False)
-    Dperp = anti_transpose(D)
-    dec = reduce_fn(Dperp, K.field, keep_V=keep_V)
     Ft, _, _, tpairs = pairs_to_partition(dec)
-    return Computation(Dperp, dec, partition_from_dual(tpairs, Ft, K.n), True)
+    return Computation(M, dec, partition_from_dual(tpairs, Ft, K.n), True)
 
 
 def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:

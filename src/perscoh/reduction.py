@@ -2,7 +2,9 @@
 
 All three consume a strictly upper-triangular matrix over Z/p.  The
 column and row algorithms return a full :class:`Decomposition` and are
-entry-identical on every input.  The live-cocycle algorithm
+entry-identical on every input.  Given the degree of each column,
+:func:`phcol` clears: it skips the columns that must reduce to zero,
+with the same R and ``low_of``.  The live-cocycle algorithm
 (:func:`pcoh`) takes a boundary matrix D; it sweeps the cell order,
 keeps only the basis of live cocycles, and reports pairs, essential
 indices, and cocycle chains in the reversed dual indexing of
@@ -59,33 +61,47 @@ class PcohResult:
         return self.pair_cocycles + self.essential_cocycles
 
 
-def phcol(D: SparseMatrix, field: Field, keep_V: bool = True) -> Decomposition:
-    """Column algorithm: reduce columns left to right.
+def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
+          dims: list[int] | None = None) -> Decomposition:
+    """Column algorithm with clearing.
 
-    Over Z/2 without V the columns are bitmasks (:func:`_phcol_gf2`),
-    otherwise term lists (:func:`_phcol_terms`); both give identical
-    output and counters.
+    ``dims[j - 1]`` is the degree of column ``j``; a degree-k column has
+    entries only in rows of degree k - 1.  Columns are visited by degree,
+    descending, and left to right within a degree.  A column whose index
+    is already a pivot row is cleared: it is zeroed without reduction
+    (the twist of Chen & Kerber 2011), and with ``keep_V`` its V column
+    becomes the R column of its partner, a cycle with that low, so
+    R = DV still holds.  Columns of different degrees never meet, so R
+    and ``low_of`` equal those of the plain left-to-right sweep; only
+    ``ops``, ``peak_elements`` and the V of cleared columns differ.
+    Without ``dims`` every column has one degree and nothing is cleared.
     """
-    if field.p == 2 and not keep_V:
-        return _phcol_gf2(D)
-    return _phcol_terms(D, field, keep_V)
-
-
-def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
-    """Column algorithm on sorted term-list columns."""
     p = field.p
     n = D.n
     R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
+    order = range(1, n + 1)
+    if dims is not None:
+        order = sorted(order, key=lambda j: -dims[j - 1])
 
     ops = 0
     total = sum(len(c) for c in R) + (n if keep_V else 0)
     peak = total
     low_to_col: dict[int, int] = {}
-    for i in range(1, n + 1):
+    for i in order:
         col = R[i]
+        partner = low_to_col.get(i)
+        if partner is not None:
+            total -= len(col)
+            R[i] = []
+            if keep_V:
+                V[i] = list(R[partner])
+                total += len(V[i]) - 1
+                if total > peak:
+                    peak = total
+            continue
         while col:
             low = col[-1][0]
             j = low_to_col.get(low)
@@ -111,62 +127,6 @@ def _phcol_terms(D: SparseMatrix, field: Field, keep_V: bool) -> Decomposition:
     return Decomposition(SparseMatrix(n, R),
                          SparseMatrix(n, V) if keep_V else None,
                          low_of, ops, peak)
-
-
-def _phcol_gf2(D: SparseMatrix) -> Decomposition:
-    """Column algorithm over Z/2 on bitmask columns (barcode-only path).
-
-    Row ``i`` is bit ``i - 1``, so ``int.bit_length`` is the low map
-    and ``int.bit_count`` the stored term count.  Pivot sequence, op
-    count, and peak count are identical to the generic path.
-    """
-    n = D.n
-    cols = [0] * (n + 1)
-    for j in range(1, n + 1):
-        acc = 0
-        for i, _ in D.cols[j]:
-            acc |= 1 << (i - 1)
-        cols[j] = acc
-
-    ops = 0
-    total = sum(c.bit_count() for c in cols)
-    peak = total
-    low_to_col: dict[int, int] = {}
-    for i in range(1, n + 1):
-        col = cols[i]
-        while col:
-            low = col.bit_length()
-            j = low_to_col.get(low)
-            if j is None:
-                break
-            other = cols[j]
-            ops += other.bit_count()
-            before = col.bit_count()
-            col ^= other
-            total += col.bit_count() - before
-            if total > peak:
-                peak = total
-        cols[i] = col
-        if col:
-            low_to_col[col.bit_length()] = i
-
-    R = SparseMatrix(n)
-    low_of: dict[int, int] = {}
-    for j in range(1, n + 1):
-        col = cols[j]
-        if col:
-            R.cols[j] = [(i + 1, 1) for i in _bit_indices(col)]
-            low_of[j] = col.bit_length()
-    return Decomposition(R, None, low_of, ops, peak)
-
-
-def _bit_indices(x: int) -> list[int]:
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,

@@ -9,11 +9,10 @@ import functools
 import math
 import time
 
-from perscoh import (GF2, Field, anti_transpose, barcode_abs_hom,
-                     barcode_from_antitranspose, barcode_rel_hom,
+from perscoh import (GF2, Field, anti_transpose, barcode,
                      boundary_matrix, compute,
                      cube_points, generators, load_cell_file, oracle_barcode,
-                     pairs_to_partition, pcoh, phcol, phrow,
+                     pairs_to_partition, partition_from_dual, pcoh, phcol, phrow,
                      rips_filtration, run_bench, torus_points,
                      verify_decomposition)
 from perscoh.persistence import INF
@@ -79,10 +78,11 @@ def test_criterion_1_running_example_diagrams():
     part = pairs_to_partition(phcol(D, F11))
     Ft, _, _, tpairs = pairs_to_partition(phrow(anti_transpose(D), F11))
 
-    abs_hom = barcode_abs_hom(part, K)
-    rel_hom = barcode_rel_hom(part, K)
-    rel_coh = barcode_from_antitranspose(tpairs, Ft, K, "rel_coh")
-    abs_coh = barcode_from_antitranspose(tpairs, Ft, K, "abs_coh")
+    tpart = partition_from_dual(tpairs, Ft, K.n)
+    abs_hom = barcode(part, K, "abs_hom")
+    rel_hom = barcode(part, K, "rel_hom")
+    rel_coh = barcode(tpart, K, "rel_coh")
+    abs_coh = barcode(tpart, K, "abs_coh")
 
     expect_abs = {(0, 1.0, INF): 1, (0, 2.0, 3.0): 1,
                   (1, 4.0, 5.0): 1, (2, 6.0, INF): 1}
@@ -166,7 +166,7 @@ def test_criterion_5_oracle_equivalence():
     complexes += skeleta
     for K in complexes:
         part = pairs_to_partition(phcol(boundary_matrix(K), K.field))
-        computed = barcode_abs_hom(part, K, drop_zero=False)
+        computed = barcode(part, K, "abs_hom", drop_zero=False)
         assert computed.index_multiset() == \
             oracle_barcode(K).index_multiset()
     print(f"criterion 5: PASS - reduction barcode equals the rank oracle "
@@ -188,12 +188,11 @@ def test_criterion_6_duality_properties():
         assert {n + 1 - r for r in Ft} == set(F)
 
         # homology and cohomology diagrams agree
-        abs_hom = barcode_abs_hom(part, K, drop_zero=False)
-        rel_hom = barcode_rel_hom(part, K, drop_zero=False)
-        abs_coh = barcode_from_antitranspose(tpairs, Ft, K, "abs_coh",
-                                             drop_zero=False)
-        rel_coh = barcode_from_antitranspose(tpairs, Ft, K, "rel_coh",
-                                             drop_zero=False)
+        tpart = partition_from_dual(tpairs, Ft, n)
+        abs_hom = barcode(part, K, "abs_hom", drop_zero=False)
+        rel_hom = barcode(part, K, "rel_hom", drop_zero=False)
+        abs_coh = barcode(tpart, K, "abs_coh", drop_zero=False)
+        rel_coh = barcode(tpart, K, "rel_coh", drop_zero=False)
         assert abs_hom.index_multiset() == abs_coh.index_multiset()
         assert rel_hom.index_multiset() == rel_coh.index_multiset()
 

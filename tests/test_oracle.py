@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode_abs_hom,
+from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode,
                      boundary_matrix, build_complex, dense_rank,
                      nullspace_basis, oracle_barcode, pairs_to_partition,
                      persistent_betti, phcol, prefix_ranks, rips_filtration)
@@ -28,7 +28,7 @@ def dense_boundary(K, p):
 
 def reduced_barcode(K, field):
     part = pairs_to_partition(phcol(boundary_matrix(K), field))
-    return barcode_abs_hom(part, K, drop_zero=False)
+    return barcode(part, K, "abs_hom", drop_zero=False)
 
 
 class TestDenseRank:

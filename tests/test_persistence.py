@@ -1,15 +1,15 @@
 """Partition, barcodes, generator tables, and the diagram text format."""
 
+import itertools
 import math
 
 import pytest
 
 from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
-                     barcode_abs_hom, barcode_from_antitranspose,
-                     barcode_rel_hom, boundary_matrix, build_complex,
-                     compute, concatenated_barcode, format_diagram,
-                     generators, pairs_to_partition, parse_diagram, phcol,
-                     phrow, rips_filtration)
+                     boundary_matrix, build_complex, compute,
+                     concatenated_barcode, format_diagram, generators,
+                     pairs_to_partition, parse_diagram, partition_from_dual,
+                     phcol, phrow, rips_filtration)
 from perscoh.persistence import INF
 from conftest import random_rips
 
@@ -46,7 +46,7 @@ class TestPartition:
 
 class TestSphereBarcodes:
     def test_abs_hom(self, sphere11):
-        d = barcode_abs_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "abs_hom")
         assert d.module_tag == "abs_hom"
         assert d.index_multiset() == {(0, 1, 6): 1, (0, 2, 2): 1,
                                       (1, 4, 4): 1, (2, 6, 6): 1}
@@ -55,7 +55,7 @@ class TestSphereBarcodes:
         assert len(d.infinite_part()) == 2
 
     def test_rel_hom(self, sphere11):
-        d = barcode_rel_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "rel_hom")
         assert d.index_multiset() == {(0, 0, 0): 1, (1, 2, 2): 1,
                                       (2, 4, 4): 1, (2, 0, 5): 1}
         assert d.value_multiset() == {(0, -INF, 1.0): 1, (1, 2.0, 3.0): 1,
@@ -63,44 +63,47 @@ class TestSphereBarcodes:
 
     def test_rel_coh(self, sphere11):
         F, _, _, pairs = sphere_tau_partition(sphere11)
-        d = barcode_from_antitranspose(pairs, F, sphere11, "rel_coh")
+        d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
+                    "rel_coh")
         assert d.module_tag == "rel_coh"
-        assert d.index_multiset() == barcode_rel_hom(
-            sphere_partition(sphere11), sphere11).index_multiset()
+        assert d.index_multiset() == barcode(
+            sphere_partition(sphere11), sphere11, "rel_hom").index_multiset()
 
     def test_abs_coh(self, sphere11):
         F, _, _, pairs = sphere_tau_partition(sphere11)
-        d = barcode_from_antitranspose(pairs, F, sphere11, "abs_coh")
-        assert d.index_multiset() == barcode_abs_hom(
-            sphere_partition(sphere11), sphere11).index_multiset()
+        d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
+                    "abs_coh")
+        assert d.index_multiset() == barcode(
+            sphere_partition(sphere11), sphere11, "abs_hom").index_multiset()
 
     def test_formatted_output(self, sphere11):
-        d = barcode_abs_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "abs_hom")
         assert format_diagram(d) == "0 1 inf\n0 2 3\n1 4 5\n2 6 inf"
         assert format_diagram(d, indices=True) == "0 1 6\n0 2 2\n1 4 4\n2 6 6"
 
     def test_bad_module_tag(self, sphere11):
         F, _, _, pairs = sphere_tau_partition(sphere11)
-        with pytest.raises(ValueError):
-            barcode_from_antitranspose(pairs, F, sphere11, "abs_hom")
+        with pytest.raises(ValueError, match="module_tag"):
+            barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
+                    "cubical")
 
 
 class TestSmallBarcodes:
     def test_single_vertex(self):
         K = build_complex([(0, 0.5, [])], F11)
         part = pairs_to_partition(phcol(boundary_matrix(K), F11))
-        assert barcode_abs_hom(part, K).value_multiset() == {(0, 0.5, INF): 1}
-        assert barcode_rel_hom(part, K).value_multiset() == {(0, -INF, 0.5): 1}
+        assert barcode(part, K, "abs_hom").value_multiset() == {(0, 0.5, INF): 1}
+        assert barcode(part, K, "rel_hom").value_multiset() == {(0, -INF, 0.5): 1}
 
     def test_triangle_zero_length_dropped(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
         K = rips_filtration(pts, 1.5, 2, GF2)
         part = pairs_to_partition(phcol(boundary_matrix(K), GF2))
-        kept = barcode_abs_hom(part, K)
+        kept = barcode(part, K, "abs_hom")
         assert sorted((iv.dim, iv.birth, round(iv.death, 9))
                       for iv in kept.intervals) == [
             (0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, INF)]
-        full = barcode_abs_hom(part, K, drop_zero=False)
+        full = barcode(part, K, "abs_hom", drop_zero=False)
         assert len(full.intervals) == len(kept.intervals) + 1
         extra = [iv for iv in full.intervals if iv.birth == iv.death]
         assert [(iv.dim, iv.birth) for iv in extra] == [(1, 1.0)]
@@ -108,7 +111,7 @@ class TestSmallBarcodes:
 
 class TestConcatenatedBarcode:
     def test_sphere(self, sphere11):
-        d = barcode_abs_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "abs_hom")
         cat = concatenated_barcode(d, sphere11)
         assert cat.module_tag == "abs_concat"
         got = {(iv.dim, iv.p, iv.q, iv.birth, iv.death)
@@ -121,7 +124,7 @@ class TestConcatenatedBarcode:
     def test_only_infinite_interval(self):
         K = build_complex([(0, 2.0, [])], F11)
         part = pairs_to_partition(phcol(boundary_matrix(K), F11))
-        cat = concatenated_barcode(barcode_abs_hom(part, K), K)
+        cat = concatenated_barcode(barcode(part, K, "abs_hom"), K)
         assert [(iv.dim, iv.p, iv.q, iv.birth, iv.death)
                 for iv in cat.intervals] == [(0, 1, 1, 2.0, 2.0)]
 
@@ -131,7 +134,7 @@ class TestConcatenatedBarcode:
         assert cat.intervals == []
 
     def test_wrong_tag(self, sphere11):
-        d = barcode_rel_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "rel_hom")
         with pytest.raises(ValueError):
             concatenated_barcode(d, sphere11)
 
@@ -280,7 +283,7 @@ class TestLeadingTerms:
 
 class TestTextFormat:
     def test_round_trip(self, sphere11):
-        d = barcode_abs_hom(sphere_partition(sphere11), sphere11)
+        d = barcode(sphere_partition(sphere11), sphere11, "abs_hom")
         back = parse_diagram(format_diagram(d))
         assert back.value_multiset() == d.value_multiset()
 
@@ -307,28 +310,30 @@ class TestCompute:
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom",
                                         "abs_coh", "rel_coh"])
     def test_matches_direct_routes(self, module, algorithm):
-        for seed in range(6):
-            for p in (2, 11):
-                K = random_rips(seed, max_points=8, p=p, dim_max=2)
-                D = boundary_matrix(K)
-                part = pairs_to_partition(phcol(D, K.field))
-                Ft, _, _, tpairs = pairs_to_partition(
-                    phcol(anti_transpose(D), K.field))
-                if module == "abs_hom":
-                    direct = barcode_abs_hom(part, K, drop_zero=False)
-                elif module == "rel_hom":
-                    direct = barcode_rel_hom(part, K, drop_zero=False)
-                else:
-                    direct = barcode_from_antitranspose(tpairs, Ft, K, module,
-                                                        drop_zero=False)
+        # keep_V is looped, not parametrized, so the test ids stay put
+        for seed, p, keep_V in itertools.product(range(6), (2, 11),
+                                                 (False, True)):
+            K = random_rips(seed, max_points=8, p=p, dim_max=2)
+            D = boundary_matrix(K)
+            part = pairs_to_partition(phcol(D, K.field))
+            Ft, _, _, tpairs = pairs_to_partition(
+                phcol(anti_transpose(D), K.field))
+            if module.endswith("_hom"):
+                direct = barcode(part, K, module, drop_zero=False)
+            else:
+                direct = barcode(partition_from_dual(tpairs, Ft, K.n), K,
+                                 module, drop_zero=False)
 
-                run = compute(K, module, algorithm)
-                got = barcode(run.partition, K, module, drop_zero=False)
-                assert got.module_tag == module
-                assert got.index_multiset() == direct.index_multiset()
-                assert run.partition == part
-                reduced_dual = module.endswith("_coh") and algorithm != "pcoh"
-                assert run.matrix == (anti_transpose(D) if reduced_dual else D)
+            run = compute(K, module, algorithm, keep_V=keep_V)
+            got = barcode(run.partition, K, module, drop_zero=False)
+            assert got.module_tag == module
+            assert got.index_multiset() == direct.index_multiset()
+            assert run.partition == part
+            # a barcode-only phcol run reduces D-perp whatever the module
+            reduced_dual = algorithm != "pcoh" and (
+                module.endswith("_coh") or (algorithm == "phcol" and not keep_V))
+            assert run.matrix == (anti_transpose(D) if reduced_dual else D)
+            assert run.dual == (reduced_dual or algorithm == "pcoh")
 
     def test_rejects_unknown_names(self, sphere11):
         with pytest.raises(ValueError, match="algorithm"):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, cube_points, load_cell_file, pcoh, phcol,
-                     phrow, rips_filtration, verify_decomposition)
-from perscoh.reduction import _phcol_gf2, _phcol_terms
+                     boundary_matrix, cube_points, dual_dims, load_cell_file,
+                     pcoh, phcol, phrow, rips_filtration, verify_decomposition)
 from conftest import SPHERE_PATH, all_upper_matrices, random_rips
 
 F11 = Field(11)
@@ -66,34 +65,49 @@ class TestPhcol:
         assert dec.peak_elements >= dec.R.term_count() + dec.V.term_count()
 
 
-class TestGf2Engine:
-    def test_matches_generic_exactly(self):
-        for seed in range(10):
-            K = random_rips(seed, max_points=9, p=2)
-            D = boundary_matrix(K)
-            bits = _phcol_gf2(D)
-            generic = _phcol_terms(D, GF2, keep_V=False)
-            assert bits.R == generic.R
-            assert bits.low_of == generic.low_of
-            assert bits.ops == generic.ops
-            assert bits.peak_elements == generic.peak_elements
+class TestClearing:
+    """phcol given column degrees: D with ``K.dims()``, D-perp with
+    ``dual_dims``."""
 
-    def test_auto_routes_to_bits(self):
-        K = random_rips(1, max_points=6, p=2)
-        D = boundary_matrix(K)
-        auto = phcol(D, GF2, keep_V=False)
-        bits = _phcol_gf2(D)
-        assert auto.R == bits.R and auto.ops == bits.ops
-        assert auto.peak_elements == bits.peak_elements
+    @pytest.mark.parametrize("p", [2, 11])
+    @pytest.mark.parametrize("keep_V", [False, True])
+    def test_identical_to_uncleared(self, p, keep_V):
+        field = Field(p)
+        cleared_any = False
+        for seed in range(10):
+            K = random_rips(seed, max_points=9, p=p)
+            D = boundary_matrix(K)
+            for M, dims in ((D, K.dims()),
+                            (anti_transpose(D), dual_dims(K.dims()))):
+                plain = phcol(M, field, keep_V)
+                cleared = phcol(M, field, keep_V, dims)
+                assert cleared.R == plain.R
+                assert cleared.low_of == plain.low_of
+                assert cleared.ops <= plain.ops
+                cleared_any |= cleared.ops < plain.ops
+                if keep_V:
+                    report = verify_decomposition(M, cleared, field)
+                    assert report.ok, report.message
+        assert cleared_any
+
+    def test_cleared_v_is_partner_r(self, sphere11):
+        D = boundary_matrix(sphere11)
+        dec = phcol(D, F11, dims=sphere11.dims())
+        # cells 2 and 4 are paired with 3 and 5, and cleared
+        assert dec.V.cols[2] == dec.R.cols[3]
+        assert dec.V.cols[4] == dec.R.cols[5]
 
 
 def _pinned_matrix(source, p, dual):
+    """The pinned matrix and the degrees of its columns."""
     if source == "sphere":
         K = load_cell_file(SPHERE_PATH, Field(p))
     else:
         K = rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
     D = boundary_matrix(K)
-    return anti_transpose(D) if dual else D
+    if dual:
+        return anti_transpose(D), dual_dims(K.dims())
+    return D, K.dims()
 
 
 @pytest.mark.parametrize("source, p, dual, algorithm, keep_V, ops, peak", [
@@ -106,7 +120,7 @@ def _pinned_matrix(source, p, dual):
     ("sphere", 11, True, "phcol", False, 4, 8),
     ("sphere", 11, True, "phrow", False, 4, 8),
     ("sphere", 11, False, "pcoh", None, 6, 4),
-    ("sphere", 2, False, "phcol", False, 4, 8),  # the bitmask engine
+    ("sphere", 2, False, "phcol", False, 4, 8),
     ("cube", 2, False, "phcol", False, 20370, 6732),
     ("cube", 2, False, "phrow", False, 20370, 7350),
     ("cube", 2, False, "pcoh", None, 709, 474),
@@ -114,12 +128,25 @@ def _pinned_matrix(source, p, dual):
 def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     """Exact work counts: one op per coefficient multiply-add, and the
     largest number of terms stored at once."""
-    M = _pinned_matrix(source, p, dual)
+    M, _ = _pinned_matrix(source, p, dual)
     if algorithm == "pcoh":
         result = pcoh(M, Field(p))
     else:
         reduce_fn = phcol if algorithm == "phcol" else phrow
         result = reduce_fn(M, Field(p), keep_V=keep_V)
+    assert (result.ops, result.peak_elements) == (ops, peak)
+
+
+@pytest.mark.parametrize("source, p, dual, keep_V, ops, peak", [
+    ("cube", 2, False, False, 12001, 6736),
+    ("cube", 2, True, False, 205, 6791),
+    ("sphere", 11, False, True, 3, 14),
+])
+def test_cleared_counters_pinned(source, p, dual, keep_V, ops, peak):
+    """The same counts for phcol with clearing (the rows above run
+    without degrees)."""
+    M, dims = _pinned_matrix(source, p, dual)
+    result = phcol(M, Field(p), keep_V=keep_V, dims=dims)
     assert (result.ops, result.peak_elements) == (ops, peak)
 
 
