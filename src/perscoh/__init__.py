@@ -10,10 +10,10 @@ instrumented benchmark.
 from .bench import (BenchResult, Lcg, RunStats, cube_points,
                     render_stats_csv, render_stats_text, run_bench,
                     torus_points)
-from .complexes import (Cell, ComplexError, FilteredComplex, ParseError,
-                        SparseMatrix, anti_transpose, boundary_matrix,
-                        build_complex, dual_dims, dual_index, load_cell_file,
-                        load_points, load_simplicial_file, simplex_boundary)
+from .complexes import (ComplexError, FilteredComplex, ParseError,
+                        SparseMatrix, anti_transpose, build_complex,
+                        dual_dims, dual_index, load_cell_file, load_points,
+                        load_simplicial_file, simplicial_complex)
 from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
 from .oracle import (ORACLE_MAX_CELLS, dense_rank, nullspace_basis,
                      oracle_barcode, persistent_betti, prefix_ranks)
@@ -31,10 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
     "render_stats_text", "run_bench", "torus_points",
-    "Cell", "ComplexError", "FilteredComplex", "ParseError", "SparseMatrix",
-    "anti_transpose", "boundary_matrix", "build_complex", "dual_dims",
-    "dual_index", "load_cell_file",
-    "load_points", "load_simplicial_file", "simplex_boundary",
+    "ComplexError", "FilteredComplex", "ParseError", "SparseMatrix",
+    "anti_transpose", "build_complex", "dual_dims", "dual_index",
+    "load_cell_file", "load_points", "load_simplicial_file",
+    "simplicial_complex",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "field_inv",
     "ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
     "persistent_betti", "prefix_ranks",

@@ -1,15 +1,15 @@
 """Instrumented comparison of the column and live-cocycle algorithms.
 
-Builds one Rips filtration, runs the barcode-only column reduction of
-the boundary matrix D (the homology column algorithm the paper compares
-against, called directly because :func:`~perscoh.persistence.compute`
-would reduce the anti-transpose) and the live-cocycle reduction
-(abs_coh, through ``compute``), checks that both find the same pairing,
-and only then reports primitive-operation counts, peak stored term
-counts, and wall time.  Point clouds are generated with a fixed
-64-bit linear congruential generator so operation counts are
-reproducible across platforms.  Wall time is informational only; the
-counters carry the comparison.
+Builds one Rips filtration, whose boundary matrix D comes with it, runs
+the barcode-only column reduction of D (the homology column algorithm
+the paper compares against, called directly because
+:func:`~perscoh.persistence.compute` would reduce the anti-transpose)
+and the live-cocycle reduction of D (abs_coh, through ``compute``),
+checks that both find the same pairing, and only then reports
+primitive-operation counts, peak stored term counts, and wall time.
+Point clouds are generated with a fixed 64-bit linear congruential
+generator so operation counts are reproducible across platforms.  Wall
+time is informational only; the counters carry the comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from .complexes import boundary_matrix
 from .core import Field, GF2
 from .persistence import Diagram, barcode, compute, pairs_to_partition
 from .reduction import phcol
@@ -111,7 +110,8 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
               max_cells: int = RIPS_MAX_CELLS) -> BenchResult:
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
-    Each timed run includes assembling the matrix it reduces.  Raises
+    Each timed run covers the reduction and its partition; D is built
+    once, with the complex, and shared by both.  Raises
     ``ValueError`` as soon as the Rips enumeration passes ``max_cells``
     cells, and ``AssertionError`` if the two pairings ever disagree (no
     stats are reported in that case).
@@ -123,7 +123,7 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     stats: list[RunStats] = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        col = phcol(boundary_matrix(K), field, keep_V=False, dims=K.dims())
+        col = phcol(K.D, field, keep_V=False, dims=K.dims)
         col_partition = pairs_to_partition(col)
         col_time = time.perf_counter() - t0
 

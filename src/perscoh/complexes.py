@@ -1,10 +1,10 @@
-"""Filtered cell complexes, boundary matrices, and their file formats.
+"""Filtered cell complexes, their boundary matrices, and file formats.
 
 A filtered complex is an ordered list of cells, one added per step.
 Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
-and a boundary chain over earlier cells.  The boundary matrix ``D`` is
-strictly upper-triangular with column ``j`` equal to the boundary of
-cell ``j``; ``anti_transpose`` flips it across the minor diagonal,
+and a boundary chain over earlier cells, which is column ``j`` of the
+strictly upper-triangular boundary matrix ``D``.  The complex stores
+``D`` itself; ``anti_transpose`` flips it across the minor diagonal,
 which encodes the coboundary of the reversed dual filtration.  Cell
 ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
 
@@ -15,16 +15,18 @@ Two text formats build complexes directly:
       <dim> <value> [<face_index>:<int_coef> ...]
 
   with 1-based implicit cell indices, ``#`` comments and blank lines
-  ignored; coefficients are reduced mod p at load.
+  ignored; coefficients are reduced mod p at load, and
+  :func:`build_complex` validates the result.
 
 * simplicial format, one simplex per line::
 
       <value> <v0> <v1> ... <vk>
 
   with arbitrary vertex tokens.  The loader sorts simplices by
-  (value, dimension, lexicographic vertex list) and synthesizes
-  boundaries with alternating (-1)^i signs over the sorted vertex
-  list; a missing face is an error.
+  (value, dimension, lexicographic vertex list) and hands them to
+  :func:`simplicial_complex`, the builder the Rips filtration shares,
+  which gives each boundary alternating (-1)^i signs over the sorted
+  vertex list; a missing face is an error.
 
 Point-cloud files (one point per line, whitespace-separated decimal
 coordinates) feed the Rips builder in :mod:`perscoh.rips`.
@@ -48,87 +50,7 @@ class ComplexError(ValueError):
     def __init__(self, cell_index: int, message: str):
         super().__init__(f"cell {cell_index}: {message}")
         self.cell_index = cell_index
-
-
-@dataclass(frozen=True)
-class Cell:
-    dim: int
-    value: float
-    boundary: tuple[tuple[int, int], ...]
-
-
-@dataclass(eq=False, repr=False)
-class FilteredComplex:
-    """Validated filtered cell complex over a fixed prime field.
-
-    ``simplex_vertices[j - 1]`` is the vertex tuple of cell ``j`` for a
-    Rips filtration; for other complexes the field is None.
-    """
-
-    cells: list[Cell]
-    field: Field
-    simplex_vertices: list[tuple[int, ...]] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    def dim(self, j: int) -> int:
-        return self.cells[j - 1].dim
-
-    def value(self, j: int) -> float:
-        return self.cells[j - 1].value
-
-    def boundary(self, j: int) -> Chain:
-        return list(self.cells[j - 1].boundary)
-
-    def dims(self) -> list[int]:
-        return [c.dim for c in self.cells]
-
-
-def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
-                  field: Field) -> FilteredComplex:
-    """Validate raw ``(dim, value, boundary terms)`` triples in filtration order.
-
-    Checks that filtration values are not NaN and are monotone, that
-    every boundary term points to an earlier cell one dimension down,
-    and that the composite boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
-    the first offending cell.
-    """
-    p = field.p
-    built: list[Cell] = []
-    for j, (dim, value, raw_boundary) in enumerate(cells, start=1):
-        if dim < 0:
-            raise ComplexError(j, f"negative dimension {dim}")
-        if math.isnan(value):
-            raise ComplexError(j, "filtration value is NaN")
-        if j > 1 and value < built[-1].value:
-            raise ComplexError(
-                j, f"filtration value {value} drops below {built[-1].value}")
-        terms: dict[int, int] = {}
-        for idx, coef in raw_boundary:
-            if not 1 <= idx < j:
-                raise ComplexError(
-                    j, f"boundary term {idx} is not an earlier cell")
-            terms[idx] = (terms.get(idx, 0) + coef) % p
-        boundary = tuple(sorted((i, c) for i, c in terms.items() if c))
-        for idx, _ in boundary:
-            if built[idx - 1].dim != dim - 1:
-                raise ComplexError(
-                    j, f"boundary term {idx} has dimension {built[idx - 1].dim}, "
-                       f"expected {dim - 1}")
-        built.append(Cell(dim, float(value), boundary))
-
-    # composite boundary must vanish
-    for j, cell in enumerate(built, start=1):
-        acc: dict[int, int] = {}
-        for idx, coef in cell.boundary:
-            for idx2, coef2 in built[idx - 1].boundary:
-                acc[idx2] = (acc.get(idx2, 0) + coef * coef2) % p
-        bad = [i for i, c in acc.items() if c]
-        if bad:
-            raise ComplexError(j, f"boundary of boundary is nonzero at cell {min(bad)}")
-    return FilteredComplex(built, field)
+        self.reason = message
 
 
 class SparseMatrix:
@@ -149,20 +71,116 @@ class SparseMatrix:
                 raise ValueError("cols must have length n + 1 (slot 0 unused)")
             self.cols = cols
 
-    def term_count(self) -> int:
-        return sum(len(c) for c in self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparseMatrix) and other.n == self.n
                 and other.cols[1:] == self.cols[1:])
 
 
-def boundary_matrix(K: FilteredComplex) -> SparseMatrix:
-    """Assemble the strictly upper-triangular boundary matrix of ``K``."""
-    D = SparseMatrix(K.n)
-    for j in range(1, K.n + 1):
-        D.cols[j] = K.boundary(j)
-    return D
+@dataclass(eq=False, repr=False)
+class FilteredComplex:
+    """Validated filtered cell complex over a fixed prime field.
+
+    Cell ``j`` has dimension ``dims[j - 1]``, value ``values[j - 1]`` and
+    boundary ``D.cols[j]``.  ``D`` is built once, by the loader, and every
+    reduction reads it in place: nothing mutates ``K.D``.
+    ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
+    of a simplicial complex; for a cells file the field is None.
+    """
+
+    dims: list[int]
+    values: list[float]
+    D: SparseMatrix
+    field: Field
+    simplex_vertices: list[tuple] | None = None
+
+    @property
+    def n(self) -> int:
+        return self.D.n
+
+    def dim(self, j: int) -> int:
+        return self.dims[j - 1]
+
+    def value(self, j: int) -> float:
+        return self.values[j - 1]
+
+
+def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
+                  field: Field) -> FilteredComplex:
+    """Validate raw ``(dim, value, boundary terms)`` triples in filtration order.
+
+    Checks that filtration values are not NaN and are monotone, that
+    every boundary term points to an earlier cell one dimension down,
+    and that the composite boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
+    the first offending cell.
+    """
+    p = field.p
+    dims: list[int] = []
+    values: list[float] = []
+    D = SparseMatrix(len(cells))
+    for j, (dim, value, raw_boundary) in enumerate(cells, start=1):
+        if dim < 0:
+            raise ComplexError(j, f"negative dimension {dim}")
+        if math.isnan(value):
+            raise ComplexError(j, "filtration value is NaN")
+        if j > 1 and value < values[-1]:
+            raise ComplexError(
+                j, f"filtration value {value} drops below {values[-1]}")
+        terms: dict[int, int] = {}
+        for idx, coef in raw_boundary:
+            if not 1 <= idx < j:
+                raise ComplexError(
+                    j, f"boundary term {idx} is not an earlier cell")
+            terms[idx] = (terms.get(idx, 0) + coef) % p
+        boundary = sorted((i, c) for i, c in terms.items() if c)
+        for idx, _ in boundary:
+            if dims[idx - 1] != dim - 1:
+                raise ComplexError(
+                    j, f"boundary term {idx} has dimension {dims[idx - 1]}, "
+                       f"expected {dim - 1}")
+        dims.append(dim)
+        values.append(float(value))
+        D.cols[j] = boundary
+
+    # composite boundary must vanish
+    for j in range(1, D.n + 1):
+        acc: dict[int, int] = {}
+        for idx, coef in D.cols[j]:
+            for idx2, coef2 in D.cols[idx]:
+                acc[idx2] = (acc.get(idx2, 0) + coef * coef2) % p
+        bad = [i for i, c in acc.items() if c]
+        if bad:
+            raise ComplexError(j, f"boundary of boundary is nonzero at cell {min(bad)}")
+    return FilteredComplex(dims, values, D, field)
+
+
+def simplicial_complex(simplices: list[tuple[float, tuple]],
+                       field: Field) -> FilteredComplex:
+    """The complex of distinct ``(value, sorted vertex tuple)`` simplices,
+    given in (value, dimension, vertices) order.
+
+    The face without vertex ``i`` gets sign ``(-1)^i``.  Sorted values,
+    faces before cofaces and these signs satisfy every check of
+    :func:`build_complex`, so only a missing face is checked: it raises
+    :class:`ComplexError` naming the cell.
+    """
+    p = field.p
+    sign = [(-1) ** i % p for i in range(max(len(v) for _, v in simplices))]
+    dims: list[int] = []
+    D = SparseMatrix(len(simplices))
+    index_of: dict[tuple, int] = {}
+    for j, (_, verts) in enumerate(simplices, start=1):
+        size = len(verts)
+        if size > 1:
+            faces = [verts[:i] + verts[i + 1:] for i in range(size)]
+            try:
+                D.cols[j] = sorted(zip([index_of[f] for f in faces], sign))
+            except KeyError as missing:
+                face = " ".join(map(str, missing.args[0]))
+                raise ComplexError(j, f"face {face} is missing") from None
+        dims.append(size - 1)
+        index_of[verts] = j
+    return FilteredComplex(dims, [value for value, _ in simplices], D, field,
+                           [verts for _, verts in simplices])
 
 
 def dual_index(n: int, i: int) -> int:
@@ -207,14 +225,6 @@ def _tokenize(path: str):
             yield lineno, stripped.split()
 
 
-def _build_from_file(path: str, rows, field: Field) -> FilteredComplex:
-    """:func:`build_complex`, with a rejected complex named by its file."""
-    try:
-        return build_complex(rows, field)
-    except ComplexError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def load_cell_file(path: str, field: Field) -> FilteredComplex:
     """Read the cell format (``<dim> <value> [<face>:<coef> ...]``)."""
     rows: list[tuple[int, float, list[tuple[int, int]]]] = []
@@ -238,21 +248,10 @@ def load_cell_file(path: str, field: Field) -> FilteredComplex:
         rows.append((dim, value, terms))
     if not rows:
         raise ParseError(f"{path}:1: empty complex")
-    return _build_from_file(path, rows, field)
-
-
-def simplex_boundary(vertices: tuple, index_of: dict[tuple, int],
-                     p: int) -> list[tuple[int, int]]:
-    """Alternating-sign boundary of a simplex given by its sorted vertex tuple."""
-    if len(vertices) == 1:
-        return []
-    terms = []
-    for i in range(len(vertices)):
-        face = vertices[:i] + vertices[i + 1:]
-        if face not in index_of:
-            raise KeyError(face)
-        terms.append((index_of[face], (-1) ** i % p))
-    return terms
+    try:
+        return build_complex(rows, field)
+    except ComplexError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
@@ -265,6 +264,8 @@ def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
             value = float(tokens[0])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad value {tokens[0]!r}") from None
+        if math.isnan(value):
+            raise ParseError(f"{path}:{lineno}: filtration value is NaN")
         verts = tuple(sorted(tokens[1:]))
         if len(set(verts)) != len(verts):
             raise ParseError(f"{path}:{lineno}: repeated vertex in simplex")
@@ -273,19 +274,16 @@ def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
         raise ParseError(f"{path}:1: empty complex")
 
     simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
-    index_of: dict[tuple[str, ...], int] = {}
-    rows: list[tuple[int, float, list[tuple[int, int]]]] = []
-    for value, verts, lineno in simplices:
-        if verts in index_of:
+    seen: set[tuple[str, ...]] = set()
+    for _, verts, lineno in simplices:
+        if verts in seen:
             raise ParseError(f"{path}:{lineno}: simplex listed twice")
-        try:
-            terms = simplex_boundary(verts, index_of, field.p)
-        except KeyError as missing:
-            raise ParseError(
-                f"{path}:{lineno}: face {' '.join(missing.args[0])} is missing") from None
-        index_of[verts] = len(rows) + 1
-        rows.append((len(verts) - 1, value, terms))
-    return _build_from_file(path, rows, field)
+        seen.add(verts)
+    try:
+        return simplicial_complex([s[:2] for s in simplices], field)
+    except ComplexError as exc:
+        lineno = simplices[exc.cell_index - 1][2]
+        raise ParseError(f"{path}:{lineno}: {exc.reason}") from None
 
 
 def load_points(path: str) -> list[tuple[float, ...]]:

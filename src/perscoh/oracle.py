@@ -107,7 +107,7 @@ class _RankTables:
         self.p = K.field.p
         # cells[k] = ascending indices of k-cells
         self.cells: dict[int, list[int]] = {}
-        for j, d in enumerate(K.dims(), start=1):
+        for j, d in enumerate(K.dims, start=1):
             self.cells.setdefault(d, []).append(j)
         # block[k]: boundary columns of k-cells over (k-1)-cell rows
         self.block: dict[int, np.ndarray] = {}
@@ -116,7 +116,7 @@ class _RankTables:
             row_pos = {j: i for i, j in enumerate(rows)}
             A = np.zeros((len(rows), len(cols)), dtype=np.int64)
             for cpos, j in enumerate(cols):
-                for i, coef in K.boundary(j):
+                for i, coef in K.D.cols[j]:
                     A[row_pos[i], cpos] = coef
             self.block[k] = A
         self._kernel: dict[int, np.ndarray] = {}

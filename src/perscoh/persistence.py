@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from collections import Counter
 
 from .complexes import (FilteredComplex, SparseMatrix, anti_transpose,
-                        boundary_matrix, dual_dims, dual_index)
+                        dual_dims, dual_index)
 from .core import Chain
 from .reduction import Decomposition, PcohResult, pcoh, phcol, phrow
 
@@ -58,12 +58,6 @@ class Diagram:
 
     def sorted(self) -> list[Interval]:
         return sorted(self.intervals, key=Interval.sort_key)
-
-    def finite_part(self) -> list[Interval]:
-        return [iv for iv in self.intervals if iv.finite]
-
-    def infinite_part(self) -> list[Interval]:
-        return [iv for iv in self.intervals if not iv.finite]
 
     def index_multiset(self) -> Counter:
         return Counter((iv.dim, iv.p, iv.q) for iv in self.intervals)
@@ -129,10 +123,11 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
 class Computation:
     """One reduction run by :func:`compute`.
 
-    ``matrix`` is the matrix handed to the algorithm, ``result`` its raw
-    output, and ``partition`` the absolute partition (F, G, H, pairs) in
-    original indices.  ``dual`` is True when the result is indexed by the
-    reversed dual order: a reduction of the anti-transpose, or pcoh.
+    ``matrix`` is the matrix handed to the algorithm (``K.D`` itself for
+    a run on D), ``result`` its raw output, and ``partition`` the
+    absolute partition (F, G, H, pairs) in original indices.  ``dual`` is
+    True when the result is indexed by the reversed dual order: a
+    reduction of the anti-transpose, or pcoh.
     """
 
     matrix: SparseMatrix
@@ -149,7 +144,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     (``keep_V`` off) reduces the anti-transpose D-perp for every module:
     cleared, it is the cheapest matrix.  Otherwise phcol and phrow reduce
     the boundary matrix D for homology and D-perp for cohomology, and
-    pcoh sweeps D for every module.  phcol clears, by ``K.dims()`` on D
+    pcoh sweeps D for every module.  phcol clears, by ``K.dims`` on D
     and :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
     the V matrix that :func:`generators` reads (pcoh always keeps its
     cocycles).
@@ -158,7 +153,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    D = boundary_matrix(K)
+    D = K.D
     if algorithm == "pcoh":
         res = pcoh(D, K.field)
         return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n),
@@ -166,8 +161,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     dual = module_tag.endswith("_coh") or (algorithm == "phcol" and not keep_V)
     M = anti_transpose(D) if dual else D
     if algorithm == "phcol":
-        dims = K.dims()
-        dec = phcol(M, K.field, keep_V, dual_dims(dims) if dual else dims)
+        dec = phcol(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
     else:
         dec = phrow(M, K.field, keep_V=keep_V)
     if not dual:

@@ -14,6 +14,11 @@ output on that matrix.
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
 at once.
+
+No reduction copies or changes its input.  Chains are never changed in
+place: :func:`~perscoh.core.chain_axpy` returns a new list, and a
+reduced column replaces its slot, so ``R`` starts as a list of the
+input's own columns.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
     """
     p = field.p
     n = D.n
-    R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
+    R: list[Chain] = list(D.cols)
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
@@ -139,7 +144,7 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
     """
     p = field.p
     n = D.n
-    R: list[Chain] = [[]] + [list(D.cols[j]) for j in range(1, n + 1)]
+    R: list[Chain] = list(D.cols)
     V: list[Chain] | None = None
     if keep_V:
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]

@@ -4,13 +4,10 @@ A point cloud is a list of equal-length coordinate tuples.  The
 filtration contains every simplex of dimension at most ``dim_max``
 whose diameter is at most ``r_max``, filtered by diameter (vertices
 enter at 0).  Ties are broken by dimension, then by the lexicographic
-sorted vertex list, so faces always precede cofaces.
-
-The complex is valid by construction, so its cells are built directly
-rather than through :func:`~perscoh.complexes.build_complex`: values are
-sorted; a face has no larger diameter and fewer vertices, so it comes
-first; faces are one dimension down; and the alternating signs
-``(-1)^i`` make the composite boundary vanish.
+sorted vertex list, so faces always precede cofaces: a face has no
+larger diameter and fewer vertices.  The sorted simplices go to
+:func:`~perscoh.complexes.simplicial_complex`, the builder that
+simplicial files share, which writes the boundary matrix directly.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import math
 
 import numpy as np
 
-from .complexes import Cell, FilteredComplex
+from .complexes import FilteredComplex, simplicial_complex
 from .core import Field
 
 # the cell ceiling of every ``--format points`` command and the default of
@@ -101,13 +98,4 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
         _check_ceiling(len(simplices) + len(stack), max_cells)
 
     simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
-    sign = [(-1) ** i % field.p for i in range(min(dim_max + 1, n))]
-    index_of: dict[tuple[int, ...], int] = {}
-    cells: list[Cell] = []
-    for value, verts in simplices:
-        size = len(verts)
-        faces = ([index_of[verts[:i] + verts[i + 1:]] for i in range(size)]
-                 if size > 1 else ())
-        cells.append(Cell(size - 1, value, tuple(sorted(zip(faces, sign)))))
-        index_of[verts] = len(cells)
-    return FilteredComplex(cells, field, [verts for _, verts in simplices])
+    return simplicial_complex(simplices, field)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, build_complex, compute, field_inv,
-                     generators, load_cell_file, rips_filtration)
+                     build_complex, compute, field_inv, generators,
+                     load_cell_file, rips_filtration)
 from perscoh.complexes import ComplexError
 
 settings.register_profile(
@@ -102,6 +102,16 @@ def entry(A, i, j):
     return dict(A.cols[j]).get(i, 0)
 
 
+def term_count(A):
+    """The number of stored terms of the sparse matrix ``A``."""
+    return sum(len(c) for c in A.cols)
+
+
+def infinite_part(diagram):
+    """The intervals of ``diagram`` with an infinite endpoint."""
+    return [iv for iv in diagram.intervals if not iv.finite]
+
+
 def chain_eq_up_to_scalar(x, y, p):
     """True when ``x = c*y`` for some nonzero scalar c."""
     if len(x) != len(y):
@@ -131,7 +141,7 @@ def assert_boundary_squared_zero(D, p):
 def assert_generator_sanity(K):
     """Generators are cycles, killers map to generators, cocycles die on time."""
     p = K.field.p
-    D = boundary_matrix(K)
+    D = K.D
     assert_boundary_squared_zero(D, p)
     table = generators(compute(K, "abs_hom", "phcol", keep_V=True), K,
                        "abs_hom", drop_zero=False)

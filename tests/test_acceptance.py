@@ -9,8 +9,7 @@ import functools
 import math
 import time
 
-from perscoh import (GF2, Field, anti_transpose, barcode,
-                     boundary_matrix, compute,
+from perscoh import (GF2, Field, anti_transpose, barcode, compute,
                      cube_points, generators, load_cell_file, oracle_barcode,
                      pairs_to_partition, partition_from_dual, pcoh, phcol, phrow,
                      rips_filtration, run_bench, torus_points,
@@ -62,7 +61,7 @@ def rips_both_fields():
 def reduction_results():
     """Both reductions of every exhaustive-matrix and random-Rips instance."""
     pairs = [(D, GF2) for D in small_matrices()]
-    pairs += [(boundary_matrix(K), K.field) for K in rips_both_fields()]
+    pairs += [(K.D, K.field) for K in rips_both_fields()]
     return [(D, field, phcol(D, field), phrow(D, field))
             for D, field in pairs]
 
@@ -74,7 +73,7 @@ def sphere():
 def test_criterion_1_running_example_diagrams():
     t0 = time.perf_counter()
     K = sphere()
-    D = boundary_matrix(K)
+    D = K.D
     part = pairs_to_partition(phcol(D, F11))
     Ft, _, _, tpairs = pairs_to_partition(phrow(anti_transpose(D), F11))
 
@@ -165,7 +164,7 @@ def test_criterion_5_oracle_equivalence():
     assert [K.n for K in skeleta] == [298, 298]
     complexes += skeleta
     for K in complexes:
-        part = pairs_to_partition(phcol(boundary_matrix(K), K.field))
+        part = pairs_to_partition(phcol(K.D, K.field))
         computed = barcode(part, K, "abs_hom", drop_zero=False)
         assert computed.index_multiset() == \
             oracle_barcode(K).index_multiset()
@@ -178,7 +177,7 @@ def test_criterion_6_duality_properties():
     for K in instances:
         field = K.field
         n = K.n
-        D = boundary_matrix(K)
+        D = K.D
         part = pairs_to_partition(phcol(D, field))
         F, _, _, pairs = part
         Ft, _, _, tpairs = pairs_to_partition(phcol(anti_transpose(D), field))
@@ -216,7 +215,7 @@ def test_criterion_7_live_cocycles_match_row_reduction():
     instances = rips_instances(200, 50)
     for K in instances:
         field = K.field
-        D = boundary_matrix(K)
+        D = K.D
         Dperp = anti_transpose(D)
         n = Dperp.n
 
@@ -265,7 +264,7 @@ def test_criterion_9_boundary_and_generator_sanity():
     complexes += rips_instances(100, 100)      # the duality instances
     complexes += rips_instances(200, 50)       # the live-cocycle instances
     for K in complexes:
-        assert_boundary_squared_zero(boundary_matrix(K), K.field.p)
+        assert_boundary_squared_zero(K.D, K.field.p)
         assert_generator_sanity(K)
     print(f"criterion 9: PASS - boundary-squared-zero and generator "
           f"sanity on {len(complexes)} complexes")

@@ -244,6 +244,7 @@ class TestInputHandling:
                                           "--format", "simplicial"])
         assert code == 2 and out == ""
         assert "NaN" in err and str(f) in err
+        assert f"{f}:3:" in err
 
     def test_points_cell_ceiling(self, capsys, monkeypatch):
         assert cli.RIPS_MAX_CELLS == 500_000

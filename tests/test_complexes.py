@@ -1,11 +1,16 @@
 """Complex validation, boundary matrices, anti-transpose, and file loaders."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
-                     anti_transpose, boundary_matrix, build_complex,
+                     anti_transpose, build_complex,
                      load_cell_file, load_points, load_simplicial_file)
-from conftest import SPHERE_PATH, entry
+from conftest import SPHERE_PATH, entry, term_count
+from test_rips import simplex_boundary
 
 F11 = Field(11)
 
@@ -31,13 +36,13 @@ class TestBuildComplex:
     def test_sphere_accepted(self):
         K = build_complex(SPHERE_CELLS, F11)
         assert K.n == 6
-        assert K.dims() == [0, 0, 1, 1, 2, 2]
+        assert K.dims == [0, 0, 1, 1, 2, 2]
         assert [K.value(j) for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
-        assert K.boundary(3) == [(1, 1), (2, 10)]
+        assert K.D.cols[3] == [(1, 1), (2, 10)]
 
     def test_single_vertex(self):
         K = build_complex([(0, 0.0, [])], F11)
-        assert K.n == 1 and K.dim(1) == 0 and K.boundary(1) == []
+        assert K.n == 1 and K.dim(1) == 0 and K.D.cols[1] == []
 
     def test_forward_reference_rejected(self):
         cells = [(0, 1.0, []), (1, 2.0, [(1, 1), (3, -1)]), (0, 3.0, [])]
@@ -72,16 +77,16 @@ class TestBuildComplex:
         cells = [(0, 0.0, []), (0, 0.0, []),
                  (1, 1.0, [(1, -1), (2, 6), (2, 6)])]
         K = build_complex(cells, F11)
-        assert K.boundary(3) == [(1, 10), (2, 1)]
+        assert K.D.cols[3] == [(1, 10), (2, 1)]
 
     def test_cancelled_terms_dropped(self):
         cells = [(0, 0.0, []), (1, 1.0, [(1, 1), (1, -1)])]
         K = build_complex(cells, F11)
-        assert K.boundary(2) == []
+        assert K.D.cols[2] == []
 
     def test_mod_two_collapses_signs(self):
         K = build_complex(SPHERE_CELLS, GF2)
-        assert K.boundary(3) == [(1, 1), (2, 1)]
+        assert K.D.cols[3] == [(1, 1), (2, 1)]
 
 
 class TestSparseMatrix:
@@ -91,7 +96,7 @@ class TestSparseMatrix:
         assert entry(A, 2, 3) == 3
         assert entry(A, 3, 3) == 0
         assert entry(A, 1, 1) == 0
-        assert A.term_count() == 3
+        assert term_count(A) == 3
 
     def test_eq(self):
         A = SparseMatrix(2, [[], [], [(1, 1)]])
@@ -107,24 +112,24 @@ class TestSparseMatrix:
 class TestBoundaryMatrix:
     def test_sphere(self):
         K = build_complex(SPHERE_CELLS, F11)
-        D = boundary_matrix(K)
+        D = K.D
         assert D.cols[1:] == SPHERE_D
 
     def test_single_vertex(self):
         K = build_complex([(0, 0.0, [])], F11)
-        D = boundary_matrix(K)
+        D = K.D
         assert D.n == 1 and D.cols[1] == []
 
     def test_reversed_edge_signs(self):
         cells = [(0, 0.0, []), (0, 0.0, []), (1, 1.0, [(1, -1), (2, 1)])]
-        D = boundary_matrix(build_complex(cells, F11))
+        D = build_complex(cells, F11).D
         assert D.cols[3] == [(1, 10), (2, 1)]
 
 
 class TestAntiTranspose:
     def test_sphere(self):
         K = build_complex(SPHERE_CELLS, F11)
-        Dp = anti_transpose(boundary_matrix(K))
+        Dp = anti_transpose(K.D)
         assert Dp.cols[1:] == SPHERE_DPERP
 
     def test_zero_matrix(self):
@@ -160,15 +165,15 @@ class TestLoadCellFile:
         K = load_cell_file(SPHERE_PATH, F11)
         expected = build_complex(SPHERE_CELLS, F11)
         assert K.n == expected.n
-        assert K.dims() == expected.dims()
-        assert all(K.boundary(j) == expected.boundary(j) for j in range(1, 7))
+        assert K.dims == expected.dims
+        assert all(K.D.cols[j] == expected.D.cols[j] for j in range(1, 7))
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cells"
         path.write_text("# header\n\n0 0\n0 0  # trailing comment\n1 1 1:1 2:-1\n")
         K = load_cell_file(str(path), F11)
         assert K.n == 3
-        assert K.boundary(3) == [(1, 1), (2, 10)]
+        assert K.D.cols[3] == [(1, 1), (2, 10)]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.cells"
@@ -206,9 +211,9 @@ class TestLoadSimplicialFile:
         path.write_text("0 a\n0 b\n0 c\n1 a b\n1 b c\n1 a c\n1 a b c\n")
         K = load_simplicial_file(str(path), F11)
         assert K.n == 7
-        assert K.dims() == [0, 0, 0, 1, 1, 1, 2]
+        assert K.dims == [0, 0, 0, 1, 1, 1, 2]
         # alternating signs: +(b,c) -(a,c) +(a,b) over sorted vertices
-        assert K.boundary(7) == [(4, 1), (5, 10), (6, 1)]
+        assert K.D.cols[7] == [(4, 1), (5, 10), (6, 1)]
 
     def test_tie_break_order(self, tmp_path):
         path = tmp_path / "tie.simp"
@@ -245,6 +250,47 @@ class TestLoadSimplicialFile:
         path.write_text("zero a\n")
         with pytest.raises(ParseError, match="bad value"):
             load_simplicial_file(str(path), F11)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_matches_validated_rows(self, tmp_path, p):
+        """The shared simplex builder equals build_complex on rows from the
+        reference simplex_boundary: grid clouds (tied values), written as
+        shuffled lines and shuffled string vertex labels."""
+        field = Field(p)
+        rng = Lcg(p)
+        for case in range(4):
+            count = 4 + 2 * case
+            points = [tuple(round(rng.next_double() * 3) / 3 for _ in range(2))
+                      for _ in range(count)]
+            simplices = []
+            for size in range(1, 4):
+                for verts in itertools.combinations(range(count), size):
+                    value = max((math.dist(points[a], points[b])
+                                 for a, b in itertools.combinations(verts, 2)),
+                                default=0.0)
+                    simplices.append((value, [f"v{i}" for i in verts]))
+            shuffle = random.Random(case).shuffle
+            lines = []
+            for value, labels in simplices:
+                shuffle(labels)
+                lines.append(f"{value!r} {' '.join(labels)}")
+            shuffle(lines)
+            path = tmp_path / f"cloud{case}.simp"
+            path.write_text("\n".join(lines) + "\n")
+            K = load_simplicial_file(str(path), field)
+
+            ordered = sorted(((value, tuple(sorted(labels)))
+                              for value, labels in simplices),
+                             key=lambda s: (s[0], len(s[1]), s[1]))
+            index_of, rows = {}, []
+            for value, verts in ordered:
+                rows.append((len(verts) - 1, value,
+                             simplex_boundary(verts, index_of, p)))
+                index_of[verts] = len(rows)
+            ref = build_complex(rows, field)
+            assert len(set(ref.values)) < ref.n  # ties
+            assert (K.dims, K.values, K.D) == (ref.dims, ref.values, ref.D)
+            assert K.simplex_vertices == [verts for _, verts in ordered]
 
 
 class TestLoadPoints:

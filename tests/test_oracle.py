@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode,
-                     boundary_matrix, build_complex, dense_rank,
+                     build_complex, dense_rank,
                      nullspace_basis, oracle_barcode, pairs_to_partition,
                      persistent_betti, phcol, prefix_ranks, rips_filtration)
 from perscoh.oracle import _RankTables
@@ -18,7 +18,7 @@ F11 = Field(11)
 
 
 def dense_boundary(K, p):
-    D = boundary_matrix(K)
+    D = K.D
     M = np.zeros((K.n, K.n), dtype=np.int64)
     for j in range(1, K.n + 1):
         for i, c in D.cols[j]:
@@ -27,7 +27,7 @@ def dense_boundary(K, p):
 
 
 def reduced_barcode(K, field):
-    part = pairs_to_partition(phcol(boundary_matrix(K), field))
+    part = pairs_to_partition(phcol(K.D, field))
     return barcode(part, K, "abs_hom", drop_zero=False)
 
 

@@ -3,8 +3,8 @@ anti-transpose, and the step-by-step live-cocycle/V-column trace."""
 
 import pytest
 
-from perscoh import (GF2, Field, anti_transpose, boundary_matrix,
-                     build_complex, load_cell_file, pcoh, phrow)
+from perscoh import (GF2, Field, anti_transpose, build_complex,
+                     load_cell_file, pcoh, phrow)
 from conftest import (SPHERE_PATH, all_upper_matrices, matrix_complex,
                       random_rips)
 
@@ -24,7 +24,7 @@ class TestSphere:
     @pytest.mark.parametrize("field", [GF2, F11])
     def test_exact_output(self, field):
         K = load_cell_file(SPHERE_PATH, field)
-        res = pcoh(boundary_matrix(K), field)
+        res = pcoh(K.D, field)
         assert res.pairs == [(4, 5), (2, 3)]
         assert res.essential == [1, 6]
         assert res.pair_cocycles == [[(5, 1)], [(3, 1)]]
@@ -32,14 +32,14 @@ class TestSphere:
         assert res.cocycles == res.pair_cocycles + res.essential_cocycles
 
     def test_pairs_match_row_algorithm(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         Dperp = anti_transpose(D)
         res = pcoh(D, F11)
         dec = phrow(Dperp, F11)
         assert set(res.pairs) == low_pairs(dec)
 
     def test_cocycles_are_v_columns(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         res = pcoh(D, F11)
         V = phrow(anti_transpose(D), F11).V
         for (_, t), z in zip(res.pairs, res.pair_cocycles):
@@ -48,7 +48,7 @@ class TestSphere:
             assert z == V.cols[f]
 
     def test_live_trace_matches_v_snapshots(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         Dperp = anti_transpose(D)
         n = Dperp.n
 
@@ -73,7 +73,7 @@ class TestSphere:
 class TestSmallCases:
     def test_single_vertex(self):
         K = build_complex([(0, 1.0, [])], F11)
-        res = pcoh(boundary_matrix(K), F11)
+        res = pcoh(K.D, F11)
         assert res.pairs == []
         assert res.essential == [1]
         assert res.essential_cocycles == [[(1, 1)]]
@@ -81,7 +81,7 @@ class TestSmallCases:
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        res = pcoh(boundary_matrix(K), F11)
+        res = pcoh(K.D, F11)
         assert res.pairs == [(1, 2)]
         assert res.essential == [3]
 
@@ -93,7 +93,7 @@ class TestSmallCases:
         assert res.essential_cocycles == [[(1, 1)], [(2, 1)], [(3, 1)]]
 
     def test_essential_is_ascending(self, sphere11):
-        res = pcoh(boundary_matrix(sphere11), F11)
+        res = pcoh(sphere11.D, F11)
         assert res.essential == sorted(res.essential)
 
 
@@ -106,7 +106,7 @@ class TestAgainstRowAlgorithm:
     def test_rips_instances(self, seed, p):
         field = Field(p)
         K = random_rips(seed, max_points=8, p=p, dim_max=2)
-        D = boundary_matrix(K)
+        D = K.D
         Dperp = anti_transpose(D)
         n = Dperp.n
 
@@ -137,7 +137,7 @@ class TestAgainstRowAlgorithm:
             K = matrix_complex(D)
             if K is None:
                 continue
-            D = boundary_matrix(K)
+            D = K.D
             Dperp = anti_transpose(D)
             res = pcoh(D, GF2)
             dec = phrow(Dperp, GF2)
@@ -153,12 +153,12 @@ class TestAgainstRowAlgorithm:
 class TestCounters:
     def test_counters_positive_and_deterministic(self):
         K = random_rips(3, max_points=8, p=2, dim_max=2)
-        D = boundary_matrix(K)
+        D = K.D
         a = pcoh(D, GF2)
         b = pcoh(D, GF2)
         assert a.ops == b.ops > 0
         assert a.peak_elements == b.peak_elements > 0
 
     def test_peak_counts_live_cocycle_terms(self, sphere11):
-        res = pcoh(boundary_matrix(sphere11), F11)
+        res = pcoh(sphere11.D, F11)
         assert res.peak_elements == 4

@@ -1,27 +1,28 @@
 """Partition, barcodes, generator tables, and the diagram text format."""
 
+import copy
 import itertools
 import math
 
 import pytest
 
 from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
-                     boundary_matrix, build_complex, compute,
+                     build_complex, compute,
                      concatenated_barcode, format_diagram, generators,
                      pairs_to_partition, parse_diagram, partition_from_dual,
-                     phcol, phrow, rips_filtration)
+                     pcoh, phcol, phrow, rips_filtration)
 from perscoh.persistence import INF
-from conftest import random_rips
+from conftest import infinite_part, random_rips
 
 F11 = Field(11)
 
 
 def sphere_partition(sphere11):
-    return pairs_to_partition(phcol(boundary_matrix(sphere11), F11))
+    return pairs_to_partition(phcol(sphere11.D, F11))
 
 
 def sphere_tau_partition(sphere11):
-    Dperp = anti_transpose(boundary_matrix(sphere11))
+    Dperp = anti_transpose(sphere11.D)
     return pairs_to_partition(phrow(Dperp, F11))
 
 
@@ -40,7 +41,7 @@ class TestPartition:
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        F, G, H, pairs = pairs_to_partition(phcol(boundary_matrix(K), F11))
+        F, G, H, pairs = pairs_to_partition(phcol(K.D, F11))
         assert (F, G, H, pairs) == ([1], [2], [3], [(2, 3)])
 
 
@@ -52,7 +53,7 @@ class TestSphereBarcodes:
                                       (1, 4, 4): 1, (2, 6, 6): 1}
         assert d.value_multiset() == {(0, 1.0, INF): 1, (0, 2.0, 3.0): 1,
                                       (1, 4.0, 5.0): 1, (2, 6.0, INF): 1}
-        assert len(d.infinite_part()) == 2
+        assert len(infinite_part(d)) == 2
 
     def test_rel_hom(self, sphere11):
         d = barcode(sphere_partition(sphere11), sphere11, "rel_hom")
@@ -91,14 +92,14 @@ class TestSphereBarcodes:
 class TestSmallBarcodes:
     def test_single_vertex(self):
         K = build_complex([(0, 0.5, [])], F11)
-        part = pairs_to_partition(phcol(boundary_matrix(K), F11))
+        part = pairs_to_partition(phcol(K.D, F11))
         assert barcode(part, K, "abs_hom").value_multiset() == {(0, 0.5, INF): 1}
         assert barcode(part, K, "rel_hom").value_multiset() == {(0, -INF, 0.5): 1}
 
     def test_triangle_zero_length_dropped(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
         K = rips_filtration(pts, 1.5, 2, GF2)
-        part = pairs_to_partition(phcol(boundary_matrix(K), GF2))
+        part = pairs_to_partition(phcol(K.D, GF2))
         kept = barcode(part, K, "abs_hom")
         assert sorted((iv.dim, iv.birth, round(iv.death, 9))
                       for iv in kept.intervals) == [
@@ -123,7 +124,7 @@ class TestConcatenatedBarcode:
 
     def test_only_infinite_interval(self):
         K = build_complex([(0, 2.0, [])], F11)
-        part = pairs_to_partition(phcol(boundary_matrix(K), F11))
+        part = pairs_to_partition(phcol(K.D, F11))
         cat = concatenated_barcode(barcode(part, K, "abs_hom"), K)
         assert [(iv.dim, iv.p, iv.q, iv.birth, iv.death)
                 for iv in cat.intervals] == [(0, 1, 1, 2.0, 2.0)]
@@ -276,7 +277,7 @@ class TestLeadingTerms:
     @pytest.mark.parametrize("seed", range(4))
     def test_v_diagonal(self, seed):
         K = random_rips(seed, max_points=8, p=11, dim_max=2)
-        dec = phcol(boundary_matrix(K), F11)
+        dec = phcol(K.D, F11)
         for j in range(1, dec.V.n + 1):
             assert dec.V.cols[j][-1] == (j, 1)
 
@@ -314,10 +315,13 @@ class TestCompute:
         for seed, p, keep_V in itertools.product(range(6), (2, 11),
                                                  (False, True)):
             K = random_rips(seed, max_points=8, p=p, dim_max=2)
-            D = boundary_matrix(K)
+            D = K.D
+            # every route reads K.D in place; none may change it
+            original = copy.deepcopy(K.D)
             part = pairs_to_partition(phcol(D, K.field))
             Ft, _, _, tpairs = pairs_to_partition(
                 phcol(anti_transpose(D), K.field))
+            assert K.D == original
             if module.endswith("_hom"):
                 direct = barcode(part, K, module, drop_zero=False)
             else:
@@ -325,6 +329,10 @@ class TestCompute:
                                  module, drop_zero=False)
 
             run = compute(K, module, algorithm, keep_V=keep_V)
+            assert K.D == original
+            if keep_V and (algorithm != "pcoh" or module == "abs_coh"):
+                generators(run, K, module)
+                assert K.D == original
             got = barcode(run.partition, K, module, drop_zero=False)
             assert got.module_tag == module
             assert got.index_multiset() == direct.index_multiset()
@@ -334,6 +342,13 @@ class TestCompute:
                 module.endswith("_coh") or (algorithm == "phcol" and not keep_V))
             assert run.matrix == (anti_transpose(D) if reduced_dual else D)
             assert run.dual == (reduced_dual or algorithm == "pcoh")
+
+            snapshots = []
+            phrow(K.D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
+            pcoh(K.D, K.field)
+            anti_transpose(K.D)
+            assert snapshots == list(range(1, K.n + 1))
+            assert K.D == original
 
     def test_rejects_unknown_names(self, sphere11):
         with pytest.raises(ValueError, match="algorithm"):

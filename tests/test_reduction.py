@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     boundary_matrix, cube_points, dual_dims, load_cell_file,
+                     cube_points, dual_dims, load_cell_file,
                      pcoh, phcol, phrow, rips_filtration, verify_decomposition)
-from conftest import SPHERE_PATH, all_upper_matrices, random_rips
+from conftest import SPHERE_PATH, all_upper_matrices, random_rips, term_count
 
 F11 = Field(11)
 
@@ -25,7 +25,7 @@ def random_upper_matrix(seed, n, p, density=0.5):
 
 class TestPhcol:
     def test_running_example(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         assert dec.low_of == {3: 2, 5: 4}
         assert dec.R.cols[1:] == [[], [], [(1, 1), (2, 10)], [],
@@ -51,7 +51,7 @@ class TestPhcol:
         assert dec.ops == 0
 
     def test_keep_v_off(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11, keep_V=False)
         assert dec.V is None
         assert dec.low_of == {3: 2, 5: 4}
@@ -59,14 +59,14 @@ class TestPhcol:
             verify_decomposition(D, dec, F11)
 
     def test_ops_counter_scoped_to_run(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         assert dec.ops > 0
-        assert dec.peak_elements >= dec.R.term_count() + dec.V.term_count()
+        assert dec.peak_elements >= term_count(dec.R) + term_count(dec.V)
 
 
 class TestClearing:
-    """phcol given column degrees: D with ``K.dims()``, D-perp with
+    """phcol given column degrees: D with ``K.dims``, D-perp with
     ``dual_dims``."""
 
     @pytest.mark.parametrize("p", [2, 11])
@@ -76,9 +76,9 @@ class TestClearing:
         cleared_any = False
         for seed in range(10):
             K = random_rips(seed, max_points=9, p=p)
-            D = boundary_matrix(K)
-            for M, dims in ((D, K.dims()),
-                            (anti_transpose(D), dual_dims(K.dims()))):
+            D = K.D
+            for M, dims in ((D, K.dims),
+                            (anti_transpose(D), dual_dims(K.dims))):
                 plain = phcol(M, field, keep_V)
                 cleared = phcol(M, field, keep_V, dims)
                 assert cleared.R == plain.R
@@ -91,8 +91,8 @@ class TestClearing:
         assert cleared_any
 
     def test_cleared_v_is_partner_r(self, sphere11):
-        D = boundary_matrix(sphere11)
-        dec = phcol(D, F11, dims=sphere11.dims())
+        D = sphere11.D
+        dec = phcol(D, F11, dims=sphere11.dims)
         # cells 2 and 4 are paired with 3 and 5, and cleared
         assert dec.V.cols[2] == dec.R.cols[3]
         assert dec.V.cols[4] == dec.R.cols[5]
@@ -104,10 +104,10 @@ def _pinned_matrix(source, p, dual):
         K = load_cell_file(SPHERE_PATH, Field(p))
     else:
         K = rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
-    D = boundary_matrix(K)
+    D = K.D
     if dual:
-        return anti_transpose(D), dual_dims(K.dims())
-    return D, K.dims()
+        return anti_transpose(D), dual_dims(K.dims)
+    return D, K.dims
 
 
 @pytest.mark.parametrize("source, p, dual, algorithm, keep_V, ops, peak", [
@@ -152,13 +152,13 @@ def test_cleared_counters_pinned(source, p, dual, keep_V, ops, peak):
 
 class TestPhrow:
     def test_matches_phcol_on_running_example(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         a = phcol(D, F11)
         b = phrow(D, F11)
         assert a.R == b.R and a.V == b.V and a.low_of == b.low_of
 
     def test_antitranspose_of_running_example(self, sphere11):
-        Dp = anti_transpose(boundary_matrix(sphere11))
+        Dp = anti_transpose(sphere11.D)
         dec = phrow(Dp, F11)
         assert dec.low_of == {3: 2, 5: 4}
         assert dec.R.cols[3] == [(1, 10), (2, 10)]
@@ -167,13 +167,13 @@ class TestPhrow:
         assert dec.V.cols[6] == [(5, 1), (6, 1)]
 
     def test_keep_v_off(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phrow(D, F11, keep_V=False)
         assert dec.V is None
         assert dec.low_of == {3: 2, 5: 4}
 
     def test_snapshot_called_per_row(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         seen = []
         phrow(D, F11, snapshot=lambda k, R, V: seen.append(k))
         assert seen == [1, 2, 3, 4, 5, 6]
@@ -205,12 +205,12 @@ class TestExhaustiveSmall:
 
 class TestVerifyDecomposition:
     def test_pass_on_valid(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         report = verify_decomposition(D, phcol(D, F11), F11)
         assert report.ok and report.location is None
 
     def test_tampered_r_entry(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.R.cols[3] = [(1, 5), (2, 10)]
         report = verify_decomposition(D, dec, F11)
@@ -219,7 +219,7 @@ class TestVerifyDecomposition:
         assert report.location == (1, 3)
 
     def test_tampered_r_names_first_entry(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.R.cols[5] = [(2, 1), (3, 1)]  # D*V column 5 is [(3, 1), (4, 10)]
         report = verify_decomposition(D, dec, F11)
@@ -228,7 +228,7 @@ class TestVerifyDecomposition:
         assert "entry (2, 5)" in report.message
 
     def test_zero_v_diagonal(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.V.cols[2] = []
         report = verify_decomposition(D, dec, F11)
@@ -237,7 +237,7 @@ class TestVerifyDecomposition:
         assert report.location == (2, 2)
 
     def test_v_below_diagonal(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.V.cols[2] = [(2, 1), (5, 3)]
         report = verify_decomposition(D, dec, F11)
@@ -257,7 +257,7 @@ class TestVerifyDecomposition:
         assert "repeats" in report.message
 
     def test_low_of_mismatch(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.low_of[3] = 1
         report = verify_decomposition(D, dec, F11)
@@ -265,7 +265,7 @@ class TestVerifyDecomposition:
         assert "low_of" in report.message
 
     def test_low_of_maps_zero_column(self, sphere11):
-        D = boundary_matrix(sphere11)
+        D = sphere11.D
         dec = phcol(D, F11)
         dec.low_of[4] = 1
         report = verify_decomposition(D, dec, F11)

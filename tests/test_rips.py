@@ -5,11 +5,24 @@ import math
 
 import pytest
 
-from perscoh import (Field, Lcg, build_complex, cube_points, rips_filtration,
-                     simplex_boundary)
+from perscoh import Field, Lcg, build_complex, cube_points, rips_filtration
 from conftest import random_rips
 
 F11 = Field(11)
+
+
+def simplex_boundary(vertices: tuple, index_of: dict[tuple, int],
+                     p: int) -> list[tuple[int, int]]:
+    """Alternating-sign boundary of a simplex given by its sorted vertex tuple."""
+    if len(vertices) == 1:
+        return []
+    terms = []
+    for i in range(len(vertices)):
+        face = vertices[:i] + vertices[i + 1:]
+        if face not in index_of:
+            raise KeyError(face)
+        terms.append((index_of[face], (-1) ** i % p))
+    return terms
 
 
 def validating_rips(points, r_max, dim_max, field):
@@ -27,13 +40,14 @@ def validating_rips(points, r_max, dim_max, field):
     for value, verts in simplices:
         rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
         index_of[verts] = len(rows)
-    return build_complex(rows, field).cells, [verts for _, verts in simplices]
+    ref = build_complex(rows, field)
+    return (ref.dims, ref.values, ref.D), [verts for _, verts in simplices]
 
 
 def assert_matches_reference(points, r_max, dim_max, field=F11):
     K = rips_filtration(points, r_max, dim_max, field)
     cells, vertices = validating_rips(points, r_max, dim_max, field)
-    assert K.cells == cells
+    assert (K.dims, K.values, K.D) == cells
     assert K.simplex_vertices == vertices
     return K
 
@@ -41,16 +55,16 @@ def assert_matches_reference(points, r_max, dim_max, field=F11):
 def test_two_points():
     K = rips_filtration([(0.0,), (1.0,)], 2.0, 1, F11)
     assert K.n == 3
-    assert K.dims() == [0, 0, 1]
+    assert K.dims == [0, 0, 1]
     assert [K.value(j) for j in (1, 2, 3)] == [0.0, 0.0, 1.0]
-    assert K.boundary(3) == [(1, 10), (2, 1)]
+    assert K.D.cols[3] == [(1, 10), (2, 1)]
 
 
 def test_equilateral_triangle():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
     K = rips_filtration(pts, 1.0, 2, F11)
     assert K.n == 7
-    assert K.dims() == [0, 0, 0, 1, 1, 1, 2]
+    assert K.dims == [0, 0, 0, 1, 1, 1, 2]
     assert K.value(7) == pytest.approx(1.0)
     assert all(K.value(j) == pytest.approx(1.0) for j in (4, 5, 6))
 
@@ -59,21 +73,21 @@ def test_r_max_zero_keeps_vertices_only():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     K = rips_filtration(pts, 0.0, 3, F11)
     assert K.n == 4
-    assert K.dims() == [0, 0, 0, 0]
+    assert K.dims == [0, 0, 0, 0]
 
 
 def test_complete_complex_counts():
     pts = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)]
     K = rips_filtration(pts, 10.0, 3, F11)
     assert K.n == 4 + 6 + 4 + 1
-    counts = {k: K.dims().count(k) for k in range(4)}
+    counts = {k: K.dims.count(k) for k in range(4)}
     assert counts == {0: 4, 1: 6, 2: 4, 3: 1}
 
 
 def test_dim_max_respected():
     pts = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)]
     K = rips_filtration(pts, 10.0, 1, F11)
-    assert max(K.dims()) == 1
+    assert max(K.dims) == 1
     assert K.n == 10
 
 
@@ -83,7 +97,7 @@ def test_faces_precede_cofaces():
         verts = K.simplex_vertices[j - 1]
         assert verts == tuple(sorted(verts))
         assert K.dim(j) == len(verts) - 1
-        for i, _ in K.boundary(j):
+        for i, _ in K.D.cols[j]:
             assert i < j
             assert K.value(i) <= K.value(j)
             assert set(K.simplex_vertices[i - 1]) < set(verts)
@@ -103,7 +117,7 @@ def test_r_max_cuts_long_edges():
     pts = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)]
     K = rips_filtration(pts, 2.0, 2, F11)
     assert K.n == 4  # three vertices plus the single short edge
-    assert max(K.dims()) == 1
+    assert max(K.dims) == 1
 
 
 def test_determinism():
@@ -111,7 +125,7 @@ def test_determinism():
     K2 = random_rips(5, p=2)
     assert K1.n == K2.n
     assert K1.simplex_vertices == K2.simplex_vertices
-    assert all(K1.boundary(j) == K2.boundary(j) for j in range(1, K1.n + 1))
+    assert all(K1.D.cols[j] == K2.D.cols[j] for j in range(1, K1.n + 1))
 
 
 def test_input_validation():
@@ -173,7 +187,7 @@ def test_duplicate_points_keep_zero_length_edge():
 
 def test_one_point():
     K = assert_matches_reference([(0.5, 0.5)], math.inf, 3)
-    assert K.n == 1 and K.boundary(1) == []
+    assert K.n == 1 and K.D.cols[1] == []
 
 
 def test_line_at_infinite_radius():
