@@ -22,11 +22,13 @@ Two text formats build complexes directly:
 
       <value> <v0> <v1> ... <vk>
 
-  with arbitrary vertex tokens.  The loader sorts simplices by
-  (value, dimension, lexicographic vertex list) and hands them to
-  :func:`simplicial_complex`, the builder the Rips filtration shares,
-  which gives each boundary alternating (-1)^i signs over the sorted
-  vertex list; a missing face is an error.
+  with arbitrary vertex tokens.  The loader numbers the vertices by the
+  rank of their token and hands the simplices, one lexicographically
+  sorted array per dimension, to :func:`simplicial_complex`, the
+  builder the Rips filtration shares.  It orders them by (value,
+  dimension, lexicographic vertex list) and gives each boundary
+  alternating (-1)^i signs over the sorted vertex list; a face that is
+  missing or comes after its coface is an error.
 
 Point-cloud files (one point per line, whitespace-separated decimal
 coordinates) feed the Rips builder in :mod:`perscoh.rips`.
@@ -36,6 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .core import Chain, Field
 
@@ -153,34 +158,133 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
     return FilteredComplex(dims, values, D, field)
 
 
-def simplicial_complex(simplices: list[tuple[float, tuple]],
-                       field: Field) -> FilteredComplex:
-    """The complex of distinct ``(value, sorted vertex tuple)`` simplices,
-    given in (value, dimension, vertices) order.
+# after a layer's keys, above every key and every query
+_END = np.array([np.iinfo(np.int64).max])
 
-    The face without vertex ``i`` gets sign ``(-1)^i``.  Sorted values,
-    faces before cofaces and these signs satisfy every check of
-    :func:`build_complex`, so only a missing face is checked: it raises
-    :class:`ComplexError` naming the cell.
+
+def _table(key: np.ndarray):
+    """A layer's lookup table: its defined (non-negative) keys, which
+    increase along its rows, then ``_END``; and the rows of those keys,
+    then -1, or None when every key is defined."""
+    defined = key >= 0
+    if defined.all():
+        return np.concatenate((key, _END)), None
+    rows = defined.nonzero()[0]
+    return np.concatenate((key[rows], _END)), np.concatenate((rows, [-1]))
+
+
+def _lookup(table, query: np.ndarray) -> np.ndarray:
+    """Rows whose key is ``query``, elementwise; -1 where none is."""
+    keys, rows = table
+    at = keys.searchsorted(query)
+    return np.where(keys[at] == query, at if rows is None else rows[at], -1)
+
+
+def _rows(tables, V: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Rows of the simplices ``V`` (one vertex row each) in their layer,
+    -1 where absent, by the keys of their prefixes, shortest first."""
+    rows = np.zeros(len(V), np.int64)
+    for j in range(V.shape[1]):
+        rows = _lookup(tables[j], rows * n_vertices + V[:, j])
+    return rows
+
+
+def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field,
+                       labels: list | None = None) -> FilteredComplex:
+    """The complex of the simplices in ``layers``, in (value, dimension,
+    vertices) order.
+
+    ``layers[k]`` is a pair of arrays: distinct k-simplices, one row of
+    k + 1 increasing vertex numbers each, in lexicographic row order, and
+    their filtration values.  Vertex ``v`` is ``labels[v]`` in
+    ``simplex_vertices`` and messages (default ``v``); with ``labels``,
+    every vertex number is below ``len(labels)``.  The face without
+    vertex ``i`` gets sign ``(-1)^i``.  Sorted values, faces before
+    cofaces and these signs satisfy every check of :func:`build_complex`,
+    so only the faces are checked: the first cell with a face that is
+    missing or comes after it raises :class:`ComplexError` naming the
+    cell and that face.
+
+    Faces are found by key.  A simplex's key is the row of its prefix
+    (all but its last vertex) in the layer below, times the number of
+    vertices, plus its last vertex, so keys increase along a layer's rows
+    and stay below (cells + 1) * vertices.  The face without vertex
+    ``i``, for ``i`` not the last, is the prefix's face without vertex
+    ``i`` followed by the same last vertex.  A simplex whose prefix is
+    absent gets no key, and its cofaces find no face there: the pass
+    over the layers finds the first bad cell, and that cell's first bad
+    face is looked up again face by face, each through its own prefixes.
     """
+    n_vertices = (len(labels) if labels is not None
+                  else 1 + max(int(S.max()) for S, _ in layers if S.size))
+    sizes = [len(S) for S, _ in layers]
+    start = list(accumulate(sizes, initial=0))
+    values = np.concatenate([value for _, value in layers])
+    dims = np.arange(len(layers)).repeat(sizes)
+    order = np.lexsort((dims, values))
+    # 1-based position of each cell
+    position = np.empty(start[-1], np.int64)
+    position[order] = np.arange(1, start[-1] + 1)
+    parity = np.arange(len(layers)) & 1
+
     p = field.p
-    sign = [(-1) ** i % p for i in range(max(len(v) for _, v in simplices))]
-    dims: list[int] = []
-    D = SparseMatrix(len(simplices))
-    index_of: dict[tuple, int] = {}
-    for j, (_, verts) in enumerate(simplices, start=1):
-        size = len(verts)
-        if size > 1:
-            faces = [verts[:i] + verts[i + 1:] for i in range(size)]
-            try:
-                D.cols[j] = sorted(zip([index_of[f] for f in faces], sign))
-            except KeyError as missing:
-                face = " ".join(map(str, missing.args[0]))
-                raise ComplexError(j, f"face {face} is missing") from None
-        dims.append(size - 1)
-        index_of[verts] = j
-    return FilteredComplex(dims, [value for value, _ in simplices], D, field,
-                           [verts for _, verts in simplices])
+    tables, cols = [], [[] for _ in range(sizes[0])]
+    # rows of each simplex's faces in the layer below, -1 where absent; a
+    # vertex's face is the empty simplex, and the last row is all absent,
+    # the faces of an absent prefix
+    faces = np.zeros((sizes[0] + 1, 1), np.int64)
+    faces[-1] = -1
+    bad_cells = []  # (position, dimension, row) of each layer's first bad cell
+    for k, (S, _) in enumerate(layers):
+        if k == 0:
+            tables.append(_table(S[:, 0]))
+            continue
+        prefix = _rows(tables, S[:, :k], n_vertices)
+        sub = faces[prefix]
+        faces = np.empty((len(S) + 1, k + 1), np.int64)
+        faces[-1] = -1
+        found = faces[:-1]
+        found[:, :k] = _lookup(tables[k - 1], sub * n_vertices + S[:, k:])
+        found[:, k] = prefix
+        tables.append(_table(prefix * n_vertices + S[:, k]))
+
+        # positions of the faces, after every cell where absent
+        below = np.concatenate((position[start[k - 1]:start[k]], [start[-1] + 1]))
+        at = below[found]
+        own = position[start[k]:start[k + 1]]
+        late = at > own[:, None]
+        if late.any():
+            bad = late.any(axis=1).nonzero()[0]
+            r = bad[own[bad].argmin()]
+            bad_cells.append((own[r], k, r))
+        if not bad_cells:
+            # one shared (index, sign) term per face and sign, at code
+            # 2 * row + parity of the face's place; sorting index * width
+            # + code lists a column's codes by index
+            width = 2 * sizes[k - 1]
+            terms = np.fromiter(zip(below[:-1].repeat(2).tolist(), [1, p - 1] * sizes[k - 1]),
+                                dtype=object, count=width)
+            code = at * width + 2 * found + parity[:k + 1]
+            code.sort(axis=1)
+            cols += terms[code % width].tolist()
+
+    names = None if labels is None else np.array(labels, dtype=object)
+    if bad_cells:
+        j, k, r = min(bad_cells)
+        simplex = layers[k][0][r]
+        faces = np.array([np.delete(simplex, i) for i in range(k + 1)])
+        rows = _rows(tables, faces, n_vertices)
+        at = np.where(rows >= 0, position[start[k - 1] + rows], j + 1)
+        face = faces[np.argmax(at > j)]
+        face = " ".join(map(str, (face if names is None else names[face]).tolist()))
+        raise ComplexError(int(j), f"face {face} is missing")
+    vertices = []
+    for S, _ in layers:
+        vertices += zip(*(S if names is None else names[S]).T.tolist())
+    order = order.tolist()
+    return FilteredComplex(dims[order].tolist(), values[order].tolist(),
+                           SparseMatrix(len(order), [[]] + [cols[i] for i in order]),
+                           field, [vertices[i] for i in order])
 
 
 def dual_index(n: int, i: int) -> int:
@@ -256,7 +360,9 @@ def load_cell_file(path: str, field: Field) -> FilteredComplex:
 
 def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
     """Read the simplicial format (``<value> <v0> ... <vk>``)."""
-    simplices: list[tuple[float, tuple[str, ...], int]] = []
+    # (value, size, sorted vertices, line): tuples sort in filtration
+    # order, file order breaking ties
+    simplices: list[tuple[float, int, tuple[str, ...], int]] = []
     for lineno, tokens in _tokenize(path):
         if len(tokens) < 2:
             raise ParseError(f"{path}:{lineno}: expected '<value> <v0> ...'")
@@ -269,20 +375,34 @@ def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
         verts = tuple(sorted(tokens[1:]))
         if len(set(verts)) != len(verts):
             raise ParseError(f"{path}:{lineno}: repeated vertex in simplex")
-        simplices.append((value, verts, lineno))
+        simplices.append((value, len(verts), verts, lineno))
     if not simplices:
         raise ParseError(f"{path}:1: empty complex")
 
-    simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
+    simplices.sort()
     seen: set[tuple[str, ...]] = set()
-    for _, verts, lineno in simplices:
+    for _, _, verts, lineno in simplices:
         if verts in seen:
             raise ParseError(f"{path}:{lineno}: simplex listed twice")
         seen.add(verts)
+    # vertices numbered by the rank of their label, so that each layer,
+    # sorted by its labels, is sorted by its vertex numbers
+    labels = sorted({v for verts in seen for v in verts})
+    rank = {v: r for r, v in enumerate(labels)}
+    by_size: list[list[tuple[tuple[str, ...], float]]] = [
+        [] for _ in range(max(s[1] for s in simplices))]
+    for value, size, verts, _ in simplices:
+        by_size[size - 1].append((verts, value))
+    layers = []
+    for k, group in enumerate(by_size):
+        group.sort()
+        S = np.array([rank[v] for verts, _ in group for v in verts], dtype=np.int64)
+        layers.append((S.reshape(len(group), k + 1),
+                       np.array([value for _, value in group], dtype=float)))
     try:
-        return simplicial_complex([s[:2] for s in simplices], field)
+        return simplicial_complex(layers, field, labels)
     except ComplexError as exc:
-        lineno = simplices[exc.cell_index - 1][2]
+        lineno = simplices[exc.cell_index - 1][3]
         raise ParseError(f"{path}:{lineno}: {exc.reason}") from None
 
 

@@ -92,31 +92,31 @@ def _interval(K: FilteredComplex, dim: int, p: int, q: int) -> Interval:
     return Interval(dim, p, q, birth, death)
 
 
-def _emit(intervals: list[Interval], drop_zero: bool) -> list[Interval]:
-    if not drop_zero:
-        return intervals
-    return [iv for iv in intervals if iv.birth != iv.death]
-
-
 def barcode(partition, K: FilteredComplex, module_tag: str,
             drop_zero: bool = True) -> Diagram:
     """Diagram of ``module_tag`` from a partition in original indices.
 
     abs_hom and abs_coh take the absolute rule, rel_hom and rel_coh the
     relative one: an essential f gives ``<f, n>`` or ``<0, f-1>``, a pair
-    (g, h) gives ``<g, h-1>`` in dimension dim(g) or dim(h).
+    (g, h) gives ``<g, h-1>`` in dimension dim(g) or dim(h).  With
+    ``drop_zero``, intervals whose birth equals their death are left out;
+    a pair's is ``[a_g, a_h)``, so pairs with equal values are dropped
+    before their intervals are built.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     F, _, _, pairs = partition
     n = K.n
-    if module_tag.startswith("rel_"):
-        out = [_interval(K, K.dim(f), 0, f - 1) for f in F]
-        out += [_interval(K, K.dim(h), g, h - 1) for g, h in pairs]
-    else:
-        out = [_interval(K, K.dim(f), f, n) for f in F]
-        out += [_interval(K, K.dim(g), g, h - 1) for g, h in pairs]
-    return Diagram(module_tag, _emit(out, drop_zero))
+    rel = module_tag.startswith("rel_")
+    out = [_interval(K, K.dim(f), 0, f - 1) if rel else _interval(K, K.dim(f), f, n)
+           for f in F]
+    if drop_zero:
+        values = K.values
+        # an essential interval has zero length only at an infinite value
+        out = [iv for iv in out if iv.birth != iv.death]
+        pairs = [(g, h) for g, h in pairs if values[g - 1] != values[h - 1]]
+    out += [_interval(K, K.dim(h if rel else g), g, h - 1) for g, h in pairs]
+    return Diagram(module_tag, out)
 
 
 @dataclass

@@ -5,9 +5,15 @@ filtration contains every simplex of dimension at most ``dim_max``
 whose diameter is at most ``r_max``, filtered by diameter (vertices
 enter at 0).  Ties are broken by dimension, then by the lexicographic
 sorted vertex list, so faces always precede cofaces: a face has no
-larger diameter and fewer vertices.  The sorted simplices go to
+larger diameter and fewer vertices.
+
+The simplices are enumerated one dimension at a time on integer arrays:
+the edges by a numpy neighbour search over blocks of point pairs, each
+kept on its exact ``math.dist`` length, and every higher dimension from
+the one below it (:func:`_cofaces`).  The per-dimension arrays go to
 :func:`~perscoh.complexes.simplicial_complex`, the builder that
-simplicial files share, which writes the boundary matrix directly.
+simplicial files share, which orders them and writes the boundary
+matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 
 import numpy as np
 
-from .complexes import FilteredComplex, simplicial_complex
+from .complexes import FilteredComplex, _lookup, _table, simplicial_complex
 from .core import Field
 
 # the cell ceiling of every ``--format points`` command and the default of
@@ -30,11 +36,93 @@ RIPS_MAX_CELLS = 500_000
 # the exact math.dist value, so the slack never admits an edge.
 _SLACK = 1 + 1e-9
 
+# pairs per neighbour-search block and candidates per growth block: the
+# bound on the temporaries of both
+_BLOCK = 1 << 14
+
 
 def _check_ceiling(count: int, max_cells: int | None) -> None:
     if max_cells is not None and count > max_cells:
         raise ValueError(f"Rips filtration has at least {count} cells, "
                          f"above the ceiling {max_cells}")
+
+
+def _edges(points: list[tuple[float, ...]], r_max: float, max_cells: int | None):
+    """Edges ``i < j`` within ``r_max`` as lex-sorted (heads, tails,
+    exact lengths), checking the ceiling after each row of heads."""
+    n = len(points)
+    coords = np.array(points, dtype=float).reshape(n, len(points[0])).T.copy()
+    reach = r_max * _SLACK
+    reach = reach * reach + np.finfo(float).tiny
+    heads, tails, lengths = [], [], []
+    count = n
+    i0 = 0
+    while i0 < n - 1:
+        # rows i0..i1-1 against the points after i0, at most _BLOCK of them
+        i1 = min(n - 1, i0 + max(1, _BLOCK // (n - i0 - 1)))
+        square = np.zeros((i1 - i0, n - i0 - 1))
+        with np.errstate(over="ignore"):  # an overflowing square is far out
+            for x in coords:
+                diff = x[i0:i1, None] - x[None, i0 + 1:]
+                diff *= diff
+                square += diff
+        # column c is point i0 + 1 + c, above row r's point i0 + r when c >= r
+        rows, cols = np.nonzero(square <= reach)
+        above = cols >= rows
+        rows = rows[above] + i0
+        cols = cols[above] + (i0 + 1)
+        dist = np.array([math.dist(points[i], points[j])
+                         for i, j in zip(rows.tolist(), cols.tolist())], dtype=float)
+        keep = dist <= r_max
+        heads.append(rows[keep])
+        tails.append(cols[keep])
+        lengths.append(dist[keep])
+        if max_cells is not None:
+            per_row = count + np.cumsum(np.bincount(heads[-1] - i0, minlength=i1 - i0))
+            over = np.flatnonzero(per_row > max_cells)
+            if len(over):
+                _check_ceiling(int(per_row[over[0]]), max_cells)
+        count += len(heads[-1])
+        i0 = i1
+    return np.concatenate(heads), np.concatenate(tails), np.concatenate(lengths)
+
+
+def _cofaces(S: np.ndarray, values: np.ndarray, prefix: np.ndarray,
+             edges, lengths: np.ndarray, n: int, count: int,
+             max_cells: int | None):
+    """The (k+1)-simplices on the lex-sorted k-simplices ``S``.
+
+    Rows sharing a prefix (the row of their first k vertices, ``prefix``)
+    are contiguous; row ``a`` joined with a later row ``b`` of its prefix
+    is a simplex when the last vertices of ``a`` and ``b`` are adjacent:
+    when their edge key ``a * n + b`` is in the table ``edges``.  Its
+    diameter is the largest of the diameters of ``a`` and ``b`` and
+    that edge's length.  Returns the new rows, lex-sorted, with their
+    values and prefix rows; checks the ceiling after each block of
+    at most ``_BLOCK`` candidates.
+    """
+    m = len(S)
+    last = S[:, -1]
+    # candidate partners of each row: the later rows of its prefix
+    later = prefix.searchsorted(prefix, side="right") - np.arange(m) - 1
+    total = np.cumsum(later)
+    grown = []
+    r0 = 0
+    while r0 < m:
+        done = int(total[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(total, done + _BLOCK, side="right")))
+        cnt = later[r0:r1]
+        a = np.repeat(np.arange(r0, r1), cnt)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        at = _lookup(edges, last[a] * n + last[b])
+        hit = at >= 0
+        a, b, at = a[hit], b[hit], at[hit]
+        grown.append((a, b, np.maximum(np.maximum(values[a], values[b]), lengths[at])))
+        count += len(a)
+        _check_ceiling(count, max_cells)
+        r0 = r1
+    a, b, value = (np.concatenate(parts) for parts in zip(*grown))
+    return np.column_stack((S[a], last[b])), value, a
 
 
 def rips_filtration(points: list[tuple[float, ...]], r_max: float,
@@ -60,42 +148,16 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
 
     n = len(points)
     _check_ceiling(n, max_cells)
-    # exact lengths of the edges within r_max, and upper neighbours (j > i)
-    length: dict[tuple[int, int], float] = {}
-    upper: list[list[int]] = [[] for _ in range(n)]
-    if dim_max >= 1:
-        X = np.array(points, dtype=float).reshape(n, width)
-        reach = r_max * _SLACK
-        reach = reach * reach + np.finfo(float).tiny
-        with np.errstate(over="ignore"):  # an overflowing square is far out
-            for i in range(n - 1):
-                diff = X[i + 1:] - X[i]
-                near = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= reach)
-                pi = points[i]
-                for j in (near + (i + 1)).tolist():
-                    d = math.dist(pi, points[j])
-                    if d <= r_max:
-                        length[i, j] = d
-                        upper[i].append(j)
-                _check_ceiling(n + len(length), max_cells)
-    neighbours = [set(u) for u in upper]
-
-    # depth-first clique growth; a simplex is grown only by vertices above its max
-    simplices: list[tuple[float, tuple[int, ...]]] = []
-    stack: list[tuple[tuple[int, ...], float, list[int]]] = [
-        ((v,), 0.0, upper[v]) for v in range(n)]
-    while stack:
-        simplex, value, candidates = stack.pop()
-        simplices.append((value, simplex))
-        if len(simplex) > dim_max:
-            continue
-        for k, w in enumerate(candidates):
-            grown = max(value, max(length[v, w] for v in simplex))
-            near_w = neighbours[w]
-            stack.append((simplex + (w,), grown,
-                          [u for u in candidates[k + 1:] if u in near_w]))
-        # every simplex on the stack becomes a cell
-        _check_ceiling(len(simplices) + len(stack), max_cells)
-
-    simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
-    return simplicial_complex(simplices, field)
+    layers = [(np.arange(n).reshape(n, 1), np.zeros(n))]
+    if dim_max >= 1 and n > 1:
+        heads, tails, lengths = _edges(points, r_max, max_cells)
+        layers.append((np.column_stack((heads, tails)), lengths))
+        edges = _table(heads * n + tails)
+        count = n + len(heads)
+        prefix = heads
+        while len(layers) <= dim_max and len(prefix):
+            S, values, prefix = _cofaces(*layers[-1], prefix, edges, lengths,
+                                         n, count, max_cells)
+            layers.append((S, values))
+            count += len(S)
+    return simplicial_complex(layers, field)

@@ -1,5 +1,6 @@
 """Command-line interface: output text, exit codes, input formats."""
 
+import gc
 import os
 import shutil
 import subprocess
@@ -199,6 +200,18 @@ class TestBench:
         assert "at least 119 cells, above the ceiling 100" in err
 
 
+    def test_default_cell_budget_read_per_call(self, capsys, monkeypatch):
+        # the parser is built once; the default ceiling is read when a
+        # command runs
+        assert run_cli(capsys, ["bench", "cube:5:2"])[0] == 0
+        monkeypatch.setattr(cli, "RIPS_MAX_CELLS", 100)
+        code, out, err = run_cli(capsys, ["bench", "cube:60:3", "--rmax", "inf",
+                                          "--maxdim", "3"])
+        assert code == 2 and out == ""
+        assert "at least 119 cells, above the ceiling 100" in err
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestInputHandling:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["barcode", "/nonexistent.cells"])
@@ -246,6 +259,14 @@ class TestInputHandling:
         assert "NaN" in err and str(f) in err
         assert f"{f}:3:" in err
 
+    def test_face_after_coface_rejected(self, capsys, tmp_path):
+        # every face is listed, but the triangle enters before its edges
+        f = tmp_path / "early.simplicial"
+        f.write_text("0 a\n0 b\n0 c\n1 a b\n1 a c\n1 b c\n0.5 a b c\n")
+        code, out, err = run_cli(capsys, ["barcode", str(f), "--format", "simplicial"])
+        assert code == 2 and out == ""
+        assert f"{f}:7: face b c is missing" in err
+
     def test_points_cell_ceiling(self, capsys, monkeypatch):
         assert cli.RIPS_MAX_CELLS == 500_000
         monkeypatch.setattr(cli, "RIPS_MAX_CELLS", 100)
@@ -270,6 +291,41 @@ class TestInputHandling:
         _, first, _ = run_cli(capsys, args)
         _, second, _ = run_cli(capsys, args)
         assert first == second
+
+
+class TestCollector:
+    """``main`` pauses the cyclic garbage collector while a command runs
+    and leaves it as it found it, whatever the command's outcome."""
+
+    @pytest.mark.parametrize("outcome", ["ok", "error", "exception"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, capsys, monkeypatch, outcome, enabled):
+        during = []
+
+        def compute(*args, **kwargs):
+            during.append(gc.isenabled())
+            if outcome == "error":
+                raise ValueError("bad input")
+            if outcome == "exception":
+                raise RuntimeError("crash")
+            return real_compute(*args, **kwargs)
+
+        real_compute = cli.compute
+        monkeypatch.setattr(cli, "compute", compute)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "exception":
+                with pytest.raises(RuntimeError, match="crash"):
+                    cli.main(["barcode", *SPHERE_ARGS])
+            else:
+                assert run_cli(capsys, ["barcode", *SPHERE_ARGS])[0] == (
+                    0 if outcome == "ok" else 2)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert during == [False]
+        assert after == enabled
 
 
 def _declared_script(name):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from perscoh import Field, Lcg, build_complex, cube_points, rips_filtration
+from perscoh import Field, Lcg, build_complex, cube_points, rips, rips_filtration
 from conftest import random_rips
 
 F11 = Field(11)
@@ -169,6 +169,35 @@ def test_matches_validating_reference(p):
         seen.add((kind, dim_max))
     assert {"tie", "exact"} <= seen
     assert {(kind, d) for kind in range(4) for d in range(4)} <= seen
+
+
+def test_matches_reference_across_blocks():
+    """300 points on a grid: the neighbour search takes their rows in
+    several blocks."""
+    points = [tuple(round(10 * x) / 10 for x in pt)
+              for pt in cube_points(300, 3, seed=8)]
+    assert rips._BLOCK < 299 * 299  # the 299 rows of pairs take more than one block
+    K = assert_matches_reference(points, 0.3, 1)
+    assert 1000 < K.n - 300 < 10_000
+
+
+def test_many_vertices():
+    """5,000 points, the last 7 in one cluster: its simplices of up to 6
+    vertices numbered near 5,000 get face and edge keys without int64
+    overflow, which C(5000, 6) > 2^63 would not allow a key indexing
+    all vertex subsets."""
+    far = [(10.0 * i, 0.0) for i in range(4993)]
+    cluster = [(1e6 + x, y) for x, y in cube_points(7, 2, seed=4)]
+    K = rips_filtration(far + cluster, 2.0, 5, F11)
+    alone = rips_filtration(cluster, 2.0, 5, F11)
+    shift = len(far)
+    assert alone.n == 2 ** 7 - 2  # every vertex subset but the empty and the full one
+    assert K.dims == [0] * shift + alone.dims
+    assert K.values == [0.0] * shift + alone.values
+    assert K.simplex_vertices == [(v,) for v in range(shift)] + [
+        tuple(v + shift for v in verts) for verts in alone.simplex_vertices]
+    assert K.D.cols[1:] == [[]] * shift + [
+        [(i + shift, c) for i, c in col] for col in alone.D.cols[1:]]
 
 
 def test_pair_at_exact_radius():
