@@ -12,7 +12,6 @@ Exit codes: 0 on success, 1 when a verification cross-check fails,
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import math
 import sys
@@ -111,9 +110,8 @@ def cmd_generators(args) -> int:
 def cmd_bench(args) -> int:
     field = Field(args.field)
     points = _resolve_points(args.input, args.seed)
-    max_cells = RIPS_MAX_CELLS if args.max_cells is None else args.max_cells
     result = run_bench(points, args.rmax, args.maxdim, field,
-                       repeat=args.repeat, max_cells=max_cells)
+                       repeat=args.repeat, max_cells=args.max_cells)
     print(render_stats_csv(result) if args.csv else render_stats_text(result))
     return 0
 
@@ -138,10 +136,7 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: building it
-    costs about as much as a command on a small input."""
     parser = argparse.ArgumentParser(
         prog="perscoh",
         description="Persistent (co)homology of filtered complexes over Z/p.")
@@ -192,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeat", type=int, default=1,
                    help="run each algorithm this many times (default 1)")
-    p.add_argument("--max-cells", type=int, default=None, dest="max_cells",
+    p.add_argument("--max-cells", type=int, default=RIPS_MAX_CELLS, dest="max_cells",
                    help="abort once the Rips filtration passes this cell count "
                         f"(default {RIPS_MAX_CELLS})")
     p.add_argument("--csv", action="store_true",

@@ -158,39 +158,72 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
     return FilteredComplex(dims, values, D, field)
 
 
-# after a layer's keys, above every key and every query
+# after a table's keys, above every key and every query
 _END = np.array([np.iinfo(np.int64).max])
 
 
-def _table(key: np.ndarray):
-    """A layer's lookup table: its defined (non-negative) keys, which
-    increase along its rows, then ``_END``; and the rows of those keys,
-    then -1, or None when every key is defined."""
-    defined = key >= 0
-    if defined.all():
-        return np.concatenate((key, _END)), None
-    rows = defined.nonzero()[0]
-    return np.concatenate((key[rows], _END)), np.concatenate((rows, [-1]))
+class SimplexKeys:
+    """Rows of simplices in their layers, found by key.
 
+    A complex's k-simplices form layer k, one row of k + 1 increasing
+    vertex numbers each, in lexicographic row order.  A simplex's key is
+    the row of its prefix (all but its last vertex) in the layer below,
+    times the number of vertices, plus its last vertex; a vertex's
+    prefix is the empty simplex, at row 0.  So keys increase along a
+    layer's rows and stay below (cells + 1) * vertices, and a simplex
+    whose prefix is absent (row -1) gets no key.  When the vertices
+    0..n-1 are layer 0, a vertex's row is its number, no table is kept
+    for them, and the edge ``u < v`` is found at ``find(1, u, v)``.
+    """
 
-def _lookup(table, query: np.ndarray) -> np.ndarray:
-    """Rows whose key is ``query``, elementwise; -1 where none is."""
-    keys, rows = table
-    at = keys.searchsorted(query)
-    return np.where(keys[at] == query, at if rows is None else rows[at], -1)
+    __slots__ = ("n_vertices", "_tables")
 
+    def __init__(self, n_vertices: int):
+        self.n_vertices = n_vertices
+        # per layer: its defined keys, then _END; and the rows of those
+        # keys, then -1, or None when every row has a key.  None for a
+        # layer 0 of every vertex.
+        self._tables: list[tuple[np.ndarray, np.ndarray | None] | None] = []
 
-def _rows(tables, V: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Rows of the simplices ``V`` (one vertex row each) in their layer,
-    -1 where absent, by the keys of their prefixes, shortest first."""
-    rows = np.zeros(len(V), np.int64)
-    for j in range(V.shape[1]):
-        rows = _lookup(tables[j], rows * n_vertices + V[:, j])
-    return rows
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def add(self, prefix, last: np.ndarray) -> None:
+        """Index the next layer by its rows' prefix rows and last vertices."""
+        if not self._tables and len(last) == self.n_vertices:
+            self._tables.append(None)
+            return
+        key = prefix * self.n_vertices + last
+        defined = key >= 0
+        if defined.all():
+            self._tables.append((np.concatenate((key, _END)), None))
+        else:
+            rows = defined.nonzero()[0]
+            self._tables.append((np.concatenate((key[rows], _END)),
+                                 np.concatenate((rows, [-1]))))
+
+    def find(self, k: int, prefix, last) -> np.ndarray:
+        """Rows in layer ``k`` of the simplices with prefix rows ``prefix``
+        and last vertices ``last``, elementwise; -1 where none is."""
+        if self._tables[k] is None:
+            return last
+        keys, rows = self._tables[k]
+        query = prefix * self.n_vertices + last
+        at = keys.searchsorted(query)
+        return np.where(keys[at] == query, at if rows is None else rows[at], -1)
+
+    def rows(self, V: np.ndarray) -> np.ndarray:
+        """Rows of the simplices ``V`` (one vertex row each) in their
+        layer, -1 where absent, through their prefixes, shortest first."""
+        rows = 0
+        for j in range(V.shape[1]):
+            rows = self.find(j, rows, V[:, j])
+        return rows
 
 
 def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field,
-                       labels: list | None = None) -> FilteredComplex:
+                       labels: list | None = None,
+                       keys: SimplexKeys | None = None) -> FilteredComplex:
     """The complex of the simplices in ``layers``, in (value, dimension,
     vertices) order.
 
@@ -198,37 +231,38 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     k + 1 increasing vertex numbers each, in lexicographic row order, and
     their filtration values.  Vertex ``v`` is ``labels[v]`` in
     ``simplex_vertices`` and messages (default ``v``); with ``labels``,
-    every vertex number is below ``len(labels)``.  The face without
-    vertex ``i`` gets sign ``(-1)^i``.  Sorted values, faces before
-    cofaces and these signs satisfy every check of :func:`build_complex`,
-    so only the faces are checked: the first cell with a face that is
-    missing or comes after it raises :class:`ComplexError` naming the
-    cell and that face.
+    every vertex number is below ``len(labels)``.  ``keys``, when given,
+    already indexes the first layers (a caller that enumerated them by
+    it); the builder indexes the rest.  The face without vertex ``i``
+    gets sign ``(-1)^i``.  Sorted values, faces before cofaces and these
+    signs satisfy every check of :func:`build_complex`, so only the
+    faces are checked: the first cell with a face that is missing or
+    comes after it raises :class:`ComplexError` naming the cell and that
+    face.
 
-    Faces are found by key.  A simplex's key is the row of its prefix
-    (all but its last vertex) in the layer below, times the number of
-    vertices, plus its last vertex, so keys increase along a layer's rows
-    and stay below (cells + 1) * vertices.  The face without vertex
+    Faces are found by :class:`SimplexKeys`.  The face without vertex
     ``i``, for ``i`` not the last, is the prefix's face without vertex
     ``i`` followed by the same last vertex.  A simplex whose prefix is
     absent gets no key, and its cofaces find no face there: the pass
     over the layers finds the first bad cell, and that cell's first bad
     face is looked up again face by face, each through its own prefixes.
     """
-    n_vertices = (len(labels) if labels is not None
-                  else 1 + max(int(S.max()) for S, _ in layers if S.size))
+    if keys is None:
+        keys = SimplexKeys(len(labels) if labels is not None
+                           else 1 + max(int(S.max()) for S, _ in layers if S.size))
     sizes = [len(S) for S, _ in layers]
     start = list(accumulate(sizes, initial=0))
     values = np.concatenate([value for _, value in layers])
     dims = np.arange(len(layers)).repeat(sizes)
-    order = np.lexsort((dims, values))
+    # the layers are concatenated in (dimension, vertices) order, which a
+    # stable sort keeps among equal values
+    order = values.argsort(kind="stable")
     # 1-based position of each cell
     position = np.empty(start[-1], np.int64)
     position[order] = np.arange(1, start[-1] + 1)
-    parity = np.arange(len(layers)) & 1
 
     p = field.p
-    tables, cols = [], [[] for _ in range(sizes[0])]
+    cols = [[] for _ in range(sizes[0])]
     # rows of each simplex's faces in the layer below, -1 where absent; a
     # vertex's face is the empty simplex, and the last row is all absent,
     # the faces of an absent prefix
@@ -236,17 +270,17 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     faces[-1] = -1
     bad_cells = []  # (position, dimension, row) of each layer's first bad cell
     for k, (S, _) in enumerate(layers):
-        if k == 0:
-            tables.append(_table(S[:, 0]))
+        prefix = keys.rows(S[:, :k]) if k else 0
+        if k == len(keys) < len(layers) - 1:  # the top layer has no cofaces
+            keys.add(prefix, S[:, k])
+        if not k:
             continue
-        prefix = _rows(tables, S[:, :k], n_vertices)
         sub = faces[prefix]
         faces = np.empty((len(S) + 1, k + 1), np.int64)
         faces[-1] = -1
         found = faces[:-1]
-        found[:, :k] = _lookup(tables[k - 1], sub * n_vertices + S[:, k:])
+        found[:, :k] = keys.find(k - 1, sub, S[:, k:])
         found[:, k] = prefix
-        tables.append(_table(prefix * n_vertices + S[:, k]))
 
         # positions of the faces, after every cell where absent
         below = np.concatenate((position[start[k - 1]:start[k]], [start[-1] + 1]))
@@ -259,12 +293,14 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
             bad_cells.append((own[r], k, r))
         if not bad_cells:
             # one shared (index, sign) term per face and sign, at code
-            # 2 * row + parity of the face's place; sorting index * width
-            # + code lists a column's codes by index
+            # 2 * row + parity of the face's place (odd places are the
+            # odd columns); sorting index * width + code lists a column's
+            # codes by index
             width = 2 * sizes[k - 1]
             terms = np.fromiter(zip(below[:-1].repeat(2).tolist(), [1, p - 1] * sizes[k - 1]),
                                 dtype=object, count=width)
-            code = at * width + 2 * found + parity[:k + 1]
+            code = at * width + 2 * found
+            code[:, 1::2] += 1
             code.sort(axis=1)
             cols += terms[code % width].tolist()
 
@@ -273,7 +309,7 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
         j, k, r = min(bad_cells)
         simplex = layers[k][0][r]
         faces = np.array([np.delete(simplex, i) for i in range(k + 1)])
-        rows = _rows(tables, faces, n_vertices)
+        rows = keys.rows(faces)
         at = np.where(rows >= 0, position[start[k - 1] + rows], j + 1)
         face = faces[np.argmax(at > j)]
         face = " ".join(map(str, (face if names is None else names[face]).tolist()))
@@ -360,9 +396,8 @@ def load_cell_file(path: str, field: Field) -> FilteredComplex:
 
 def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
     """Read the simplicial format (``<value> <v0> ... <vk>``)."""
-    # (value, size, sorted vertices, line): tuples sort in filtration
-    # order, file order breaking ties
-    simplices: list[tuple[float, int, tuple[str, ...], int]] = []
+    # by_size[k]: (sorted vertices, value, line) of each k-simplex
+    by_size: list[list[tuple[tuple[str, ...], float, int]]] = []
     for lineno, tokens in _tokenize(path):
         if len(tokens) < 2:
             raise ParseError(f"{path}:{lineno}: expected '<value> <v0> ...'")
@@ -375,35 +410,42 @@ def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
         verts = tuple(sorted(tokens[1:]))
         if len(set(verts)) != len(verts):
             raise ParseError(f"{path}:{lineno}: repeated vertex in simplex")
-        simplices.append((value, len(verts), verts, lineno))
-    if not simplices:
+        while len(by_size) < len(verts):
+            by_size.append([])
+        by_size[len(verts) - 1].append((verts, value, lineno))
+    if not by_size:
         raise ParseError(f"{path}:1: empty complex")
 
-    simplices.sort()
-    seen: set[tuple[str, ...]] = set()
-    for _, _, verts, lineno in simplices:
-        if verts in seen:
-            raise ParseError(f"{path}:{lineno}: simplex listed twice")
-        seen.add(verts)
+    for group in by_size:
+        group.sort()  # lexicographic order
+    listed = [verts for group in by_size for verts, _, _ in group]
+    if len(set(listed)) < len(listed):
+        seen: set[tuple[str, ...]] = set()
+        for _, _, verts, lineno in _filtration_order(by_size):
+            if verts in seen:
+                raise ParseError(f"{path}:{lineno}: simplex listed twice")
+            seen.add(verts)
     # vertices numbered by the rank of their label, so that each layer,
     # sorted by its labels, is sorted by its vertex numbers
-    labels = sorted({v for verts in seen for v in verts})
+    labels = sorted(set().union(*listed))
     rank = {v: r for r, v in enumerate(labels)}
-    by_size: list[list[tuple[tuple[str, ...], float]]] = [
-        [] for _ in range(max(s[1] for s in simplices))]
-    for value, size, verts, _ in simplices:
-        by_size[size - 1].append((verts, value))
     layers = []
     for k, group in enumerate(by_size):
-        group.sort()
-        S = np.array([rank[v] for verts, _ in group for v in verts], dtype=np.int64)
+        S = np.array([rank[v] for verts, _, _ in group for v in verts], dtype=np.int64)
         layers.append((S.reshape(len(group), k + 1),
-                       np.array([value for _, value in group], dtype=float)))
+                       np.array([value for _, value, _ in group], dtype=float)))
     try:
         return simplicial_complex(layers, field, labels)
     except ComplexError as exc:
-        lineno = simplices[exc.cell_index - 1][3]
+        lineno = _filtration_order(by_size)[exc.cell_index - 1][3]
         raise ParseError(f"{path}:{lineno}: {exc.reason}") from None
+
+
+def _filtration_order(by_size):
+    """The simplices of ``by_size`` as (value, size, vertices, line) in
+    filtration order, file order breaking ties."""
+    return sorted((value, len(verts), verts, lineno)
+                  for group in by_size for verts, value, lineno in group)
 
 
 def load_points(path: str) -> list[tuple[float, ...]]:

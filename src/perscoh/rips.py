@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .complexes import FilteredComplex, _lookup, _table, simplicial_complex
+from .complexes import FilteredComplex, SimplexKeys, simplicial_complex
 from .core import Field
 
 # the cell ceiling of every ``--format points`` command and the default of
@@ -88,18 +88,17 @@ def _edges(points: list[tuple[float, ...]], r_max: float, max_cells: int | None)
 
 
 def _cofaces(S: np.ndarray, values: np.ndarray, prefix: np.ndarray,
-             edges, lengths: np.ndarray, n: int, count: int,
+             keys: SimplexKeys, lengths: np.ndarray, count: int,
              max_cells: int | None):
     """The (k+1)-simplices on the lex-sorted k-simplices ``S``.
 
     Rows sharing a prefix (the row of their first k vertices, ``prefix``)
     are contiguous; row ``a`` joined with a later row ``b`` of its prefix
-    is a simplex when the last vertices of ``a`` and ``b`` are adjacent:
-    when their edge key ``a * n + b`` is in the table ``edges``.  Its
-    diameter is the largest of the diameters of ``a`` and ``b`` and
-    that edge's length.  Returns the new rows, lex-sorted, with their
-    values and prefix rows; checks the ceiling after each block of
-    at most ``_BLOCK`` candidates.
+    is a simplex when the last vertices of ``a`` and ``b`` are adjacent,
+    an edge found by ``keys``.  Its diameter is the largest of the
+    diameters of ``a`` and ``b`` and that edge's length.  Returns the
+    new rows, lex-sorted, with their values and prefix rows; checks the
+    ceiling after each block of at most ``_BLOCK`` candidates.
     """
     m = len(S)
     last = S[:, -1]
@@ -114,7 +113,7 @@ def _cofaces(S: np.ndarray, values: np.ndarray, prefix: np.ndarray,
         cnt = later[r0:r1]
         a = np.repeat(np.arange(r0, r1), cnt)
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        at = _lookup(edges, last[a] * n + last[b])
+        at = keys.find(1, last[a], last[b])
         hit = at >= 0
         a, b, at = a[hit], b[hit], at[hit]
         grown.append((a, b, np.maximum(np.maximum(values[a], values[b]), lengths[at])))
@@ -148,16 +147,19 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
 
     n = len(points)
     _check_ceiling(n, max_cells)
-    layers = [(np.arange(n).reshape(n, 1), np.zeros(n))]
+    vertices = np.arange(n)
+    layers = [(vertices.reshape(n, 1), np.zeros(n))]
+    keys = SimplexKeys(n)
+    keys.add(0, vertices)
     if dim_max >= 1 and n > 1:
         heads, tails, lengths = _edges(points, r_max, max_cells)
         layers.append((np.column_stack((heads, tails)), lengths))
-        edges = _table(heads * n + tails)
+        keys.add(heads, tails)  # a vertex's row is its number
         count = n + len(heads)
         prefix = heads
         while len(layers) <= dim_max and len(prefix):
-            S, values, prefix = _cofaces(*layers[-1], prefix, edges, lengths,
-                                         n, count, max_cells)
+            S, values, prefix = _cofaces(*layers[-1], prefix, keys, lengths,
+                                         count, max_cells)
             layers.append((S, values))
             count += len(S)
-    return simplicial_complex(layers, field)
+    return simplicial_complex(layers, field, keys=keys)

@@ -200,18 +200,6 @@ class TestBench:
         assert "at least 119 cells, above the ceiling 100" in err
 
 
-    def test_default_cell_budget_read_per_call(self, capsys, monkeypatch):
-        # the parser is built once; the default ceiling is read when a
-        # command runs
-        assert run_cli(capsys, ["bench", "cube:5:2"])[0] == 0
-        monkeypatch.setattr(cli, "RIPS_MAX_CELLS", 100)
-        code, out, err = run_cli(capsys, ["bench", "cube:60:3", "--rmax", "inf",
-                                          "--maxdim", "3"])
-        assert code == 2 and out == ""
-        assert "at least 119 cells, above the ceiling 100" in err
-        assert cli.build_parser() is cli.build_parser()
-
-
 class TestInputHandling:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["barcode", "/nonexistent.cells"])

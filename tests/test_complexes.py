@@ -239,6 +239,13 @@ class TestLoadSimplicialFile:
         with pytest.raises(ParseError, match="face b c is missing"):
             load_simplicial_file(str(path), F11)
 
+    def test_missing_vertex_rejected(self, tmp_path):
+        # a is on an edge but never listed as a vertex
+        path = tmp_path / "nov.simp"
+        path.write_text("0 b\n0 c\n1 b c\n1 a b\n")
+        with pytest.raises(ParseError, match=r"nov\.simp:4: face a is missing"):
+            load_simplicial_file(str(path), F11)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "e.simp"
         path.write_text("\n")
