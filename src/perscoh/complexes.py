@@ -15,8 +15,9 @@ Two text formats build complexes directly:
       <dim> <value> [<face_index>:<int_coef> ...]
 
   with 1-based implicit cell indices, ``#`` comments and blank lines
-  ignored; coefficients are reduced mod p at load, and
-  :func:`build_complex` validates the result.
+  ignored.  The loader parses the file into flat arrays of dimensions,
+  values and ``(cell, face, coefficient)`` terms and runs the checks of
+  :func:`build_complex` on them at once; coefficients are reduced mod p.
 
 * simplicial format, one simplex per line::
 
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -116,46 +118,138 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
     Checks that filtration values are not NaN and are monotone, that
     every boundary term points to an earlier cell one dimension down,
     and that the composite boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
-    the first offending cell.
+    the first offending cell.  The rows are flattened into
+    :func:`_validated`, which the cell-file loader calls directly.
+    """
+    return _validated([dim for dim, _, _ in cells], [value for _, value, _ in cells],
+                      [len(terms) for _, _, terms in cells],
+                      [idx for _, _, terms in cells for idx, _ in terms],
+                      [coef for _, _, terms in cells for _, coef in terms], field)
+
+
+def _ints(xs: list) -> np.ndarray:
+    """``xs`` as int64, or as Python ints where one does not fit."""
+    try:
+        return np.array(xs, np.int64)
+    except OverflowError:
+        return np.array(xs, object)
+
+
+def _validated(dims: list[int], values: list[float], counts: list[int], faces: list[int],
+               coefs: list[int], field: Field) -> FilteredComplex:
+    """The complex of cells ``1..n`` with ``dims`` and ``values``, cell ``j``
+    having the next ``counts[j - 1]`` boundary terms ``(faces, coefs)``.
+
+    Every check of :func:`build_complex` runs on the flat arrays at once.
+    The first offending cell is the first one that any per-cell check
+    flags, and :func:`_cell_fault` re-checks that cell alone, check by
+    check, for the message.  Only a complex that passes them all has its
+    composite boundary checked.
     """
     p = field.p
-    dims: list[int] = []
-    values: list[float] = []
-    D = SparseMatrix(len(cells))
-    for j, (dim, value, raw_boundary) in enumerate(cells, start=1):
-        if dim < 0:
-            raise ComplexError(j, f"negative dimension {dim}")
-        if math.isnan(value):
-            raise ComplexError(j, "filtration value is NaN")
-        if j > 1 and value < values[-1]:
-            raise ComplexError(
-                j, f"filtration value {value} drops below {values[-1]}")
-        terms: dict[int, int] = {}
-        for idx, coef in raw_boundary:
-            if not 1 <= idx < j:
-                raise ComplexError(
-                    j, f"boundary term {idx} is not an earlier cell")
-            terms[idx] = (terms.get(idx, 0) + coef) % p
-        boundary = sorted((i, c) for i, c in terms.items() if c)
-        for idx, _ in boundary:
-            if dims[idx - 1] != dim - 1:
-                raise ComplexError(
-                    j, f"boundary term {idx} has dimension {dims[idx - 1]}, "
-                       f"expected {dim - 1}")
-        dims.append(dim)
-        values.append(float(value))
-        D.cols[j] = boundary
+    n = len(dims)
+    vals = np.array(values, dtype=float)
+    floats = vals.tolist()
+    d = _ints(dims)
+    flags = (d < 0) | np.isnan(vals)
+    # each value against the float of the one before, as Python compares
+    # them: exactly, also for an int value
+    flags[1:] |= np.fromiter(map(lt, values[1:], floats), bool, n - 1)
 
-    # composite boundary must vanish
-    for j in range(1, D.n + 1):
-        acc: dict[int, int] = {}
-        for idx, coef in D.cols[j]:
-            for idx2, coef2 in D.cols[idx]:
-                acc[idx2] = (acc.get(idx2, 0) + coef * coef2) % p
-        bad = [i for i, c in acc.items() if c]
-        if bad:
-            raise ComplexError(j, f"boundary of boundary is nonzero at cell {min(bad)}")
-    return FilteredComplex(dims, values, D, field)
+    # cell j and face i are j - 1 and i - 1 from here on
+    cell = np.arange(n).repeat(counts)
+    face = _ints(faces) - 1
+    early = (face >= 0) & (face < cell)
+    coef = (_ints(coefs) % p).astype(np.int64, copy=False)
+    if not early.all():
+        flags[cell[~early]] = True
+        cell, face, coef = cell[early], face[early], coef[early]
+    # repeated faces of a cell merge, and zero sums drop
+    key, coef = _sums_by_key(cell * n + face.astype(np.int64, copy=False), coef, p)
+    nonzero = coef.nonzero()[0]
+    cell, face = np.divmod(key[nonzero], n)
+    coef = coef[nonzero]
+    flags[cell[d[face] != d[cell] - 1]] = True
+    if flags.any():
+        j = int(flags.argmax()) + 1
+        at = sum(counts[:j - 1])
+        terms = zip(faces[at:at + counts[j - 1]], coefs[at:at + counts[j - 1]])
+        raise ComplexError(j, _cell_fault(j, dims, values, terms, p))
+
+    # the terms of cell j are start[j - 1]:start[j]
+    start = cell.searchsorted(np.arange(n + 1))
+    _check_boundary_squared(cell, face, coef, start, p)
+    terms = list(zip((face + 1).tolist(), coef.tolist()))
+    start = start.tolist()
+    cols = [terms[a:b] for a, b in zip(start, start[1:])]
+    return FilteredComplex(dims, floats, SparseMatrix(n, [[]] + cols), field)
+
+
+# products of boundary terms formed at once by _check_boundary_squared
+_PRODUCTS = 1 << 18
+
+
+def _check_boundary_squared(cell, face, coef, start, p: int) -> None:
+    """Raise :class:`ComplexError` at the first cell whose boundary's
+    boundary is nonzero mod p, naming the first cell it is nonzero at.
+
+    Each term (cell, face, coef), sorted by (cell, face), meets every term
+    of its face's column; their products, summed per cell and face of the
+    face, are the entries of D times D.  They are formed for whole cells
+    at a time, about ``_PRODUCTS`` at once, which bounds the memory.
+    """
+    n = len(start) - 1
+    lo = start[face]
+    size = start[face + 1] - lo
+    done = np.concatenate(([0], size.cumsum()))  # products before each term
+    cuts = [0, len(face)]
+    if done[-1] > _PRODUCTS:
+        at = done[start].searchsorted(np.arange(0, done[-1], _PRODUCTS))
+        cuts = start[at].tolist() + cuts[1:]
+    # term t meets the terms lo[t]..lo[t] + size[t] - 1 of its face's column
+    shift = lo - done[:-1]
+    for a, b in zip(cuts, cuts[1:]):
+        outer = np.arange(a, b).repeat(size[a:b])
+        inner = np.arange(done[a], done[b]) + shift[a:b].repeat(size[a:b])
+        key, total = _sums_by_key(cell[outer] * n + face[inner],
+                                  coef[outer] * coef[inner] % p, p)
+        bad = total.nonzero()[0]
+        if len(bad):
+            j, i = divmod(int(key[bad[0]]), n)
+            raise ComplexError(j + 1, f"boundary of boundary is nonzero at cell {i + 1}")
+
+
+def _sums_by_key(key: np.ndarray, coef: np.ndarray, p: int):
+    """The distinct keys, ascending, and the sum mod p of each one's coefs."""
+    if not len(key):
+        return key, coef
+    order = key.argsort()
+    key = key[order]
+    starts = np.ones(len(key), bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = starts.nonzero()[0]
+    return key[first], np.add.reduceat(coef[order], first) % p
+
+
+def _cell_fault(j: int, dims: list[int], values: list[float], terms, p: int) -> str:
+    """Why cell ``j`` with raw boundary ``terms`` fails: the first failing
+    check of :func:`build_complex`, with the earlier cells valid."""
+    dim, value = dims[j - 1], values[j - 1]
+    if dim < 0:
+        return f"negative dimension {dim}"
+    if math.isnan(value):
+        return "filtration value is NaN"
+    if j > 1 and value < float(values[j - 2]):
+        return f"filtration value {value} drops below {float(values[j - 2])}"
+    merged: dict[int, int] = {}
+    for idx, coef in terms:
+        if not 1 <= idx < j:
+            return f"boundary term {idx} is not an earlier cell"
+        merged[idx] = (merged.get(idx, 0) + coef) % p
+    for idx in sorted(i for i, c in merged.items() if c):
+        if dims[idx - 1] != dim - 1:
+            return f"boundary term {idx} has dimension {dims[idx - 1]}, expected {dim - 1}"
+    raise AssertionError(f"cell {j} passes every check")
 
 
 # after a table's keys, above every key and every query
@@ -348,57 +442,86 @@ def anti_transpose(A: SparseMatrix) -> SparseMatrix:
     n = A.n
     dual = [dual_index(n, i) for i in range(n + 1)]
     out = SparseMatrix(n)
-    for j in range(1, n + 1):
+    # right to left, so that each column of out is appended in order
+    for j in range(n, 0, -1):
         for i, coef in A.cols[j]:
             out.cols[dual[i]].append((dual[j], coef))
-    for col in out.cols:
-        col.sort()
     return out
 
 
-def _tokenize(path: str):
+def _read_lines(path: str) -> tuple[list[int], list[list[str]]]:
+    """The numbers and whitespace-split tokens of the lines of ``path``
+    that hold any, ``#`` comments removed.
+
+    Lines end where iterating the file ends them, at ``\\n``, ``\\r\\n`` or
+    ``\\r``; :meth:`str.splitlines` would also end one at a form feed,
+    ``\\u2028`` and others, and shift the numbers that messages give.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            yield lineno, stripped.split()
+        text = fh.read()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = [line.split() for line in lines]
+    return list(compress(count(1), rows)), list(filter(None, rows))
 
 
 def load_cell_file(path: str, field: Field) -> FilteredComplex:
     """Read the cell format (``<dim> <value> [<face>:<coef> ...]``)."""
-    rows: list[tuple[int, float, list[tuple[int, int]]]] = []
-    for lineno, tokens in _tokenize(path):
-        try:
-            dim = int(tokens[0])
-            value = float(tokens[1])
-        except (ValueError, IndexError):
-            raise ParseError(f"{path}:{lineno}: expected '<dim> <value> ...'") from None
-        terms: list[tuple[int, int]] = []
-        for tok in tokens[2:]:
-            idx_s, sep, coef_s = tok.partition(":")
-            if not sep:
-                raise ParseError(
-                    f"{path}:{lineno}: boundary term {tok!r} is not '<index>:<coef>'")
-            try:
-                terms.append((int(idx_s), int(coef_s)))
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: boundary term {tok!r} is not '<index>:<coef>'") from None
-        rows.append((dim, value, terms))
+    try:
+        return _validated(*_parse_cells(path), field)
+    except ComplexError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _parse_cells(path: str) -> tuple[list[int], list[float], list[int], list[int], list[int]]:
+    """The dimensions, values, term counts, faces and coefficients of a
+    cells file, in file order.
+
+    Each line is split once; the dimensions, the values and the
+    ``<face>:<coef>`` pieces are each parsed by one ``map``.
+    """
+    numbers, rows = _read_lines(path)
     if not rows:
         raise ParseError(f"{path}:1: empty complex")
     try:
-        return build_complex(rows, field)
-    except ComplexError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        dims = list(map(int, map(itemgetter(0), rows)))
+        values = list(map(float, map(itemgetter(1), rows)))
+        terms = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
+        # one colon a term keeps faces at the even places of the pieces
+        if list(map(str.count, terms, repeat(":"))).count(1) < len(terms):
+            raise ValueError
+        pieces = list(map(int, ":".join(terms).split(":"))) if terms else []
+    except (ValueError, IndexError):
+        raise _parse_error(path, numbers, rows) from None
+    return dims, values, [len(tokens) - 2 for tokens in rows], pieces[::2], pieces[1::2]
+
+
+def _parse_error(path: str, numbers: list[int], rows: list[list[str]]) -> ParseError:
+    """The error of the first malformed line of a cells file."""
+    for lineno, tokens in zip(numbers, rows):
+        try:
+            int(tokens[0])
+            float(tokens[1])
+        except (ValueError, IndexError):
+            return ParseError(f"{path}:{lineno}: expected '<dim> <value> ...'")
+        for tok in tokens[2:]:
+            idx_s, sep, coef_s = tok.partition(":")
+            try:
+                if not sep:
+                    raise ValueError
+                int(idx_s), int(coef_s)
+            except ValueError:
+                return ParseError(
+                    f"{path}:{lineno}: boundary term {tok!r} is not '<index>:<coef>'")
+    raise AssertionError(f"{path} has no malformed line")
 
 
 def load_simplicial_file(path: str, field: Field) -> FilteredComplex:
     """Read the simplicial format (``<value> <v0> ... <vk>``)."""
     # by_size[k]: (sorted vertices, value, line) of each k-simplex
     by_size: list[list[tuple[tuple[str, ...], float, int]]] = []
-    for lineno, tokens in _tokenize(path):
+    for lineno, tokens in zip(*_read_lines(path)):
         if len(tokens) < 2:
             raise ParseError(f"{path}:{lineno}: expected '<value> <v0> ...'")
         try:
@@ -451,7 +574,7 @@ def _filtration_order(by_size):
 def load_points(path: str) -> list[tuple[float, ...]]:
     """Read a point cloud, one whitespace-separated point per line."""
     points: list[tuple[float, ...]] = []
-    for lineno, tokens in _tokenize(path):
+    for lineno, tokens in zip(*_read_lines(path)):
         try:
             point = tuple(float(t) for t in tokens)
         except ValueError:

@@ -273,6 +273,10 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         raise ValueError(f"{module_tag} generators cannot be read from a "
                          f"reduction of {side}; compute the run for {module_tag}")
     F, _, _, pairs = run.partition
+    if drop_zero:
+        # zero-length pairs get no entry, so their columns are never copied
+        values = K.values
+        pairs = [(g, h) for g, h in pairs if values[g - 1] != values[h - 1]]
 
     intervals = barcode((F, [], [], pairs), K, module_tag, drop_zero=False).intervals
     # barcode lists F's intervals, then the pairs', in order.  The cell whose

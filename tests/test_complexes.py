@@ -7,8 +7,9 @@ import random
 import pytest
 
 from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
-                     anti_transpose, build_complex,
-                     load_cell_file, load_points, load_simplicial_file)
+                     anti_transpose, build_complex, cube_points,
+                     load_cell_file, load_points, load_simplicial_file,
+                     rips_filtration)
 from conftest import SPHERE_PATH, entry, term_count
 from test_rips import simplex_boundary
 
@@ -158,6 +159,15 @@ class TestAntiTranspose:
         for j in range(1, n + 1):  # strict upper-triangularity is preserved
             assert all(i < j for i, _ in B.cols[j])
         assert anti_transpose(B) == A
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_rips_columns_increase(self, p):
+        for seed in range(4):
+            D = rips_filtration(cube_points(9, 3, seed), 0.9, 3, Field(p)).D
+            B = anti_transpose(D)
+            for col in B.cols:
+                assert all(a[0] < b[0] for a, b in zip(col, col[1:]))
+            assert anti_transpose(B) == D
 
 
 class TestLoadCellFile:

@@ -8,9 +8,10 @@ import pytest
 
 from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
                      build_complex, compute,
-                     concatenated_barcode, format_diagram, generators,
-                     pairs_to_partition, parse_diagram, partition_from_dual,
-                     pcoh, phcol, phrow, rips_filtration)
+                     concatenated_barcode, cube_points, format_diagram, generators,
+                     load_cell_file, pairs_to_partition, parse_diagram,
+                     partition_from_dual, pcoh, phcol, phrow, rips_filtration,
+                     torus_points)
 from perscoh.persistence import INF
 from conftest import infinite_part, random_rips
 
@@ -269,6 +270,30 @@ class TestGeneratorErrors:
             own = generators(compute(sphere11, second, "phcol", keep_V=True),
                              sphere11, second)
             assert shared == own
+
+
+class TestZeroLengthGenerators:
+    @pytest.mark.parametrize("p, points, r_max, dim_max", [
+        (2, cube_points(10, 4, 3), INF, 4),
+        (11, torus_points(40, 5), 1.5, 2),
+    ])
+    def test_zero_length_pairs_skipped(self, tmp_path, p, points, r_max, dim_max):
+        """Pairs of equal values get no entry: the table is the one with
+        zero-length entries, less those, on a cells file."""
+        K = rips_filtration(points, r_max, dim_max, Field(p))
+        path = tmp_path / "rips.cells"
+        path.write_text("".join(
+            f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
+            for dim, value, col in zip(K.dims, K.values, K.D.cols[1:])))
+        K = load_cell_file(str(path), Field(p))
+        for module, algorithm in (("abs_hom", "phcol"), ("rel_hom", "phrow"),
+                                  ("rel_coh", "phcol"), ("abs_coh", "pcoh")):
+            run = compute(K, module, algorithm, keep_V=True)
+            full = generators(run, K, module, drop_zero=False)
+            kept = generators(run, K, module)
+            assert kept.entries == [e for e in full.entries
+                                    if e.interval.birth != e.interval.death]
+            assert len(kept.entries) < len(full.entries)
 
 
 class TestLeadingTerms:
