@@ -10,7 +10,7 @@ instrumented benchmark.
 from .bench import (BenchResult, Lcg, RunStats, cube_points,
                     render_stats_csv, render_stats_text, run_bench,
                     torus_points)
-from .complexes import (ComplexError, FilteredComplex, ParseError,
+from .complexes import (ComplexError, CscMatrix, FilteredComplex, ParseError,
                         SparseMatrix, anti_transpose, build_complex,
                         dual_dims, dual_index, load_cell_file, load_points,
                         load_simplicial_file, simplicial_complex)
@@ -22,8 +22,8 @@ from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           concatenated_barcode, format_diagram, generators,
                           pairs_to_partition, partition_from_dual,
                           parse_diagram)
-from .reduction import (Decomposition, PcohResult, VerifyReport,
-                        pcoh, phcol, phrow, verify_decomposition)
+from .reduction import (Decomposition, Pairing, PcohResult, VerifyReport,
+                        pcoh, phcol, phcol_pairs, phrow, verify_decomposition)
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
     "render_stats_text", "run_bench", "torus_points",
-    "ComplexError", "FilteredComplex", "ParseError", "SparseMatrix",
+    "ComplexError", "CscMatrix", "FilteredComplex", "ParseError", "SparseMatrix",
     "anti_transpose", "build_complex", "dual_dims", "dual_index",
     "load_cell_file", "load_points", "load_simplicial_file",
     "simplicial_complex",
@@ -41,8 +41,8 @@ __all__ = [
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
     "generators", "pairs_to_partition", "partition_from_dual", "parse_diagram",
-    "Decomposition", "PcohResult", "VerifyReport",
-    "pcoh", "phcol", "phrow", "verify_decomposition",
+    "Decomposition", "Pairing", "PcohResult", "VerifyReport",
+    "pcoh", "phcol", "phcol_pairs", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Instrumented comparison of the column and live-cocycle algorithms.
 
-Builds one Rips filtration, whose boundary matrix D comes with it, runs
-the barcode-only column reduction of D (the homology column algorithm
-the paper compares against, called directly because
-:func:`~perscoh.persistence.compute` would reduce the anti-transpose)
-and the live-cocycle reduction of D (abs_coh, through ``compute``),
+Builds one Rips filtration and the term lists of its boundary matrix D,
+runs the barcode-only column reduction of D (the homology column
+algorithm the paper compares against, called directly because
+:func:`~perscoh.persistence.compute` would take the pairing from the
+anti-transpose's apparent pairs instead) and the live-cocycle reduction
+of D (abs_coh, through ``compute``),
 checks that both find the same pairing, and only then reports
 primitive-operation counts, peak stored term counts, and wall time.
 Point clouds are generated with a fixed 64-bit linear congruential
@@ -110,8 +111,9 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
               max_cells: int = RIPS_MAX_CELLS) -> BenchResult:
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
-    Each timed run covers the reduction and its partition; D is built
-    once, with the complex, and shared by both.  Raises
+    Each timed run covers the reduction and its partition; the term
+    lists of D are built once, before the first run, and shared by both.
+    Raises
     ``ValueError`` as soon as the Rips enumeration passes ``max_cells``
     cells, and ``AssertionError`` if the two pairings ever disagree (no
     stats are reported in that case).
@@ -119,11 +121,12 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     K = rips_filtration(points, r_max, dim_max, field, max_cells)
+    D = K.D
 
     stats: list[RunStats] = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        col = phcol(K.D, field, keep_V=False, dims=K.dims)
+        col = phcol(D, field, keep_V=False, dims=K.dims)
         col_partition = pairs_to_partition(col)
         col_time = time.perf_counter() - t0
 

@@ -136,29 +136,24 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="perscoh",
-        description="Persistent (co)homology of filtered complexes over Z/p.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _input_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input",
+                   help="input file; with --format points also "
+                        "cube:<count>:<dim> or torus:<count>")
+    p.add_argument("--format", choices=("cells", "simplicial", "points"),
+                   default="cells", help="input format (default cells)")
+    p.add_argument("--field", type=int, default=2, metavar="P",
+                   help="prime field modulus (default 2)")
+    p.add_argument("--rmax", type=float, default=math.inf,
+                   help="Rips diameter cutoff (points format; default none)")
+    p.add_argument("--maxdim", type=int, default=2,
+                   help="Rips maximum simplex dimension (default 2)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for generated point clouds (default 0)")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input",
-                        help="input file; with --format points also "
-                             "cube:<count>:<dim> or torus:<count>")
-    common.add_argument("--format", choices=("cells", "simplicial", "points"),
-                        default="cells", help="input format (default cells)")
-    common.add_argument("--field", type=int, default=2, metavar="P",
-                        help="prime field modulus (default 2)")
-    common.add_argument("--rmax", type=float, default=math.inf,
-                        help="Rips diameter cutoff (points format; default none)")
-    common.add_argument("--maxdim", type=int, default=2,
-                        help="Rips maximum simplex dimension (default 2)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for generated point clouds (default 0)")
 
-    p = sub.add_parser("barcode", parents=[common],
-                       help="compute one persistence diagram")
+def _barcode_arguments(p: argparse.ArgumentParser) -> None:
+    _input_arguments(p)
     p.add_argument("--module", choices=MODULE_TAGS, default="abs_hom")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
     p.add_argument("--oracle", action="store_true",
@@ -169,16 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep intervals with equal birth and death values")
     p.set_defaults(func=cmd_barcode)
 
-    p = sub.add_parser("generators", parents=[common],
-                       help="list interval generators")
+
+def _generators_arguments(p: argparse.ArgumentParser) -> None:
+    _input_arguments(p)
     p.add_argument("--module", choices=MODULE_TAGS, default="abs_hom")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
     p.add_argument("--indices", action="store_true")
     p.add_argument("--keep-zero-length", action="store_true")
     p.set_defaults(func=cmd_generators)
 
-    p = sub.add_parser("bench",
-                       help="compare phcol and pcoh on one Rips filtration")
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input",
                    help="points file, cube:<count>:<dim>, or torus:<count>")
     p.add_argument("--rmax", type=float, default=math.inf)
@@ -194,16 +190,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit CSV (algorithm,ops,peak_elements,seconds)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("oracle-check", parents=[common],
-                       help="verify the reduction barcode against the rank oracle")
+
+def _oracle_check_arguments(p: argparse.ArgumentParser) -> None:
+    _input_arguments(p)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
     p.set_defaults(func=cmd_oracle_check)
 
+
+# each subcommand's help line and the function that adds its arguments
+COMMANDS = {
+    "barcode": ("compute one persistence diagram", _barcode_arguments),
+    "generators": ("list interval generators", _generators_arguments),
+    "bench": ("compare phcol and pcoh on one Rips filtration", _bench_arguments),
+    "oracle-check": ("verify the reduction barcode against the rank oracle",
+                     _oracle_check_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="perscoh",
+        description="Persistent (co)homology of filtered complexes over Z/p.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of
+    the subcommand that ``argv`` names when that one accepts the rest.
+
+    A subcommand's parser prints its own help and errors, so those come
+    out as from the full parser; arguments it does not know, and argv
+    without a subcommand, go to the full parser, which reports them.
+    """
+    if argv and argv[0] in COMMANDS:
+        command = argparse.ArgumentParser(prog=f"perscoh {argv[0]}")
+        COMMANDS[argv[0]][1](command)
+        args, unknown = command.parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     # A command allocates many small chains and terms and keeps them until
     # it returns, so the cyclic collector's passes cost time and free
     # nothing; the collector is paused while the command runs.

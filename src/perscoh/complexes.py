@@ -3,10 +3,18 @@
 A filtered complex is an ordered list of cells, one added per step.
 Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells, which is column ``j`` of the
-strictly upper-triangular boundary matrix ``D``.  The complex stores
-``D`` itself; ``anti_transpose`` flips it across the minor diagonal,
-which encodes the coboundary of the reversed dual filtration.  Cell
-``i`` sits at index ``dual_index(n, i)`` of that reversed order.
+strictly upper-triangular boundary matrix ``D``.  The loaders store
+``D`` as flat arrays, a :class:`CscMatrix` (``K.csc``): int64 column
+starts, rows and coefficients.  ``K.D``, the same matrix as one term
+list per column (a :class:`SparseMatrix`), is built from them on first
+read.  The barcode-only ``phcol`` route reads the arrays alone, so
+``perscoh barcode`` with ``phcol`` builds no term lists; ``pcoh``,
+``phrow``, ``phcol`` with V and the oracle read ``K.D``, so ``barcode``
+with ``phrow``, ``pcoh`` or ``--oracle``, ``generators``,
+``oracle-check`` and ``bench`` build them.  ``anti_transpose`` flips
+the term lists across the minor diagonal, which encodes the coboundary
+of the reversed dual filtration.  Cell ``i`` sits at index
+``dual_index(n, i)`` of that reversed order.
 
 Two text formats build complexes directly:
 
@@ -38,7 +46,6 @@ coordinates) feed the Rips builder in :mod:`perscoh.rips`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, lt
 
@@ -83,26 +90,88 @@ class SparseMatrix:
                 and other.cols[1:] == self.cols[1:])
 
 
-@dataclass(eq=False, repr=False)
+class CscMatrix:
+    """Column-major sparse matrix over Z/p with 1-based indices, as flat
+    int64 arrays.
+
+    Column ``j`` for ``j = 1..n`` holds the terms ``start[j - 1]:start[j]``
+    of ``rows``, ascending, and of ``coefs``, nonzero residues.
+    """
+
+    __slots__ = ("n", "start", "rows", "coefs")
+
+    def __init__(self, start: np.ndarray, rows: np.ndarray, coefs: np.ndarray):
+        self.n = len(start) - 1
+        self.start = start
+        self.rows = rows
+        self.coefs = coefs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CscMatrix) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("start", "rows", "coefs"))
+
+    @classmethod
+    def from_sparse(cls, A: SparseMatrix) -> CscMatrix:
+        """The arrays of the term lists of ``A``."""
+        cols = A.cols[1:]
+        start = np.zeros(A.n + 1, np.int64)
+        start[1:] = np.cumsum([len(col) for col in cols], dtype=np.int64)
+        terms = np.array([term for col in cols for term in col], np.int64).reshape(-1, 2)
+        return cls(start, terms[:, 0], terms[:, 1])
+
+    def to_sparse(self) -> SparseMatrix:
+        """The same matrix as term lists, one tuple per distinct term,
+        shared by every column that holds it."""
+        rows, coefs = self.rows, self.coefs
+        if not len(rows):
+            return SparseMatrix(self.n)
+        width = int(coefs.max()) + 1
+        distinct, which = np.unique(rows * width + coefs, return_inverse=True)
+        terms = np.fromiter(zip((distinct // width).tolist(), (distinct % width).tolist()),
+                            dtype=object, count=len(distinct))
+        terms = terms[which].tolist()
+        start = self.start.tolist()
+        return SparseMatrix(self.n, [[]] + [terms[a:b] for a, b in zip(start, start[1:])])
+
+
 class FilteredComplex:
     """Validated filtered cell complex over a fixed prime field.
 
     Cell ``j`` has dimension ``dims[j - 1]``, value ``values[j - 1]`` and
-    boundary ``D.cols[j]``.  ``D`` is built once, by the loader, and every
-    reduction reads it in place: nothing mutates ``K.D``.
-    ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
-    of a simplicial complex; for a cells file the field is None.
+    boundary column ``j`` of D.  D is given once, as a :class:`CscMatrix`
+    by the loaders or as a :class:`SparseMatrix`, and kept in both forms:
+    ``csc`` and ``D`` are each the given matrix or, built on first read,
+    the other form of it.  Every reduction reads them in place: nothing
+    mutates either.  ``simplex_vertices[j - 1]`` is the sorted vertex
+    tuple of cell ``j`` of a simplicial complex; for a cells file the
+    field is None.
     """
 
-    dims: list[int]
-    values: list[float]
-    D: SparseMatrix
-    field: Field
-    simplex_vertices: list[tuple] | None = None
+    def __init__(self, dims: list[int], values: list[float], D: SparseMatrix | CscMatrix,
+                 field: Field, simplex_vertices: list[tuple] | None = None):
+        self.dims = dims
+        self.values = values
+        self.field = field
+        self.simplex_vertices = simplex_vertices
+        self.n = len(dims)
+        # both forms are set here, the one not given to None, so that every
+        # instance has the same attributes, which keeps reading them fast
+        given = isinstance(D, CscMatrix)
+        self._csc = D if given else None
+        self._D = None if given else D
 
     @property
-    def n(self) -> int:
-        return self.D.n
+    def D(self) -> SparseMatrix:
+        if self._D is None:
+            self._D = self._csc.to_sparse()
+        return self._D
+
+    @property
+    def csc(self) -> CscMatrix:
+        if self._csc is None:
+            self._csc = CscMatrix.from_sparse(self._D)
+        return self._csc
 
     def dim(self, j: int) -> int:
         return self.dims[j - 1]
@@ -179,10 +248,7 @@ def _validated(dims: list[int], values: list[float], counts: list[int], faces: l
     # the terms of cell j are start[j - 1]:start[j]
     start = cell.searchsorted(np.arange(n + 1))
     _check_boundary_squared(cell, face, coef, start, p)
-    terms = list(zip((face + 1).tolist(), coef.tolist()))
-    start = start.tolist()
-    cols = [terms[a:b] for a, b in zip(start, start[1:])]
-    return FilteredComplex(dims, floats, SparseMatrix(n, [[]] + cols), field)
+    return FilteredComplex(dims, floats, CscMatrix(start, face + 1, coef), field)
 
 
 # products of boundary terms formed at once by _check_boundary_squared
@@ -355,14 +421,13 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     position = np.empty(start[-1], np.int64)
     position[order] = np.arange(1, start[-1] + 1)
 
-    p = field.p
-    cols = [[] for _ in range(sizes[0])]
     # rows of each simplex's faces in the layer below, -1 where absent; a
     # vertex's face is the empty simplex, and the last row is all absent,
     # the faces of an absent prefix
     faces = np.zeros((sizes[0] + 1, 1), np.int64)
     faces[-1] = -1
     bad_cells = []  # (position, dimension, row) of each layer's first bad cell
+    codes = []  # (positions, sorted face codes) of each layer's simplices
     for k, (S, _) in enumerate(layers):
         prefix = keys.rows(S[:, :k]) if k else 0
         if k == len(keys) < len(layers) - 1:  # the top layer has no cofaces
@@ -386,17 +451,13 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
             r = bad[own[bad].argmin()]
             bad_cells.append((own[r], k, r))
         if not bad_cells:
-            # one shared (index, sign) term per face and sign, at code
-            # 2 * row + parity of the face's place (odd places are the
-            # odd columns); sorting index * width + code lists a column's
-            # codes by index
-            width = 2 * sizes[k - 1]
-            terms = np.fromiter(zip(below[:-1].repeat(2).tolist(), [1, p - 1] * sizes[k - 1]),
-                                dtype=object, count=width)
-            code = at * width + 2 * found
+            # each face at code 2 * position + parity of its place (odd
+            # places are the odd columns), so that sorting a simplex's
+            # codes sorts its faces by position
+            code = 2 * at
             code[:, 1::2] += 1
             code.sort(axis=1)
-            cols += terms[code % width].tolist()
+            codes.append((own, code))
 
     names = None if labels is None else np.array(labels, dtype=object)
     if bad_cells:
@@ -411,9 +472,16 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     vertices = []
     for S, _ in layers:
         vertices += zip(*(S if names is None else names[S]).T.tolist())
+    # cell j of dimension k > 0 has its k + 1 faces at cstart[j - 1]:cstart[j]
+    dims = dims[order]
+    cstart = np.zeros(start[-1] + 1, np.int64)
+    np.cumsum(np.where(dims > 0, dims + 1, 0), out=cstart[1:])
+    code = np.empty(cstart[-1], np.int64)
+    for own, c in codes:
+        code[cstart[own - 1, None] + np.arange(c.shape[1])] = c
+    D = CscMatrix(cstart, code >> 1, np.where(code & 1, field.p - 1, 1))
     order = order.tolist()
-    return FilteredComplex(dims[order].tolist(), values[order].tolist(),
-                           SparseMatrix(len(order), [[]] + [cols[i] for i in order]),
+    return FilteredComplex(dims.tolist(), values[order].tolist(), D,
                            field, [vertices[i] for i in order])
 
 
@@ -421,7 +489,8 @@ def dual_index(n: int, i: int) -> int:
     """Index of cell ``i`` in the reversed dual order of ``n`` cells.
 
     The map is its own inverse, and it is the one translation between
-    original indices and the indices of :func:`anti_transpose`.
+    original indices and the indices of :func:`anti_transpose`.  It
+    maps an int array elementwise.
     """
     return n + 1 - i
 

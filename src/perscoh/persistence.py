@@ -9,7 +9,8 @@ infinite interval; relative modules use ``0 <= p <= q <= n-1`` where
 
 Every diagram is built by one rule from the partition of the cells
 into essential births F and pairs (g, h), in original indices.  The
-anti-transpose route reports pairs in reversed dual indexing;
+reductions of the anti-transpose, the barcode-only phcol route and
+pcoh report pairs in reversed dual indexing;
 :func:`partition_from_dual` translates them through
 :func:`~perscoh.complexes.dual_index`.  The cohomology barcodes are
 the homology barcodes of the same pairs: abs_coh equals abs_hom and
@@ -24,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
-from .complexes import (FilteredComplex, SparseMatrix, anti_transpose,
+from .complexes import (CscMatrix, FilteredComplex, SparseMatrix, anti_transpose,
                         dual_dims, dual_index)
 from .core import Chain
-from .reduction import Decomposition, PcohResult, pcoh, phcol, phrow
+from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_pairs,
+                        phrow)
 
 MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
 ALGORITHMS = ("phcol", "phrow", "pcoh")
@@ -124,14 +126,15 @@ class Computation:
     """One reduction run by :func:`compute`.
 
     ``matrix`` is the matrix handed to the algorithm (``K.D`` itself for
-    a run on D), ``result`` its raw output, and ``partition`` the
-    absolute partition (F, G, H, pairs) in original indices.  ``dual`` is
-    True when the result is indexed by the reversed dual order: a
-    reduction of the anti-transpose, or pcoh.
+    a run on D, ``K.csc`` for the barcode-only phcol route), ``result``
+    its raw output, and ``partition`` the absolute partition
+    (F, G, H, pairs) in original indices.  ``dual`` is True when the
+    result is indexed by the reversed dual order: a reduction of the
+    anti-transpose, the barcode-only phcol route, or pcoh.
     """
 
-    matrix: SparseMatrix
-    result: Decomposition | PcohResult
+    matrix: SparseMatrix | CscMatrix
+    result: Decomposition | PcohResult | Pairing
     partition: tuple
     dual: bool
 
@@ -140,12 +143,17 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
             keep_V: bool = False) -> Computation:
     """Run ``algorithm`` on the matrix that ``module_tag`` needs.
 
-    The four modules share one partition, so a barcode-only phcol run
-    (``keep_V`` off) reduces the anti-transpose D-perp for every module:
-    cleared, it is the cheapest matrix.  Otherwise phcol and phrow reduce
-    the boundary matrix D for homology and D-perp for cohomology, and
-    pcoh sweeps D for every module.  phcol clears, by ``K.dims`` on D
-    and :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
+    The four modules share one pairing, so a barcode-only phcol run
+    (``keep_V`` off) takes it, for every module, from the clearing
+    reduction of the anti-transpose D-perp, the cheapest one:
+    :func:`~perscoh.reduction.phcol_pairs` reads D's arrays ``K.csc``,
+    takes the apparent pairs in one pass (Bauer 2021, Ripser) and
+    reduces only the other columns, with clearing (Bauer, Kerber and
+    Reininghaus 2014).  It builds neither D-perp nor ``K.D``.
+    Otherwise phcol and phrow reduce the term lists ``K.D`` for homology
+    and ``anti_transpose(K.D)`` for cohomology, and pcoh sweeps ``K.D``
+    for every module.  phcol clears, by ``K.dims`` on D and
+    :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
     the V matrix that :func:`generators` reads (pcoh always keeps its
     cocycles).
     """
@@ -153,12 +161,16 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "phcol" and not keep_V:
+        res = phcol_pairs(K.csc, K.field, K.dims)
+        return Computation(K.csc, res, partition_from_dual(res.pairs, res.essential, K.n),
+                           True)
     D = K.D
     if algorithm == "pcoh":
         res = pcoh(D, K.field)
         return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
-    dual = module_tag.endswith("_coh") or (algorithm == "phcol" and not keep_V)
+    dual = module_tag.endswith("_coh")
     M = anti_transpose(D) if dual else D
     if algorithm == "phcol":
         dec = phcol(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
@@ -265,7 +277,7 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         V = dict(zip(dec.essential, dec.essential_cocycles))
         V.update((t, z) for (_, t), z in zip(dec.pairs, dec.pair_cocycles))
     else:
-        if dec.V is None:
+        if not isinstance(dec, Decomposition) or dec.V is None:
             raise ValueError("generators need the V matrix; rerun with keep_V on")
         R, V = dec.R.cols, dec.V.cols
     if run.dual != starred:

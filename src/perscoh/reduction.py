@@ -11,6 +11,11 @@ indices, and cocycle chains in the reversed dual indexing of
 ``anti_transpose(D)``, where they coincide with the row algorithm's
 output on that matrix.
 
+:func:`phcol_pairs` gives the pairing of the barcode-only column
+algorithm on ``anti_transpose(D)`` from D's flat arrays, without that
+matrix: it reads the apparent pairs off the arrays and reduces only the
+other columns.
+
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
 at once.
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SparseMatrix, dual_index
+import numpy as np
+
+from .complexes import CscMatrix, SparseMatrix, _ints, dual_index
 from .core import Chain, Field, chain_axpy, field_inv
 
 
@@ -132,6 +139,101 @@ def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
     return Decomposition(SparseMatrix(n, R),
                          SparseMatrix(n, V) if keep_V else None,
                          low_of, ops, peak)
+
+
+@dataclass
+class Pairing:
+    """Output of :func:`phcol_pairs`, in the reversed dual indexing of
+    ``anti_transpose(D)``.
+
+    In each pair ``(s, t)`` of ``pairs``, row ``s`` is the low of column
+    ``t`` of the reduced matrix, and ``essential`` lists the other
+    columns whose index is no low, ascending.  ``apparent`` of the pairs
+    were read off the matrix; ``ops`` counts the multiply-adds that found
+    the rest, as :func:`phcol` counts them.
+    """
+
+    pairs: list[tuple[int, int]]
+    essential: list[int]
+    apparent: int
+    ops: int = 0
+
+
+def phcol_pairs(D: CscMatrix, field: Field, dims: list[int]) -> Pairing:
+    """The pairing of ``phcol(anti_transpose(D), field, keep_V=False,
+    dims=dual_dims(dims))``, from D's arrays and the degrees ``dims`` of
+    its columns.
+
+    Column ``c`` of that matrix, D-perp, is the coboundary of cell
+    ``dual_index(n, c)``, and its low is the cell's oldest cofacet.  One
+    sort of D's terms by row, then column, gives D-perp's terms.  A
+    column whose low is a cell whose youngest face (its low in D) is the
+    column's own cell forms an apparent pair (Bauer 2021, Ripser): no
+    column left of it holds that row, so it reduces to itself and pairs
+    with that row.  The other columns are reduced as phcol reduces them,
+    by dimension of their cell ascending, left to right, against the
+    pivots found so far and the apparent pairs, with clearing (Bauer,
+    Kerber and Reininghaus 2014): a column whose index is a pivot row
+    is skipped, as is an empty one, which stays essential.  No column
+    left of an apparent pair's column ever holds its row, so knowing
+    those pairs first changes no addition: the pairs and ``ops`` are
+    phcol's.  Only the columns that are reduced, and the pivots they
+    meet, are turned into term lists.
+    """
+    p = field.p
+    n = D.n
+    start = D.start
+    # D-perp's terms are D's terms order[pstart[c - 1]:pstart[c]] for
+    # column c: by row descending, then column descending
+    cells = np.arange(1, n + 1).repeat(np.diff(start))
+    order = (D.rows * (n + 1) + cells).argsort()[::-1]
+    pstart = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(D.rows, minlength=n + 1)[:0:-1], out=pstart[1:])
+
+    cols = (pstart[1:] > pstart[:-1]).nonzero()[0] + 1  # nonempty columns
+    lows = dual_index(n, cells[order[pstart[cols] - 1]])
+    # a column's cell against the youngest face of its low's cell
+    apparent = D.rows[start[dual_index(n, lows)] - 1] == dual_index(n, cols)
+    low_to_col = dict(zip(lows[apparent].tolist(), cols[apparent].tolist()))
+
+    # the rest, by dimension ascending, then index
+    rest = cols[~apparent]
+    degree = _ints(dims)[dual_index(n, rest) - 1]
+    if degree.dtype == object:
+        degree = np.unique(degree, return_inverse=True)[1]
+    rest = rest[np.lexsort((rest, degree))]
+
+    pstart = pstart.tolist()
+
+    def column(j: int) -> Chain:
+        terms = order[pstart[j - 1]:pstart[j]]
+        return list(zip(dual_index(n, cells[terms]).tolist(), D.coefs[terms].tolist()))
+
+    ops = 0
+    reduced: dict[int, Chain] = {}
+    for i in rest.tolist():
+        if i in low_to_col:  # a pivot row, an apparent one or found: cleared
+            continue
+        col = column(i)
+        while col:
+            j = low_to_col.get(col[-1][0])
+            if j is None:
+                break
+            pivot = reduced.get(j)
+            if pivot is None:
+                pivot = reduced[j] = column(j)
+            c = (col[-1][1] * field_inv(pivot[-1][1], p)) % p
+            col = chain_axpy(p - c, pivot, col, p)
+            ops += len(pivot)
+        if col:
+            low_to_col[col[-1][0]] = i
+            reduced[i] = col
+
+    paired = np.zeros(n + 1, bool)
+    for x in (low_to_col.keys(), low_to_col.values()):
+        paired[np.fromiter(x, np.int64, len(low_to_col))] = True
+    return Pairing(list(low_to_col.items()), ((~paired[1:]).nonzero()[0] + 1).tolist(),
+                   int(apparent.sum()), ops)
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,

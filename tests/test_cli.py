@@ -1,6 +1,7 @@
 """Command-line interface: output text, exit codes, input formats."""
 
 import gc
+import json
 import os
 import shutil
 import subprocess
@@ -9,8 +10,8 @@ import sys
 import pytest
 
 import perscoh
-from perscoh import Diagram, cli
-from conftest import SPHERE_PATH
+from perscoh import Diagram, cli, complexes, persistence
+from conftest import DATA_DIR, SPHERE_PATH
 
 SPHERE_ARGS = [SPHERE_PATH, "--field", "11"]
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -279,6 +280,85 @@ class TestInputHandling:
         _, first, _ = run_cli(capsys, args)
         _, second, _ = run_cli(capsys, args)
         assert first == second
+
+
+def parser_outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` when the parser
+    rejects argv or prints help."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# help texts, usage errors and exit codes of the full argparse parser, as
+# printed when every call built it; recorded at 80 columns with Python 3.11,
+# whose argparse wording they pin
+with open(os.path.join(DATA_DIR, "cli_parser.json")) as fh:
+    PARSER_TEXTS = json.load(fh)
+
+
+class TestParser:
+    """``main`` builds only the named subcommand's parser; what it prints
+    and returns stays that of the full parser."""
+
+    @pytest.mark.parametrize("case", PARSER_TEXTS, ids=lambda c: " ".join(c["argv"]) or "-")
+    def test_texts_unchanged(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = case["code"], case["stdout"], case["stderr"]
+        assert parser_outcome(capsys, case["argv"]) == expected
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(case["argv"])
+        assert (exc.value.code, *capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["barcode", "in.cells", "--module", "rel_coh", "--algorithm", "phrow",
+         "--oracle", "--indices", "--keep-zero-length", "--field", "11"],
+        ["generators", "in.pts", "--format", "points", "--rmax", "0.5", "--maxdim", "3",
+         "--seed", "4", "--mod", "abs_coh"],
+        ["bench", "cube:10:3", "--repeat", "2", "--max-cells", "50", "--csv"],
+        ["oracle-check", "in.simp", "--format", "simplicial", "--algorithm", "pcoh"],
+    ])
+    def test_same_namespace(self, argv):
+        assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_only_the_named_parser_is_built(self, monkeypatch):
+        def full_parser():
+            raise AssertionError("full parser built")
+
+        monkeypatch.setattr(cli, "build_parser", full_parser)
+        for name in cli.COMMANDS:
+            assert cli.parse_args([name, "in"]).command == name
+
+
+class TestBarcodeOnlyPhcol:
+    """``barcode --algorithm phcol`` takes the pairing from D's arrays:
+    it never anti-transposes the term lists, nor builds them."""
+
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom", "abs_coh", "rel_coh"])
+    def test_no_term_lists(self, capsys, monkeypatch, tmp_path, module):
+        simp = tmp_path / "square.simp"
+        simp.write_text("0 a\n0 b\n0 c\n0 d\n1 a b\n1 b c\n1 c d\n2 a d\n3 a c\n"
+                        "4 a b c\n5 a c d\n")
+        sources = [SPHERE_ARGS, [str(simp), "--format", "simplicial"],
+                   ["cube:7:3", "--format", "points", "--maxdim", "3", "--seed", "2"]]
+        argvs = [["barcode", *source, "--module", module, "--indices"] for source in sources]
+        expected = [run_cli(capsys, argv + ["--algorithm", "phrow"]) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("anti_transpose called")
+
+        def load(args):
+            loaded.append(real_load(args))
+            return loaded[-1]
+
+        for mod in (complexes, persistence):
+            monkeypatch.setattr(mod, "anti_transpose", refuse)
+        loaded, real_load = [], cli._load_complex
+        monkeypatch.setattr(cli, "_load_complex", load)
+        for argv, want in zip(argvs, expected):
+            assert run_cli(capsys, argv + ["--algorithm", "phcol"]) == want
+            assert want[0] == 0 and loaded[-1]._D is None
 
 
 class TestCollector:

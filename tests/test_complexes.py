@@ -4,10 +4,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
-                     anti_transpose, build_complex, cube_points,
+from perscoh import (GF2, ComplexError, CscMatrix, Field, FilteredComplex, Lcg,
+                     ParseError, SparseMatrix, anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
 from conftest import SPHERE_PATH, entry, term_count
@@ -333,3 +334,68 @@ class TestLoadPoints:
         path.write_text("")
         with pytest.raises(ParseError, match="empty point cloud"):
             load_points(str(path))
+
+
+def plain_columns(A):
+    """The columns of the arrays ``A`` as term lists, term by term."""
+    cols = [[]]
+    for j in range(1, A.n + 1):
+        a, b = int(A.start[j - 1]), int(A.start[j])
+        cols.append([(int(A.rows[t]), int(A.coefs[t])) for t in range(a, b)])
+    return cols
+
+
+class TestCscView:
+    """``K.csc`` and ``K.D`` describe one matrix, whichever was given."""
+
+    @staticmethod
+    def check(K, given):
+        assert getattr(K, "_csc" if given == "D" else "_D") is None
+        A = K.csc
+        assert all(x.dtype == np.int64 for x in (A.start, A.rows, A.coefs))
+        assert A.n == K.n and A.start[0] == 0 and len(A.rows) == len(A.coefs) == A.start[-1]
+        # nonzero residues, rows ascending and earlier than their column
+        assert ((A.coefs > 0) & (A.coefs < K.field.p)).all()
+        for j in range(1, K.n + 1):
+            rows = A.rows[A.start[j - 1]:A.start[j]]
+            assert (rows[1:] > rows[:-1]).all() and (rows < j).all() and (rows >= 1).all()
+        assert K.D == SparseMatrix(K.n, plain_columns(K.csc))
+        assert CscMatrix.from_sparse(K.D) == K.csc
+
+    # the largest field puts the coefficients 1 and p - 1 far apart
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_loaders(self, tmp_path, p):
+        field = Field(p)
+        for seed in range(8):
+            points = cube_points(4 + seed, 2 + seed % 2, seed)
+            if seed % 2:  # grid points: tied values
+                points = [tuple(round(x * 3) / 3 for x in pt) for pt in points]
+            K = rips_filtration(points, 0.9, 3, field)
+            self.check(K, "csc")
+            rows = [[repr(v), *(f"v{x:02}" for x in verts)]
+                    for v, verts in zip(K.values, K.simplex_vertices)]
+            simp = tmp_path / f"c{seed}.simp"
+            simp.write_text("".join(" ".join(r) + "\n" for r in reversed(rows)))
+            S = load_simplicial_file(str(simp), field)
+            self.check(S, "csc")
+            cells = tmp_path / f"c{seed}.cells"
+            cells.write_text("".join(
+                f"{d} {v!r} " + " ".join(f"{i}:{c - p}" for i, c in col) + "\n"
+                for d, v, col in zip(K.dims, K.values, K.D.cols[1:])))
+            C = load_cell_file(str(cells), field)
+            self.check(C, "csc")
+            assert S.csc == K.csc == C.csc
+
+    def test_term_list_complex(self):
+        K = FilteredComplex([d for d, _, _ in SPHERE_CELLS],
+                            [v for _, v, _ in SPHERE_CELLS],
+                            SparseMatrix(6, [[]] + [list(c) for c in SPHERE_D]), F11)
+        self.check(K, "D")
+        assert plain_columns(K.csc)[1:] == SPHERE_D
+        assert plain_columns(build_complex(SPHERE_CELLS, F11).csc)[1:] == SPHERE_D
+
+    def test_empty_and_edgeless(self):
+        for n in (0, 1, 3):
+            K = build_complex([(0, 0.0, [])] * n, F11)
+            self.check(K, "csc")
+            assert K.D == SparseMatrix(n)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from perscoh import (GF2, Field, Interval, anti_transpose, barcode,
+from perscoh import (GF2, Field, Interval, Pairing, anti_transpose, barcode,
                      build_complex, compute,
                      concatenated_barcode, cube_points, format_diagram, generators,
                      load_cell_file, pairs_to_partition, parse_diagram,
@@ -341,8 +341,9 @@ class TestCompute:
                                                  (False, True)):
             K = random_rips(seed, max_points=8, p=p, dim_max=2)
             D = K.D
-            # every route reads K.D in place; none may change it
+            # every route reads K.D and K.csc in place; none may change them
             original = copy.deepcopy(K.D)
+            original_csc = copy.deepcopy(K.csc)
             part = pairs_to_partition(phcol(D, K.field))
             Ft, _, _, tpairs = pairs_to_partition(
                 phcol(anti_transpose(D), K.field))
@@ -354,10 +355,10 @@ class TestCompute:
                                  module, drop_zero=False)
 
             run = compute(K, module, algorithm, keep_V=keep_V)
-            assert K.D == original
+            assert K.D == original and K.csc == original_csc
             if keep_V and (algorithm != "pcoh" or module == "abs_coh"):
                 generators(run, K, module)
-                assert K.D == original
+                assert K.D == original and K.csc == original_csc
             got = barcode(run.partition, K, module, drop_zero=False)
             assert got.module_tag == module
             assert got.index_multiset() == direct.index_multiset()
@@ -365,7 +366,11 @@ class TestCompute:
             # a barcode-only phcol run reduces D-perp whatever the module
             reduced_dual = algorithm != "pcoh" and (
                 module.endswith("_coh") or (algorithm == "phcol" and not keep_V))
-            assert run.matrix == (anti_transpose(D) if reduced_dual else D)
+            if algorithm == "phcol" and not keep_V:
+                # it takes D-perp's pairing from D's arrays, not D-perp
+                assert run.matrix is K.csc and isinstance(run.result, Pairing)
+            else:
+                assert run.matrix == (anti_transpose(D) if reduced_dual else D)
             assert run.dual == (reduced_dual or algorithm == "pcoh")
 
             snapshots = []
@@ -373,7 +378,7 @@ class TestCompute:
             pcoh(K.D, K.field)
             anti_transpose(K.D)
             assert snapshots == list(range(1, K.n + 1))
-            assert K.D == original
+            assert K.D == original and K.csc == original_csc
 
     def test_rejects_unknown_names(self, sphere11):
         with pytest.raises(ValueError, match="algorithm"):

@@ -1,13 +1,17 @@
 """Column and row reduction algorithms and decomposition verification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     cube_points, dual_dims, load_cell_file,
-                     pcoh, phcol, phrow, rips_filtration, verify_decomposition)
+from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose, build_complex,
+                     compute, cube_points, dual_dims, field_inv, load_cell_file,
+                     pairs_to_partition, pcoh, phcol, phcol_pairs, phrow,
+                     rips_filtration, verify_decomposition)
 from conftest import SPHERE_PATH, all_upper_matrices, random_rips, term_count
+from test_loaders import cell_rows, render
 
 F11 = Field(11)
 
@@ -270,3 +274,98 @@ class TestVerifyDecomposition:
         dec.low_of[4] = 1
         report = verify_decomposition(D, dec, F11)
         assert not report.ok
+
+
+class TestPhcolPairs:
+    """The barcode-only phcol route: D-perp's pairing from D's arrays,
+    against the plain reductions of the term lists."""
+
+    @staticmethod
+    def check(K):
+        """The route's pairing and ops equal phcol's on D-perp, and its
+        partition, through compute, equals the homology partition of D."""
+        D = K.D
+        res = phcol_pairs(K.csc, K.field, K.dims)
+        dec = phcol(anti_transpose(D), K.field, keep_V=False, dims=dual_dims(K.dims))
+        Ft, _, _, tpairs = pairs_to_partition(dec)
+        assert sorted(res.pairs) == tpairs
+        assert res.essential == Ft
+        assert res.ops == dec.ops
+        assert 0 <= res.apparent <= len(res.pairs)
+        for module in ("abs_hom", "rel_hom", "abs_coh", "rel_coh"):
+            run = compute(K, module, "phcol")
+            assert run.partition == pairs_to_partition(phcol(D, K.field))
+        return res
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_random_rips(self, p):
+        reduced = 0
+        for seed in range(30):
+            res = self.check(random_rips(seed, max_points=10, p=p, dim_max=3))
+            reduced += res.apparent < len(res.pairs)
+        assert reduced  # some pairs were not apparent
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_grid_clouds_with_ties(self, p):
+        for seed in range(12):
+            points = [tuple(round(x * 3) / 3 for x in pt)
+                      for pt in cube_points(4 + seed % 6, 2 + seed % 2, seed)]
+            K = rips_filtration(points, 0.8 + 0.1 * (seed % 4), 3, Field(p))
+            assert len(set(K.values)) < K.n  # ties
+            self.check(K)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_cells_files_with_other_coefficients(self, tmp_path, p):
+        """D' = C^-1 D C for a random diagonal C of units: coefficients
+        other than +-1, written with repeated and cancelling faces."""
+        field = Field(p)
+        for seed in range(10):
+            rng = random.Random(seed)
+            K = random_rips(seed, max_points=8, p=p, dim_max=2)
+            scale = [rng.randrange(1, p) for _ in range(K.n + 1)]
+            rows = [(K.dims[j - 1], K.values[j - 1],
+                     [(i, c * scale[j] * field_inv(scale[i], p) % p)
+                      for i, c in K.D.cols[j]])
+                    for j in range(1, K.n + 1)]
+            scaled = build_complex(rows, field)
+            path = tmp_path / f"scaled{seed}.cells"
+            path.write_text(render(rng, cell_rows(rng, scaled)), newline="")
+            L = load_cell_file(str(path), field)
+            assert L.D == scaled.D
+            if p > 2:
+                assert any(c not in (1, p - 1) for col in L.D.cols for _, c in col)
+            self.check(L)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_edge_cases(self, sphere11, p):
+        field = Field(p)
+        vertex = build_complex([(0, 0.0, [])], field)
+        assert self.check(vertex).essential == [1]
+        vertices = build_complex([(0, float(v), []) for v in range(4)], field)
+        res = self.check(vertices)
+        assert res.essential == [1, 2, 3, 4] and not res.pairs
+        self.check(load_cell_file(SPHERE_PATH, field))
+        self.check(sphere11)
+        # a dimension beyond int64 orders the columns as well
+        self.check(build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
+                                  (1, 2.0, [(1, 1), (3, -1)])], field))
+
+    def test_every_pair_apparent(self):
+        # a filled triangle, vertices 1-3, edges 4-6, face 7
+        K = build_complex([(0, 0.0, []), (0, 0.0, []), (0, 0.0, []),
+                           (1, 1.0, [(1, 1), (2, -1)]), (1, 1.0, [(1, 1), (3, -1)]),
+                           (1, 1.0, [(2, 1), (3, -1)]),
+                           (2, 2.0, [(4, 1), (5, -1), (6, 1)])], F11)
+        res = self.check(K)
+        assert res.apparent == len(res.pairs) == 3
+
+    def test_top_cells_with_empty_coboundaries(self):
+        # a hollow square: the edges have no cofaces; one is essential
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        K = build_complex([(0, 0.0, [])] * 4
+                          + [(1, 1.0, [(a, 1), (b, -1)]) for a, b in edges], F11)
+        res = self.check(K)
+        assert K.csc.rows.max() <= 4  # no edge is a face
+        # in D-perp's indexing the edges are columns 1-4 and vertex 1 is
+        # column 8; edge 8, column 1, closes the cycle
+        assert res.essential == [1, 8]
