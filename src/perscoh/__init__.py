@@ -7,16 +7,13 @@ live-cocycle sweep, with an independent dense-rank oracle and an
 instrumented benchmark.
 """
 
-from .bench import (BenchResult, Lcg, RunStats, cube_points,
-                    render_stats_csv, render_stats_text, run_bench,
-                    torus_points)
+from importlib import import_module
+
 from .complexes import (ComplexError, CscMatrix, FilteredComplex, ParseError,
                         SparseMatrix, anti_transpose, build_complex,
                         dual_dims, dual_index, load_cell_file, load_points,
                         load_simplicial_file, simplicial_complex)
 from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
-from .oracle import (ORACLE_MAX_CELLS, dense_rank, nullspace_basis,
-                     oracle_barcode, persistent_betti, prefix_ranks)
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           GeneratorTable, Interval, barcode, compute,
                           concatenated_barcode, format_diagram, generators,
@@ -27,6 +24,16 @@ from .reduction import (Decomposition, Pairing, PcohResult, VerifyReport,
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
 __version__ = "0.1.0"
+
+# names of the modules that only ``perscoh bench``, ``oracle-check`` and
+# ``barcode --oracle`` use, imported on first access (see __getattr__)
+_LAZY = {
+    "bench": ("BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
+              "render_stats_text", "run_bench", "torus_points"),
+    "oracle": ("ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
+               "persistent_betti", "prefix_ranks"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
@@ -46,3 +53,11 @@ __all__ = [
     "RIPS_MAX_CELLS", "rips_filtration",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    found = import_module(f".{module}", __name__)
+    return found if module == name else getattr(found, name)

@@ -19,6 +19,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Field, GF2
 from .persistence import Diagram, barcode, compute, pairs_to_partition
 from .reduction import phcol
@@ -134,7 +136,7 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
         coh = compute(K, "abs_coh", "pcoh")
         coh_time = time.perf_counter() - t0
 
-        if col_partition != coh.partition:
+        if not all(map(np.array_equal, col_partition, coh.partition)):
             raise AssertionError(
                 "the two algorithms produced different barcodes; no stats reported")
         stats.append(RunStats("phcol", col.ops, col.peak_elements, col_time))

@@ -16,12 +16,9 @@ import gc
 import math
 import sys
 
-from .bench import (cube_points, render_stats_csv, render_stats_text,
-                    run_bench, torus_points)
 from .complexes import (FilteredComplex, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
-from .oracle import check_oracle_size, oracle_barcode
 from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute,
                           format_diagram, format_interval, generators)
 from .reduction import verify_decomposition
@@ -38,11 +35,13 @@ def _resolve_points(spec: str, seed: int) -> list[tuple[float, ...]]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("cube spec is cube:<count>:<dim>")
+        from .bench import cube_points
         return cube_points(int(parts[1]), int(parts[2]), seed)
     if spec.startswith("torus:"):
         parts = spec.split(":")
         if len(parts) != 2:
             raise ValueError("torus spec is torus:<count>")
+        from .bench import torus_points
         return torus_points(int(parts[1]), seed)
     return load_points(spec)
 
@@ -60,6 +59,7 @@ def _load_complex(args) -> FilteredComplex:
 def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
     """Lines naming where the abs_hom barcode of ``partition`` and the
     rank oracle's differ, first difference first; empty when they agree."""
+    from .oracle import oracle_barcode
     computed = barcode(partition, K, "abs_hom", drop_zero=False).index_multiset()
     expected = oracle_barcode(K).index_multiset()
     if computed == expected:
@@ -75,6 +75,7 @@ def _oracle_disagreement(K: FilteredComplex, partition) -> list[str]:
 def cmd_barcode(args) -> int:
     K = _load_complex(args)
     if args.oracle:
+        from .oracle import check_oracle_size
         check_oracle_size(K)
     run = compute(K, args.module, args.algorithm)
     if args.oracle:
@@ -108,6 +109,7 @@ def cmd_generators(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import render_stats_csv, render_stats_text, run_bench
     field = Field(args.field)
     points = _resolve_points(args.input, args.seed)
     result = run_bench(points, args.rmax, args.maxdim, field,
@@ -117,6 +119,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import check_oracle_size
     K = _load_complex(args)
     check_oracle_size(K)
     run = compute(K, "abs_hom", args.algorithm, keep_V=True)
@@ -130,7 +133,7 @@ def cmd_oracle_check(args) -> int:
         print("mismatch: reduction and rank oracle disagree", *lines,
               sep="\n", file=sys.stderr)
         return 1
-    F, _, _, pairs = run.partition
+    F, pairs = run.partition
     print(f"ok: {K.n} cells, {len(F) + len(pairs)} intervals, "
           "barcode matches the rank oracle")
     return 0

@@ -46,6 +46,7 @@ coordinates) feed the Rips builder in :mod:`perscoh.rips`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, lt
 
@@ -145,21 +146,35 @@ class FilteredComplex:
     the other form of it.  Every reduction reads them in place: nothing
     mutates either.  ``simplex_vertices[j - 1]`` is the sorted vertex
     tuple of cell ``j`` of a simplicial complex; for a cells file the
-    field is None.
+    field is None.  It may be given as a function that builds the list,
+    which then runs on the first read.
+
+    ``dim_array`` and ``value_table`` are the int array of ``dims`` and
+    the table ``[-inf, a_1, ..., a_n, inf]`` of the values, ``a_i`` at
+    position i, that the barcodes read.  A loader gives the dims and the
+    float values it holds as arrays (``dim_array`` and ``value_array``);
+    otherwise they are built from the lists on first read, the table as
+    an object array of the values as given, so that its comparisons are
+    Python's also for ints beyond 2**53.
     """
 
     def __init__(self, dims: list[int], values: list[float], D: SparseMatrix | CscMatrix,
-                 field: Field, simplex_vertices: list[tuple] | None = None):
+                 field: Field,
+                 simplex_vertices: list[tuple] | Callable[[], list[tuple]] | None = None,
+                 dim_array: np.ndarray | None = None, value_array: np.ndarray | None = None):
         self.dims = dims
         self.values = values
         self.field = field
-        self.simplex_vertices = simplex_vertices
+        self._simplex_vertices = simplex_vertices
         self.n = len(dims)
         # both forms are set here, the one not given to None, so that every
         # instance has the same attributes, which keeps reading them fast
         given = isinstance(D, CscMatrix)
         self._csc = D if given else None
         self._D = None if given else D
+        self._dim_array = dim_array
+        self._value_array = value_array
+        self._value_table = None
 
     @property
     def D(self) -> SparseMatrix:
@@ -172,6 +187,27 @@ class FilteredComplex:
         if self._csc is None:
             self._csc = CscMatrix.from_sparse(self._D)
         return self._csc
+
+    @property
+    def dim_array(self) -> np.ndarray:
+        if self._dim_array is None:
+            self._dim_array = _ints(self.dims)
+        return self._dim_array
+
+    @property
+    def value_table(self) -> np.ndarray:
+        if self._value_table is None:
+            given = self._value_array
+            self._value_table = (np.array([-math.inf, *self.values, math.inf], object)
+                                 if given is None else
+                                 np.concatenate(([-math.inf], given, [math.inf])))
+        return self._value_table
+
+    @property
+    def simplex_vertices(self) -> list[tuple] | None:
+        if callable(self._simplex_vertices):
+            self._simplex_vertices = self._simplex_vertices()
+        return self._simplex_vertices
 
     def dim(self, j: int) -> int:
         return self.dims[j - 1]
@@ -248,7 +284,8 @@ def _validated(dims: list[int], values: list[float], counts: list[int], faces: l
     # the terms of cell j are start[j - 1]:start[j]
     start = cell.searchsorted(np.arange(n + 1))
     _check_boundary_squared(cell, face, coef, start, p)
-    return FilteredComplex(dims, floats, CscMatrix(start, face + 1, coef), field)
+    return FilteredComplex(dims, floats, CscMatrix(start, face + 1, coef), field,
+                           dim_array=d, value_array=vals)
 
 
 # products of boundary terms formed at once by _check_boundary_squared
@@ -469,9 +506,6 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
         face = faces[np.argmax(at > j)]
         face = " ".join(map(str, (face if names is None else names[face]).tolist()))
         raise ComplexError(int(j), f"face {face} is missing")
-    vertices = []
-    for S, _ in layers:
-        vertices += zip(*(S if names is None else names[S]).T.tolist())
     # cell j of dimension k > 0 has its k + 1 faces at cstart[j - 1]:cstart[j]
     dims = dims[order]
     cstart = np.zeros(start[-1] + 1, np.int64)
@@ -480,9 +514,15 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     for own, c in codes:
         code[cstart[own - 1, None] + np.arange(c.shape[1])] = c
     D = CscMatrix(cstart, code >> 1, np.where(code & 1, field.p - 1, 1))
-    order = order.tolist()
-    return FilteredComplex(dims.tolist(), values[order].tolist(), D,
-                           field, [vertices[i] for i in order])
+
+    def vertices() -> list[tuple]:
+        rows = []
+        for S, _ in layers:
+            rows += zip(*(S if names is None else names[S]).T.tolist())
+        return [rows[i] for i in order.tolist()]
+
+    values = values[order].astype(float, copy=False)
+    return FilteredComplex(dims.tolist(), values.tolist(), D, field, vertices, dims, values)
 
 
 def dual_index(n: int, i: int) -> int:

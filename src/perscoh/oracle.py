@@ -26,8 +26,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .complexes import FilteredComplex
-from .persistence import Diagram, Interval, INF
+from .complexes import FilteredComplex, _ints
+from .persistence import Diagram
 
 ORACLE_MAX_CELLS = 1000
 
@@ -183,7 +183,7 @@ def oracle_barcode(K: FilteredComplex) -> Diagram:
     """
     tables = _RankTables(K)
     n = K.n
-    intervals: list[Interval] = []
+    found: list[tuple[int, int, int]] = []  # (dim, p, q) of each interval
     for k in sorted(tables.cells):
         births = tables.kcells(k)
         deaths = [q_next - 1 for q_next in tables.kcells(k + 1)]
@@ -197,16 +197,10 @@ def oracle_barcode(K: FilteredComplex) -> Diagram:
                     raise ArithmeticError(
                         f"negative multiplicity at k={k}, <{b},{q}>")
                 for _ in range(mult):
-                    intervals.append(_index_interval(K, k, b, q))
+                    found.append((k, b, q))
             mult = tables.r(k, b, n) - tables.r(k, b - 1, n)
             if mult < 0:
                 raise ArithmeticError(f"negative multiplicity at k={k}, <{b},inf>")
             for _ in range(mult):
-                intervals.append(_index_interval(K, k, b, n))
-    return Diagram("abs_hom", intervals)
-
-
-def _index_interval(K: FilteredComplex, k: int, p: int, q: int) -> Interval:
-    birth = K.value(p)
-    death = INF if q == K.n else K.value(q + 1)
-    return Interval(k, p, q, birth, death)
+                found.append((k, b, n))
+    return Diagram.from_indices("abs_hom", K, *_ints(found).reshape(-1, 3).T)

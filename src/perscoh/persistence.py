@@ -1,20 +1,31 @@
 """Barcodes and generators for the four persistence modules.
 
-Intervals are stored both as index pairs ``<p, q>`` (real interval
-``[a_p, a_{q+1})`` with the conventions ``a_0 = -inf``,
-``a_{n+1} = +inf``) and with resolved real endpoints.  Absolute
-homology/cohomology use ``1 <= p <= q <= n`` where ``q = n`` marks an
-infinite interval; relative modules use ``0 <= p <= q <= n-1`` where
-``p = 0`` marks an interval infinite to the left.
+Intervals are index pairs ``<p, q>`` (real interval ``[a_p, a_{q+1})``
+with the conventions ``a_0 = -inf``, ``a_{n+1} = +inf``) with resolved
+real endpoints.  Absolute homology/cohomology use ``1 <= p <= q <= n``
+where ``q = n`` marks an infinite interval; relative modules use
+``0 <= p <= q <= n-1`` where ``p = 0`` marks an interval infinite to
+the left.
 
-Every diagram is built by one rule from the partition of the cells
-into essential births F and pairs (g, h), in original indices.  The
-reductions of the anti-transpose, the barcode-only phcol route and
-pcoh report pairs in reversed dual indexing;
-:func:`partition_from_dual` translates them through
-:func:`~perscoh.complexes.dual_index`.  The cohomology barcodes are
-the homology barcodes of the same pairs: abs_coh equals abs_hom and
-rel_coh equals rel_hom.
+The stages after a reduction run on int arrays:
+
+* the partition ``(F, pairs)`` of the cells into essential births F and
+  pairs (g, h), in original indices.  The reductions of the
+  anti-transpose, the barcode-only phcol route and pcoh report pairs in
+  reversed dual indexing; :func:`partition_from_dual` translates them
+  through :func:`~perscoh.complexes.dual_index`;
+* the :class:`Diagram`, one array per column and positions in the
+  complex's value table, which every module builds from the partition
+  by one rule (:func:`barcode`).  The cohomology barcodes are the
+  homology barcodes of the same pairs: abs_coh equals abs_hom and
+  rel_coh equals rel_hom;
+* the order, one ``lexsort`` on the values (:meth:`Diagram.order`),
+  which :meth:`Diagram.sorted` and the text (:func:`format_diagram`)
+  share.
+
+:class:`Interval` objects are built only where they are read: by
+:attr:`Diagram.intervals`, generator tables, :func:`concatenated_barcode`
+and :func:`parse_diagram`.
 
 :func:`compute` is the single dispatch from a module and an algorithm
 to the matrix to reduce, the reduction, and the partition.
@@ -22,10 +33,14 @@ to the matrix to reduce, the reduction, and the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
-from .complexes import (CscMatrix, FilteredComplex, SparseMatrix, anti_transpose,
+import numpy as np
+
+from .complexes import (CscMatrix, FilteredComplex, SparseMatrix, _ints, anti_transpose,
                         dual_dims, dual_index)
 from .core import Chain
 from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_pairs,
@@ -37,8 +52,14 @@ ALGORITHMS = ("phcol", "phrow", "pcoh")
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
+    """The interval ``<p, q>`` in dimension ``dim``, from ``birth`` to ``death``.
+
+    A named tuple, so it equals the plain tuple of its fields, and its
+    natural order is field order, (dim, p, q, birth, death); diagrams are
+    sorted by :meth:`sort_key`, (dim, birth, death, p, q).
+    """
+
     dim: int
     p: int
     q: int
@@ -53,45 +74,109 @@ class Interval:
         return (self.dim, self.birth, self.death, self.p, self.q)
 
 
-@dataclass
 class Diagram:
-    module_tag: str
-    intervals: list[Interval]
+    """A barcode as columns: interval ``k`` is ``<p[k], q[k]>`` in
+    dimension ``dim[k]``, from ``values[birth[k]]`` to
+    ``values[death[k]]``.
+
+    The columns are int arrays, and ``values`` is a non-decreasing
+    float or object array, whose comparisons are the values' own.  A
+    diagram of a complex K (:meth:`from_indices`) has the values
+    ``K.value_table``, ``[-inf, a_1, ..., a_n, inf]``, and the positions
+    ``p`` and ``q + 1``.  ``intervals`` builds the :class:`Interval`
+    objects on first read.
+    """
+
+    def __init__(self, module_tag: str, dim: np.ndarray, p: np.ndarray, q: np.ndarray,
+                 birth: np.ndarray, death: np.ndarray, values: np.ndarray):
+        self.module_tag = module_tag
+        self.dim, self.p, self.q = dim, p, q
+        self.birth, self.death = birth, death
+        self.values = values
+        self._intervals = None
+
+    @classmethod
+    def from_indices(cls, module_tag: str, K: FilteredComplex, dim: np.ndarray,
+                     p: np.ndarray, q: np.ndarray, drop_zero: bool = False) -> Diagram:
+        """The intervals ``<p[k], q[k]>`` of K, ``[a_p, a_{q+1})``.  With
+        ``drop_zero``, those whose birth equals their death are left out."""
+        values = K.value_table
+        death = q + 1
+        if drop_zero:
+            keep = values[p] != values[death]
+            if not keep.all():
+                dim, p, q, death = dim[keep], p[keep], q[keep], death[keep]
+        return cls(module_tag, dim, p, q, p, death, values)
+
+    @classmethod
+    def from_intervals(cls, module_tag: str, intervals: list[Interval]) -> Diagram:
+        """The diagram of ``intervals``, whose endpoints, sorted, are its values."""
+        ends = [x for iv in intervals for x in (iv.birth, iv.death)]
+        order = sorted(range(len(ends)), key=ends.__getitem__)
+        at = np.empty(len(ends), np.int64)
+        at[order] = np.arange(len(ends))
+        columns = ([getattr(iv, name) for iv in intervals] for name in ("dim", "p", "q"))
+        diagram = cls(module_tag, *map(_ints, columns), at[0::2], at[1::2],
+                      np.array([ends[i] for i in order], object))
+        diagram._intervals = intervals
+        return diagram
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    @property
+    def intervals(self) -> list[Interval]:
+        if self._intervals is None:
+            self._intervals = list(map(
+                Interval, self.dim.tolist(), self.p.tolist(), self.q.tolist(),
+                self.values[self.birth].tolist(), self.values[self.death].tolist()))
+        return self._intervals
+
+    def order(self) -> np.ndarray:
+        """The indices of the intervals sorted by (dim, birth, death, p, q)."""
+        values = self.values
+        return np.lexsort((self.q, self.p, values[self.death], values[self.birth], self.dim))
 
     def sorted(self) -> list[Interval]:
-        return sorted(self.intervals, key=Interval.sort_key)
+        """``intervals`` sorted by (dim, birth, death, p, q)."""
+        return list(map(self.intervals.__getitem__, self.order().tolist()))
 
     def index_multiset(self) -> Counter:
-        return Counter((iv.dim, iv.p, iv.q) for iv in self.intervals)
+        return Counter(zip(self.dim.tolist(), self.p.tolist(), self.q.tolist()))
 
     def value_multiset(self) -> Counter:
-        return Counter((iv.dim, iv.birth, iv.death) for iv in self.intervals)
+        return Counter(zip(self.dim.tolist(), self.values[self.birth].tolist(),
+                           self.values[self.death].tolist()))
 
 
 def pairs_to_partition(dec: Decomposition):
-    """Split 1..n into essential births F, paired births G, deaths H."""
-    n = dec.R.n
-    H = sorted(dec.low_of)
-    G = sorted(dec.low_of.values())
-    rest = set(range(1, n + 1)) - set(H) - set(G)
-    F = sorted(rest)
-    pairs = sorted((low, h) for h, low in dec.low_of.items())
-    return F, G, H, pairs
+    """The partition ``(F, pairs)`` of 1..n that ``dec`` pairs: the
+    essential births F ascending, and the pairs (g, h), one row each,
+    by g ascending; both int arrays."""
+    low = dec.low_of
+    hg = np.fromiter(chain.from_iterable(low.items()), np.int64, 2 * len(low)).reshape(-1, 2)
+    free = np.empty(dec.R.n + 1, bool)
+    free.fill(True)
+    free[0] = False
+    free[hg] = False
+    return free.nonzero()[0], hg[hg[:, 1].argsort()][:, ::-1]
 
 
 def partition_from_dual(pairs, essential, n: int):
-    """The partition (F, G, H, pairs) in original indices of
-    reversed-dual ``pairs`` (s, t) and ``essential`` indices."""
-    F = sorted(dual_index(n, r) for r in essential)
-    spairs = sorted((dual_index(n, t), dual_index(n, s)) for s, t in pairs)
-    return F, sorted(g for g, _ in spairs), sorted(h for _, h in spairs), spairs
-
-
-def _interval(K: FilteredComplex, dim: int, p: int, q: int) -> Interval:
-    n = K.n
-    birth = -INF if p == 0 else K.value(p)
-    death = INF if q == n else K.value(q + 1)
-    return Interval(dim, p, q, birth, death)
+    """The partition ``(F, pairs)`` (see :func:`pairs_to_partition`) in
+    original indices of reversed-dual ``pairs`` (s, t) and ``essential``
+    indices, given as sequences or int arrays."""
+    if isinstance(pairs, np.ndarray):
+        flat = np.concatenate((pairs.ravel(), np.asarray(essential, np.int64)))
+    else:
+        flat = np.fromiter(chain(chain.from_iterable(pairs), essential), np.int64,
+                           2 * len(pairs) + len(essential))
+    # (s, t) is (h, g) in original indices
+    flat = dual_index(n, flat)
+    F = flat[2 * len(pairs):]
+    F.sort()
+    hg = flat[:2 * len(pairs)].reshape(-1, 2)
+    return F, hg[hg[:, 1].argsort()][:, ::-1]
 
 
 def barcode(partition, K: FilteredComplex, module_tag: str,
@@ -100,25 +185,24 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
 
     abs_hom and abs_coh take the absolute rule, rel_hom and rel_coh the
     relative one: an essential f gives ``<f, n>`` or ``<0, f-1>``, a pair
-    (g, h) gives ``<g, h-1>`` in dimension dim(g) or dim(h).  With
-    ``drop_zero``, intervals whose birth equals their death are left out;
-    a pair's is ``[a_g, a_h)``, so pairs with equal values are dropped
-    before their intervals are built.
+    (g, h) gives ``<g, h-1>`` in dimension dim(g) or dim(h).  The
+    essential intervals come first, then the pairs'.  With
+    ``drop_zero``, intervals whose birth equals their death are left out.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
-    F, _, _, pairs = partition
-    n = K.n
+    F, pairs = partition
+    g, h = pairs.T
     rel = module_tag.startswith("rel_")
-    out = [_interval(K, K.dim(f), 0, f - 1) if rel else _interval(K, K.dim(f), f, n)
-           for f in F]
-    if drop_zero:
-        values = K.values
-        # an essential interval has zero length only at an infinite value
-        out = [iv for iv in out if iv.birth != iv.death]
-        pairs = [(g, h) for g, h in pairs if values[g - 1] != values[h - 1]]
-    out += [_interval(K, K.dim(h if rel else g), g, h - 1) for g, h in pairs]
-    return Diagram(module_tag, out)
+    p = np.concatenate((F, g))
+    q = np.concatenate((F, h)) - 1
+    if rel:
+        p[:len(F)] = 0
+    else:
+        q[:len(F)] = K.n
+    # dim(h) = dims[q] for rel, dim(g) = dims[p - 1] for abs
+    dim = K.dim_array[q if rel else p - 1]
+    return Diagram.from_indices(module_tag, K, dim, p, q, drop_zero)
 
 
 @dataclass
@@ -127,15 +211,16 @@ class Computation:
 
     ``matrix`` is the matrix handed to the algorithm (``K.D`` itself for
     a run on D, ``K.csc`` for the barcode-only phcol route), ``result``
-    its raw output, and ``partition`` the absolute partition
-    (F, G, H, pairs) in original indices.  ``dual`` is True when the
-    result is indexed by the reversed dual order: a reduction of the
+    its raw output, and ``partition`` the absolute partition ``(F,
+    pairs)`` in original indices, as int arrays
+    (:func:`pairs_to_partition`).  ``dual`` is True when the result is
+    indexed by the reversed dual order: a reduction of the
     anti-transpose, the barcode-only phcol route, or pcoh.
     """
 
     matrix: SparseMatrix | CscMatrix
     result: Decomposition | PcohResult | Pairing
-    partition: tuple
+    partition: tuple[np.ndarray, np.ndarray]
     dual: bool
 
 
@@ -162,7 +247,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "phcol" and not keep_V:
-        res = phcol_pairs(K.csc, K.field, K.dims)
+        res = phcol_pairs(K.csc, K.field, K.dim_array)
         return Computation(K.csc, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
     D = K.D
@@ -178,7 +263,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         dec = phrow(M, K.field, keep_V=keep_V)
     if not dual:
         return Computation(D, dec, pairs_to_partition(dec), False)
-    Ft, _, _, tpairs = pairs_to_partition(dec)
+    Ft, tpairs = pairs_to_partition(dec)
     return Computation(M, dec, partition_from_dual(tpairs, Ft, K.n), True)
 
 
@@ -208,7 +293,7 @@ def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
             out.append(Interval(iv.dim + 1, n + iv.p, n + iv.q,
                                 doubled_value(n + iv.p),
                                 doubled_value(n + iv.q + 1)))
-    return Diagram("abs_concat", out)
+    return Diagram.from_intervals("abs_concat", out)
 
 
 @dataclass
@@ -284,42 +369,21 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         side = "the anti-transpose" if run.dual else "the boundary matrix D"
         raise ValueError(f"{module_tag} generators cannot be read from a "
                          f"reduction of {side}; compute the run for {module_tag}")
-    F, _, _, pairs = run.partition
-    if drop_zero:
-        # zero-length pairs get no entry, so their columns are never copied
-        values = K.values
-        pairs = [(g, h) for g, h in pairs if values[g - 1] != values[h - 1]]
-
-    intervals = barcode((F, [], [], pairs), K, module_tag, drop_zero=False).intervals
-    # barcode lists F's intervals, then the pairs', in order.  The cell whose
-    # column holds each class: an essential birth, else the pivot column's
-    # cell (the death h in D, the birth g in D-perp)
-    cells = F + [g if starred else h for g, h in pairs]
+    rel = module_tag.startswith("rel_")
     entries: list[GeneratorEntry] = []
-    for k, (iv, c) in enumerate(zip(intervals, cells)):
+    for iv in barcode(run.partition, K, module_tag, drop_zero).sorted():
+        # the cell whose column holds the class: an essential birth f, at
+        # <f, n> or <0, f-1>, else the pivot column's cell of the pair
+        # <g, h-1>: the death h in D, the birth g in D-perp
+        essential = iv.p == 0 if rel else iv.q == n
+        c = iv.q + 1 if (rel if essential else not starred) else iv.p
         j, ref = (dual_index(n, c), f"t[{c}*]") if starred else (c, f"[{c}]")
-        if killers and k >= len(F):
+        if killers and not essential:
             entries.append(GeneratorEntry(iv, list(R[j]), "R" + ref,
                                           list(V[j]), "V" + ref))
         else:
             entries.append(GeneratorEntry(iv, list(V[j]), "V" + ref))
-    return _finish_table(module_tag, n, starred, entries, drop_zero)
-
-
-def _finish_table(module_tag: str, n: int, starred: bool,
-                  entries: list[GeneratorEntry], drop_zero: bool) -> GeneratorTable:
-    if drop_zero:
-        entries = [e for e in entries if e.interval.birth != e.interval.death]
-    entries.sort(key=lambda e: e.interval.sort_key())
     return GeneratorTable(module_tag, n, starred, entries)
-
-
-def _fmt_value(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    return format(x, "g")
 
 
 def format_interval(iv: Interval, indices: bool = False) -> str:
@@ -327,12 +391,28 @@ def format_interval(iv: Interval, indices: bool = False) -> str:
     pair ``<dim> <p> <q>`` instead of real endpoints."""
     if indices:
         return f"{iv.dim} {iv.p} {iv.q}"
-    return f"{iv.dim} {_fmt_value(iv.birth)} {_fmt_value(iv.death)}"
+    return f"{iv.dim} {format(iv.birth, 'g')} {format(iv.death, 'g')}"
 
 
 def format_diagram(diagram: Diagram, indices: bool = False) -> str:
-    """One interval per line (:func:`format_interval`), sorted."""
-    return "\n".join(format_interval(iv, indices) for iv in diagram.sorted())
+    """One interval per line (:func:`format_interval`), sorted by
+    (dim, birth, death, p, q).
+
+    Each distinct value is formatted once: values with the same float
+    bits print the same.
+    """
+    order = diagram.order()
+    if indices:
+        first, second = diagram.p[order].tolist(), diagram.q[order].tolist()
+    else:
+        m = len(order)
+        ends = diagram.values[np.concatenate((diagram.birth[order], diagram.death[order]))]
+        bits = ends.astype(float).view(np.int64).tolist()
+        text = {b: format(x, "g") for b, x in dict(zip(bits, ends.tolist())).items()}
+        texts = list(map(text.__getitem__, bits))
+        first, second = texts[:m], texts[m:]
+    return "\n".join([f"{d} {x} {y}" for d, x, y in
+                      zip(diagram.dim[order].tolist(), first, second)])
 
 
 def parse_diagram(text: str, module_tag: str = "abs_hom") -> Diagram:
@@ -348,4 +428,4 @@ def parse_diagram(text: str, module_tag: str = "abs_hom") -> Diagram:
         dim = int(parts[0])
         birth, death = float(parts[1]), float(parts[2])
         intervals.append(Interval(dim, -1, -1, birth, death))
-    return Diagram(module_tag, intervals)
+    return Diagram.from_intervals(module_tag, intervals)

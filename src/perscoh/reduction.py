@@ -159,7 +159,7 @@ class Pairing:
     ops: int = 0
 
 
-def phcol_pairs(D: CscMatrix, field: Field, dims: list[int]) -> Pairing:
+def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pairing:
     """The pairing of ``phcol(anti_transpose(D), field, keep_V=False,
     dims=dual_dims(dims))``, from D's arrays and the degrees ``dims`` of
     its columns.

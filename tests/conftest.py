@@ -107,6 +107,15 @@ def term_count(A):
     return sum(len(c) for c in A.cols)
 
 
+def partition_lists(partition):
+    """The ``(F, pairs)`` arrays of a partition as the lists ``(F, G, H,
+    pairs)``: essential births, paired births and deaths, each
+    ascending, and the pairs as (g, h) tuples, by g."""
+    F, pairs = partition
+    return (F.tolist(), sorted(pairs[:, 0].tolist()), sorted(pairs[:, 1].tolist()),
+            list(map(tuple, pairs.tolist())))
+
+
 def infinite_part(diagram):
     """The intervals of ``diagram`` with an infinite endpoint."""
     return [iv for iv in diagram.intervals if not iv.finite]

@@ -17,7 +17,8 @@ from perscoh import (GF2, Field, anti_transpose, barcode, compute,
 from perscoh.persistence import INF
 from conftest import (SPHERE_PATH, all_upper_matrices,
                       assert_boundary_squared_zero, assert_generator_sanity,
-                      chain_eq_up_to_scalar, matrix_complex, random_rips)
+                      chain_eq_up_to_scalar, matrix_complex, partition_lists,
+                      random_rips)
 
 F11 = Field(11)
 
@@ -75,7 +76,7 @@ def test_criterion_1_running_example_diagrams():
     K = sphere()
     D = K.D
     part = pairs_to_partition(phcol(D, F11))
-    Ft, _, _, tpairs = pairs_to_partition(phrow(anti_transpose(D), F11))
+    Ft, tpairs = pairs_to_partition(phrow(anti_transpose(D), F11))
 
     tpart = partition_from_dual(tpairs, Ft, K.n)
     abs_hom = barcode(part, K, "abs_hom")
@@ -179,8 +180,8 @@ def test_criterion_6_duality_properties():
         n = K.n
         D = K.D
         part = pairs_to_partition(phcol(D, field))
-        F, _, _, pairs = part
-        Ft, _, _, tpairs = pairs_to_partition(phcol(anti_transpose(D), field))
+        F, _, _, pairs = partition_lists(part)
+        Ft, _, _, tpairs = partition_lists(pairs_to_partition(phcol(anti_transpose(D), field)))
 
         # reversed-index pairing corresponds one-to-one
         assert {(n + 1 - t, n + 1 - s) for s, t in tpairs} == set(pairs)

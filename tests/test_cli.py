@@ -78,8 +78,8 @@ class TestBarcode:
         assert code == 0 and err == ""
 
     def test_oracle_flag_mismatch(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "oracle_barcode",
-                            lambda K: Diagram("abs_hom", []))
+        monkeypatch.setattr("perscoh.oracle.oracle_barcode",
+                            lambda K: Diagram.from_intervals("abs_hom", []))
         code, out, err = run_cli(capsys, ["barcode", *SPHERE_ARGS, "--oracle"])
         assert code == 1
         assert "oracle cross-check failed" in err
@@ -149,8 +149,8 @@ class TestOracleCheck:
         assert out == "ok: 6 cells, 4 intervals, barcode matches the rank oracle\n"
 
     def test_mismatch_reports_both_multisets(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "oracle_barcode",
-                            lambda K: Diagram("abs_hom", []))
+        monkeypatch.setattr("perscoh.oracle.oracle_barcode",
+                            lambda K: Diagram.from_intervals("abs_hom", []))
         code, out, err = run_cli(capsys, ["oracle-check", *SPHERE_ARGS])
         assert code == 1
         assert "mismatch" in err
@@ -446,3 +446,46 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert "barcode" in proc.stdout and "bench" in proc.stdout
+
+
+class TestLazyImports:
+    def test_cli_import_loads_neither_bench_nor_oracle(self):
+        code = ("import sys, perscoh.cli; "
+                "print(sorted(m for m in ('perscoh.bench', 'perscoh.oracle') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        for name in perscoh.__all__:
+            assert getattr(perscoh, name) is not None, name
+        assert perscoh.oracle_barcode is perscoh.oracle.oracle_barcode
+        assert perscoh.Lcg is perscoh.bench.Lcg
+        with pytest.raises(AttributeError, match="no_such_name"):
+            perscoh.no_such_name
+
+
+# stdout of every barcode call (4 modules x phcol, phrow, pcoh) and every
+# generators call the module accepts, on each input, over Z/2 and Z/11,
+# plain, with --indices and with --keep-zero-length, recorded from the
+# Interval-list implementation that the column-array Diagram replaced.
+# ``cases`` maps each argv to its index in ``stdout``.
+with open(os.path.join(DATA_DIR, "golden_stdout.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", ["barcode", "generators"])
+    @pytest.mark.parametrize("source", ["sphere6.cells", "allinf.cells", "cube:8:3",
+                                        "torus:60"])
+    def test_stdout_unchanged(self, capsys, command, source):
+        cases = [(key.split(), GOLDEN["stdout"][k]) for key, k in GOLDEN["cases"].items()
+                 if key.split()[:2] in ([command, source], [command, f"tests/data/{source}"])]
+        assert len(cases) == (72 if command == "barcode" else 54)
+        for argv, expected in cases:
+            argv = [os.path.join(REPO_ROOT, a) if a.startswith("tests/") else a
+                    for a in argv]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            assert out == expected, " ".join(argv[2:])

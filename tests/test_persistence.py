@@ -3,17 +3,19 @@
 import copy
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
-from perscoh import (GF2, Field, Interval, Pairing, anti_transpose, barcode,
+from perscoh import (GF2, Diagram, FilteredComplex, Field, Interval, Pairing, SparseMatrix,
+                     anti_transpose, barcode,
                      build_complex, compute,
                      concatenated_barcode, cube_points, format_diagram, generators,
                      load_cell_file, pairs_to_partition, parse_diagram,
                      partition_from_dual, pcoh, phcol, phrow, rips_filtration,
                      torus_points)
-from perscoh.persistence import INF
-from conftest import infinite_part, random_rips
+from perscoh.persistence import INF, format_interval
+from conftest import SPHERE_PATH, infinite_part, partition_lists, random_rips
 
 F11 = Field(11)
 
@@ -29,20 +31,20 @@ def sphere_tau_partition(sphere11):
 
 class TestPartition:
     def test_sphere(self, sphere11):
-        F, G, H, pairs = sphere_partition(sphere11)
+        F, G, H, pairs = partition_lists(sphere_partition(sphere11))
         assert (F, G, H) == ([1, 6], [2, 4], [3, 5])
         assert pairs == [(2, 3), (4, 5)]
 
     def test_zero_matrix_is_all_essential(self):
         from perscoh import SparseMatrix
         dec = phcol(SparseMatrix(3), F11)
-        F, G, H, pairs = pairs_to_partition(dec)
+        F, G, H, pairs = partition_lists(pairs_to_partition(dec))
         assert (F, G, H, pairs) == ([1, 2, 3], [], [], [])
 
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        F, G, H, pairs = pairs_to_partition(phcol(K.D, F11))
+        F, G, H, pairs = partition_lists(pairs_to_partition(phcol(K.D, F11)))
         assert (F, G, H, pairs) == ([1], [2], [3], [(2, 3)])
 
 
@@ -64,7 +66,7 @@ class TestSphereBarcodes:
                                       (2, 4.0, 5.0): 1, (2, -INF, 6.0): 1}
 
     def test_rel_coh(self, sphere11):
-        F, _, _, pairs = sphere_tau_partition(sphere11)
+        F, pairs = sphere_tau_partition(sphere11)
         d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
                     "rel_coh")
         assert d.module_tag == "rel_coh"
@@ -72,7 +74,7 @@ class TestSphereBarcodes:
             sphere_partition(sphere11), sphere11, "rel_hom").index_multiset()
 
     def test_abs_coh(self, sphere11):
-        F, _, _, pairs = sphere_tau_partition(sphere11)
+        F, pairs = sphere_tau_partition(sphere11)
         d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
                     "abs_coh")
         assert d.index_multiset() == barcode(
@@ -84,7 +86,7 @@ class TestSphereBarcodes:
         assert format_diagram(d, indices=True) == "0 1 6\n0 2 2\n1 4 4\n2 6 6"
 
     def test_bad_module_tag(self, sphere11):
-        F, _, _, pairs = sphere_tau_partition(sphere11)
+        F, pairs = sphere_tau_partition(sphere11)
         with pytest.raises(ValueError, match="module_tag"):
             barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
                     "cubical")
@@ -132,7 +134,7 @@ class TestConcatenatedBarcode:
 
     def test_empty(self, sphere11):
         from perscoh import Diagram
-        cat = concatenated_barcode(Diagram("abs_hom", []), sphere11)
+        cat = concatenated_barcode(Diagram.from_intervals("abs_hom", []), sphere11)
         assert cat.intervals == []
 
     def test_wrong_tag(self, sphere11):
@@ -329,6 +331,79 @@ class TestTextFormat:
         assert not Interval(0, 0, 2, -INF, 3.0).finite
 
 
+def exotic_values_complex():
+    """Vertices at -0.0, 0.0, 2**53 and 2**53 + 1, and edges at ints
+    above 2**53: -0.0 ties with 0.0 but prints apart, and 2**53 and
+    2**53 + 1 differ though their floats are equal."""
+    edge = [[(1, 1), (4, 10)], [(1, 1), (3, 10)], [(1, 1), (2, 10)]]
+    D = SparseMatrix(7, [[], [], [], [], []] + edge)
+    return FilteredComplex([0, 0, 0, 0, 1, 1, 1],
+                           [-0.0, 0.0, 2**53, 2**53 + 1, 2**53 + 2, 2**60, 2**60 + 1],
+                           D, F11)
+
+
+class TestDiagramColumns:
+    """The column Diagram against the Interval objects it stands for."""
+
+    @staticmethod
+    def complexes():
+        grid = [tuple(round(x * 3) / 3 for x in pt) for pt in cube_points(7, 2, 3)]
+        # the last one has a dimension beyond int64, an object dim column
+        return [load_cell_file(SPHERE_PATH, F11), rips_filtration(grid, 0.9, 2, F11),
+                random_rips(5, max_points=9, p=2, dim_max=3), exotic_values_complex(),
+                build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
+                               (1, 2.0, [(1, 1), (3, -1)])], F11)]
+
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom", "abs_coh", "rel_coh"])
+    def test_text_is_the_sorted_intervals(self, module):
+        """format_diagram's lexsort on value ranks and its value table
+        give the text of the intervals sorted by their sort key."""
+        for K in self.complexes():
+            for drop_zero in (True, False):
+                d = barcode(compute(K, module, "phcol").partition, K, module, drop_zero)
+                ordered = sorted(d.intervals, key=Interval.sort_key)
+                assert d.sorted() == ordered
+                assert [d.intervals[k] for k in d.order().tolist()] == ordered
+                for indices in (False, True):
+                    assert format_diagram(d, indices) == "\n".join(
+                        format_interval(iv, indices) for iv in ordered)
+
+    def test_exact_ties_and_texts(self):
+        K = exotic_values_complex()
+        d = barcode(compute(K, "abs_hom", "phrow").partition, K, "abs_hom")
+        # equal values tie whatever their bits, and are broken by death;
+        # ints whose floats are equal still order by value
+        assert format_diagram(d, indices=True) == "0 2 6\n0 1 7\n0 3 5\n0 4 4"
+        assert format_diagram(d).splitlines()[:2] == ["0 0 1.15292e+18", "0 -0 inf"]
+
+    def test_value_tables(self):
+        """A loader's float value table and the object table of the same
+        values given as lists give the same diagrams and texts."""
+        for K in self.complexes()[:3]:
+            assert K.value_table.dtype == float
+            L = FilteredComplex(K.dims, K.values, K.D, K.field)
+            assert L.value_table.dtype == object
+            assert L.value_table.tolist() == K.value_table.tolist() == [-INF, *K.values, INF]
+            assert L.dim_array.tolist() == K.dim_array.tolist() == K.dims
+            for module in ("abs_hom", "rel_coh"):
+                for drop_zero in (True, False):
+                    a, b = (barcode(compute(M, module, "pcoh").partition, M, module, drop_zero)
+                            for M in (K, L))
+                    assert a.intervals == b.intervals
+                    assert a.order().tolist() == b.order().tolist()
+                    assert format_diagram(a) == format_diagram(b)
+
+    def test_from_intervals(self):
+        intervals = [Interval(1, 4, 4, 4.0, 5.0), Interval(0, 1, 6, 1.0, INF),
+                     Interval(0, 2, 2, 2.0, 3.0), Interval(0, 0, 0, -INF, 1.0)]
+        d = Diagram.from_intervals("abs_hom", intervals)
+        assert d.intervals is intervals and len(d) == 4
+        assert d.sorted() == sorted(intervals, key=Interval.sort_key)
+        assert format_diagram(d) == "0 -inf 1\n0 1 inf\n0 2 3\n1 4 5"
+        assert d.index_multiset() == Counter((iv.dim, iv.p, iv.q) for iv in intervals)
+        assert d.value_multiset() == Counter((iv.dim, iv.birth, iv.death) for iv in intervals)
+
+
 class TestCompute:
     """compute() plus barcode() against the acceptance gate's direct routes."""
 
@@ -345,7 +420,7 @@ class TestCompute:
             original = copy.deepcopy(K.D)
             original_csc = copy.deepcopy(K.csc)
             part = pairs_to_partition(phcol(D, K.field))
-            Ft, _, _, tpairs = pairs_to_partition(
+            Ft, tpairs = pairs_to_partition(
                 phcol(anti_transpose(D), K.field))
             assert K.D == original
             if module.endswith("_hom"):
@@ -362,7 +437,7 @@ class TestCompute:
             got = barcode(run.partition, K, module, drop_zero=False)
             assert got.module_tag == module
             assert got.index_multiset() == direct.index_multiset()
-            assert run.partition == part
+            assert partition_lists(run.partition) == partition_lists(part)
             # a barcode-only phcol run reduces D-perp whatever the module
             reduced_dual = algorithm != "pcoh" and (
                 module.endswith("_coh") or (algorithm == "phcol" and not keep_V))

@@ -241,6 +241,14 @@ def test_subnormal_squares():
     assert K.n == 3
 
 
+def test_simplex_vertices_built_on_first_read():
+    K = rips_filtration(cube_points(6, 2, seed=1), math.inf, 2, F11)
+    assert callable(K._simplex_vertices)  # nothing built yet
+    vertices = K.simplex_vertices
+    assert K._simplex_vertices is vertices and K.simplex_vertices is vertices
+    assert len(vertices) == K.n and vertices[0] == (0,)
+
+
 class TestCellCeiling:
     def test_stops_during_the_neighbour_search(self):
         # 60 vertices and the 59 edges of the first one pass 100 at once
