@@ -3,18 +3,16 @@
 A filtered complex is an ordered list of cells, one added per step.
 Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells, which is column ``j`` of the
-strictly upper-triangular boundary matrix ``D``.  The loaders store
-``D`` as flat arrays, a :class:`CscMatrix` (``K.csc``): int64 column
-starts, rows and coefficients.  ``K.D``, the same matrix as one term
-list per column (a :class:`SparseMatrix`), is built from them on first
-read.  The barcode-only ``phcol`` route reads the arrays alone, so
-``perscoh barcode`` with ``phcol`` builds no term lists; ``pcoh``,
-``phrow``, ``phcol`` with V and the oracle read ``K.D``, so ``barcode``
-with ``phrow``, ``pcoh`` or ``--oracle``, ``generators``,
-``oracle-check`` and ``bench`` build them.  ``anti_transpose`` flips
-the term lists across the minor diagonal, which encodes the coboundary
-of the reversed dual filtration.  Cell ``i`` sits at index
-``dual_index(n, i)`` of that reversed order.
+strictly upper-triangular boundary matrix ``D``.  Every complex stores
+``D`` in one form, flat arrays, a :class:`CscMatrix` (``K.csc``): int64
+column starts, rows and coefficients.  ``K.D``, the same matrix as one
+term list per column (a :class:`SparseMatrix`), is built from them on
+first read.  :func:`anti_transpose` flips the arrays across the minor
+diagonal, which encodes the coboundary of the reversed dual filtration;
+cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
+The barcode-only ``phcol`` route and the cohomology ``phcol``/``phrow``
+routes transpose the arrays, so only ``pcoh``, the homology runs of
+``phrow`` and of ``phcol`` with V, and the oracle build ``K.D``.
 
 Two text formats build complexes directly:
 
@@ -112,15 +110,6 @@ class CscMatrix:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("start", "rows", "coefs"))
 
-    @classmethod
-    def from_sparse(cls, A: SparseMatrix) -> CscMatrix:
-        """The arrays of the term lists of ``A``."""
-        cols = A.cols[1:]
-        start = np.zeros(A.n + 1, np.int64)
-        start[1:] = np.cumsum([len(col) for col in cols], dtype=np.int64)
-        terms = np.array([term for col in cols for term in col], np.int64).reshape(-1, 2)
-        return cls(start, terms[:, 0], terms[:, 1])
-
     def to_sparse(self) -> SparseMatrix:
         """The same matrix as term lists, one tuple per distinct term,
         shared by every column that holds it."""
@@ -137,71 +126,39 @@ class CscMatrix:
 
 
 class FilteredComplex:
-    """Validated filtered cell complex over a fixed prime field.
+    """Validated filtered cell complex over a fixed prime field, built
+    from arrays by the loaders.
 
     Cell ``j`` has dimension ``dims[j - 1]``, value ``values[j - 1]`` and
-    boundary column ``j`` of D.  D is given once, as a :class:`CscMatrix`
-    by the loaders or as a :class:`SparseMatrix`, and kept in both forms:
-    ``csc`` and ``D`` are each the given matrix or, built on first read,
-    the other form of it.  Every reduction reads them in place: nothing
-    mutates either.  ``simplex_vertices[j - 1]`` is the sorted vertex
-    tuple of cell ``j`` of a simplicial complex; for a cells file the
-    field is None.  It may be given as a function that builds the list,
-    which then runs on the first read.
-
-    ``dim_array`` and ``value_table`` are the int array of ``dims`` and
-    the table ``[-inf, a_1, ..., a_n, inf]`` of the values, ``a_i`` at
-    position i, that the barcodes read.  A loader gives the dims and the
-    float values it holds as arrays (``dim_array`` and ``value_array``);
-    otherwise they are built from the lists on first read, the table as
-    an object array of the values as given, so that its comparisons are
-    Python's also for ints beyond 2**53.
+    boundary column ``j`` of D.  ``dim_array`` holds the dimensions as
+    int64, or as Python ints where one does not fit, ``value_array`` the
+    values as float64, and ``csc`` the boundary matrix.  ``dims`` and
+    ``values`` are the same as lists, and ``value_table`` is the float64
+    table ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that
+    the barcodes read.  ``D``, the term lists of ``csc``, is built on
+    first read.  Every reduction reads ``csc`` and ``D`` in place:
+    nothing mutates either.  ``simplex_vertices[j - 1]`` is the sorted
+    vertex tuple of cell ``j`` of a simplicial complex, from a function
+    that builds the list on the first read; for a cells file it is None.
     """
 
-    def __init__(self, dims: list[int], values: list[float], D: SparseMatrix | CscMatrix,
-                 field: Field,
-                 simplex_vertices: list[tuple] | Callable[[], list[tuple]] | None = None,
-                 dim_array: np.ndarray | None = None, value_array: np.ndarray | None = None):
-        self.dims = dims
-        self.values = values
+    def __init__(self, dim_array: np.ndarray, value_array: np.ndarray, csc: CscMatrix,
+                 field: Field, simplex_vertices: Callable[[], list[tuple]] | None = None):
+        self.dim_array = dim_array
+        self.dims = dim_array.tolist()
+        self.values = value_array.tolist()
+        self.value_table = np.concatenate(([-math.inf], value_array, [math.inf]))
+        self.csc = csc
         self.field = field
+        self.n = len(self.dims)
+        self._D = None
         self._simplex_vertices = simplex_vertices
-        self.n = len(dims)
-        # both forms are set here, the one not given to None, so that every
-        # instance has the same attributes, which keeps reading them fast
-        given = isinstance(D, CscMatrix)
-        self._csc = D if given else None
-        self._D = None if given else D
-        self._dim_array = dim_array
-        self._value_array = value_array
-        self._value_table = None
 
     @property
     def D(self) -> SparseMatrix:
         if self._D is None:
-            self._D = self._csc.to_sparse()
+            self._D = self.csc.to_sparse()
         return self._D
-
-    @property
-    def csc(self) -> CscMatrix:
-        if self._csc is None:
-            self._csc = CscMatrix.from_sparse(self._D)
-        return self._csc
-
-    @property
-    def dim_array(self) -> np.ndarray:
-        if self._dim_array is None:
-            self._dim_array = _ints(self.dims)
-        return self._dim_array
-
-    @property
-    def value_table(self) -> np.ndarray:
-        if self._value_table is None:
-            given = self._value_array
-            self._value_table = (np.array([-math.inf, *self.values, math.inf], object)
-                                 if given is None else
-                                 np.concatenate(([-math.inf], given, [math.inf])))
-        return self._value_table
 
     @property
     def simplex_vertices(self) -> list[tuple] | None:
@@ -284,8 +241,7 @@ def _validated(dims: list[int], values: list[float], counts: list[int], faces: l
     # the terms of cell j are start[j - 1]:start[j]
     start = cell.searchsorted(np.arange(n + 1))
     _check_boundary_squared(cell, face, coef, start, p)
-    return FilteredComplex(dims, floats, CscMatrix(start, face + 1, coef), field,
-                           dim_array=d, value_array=vals)
+    return FilteredComplex(d, vals, CscMatrix(start, face + 1, coef), field)
 
 
 # products of boundary terms formed at once by _check_boundary_squared
@@ -522,7 +478,7 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
         return [rows[i] for i in order.tolist()]
 
     values = values[order].astype(float, copy=False)
-    return FilteredComplex(dims.tolist(), values.tolist(), D, field, vertices, dims, values)
+    return FilteredComplex(dims, values, D, field, vertices)
 
 
 def dual_index(n: int, i: int) -> int:
@@ -543,19 +499,20 @@ def dual_dims(dims: list[int]) -> list[int]:
     return [-d for d in reversed(dims)]
 
 
-def anti_transpose(A: SparseMatrix) -> SparseMatrix:
-    """Flip ``A`` across its minor diagonal.
+def anti_transpose(D: CscMatrix) -> CscMatrix:
+    """Flip ``D`` across its minor diagonal, as arrays:
+    ``out[i, j] = D[dual_index(n, j), dual_index(n, i)]``.
 
-    ``out[i, j] = A[dual_index(n, j), dual_index(n, i)]``.
+    Column ``c`` of the result is row ``dual_index(n, c)`` of D.  One sort
+    of D's terms by row descending, then column descending, lists the
+    result's columns left to right, each with its rows ascending.
     """
-    n = A.n
-    dual = [dual_index(n, i) for i in range(n + 1)]
-    out = SparseMatrix(n)
-    # right to left, so that each column of out is appended in order
-    for j in range(n, 0, -1):
-        for i, coef in A.cols[j]:
-            out.cols[dual[i]].append((dual[j], coef))
-    return out
+    n = D.n
+    cells = np.arange(1, n + 1).repeat(np.diff(D.start))
+    order = (D.rows * (n + 1) + cells).argsort()[::-1]
+    start = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(D.rows, minlength=n + 1)[:0:-1], out=start[1:])
+    return CscMatrix(start, dual_index(n, cells[order]), D.coefs[order])
 
 
 def _read_lines(path: str) -> tuple[list[int], list[list[str]]]:

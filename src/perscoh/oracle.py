@@ -122,6 +122,7 @@ class _RankTables:
         self._kernel: dict[int, np.ndarray] = {}
         self._bdim: dict[int, list[int]] = {}
         self._zb: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        self._r: dict[tuple[int, int, int], int] = {}
 
     def kcells(self, k: int) -> list[int]:
         return self.cells.get(k, [])
@@ -159,11 +160,19 @@ class _RankTables:
         return ranks[zcols + mb] - self.bdim(k, mb)
 
     def r(self, k: int, p_idx: int, q_idx: int) -> int:
-        if p_idx <= 0:
-            return 0
-        mz = bisect_right(self.kcells(k), p_idx)
-        mb = bisect_right(self.kcells(k + 1), q_idx)
-        return self.rank_image(k, mz, mb)
+        """The persistent rank of H_k from step ``p_idx`` to ``q_idx``,
+        evaluated once per triple."""
+        key = (k, p_idx, q_idx)
+        rank = self._r.get(key)
+        if rank is None:
+            if p_idx <= 0:
+                rank = 0
+            else:
+                mz = bisect_right(self.kcells(k), p_idx)
+                mb = bisect_right(self.kcells(k + 1), q_idx)
+                rank = self.rank_image(k, mz, mb)
+            self._r[key] = rank
+        return rank
 
 
 def persistent_betti(K: FilteredComplex, k: int, p_idx: int, q_idx: int) -> int:

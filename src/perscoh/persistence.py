@@ -79,12 +79,12 @@ class Diagram:
     dimension ``dim[k]``, from ``values[birth[k]]`` to
     ``values[death[k]]``.
 
-    The columns are int arrays, and ``values`` is a non-decreasing
-    float or object array, whose comparisons are the values' own.  A
-    diagram of a complex K (:meth:`from_indices`) has the values
-    ``K.value_table``, ``[-inf, a_1, ..., a_n, inf]``, and the positions
-    ``p`` and ``q + 1``.  ``intervals`` builds the :class:`Interval`
-    objects on first read.
+    The columns are int arrays (``dim`` an object array where a
+    dimension does not fit int64), and ``values`` is a non-decreasing
+    float64 array.  A diagram of a complex K (:meth:`from_indices`) has
+    the values ``K.value_table``, ``[-inf, a_1, ..., a_n, inf]``, and
+    the positions ``p`` and ``q + 1``.  ``intervals`` builds the
+    :class:`Interval` objects on first read.
     """
 
     def __init__(self, module_tag: str, dim: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -111,13 +111,12 @@ class Diagram:
     @classmethod
     def from_intervals(cls, module_tag: str, intervals: list[Interval]) -> Diagram:
         """The diagram of ``intervals``, whose endpoints, sorted, are its values."""
-        ends = [x for iv in intervals for x in (iv.birth, iv.death)]
-        order = sorted(range(len(ends)), key=ends.__getitem__)
+        ends = np.array([x for iv in intervals for x in (iv.birth, iv.death)], float)
+        order = ends.argsort(kind="stable")
         at = np.empty(len(ends), np.int64)
         at[order] = np.arange(len(ends))
         columns = ([getattr(iv, name) for iv in intervals] for name in ("dim", "p", "q"))
-        diagram = cls(module_tag, *map(_ints, columns), at[0::2], at[1::2],
-                      np.array([ends[i] for i in order], object))
+        diagram = cls(module_tag, *map(_ints, columns), at[0::2], at[1::2], ends[order])
         diagram._intervals = intervals
         return diagram
 
@@ -210,7 +209,8 @@ class Computation:
     """One reduction run by :func:`compute`.
 
     ``matrix`` is the matrix handed to the algorithm (``K.D`` itself for
-    a run on D, ``K.csc`` for the barcode-only phcol route), ``result``
+    a run on D, the term lists of ``anti_transpose(K.csc)`` for a run on
+    D-perp, ``K.csc`` for the barcode-only phcol route), ``result``
     its raw output, and ``partition`` the absolute partition ``(F,
     pairs)`` in original indices, as int arrays
     (:func:`pairs_to_partition`).  ``dual`` is True when the result is
@@ -234,10 +234,11 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     :func:`~perscoh.reduction.phcol_pairs` reads D's arrays ``K.csc``,
     takes the apparent pairs in one pass (Bauer 2021, Ripser) and
     reduces only the other columns, with clearing (Bauer, Kerber and
-    Reininghaus 2014).  It builds neither D-perp nor ``K.D``.
-    Otherwise phcol and phrow reduce the term lists ``K.D`` for homology
-    and ``anti_transpose(K.D)`` for cohomology, and pcoh sweeps ``K.D``
-    for every module.  phcol clears, by ``K.dims`` on D and
+    Reininghaus 2014).  It builds no term lists.  Otherwise phcol and
+    phrow reduce the term lists ``K.D`` for homology and those of
+    ``anti_transpose(K.csc)`` for cohomology, which build no ``K.D``,
+    and pcoh sweeps ``K.D`` for every module.  phcol clears, by
+    ``K.dims`` on D and
     :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
     the V matrix that :func:`generators` reads (pcoh always keeps its
     cocycles).
@@ -250,19 +251,18 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         res = phcol_pairs(K.csc, K.field, K.dim_array)
         return Computation(K.csc, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
-    D = K.D
     if algorithm == "pcoh":
-        res = pcoh(D, K.field)
-        return Computation(D, res, partition_from_dual(res.pairs, res.essential, K.n),
+        res = pcoh(K.D, K.field)
+        return Computation(K.D, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
     dual = module_tag.endswith("_coh")
-    M = anti_transpose(D) if dual else D
+    M = anti_transpose(K.csc).to_sparse() if dual else K.D
     if algorithm == "phcol":
         dec = phcol(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
     else:
         dec = phrow(M, K.field, keep_V=keep_V)
     if not dual:
-        return Computation(D, dec, pairs_to_partition(dec), False)
+        return Computation(M, dec, pairs_to_partition(dec), False)
     Ft, tpairs = pairs_to_partition(dec)
     return Computation(M, dec, partition_from_dual(tpairs, Ft, K.n), True)
 

@@ -7,14 +7,14 @@ entry-identical on every input.  Given the degree of each column,
 with the same R and ``low_of``.  The live-cocycle algorithm
 (:func:`pcoh`) takes a boundary matrix D; it sweeps the cell order,
 keeps only the basis of live cocycles, and reports pairs, essential
-indices, and cocycle chains in the reversed dual indexing of
-``anti_transpose(D)``, where they coincide with the row algorithm's
+indices, and cocycle chains in the reversed dual indexing of D-perp,
+the anti-transpose of D, where they coincide with the row algorithm's
 output on that matrix.
 
 :func:`phcol_pairs` gives the pairing of the barcode-only column
-algorithm on ``anti_transpose(D)`` from D's flat arrays, without that
-matrix: it reads the apparent pairs off the arrays and reduces only the
-other columns.
+algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
+without its term lists: it reads the apparent pairs off the arrays and
+reduces only the other columns.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CscMatrix, SparseMatrix, _ints, dual_index
+from .complexes import CscMatrix, SparseMatrix, _ints, anti_transpose, dual_index
 from .core import Chain, Field, chain_axpy, field_inv
 
 
@@ -144,7 +144,7 @@ def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
 @dataclass
 class Pairing:
     """Output of :func:`phcol_pairs`, in the reversed dual indexing of
-    ``anti_transpose(D)``.
+    ``anti_transpose(D)``, D-perp.
 
     In each pair ``(s, t)`` of ``pairs``, row ``s`` is the low of column
     ``t`` of the reduced matrix, and ``essential`` lists the other
@@ -160,15 +160,16 @@ class Pairing:
 
 
 def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pairing:
-    """The pairing of ``phcol(anti_transpose(D), field, keep_V=False,
-    dims=dual_dims(dims))``, from D's arrays and the degrees ``dims`` of
-    its columns.
+    """The pairing of ``phcol(anti_transpose(D).to_sparse(), field,
+    keep_V=False, dims=dual_dims(dims))``, from D's arrays and the
+    degrees ``dims`` of its columns.
 
     Column ``c`` of that matrix, D-perp, is the coboundary of cell
-    ``dual_index(n, c)``, and its low is the cell's oldest cofacet.  One
-    sort of D's terms by row, then column, gives D-perp's terms.  A
-    column whose low is a cell whose youngest face (its low in D) is the
-    column's own cell forms an apparent pair (Bauer 2021, Ripser): no
+    ``dual_index(n, c)``, and its low is the cell's oldest cofacet.
+    D-perp's arrays come from :func:`~perscoh.complexes.anti_transpose`;
+    no term list of D is built.  A column whose low is a cell whose
+    youngest face (its low in D) is the column's own cell forms an
+    apparent pair (Bauer 2021, Ripser): no
     column left of it holds that row, so it reduces to itself and pairs
     with that row.  The other columns are reduced as phcol reduces them,
     by dimension of their cell ascending, left to right, against the
@@ -182,18 +183,11 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
     """
     p = field.p
     n = D.n
-    start = D.start
-    # D-perp's terms are D's terms order[pstart[c - 1]:pstart[c]] for
-    # column c: by row descending, then column descending
-    cells = np.arange(1, n + 1).repeat(np.diff(start))
-    order = (D.rows * (n + 1) + cells).argsort()[::-1]
-    pstart = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(D.rows, minlength=n + 1)[:0:-1], out=pstart[1:])
-
-    cols = (pstart[1:] > pstart[:-1]).nonzero()[0] + 1  # nonempty columns
-    lows = dual_index(n, cells[order[pstart[cols] - 1]])
+    P = anti_transpose(D)
+    cols = (P.start[1:] > P.start[:-1]).nonzero()[0] + 1  # nonempty columns
+    lows = P.rows[P.start[cols] - 1]
     # a column's cell against the youngest face of its low's cell
-    apparent = D.rows[start[dual_index(n, lows)] - 1] == dual_index(n, cols)
+    apparent = D.rows[D.start[dual_index(n, lows)] - 1] == dual_index(n, cols)
     low_to_col = dict(zip(lows[apparent].tolist(), cols[apparent].tolist()))
 
     # the rest, by dimension ascending, then index
@@ -203,11 +197,11 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
         degree = np.unique(degree, return_inverse=True)[1]
     rest = rest[np.lexsort((rest, degree))]
 
-    pstart = pstart.tolist()
+    pstart = P.start.tolist()
 
     def column(j: int) -> Chain:
-        terms = order[pstart[j - 1]:pstart[j]]
-        return list(zip(dual_index(n, cells[terms]).tolist(), D.coefs[terms].tolist()))
+        a, b = pstart[j - 1], pstart[j]
+        return list(zip(P.rows[a:b].tolist(), P.coefs[a:b].tolist()))
 
     ops = 0
     reduced: dict[int, Chain] = {}
@@ -296,8 +290,8 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
     whose coboundary contains it (found by dotting live cocycles with
     the cell's boundary column).  Dead cocycles are dropped
     immediately.  Pairs, essential indices, and cocycle chains are
-    reported in the reversed dual indexing of ``anti_transpose(D)``,
-    matching ``phrow(anti_transpose(D))``.
+    reported in the reversed dual indexing of D-perp, the anti-transpose
+    of D, matching ``phrow`` on D-perp.
 
     ``snapshot(i, Z)`` is called after each sweep step with the live
     cocycle store, a dict mapping birth index to coefficient dict, both

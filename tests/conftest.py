@@ -4,17 +4,19 @@ Provides the 6-cell running example, exhaustive enumeration of small
 strictly-upper-triangular matrices (and the subset that are valid
 filtered complexes), seeded random Rips instances, the boundary
 sanity checks reused by the property suites, and chain and matrix
-helpers that only the tests need.
+helpers that only the tests need, among them the term-list
+anti-transpose that the array one is checked against.
 """
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose,
-                     build_complex, compute, field_inv, generators,
-                     load_cell_file, rips_filtration)
+from perscoh import (GF2, CscMatrix, Field, Lcg, SparseMatrix, build_complex, compute,
+                     dual_index, field_inv, generators, load_cell_file,
+                     rips_filtration)
 from perscoh.complexes import ComplexError
 
 settings.register_profile(
@@ -97,6 +99,30 @@ def random_rips(seed, max_points=10, p=2, dim_max=3):
     return rips_filtration(pts, r_max, dim_max, Field(p))
 
 
+def anti_transpose_terms(A: SparseMatrix) -> SparseMatrix:
+    """Flip ``A`` across its minor diagonal.
+
+    ``out[i, j] = A[dual_index(n, j), dual_index(n, i)]``.
+    """
+    n = A.n
+    dual = [dual_index(n, i) for i in range(n + 1)]
+    out = SparseMatrix(n)
+    # right to left, so that each column of out is appended in order
+    for j in range(n, 0, -1):
+        for i, coef in A.cols[j]:
+            out.cols[dual[i]].append((dual[j], coef))
+    return out
+
+
+def csc_matrix(A: SparseMatrix) -> CscMatrix:
+    """The arrays of the term lists of ``A``."""
+    cols = A.cols[1:]
+    start = np.zeros(A.n + 1, np.int64)
+    start[1:] = np.cumsum([len(col) for col in cols], dtype=np.int64)
+    terms = np.array([term for col in cols for term in col], np.int64).reshape(-1, 2)
+    return CscMatrix(start, terms[:, 0], terms[:, 1])
+
+
 def entry(A, i, j):
     """The coefficient of row ``i`` in column ``j`` of ``A``."""
     return dict(A.cols[j]).get(i, 0)
@@ -159,7 +185,7 @@ def assert_generator_sanity(K):
         if e.killer is not None:
             assert matvec(D, e.killer, p) == e.chain, "killer does not bound generator"
 
-    Dp = anti_transpose(D)
+    Dp = anti_transpose_terms(D)
     tablep = generators(compute(K, "rel_coh", "phcol", keep_V=True), K,
                         "rel_coh", drop_zero=False)
     for e in tablep.entries:

@@ -9,13 +9,13 @@ import functools
 import math
 import time
 
-from perscoh import (GF2, Field, anti_transpose, barcode, compute,
+from perscoh import (GF2, Field, barcode, compute,
                      cube_points, generators, load_cell_file, oracle_barcode,
                      pairs_to_partition, partition_from_dual, pcoh, phcol, phrow,
                      rips_filtration, run_bench, torus_points,
                      verify_decomposition)
 from perscoh.persistence import INF
-from conftest import (SPHERE_PATH, all_upper_matrices,
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
                       assert_boundary_squared_zero, assert_generator_sanity,
                       chain_eq_up_to_scalar, matrix_complex, partition_lists,
                       random_rips)
@@ -76,7 +76,7 @@ def test_criterion_1_running_example_diagrams():
     K = sphere()
     D = K.D
     part = pairs_to_partition(phcol(D, F11))
-    Ft, tpairs = pairs_to_partition(phrow(anti_transpose(D), F11))
+    Ft, tpairs = pairs_to_partition(phrow(anti_transpose_terms(D), F11))
 
     tpart = partition_from_dual(tpairs, Ft, K.n)
     abs_hom = barcode(part, K, "abs_hom")
@@ -181,7 +181,7 @@ def test_criterion_6_duality_properties():
         D = K.D
         part = pairs_to_partition(phcol(D, field))
         F, _, _, pairs = partition_lists(part)
-        Ft, _, _, tpairs = partition_lists(pairs_to_partition(phcol(anti_transpose(D), field)))
+        Ft, _, _, tpairs = partition_lists(pairs_to_partition(phcol(anti_transpose_terms(D), field)))
 
         # reversed-index pairing corresponds one-to-one
         assert {(n + 1 - t, n + 1 - s) for s, t in tpairs} == set(pairs)
@@ -217,7 +217,7 @@ def test_criterion_7_live_cocycles_match_row_reduction():
     for K in instances:
         field = K.field
         D = K.D
-        Dperp = anti_transpose(D)
+        Dperp = anti_transpose_terms(D)
         n = Dperp.n
 
         live = {}

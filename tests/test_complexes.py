@@ -7,11 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from perscoh import (GF2, ComplexError, CscMatrix, Field, FilteredComplex, Lcg,
-                     ParseError, SparseMatrix, anti_transpose, build_complex, cube_points,
+from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
+                     anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
-from conftest import SPHERE_PATH, entry, term_count
+from conftest import SPHERE_PATH, anti_transpose_terms, csc_matrix, entry, term_count
+from test_acceptance import rips_both_fields, rips_instances, small_complexes
 from test_rips import simplex_boundary
 
 F11 = Field(11)
@@ -129,18 +130,28 @@ class TestBoundaryMatrix:
 
 
 class TestAntiTranspose:
+    """The array anti-transpose against the term-list reference."""
+
+    @staticmethod
+    def check(A):
+        """``anti_transpose(A)`` has the reference's term lists, and
+        applied twice it gives back ``A``."""
+        B = anti_transpose(A)
+        assert all(x.dtype == np.int64 for x in (B.start, B.rows, B.coefs))
+        assert B.to_sparse() == anti_transpose_terms(A.to_sparse())
+        assert anti_transpose(B) == A
+        return B.to_sparse()
+
     def test_sphere(self):
         K = build_complex(SPHERE_CELLS, F11)
-        Dp = anti_transpose(K.D)
-        assert Dp.cols[1:] == SPHERE_DPERP
+        assert self.check(K.csc).cols[1:] == SPHERE_DPERP
 
     def test_zero_matrix(self):
-        A = SparseMatrix(4)
-        assert anti_transpose(A) == SparseMatrix(4)
+        assert self.check(csc_matrix(SparseMatrix(4))) == SparseMatrix(4)
 
     def test_entries_flip_across_minor_diagonal(self):
         A = SparseMatrix(3, [[], [], [(1, 7)], [(2, 5)]])
-        B = anti_transpose(A)
+        B = self.check(csc_matrix(A))
         n = 3
         for i in range(1, 4):
             for j in range(1, 4):
@@ -155,20 +166,29 @@ class TestAntiTranspose:
                 coef = rng.next_u64() % 11
                 if coef and rng.next_double() < 0.6:
                     cols[j].append((i, coef))
-        A = SparseMatrix(n, cols)
-        B = anti_transpose(A)
+        B = self.check(csc_matrix(SparseMatrix(n, cols)))
         for j in range(1, n + 1):  # strict upper-triangularity is preserved
             assert all(i < j for i, _ in B.cols[j])
-        assert anti_transpose(B) == A
 
     @pytest.mark.parametrize("p", [2, 11])
     def test_rips_columns_increase(self, p):
         for seed in range(4):
-            D = rips_filtration(cube_points(9, 3, seed), 0.9, 3, Field(p)).D
-            B = anti_transpose(D)
+            B = self.check(rips_filtration(cube_points(9, 3, seed), 0.9, 3, Field(p)).csc)
             for col in B.cols:
                 assert all(a[0] < b[0] for a, b in zip(col, col[1:]))
-            assert anti_transpose(B) == D
+
+    def test_dimension_beyond_int64(self):
+        K = build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
+                           (1, 2.0, [(1, 1), (3, -1)])], F11)
+        assert K.dim_array.dtype == object
+        self.check(K.csc)
+
+    def test_acceptance_instances(self):
+        instances = (small_complexes() + rips_both_fields()
+                     + rips_instances(300, 100, max_points=8, dim_max=2)
+                     + rips_instances(100, 100) + rips_instances(200, 50))
+        for K in instances:
+            self.check(K.csc)
 
 
 class TestLoadCellFile:
@@ -346,11 +366,12 @@ def plain_columns(A):
 
 
 class TestCscView:
-    """``K.csc`` and ``K.D`` describe one matrix, whichever was given."""
+    """``K.csc`` and ``K.D`` describe one matrix, and ``K.D`` is built
+    only when read."""
 
     @staticmethod
-    def check(K, given):
-        assert getattr(K, "_csc" if given == "D" else "_D") is None
+    def check(K):
+        assert K._D is None
         A = K.csc
         assert all(x.dtype == np.int64 for x in (A.start, A.rows, A.coefs))
         assert A.n == K.n and A.start[0] == 0 and len(A.rows) == len(A.coefs) == A.start[-1]
@@ -359,8 +380,9 @@ class TestCscView:
         for j in range(1, K.n + 1):
             rows = A.rows[A.start[j - 1]:A.start[j]]
             assert (rows[1:] > rows[:-1]).all() and (rows < j).all() and (rows >= 1).all()
+        TestAntiTranspose.check(A)
+        assert K._D is None
         assert K.D == SparseMatrix(K.n, plain_columns(K.csc))
-        assert CscMatrix.from_sparse(K.D) == K.csc
 
     # the largest field puts the coefficients 1 and p - 1 far apart
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
@@ -371,31 +393,28 @@ class TestCscView:
             if seed % 2:  # grid points: tied values
                 points = [tuple(round(x * 3) / 3 for x in pt) for pt in points]
             K = rips_filtration(points, 0.9, 3, field)
-            self.check(K, "csc")
+            self.check(K)
             rows = [[repr(v), *(f"v{x:02}" for x in verts)]
                     for v, verts in zip(K.values, K.simplex_vertices)]
             simp = tmp_path / f"c{seed}.simp"
             simp.write_text("".join(" ".join(r) + "\n" for r in reversed(rows)))
             S = load_simplicial_file(str(simp), field)
-            self.check(S, "csc")
+            self.check(S)
             cells = tmp_path / f"c{seed}.cells"
             cells.write_text("".join(
                 f"{d} {v!r} " + " ".join(f"{i}:{c - p}" for i, c in col) + "\n"
                 for d, v, col in zip(K.dims, K.values, K.D.cols[1:])))
             C = load_cell_file(str(cells), field)
-            self.check(C, "csc")
+            self.check(C)
             assert S.csc == K.csc == C.csc
 
-    def test_term_list_complex(self):
-        K = FilteredComplex([d for d, _, _ in SPHERE_CELLS],
-                            [v for _, v, _ in SPHERE_CELLS],
-                            SparseMatrix(6, [[]] + [list(c) for c in SPHERE_D]), F11)
-        self.check(K, "D")
+    def test_sphere_columns(self):
+        K = build_complex(SPHERE_CELLS, F11)
+        self.check(K)
         assert plain_columns(K.csc)[1:] == SPHERE_D
-        assert plain_columns(build_complex(SPHERE_CELLS, F11).csc)[1:] == SPHERE_D
 
     def test_empty_and_edgeless(self):
         for n in (0, 1, 3):
             K = build_complex([(0, 0.0, [])] * n, F11)
-            self.check(K, "csc")
+            self.check(K)
             assert K.D == SparseMatrix(n)

@@ -2,8 +2,9 @@
 
 ``scalar_build_complex`` and ``scalar_load_cell_file`` are the per-line,
 per-term Python loader the array loader replaced, kept as the reference:
-on every seeded file both must give the same complex, or the same error
-text.
+on every seeded file both must give the same dimensions, values and
+boundary columns, or the same error text.  The reference returns those
+three as lists, since a complex is built from arrays only.
 """
 
 import math
@@ -56,7 +57,7 @@ def scalar_build_complex(cells, field):
         bad = [i for i, c in acc.items() if c]
         if bad:
             raise ComplexError(j, f"boundary of boundary is nonzero at cell {min(bad)}")
-    return FilteredComplex(dims, values, D, field)
+    return dims, values, D
 
 
 def _tokenize(path: str):
@@ -68,7 +69,7 @@ def _tokenize(path: str):
             yield lineno, stripped.split()
 
 
-def scalar_load_cell_file(path: str, field: Field) -> FilteredComplex:
+def scalar_load_cell_file(path: str, field: Field) -> tuple[list, list, SparseMatrix]:
     """Read the cell format (``<dim> <value> [<face>:<coef> ...]``)."""
     rows: list[tuple[int, float, list[tuple[int, int]]]] = []
     for lineno, tokens in _tokenize(path):
@@ -98,12 +99,15 @@ def scalar_load_cell_file(path: str, field: Field) -> FilteredComplex:
 
 
 def outcome(load, *args):
-    """The complex ``load`` gives, or the error it raises, by ``repr``."""
+    """The dims, values and boundary columns of the complex ``load``
+    gives, as a complex or as those three, or the error it raises, by
+    ``repr``."""
     try:
-        K = load(*args)
+        got = load(*args)
     except (ParseError, ComplexError) as exc:
         return repr(exc)
-    return K.dims, K.values, K.D.cols
+    dims, values, D = got if isinstance(got, tuple) else (got.dims, got.values, got.D)
+    return dims, values, D.cols
 
 
 HUGE = 10**30

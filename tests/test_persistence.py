@@ -7,15 +7,15 @@ from collections import Counter
 
 import pytest
 
-from perscoh import (GF2, Diagram, FilteredComplex, Field, Interval, Pairing, SparseMatrix,
-                     anti_transpose, barcode,
+from perscoh import (GF2, Diagram, Field, Interval, Pairing, anti_transpose, barcode,
                      build_complex, compute,
-                     concatenated_barcode, cube_points, format_diagram, generators,
+                     concatenated_barcode, cube_points, dual_dims, format_diagram, generators,
                      load_cell_file, pairs_to_partition, parse_diagram,
                      partition_from_dual, pcoh, phcol, phrow, rips_filtration,
                      torus_points)
 from perscoh.persistence import INF, format_interval
-from conftest import SPHERE_PATH, infinite_part, partition_lists, random_rips
+from conftest import (SPHERE_PATH, anti_transpose_terms, infinite_part, partition_lists,
+                      random_rips)
 
 F11 = Field(11)
 
@@ -25,7 +25,7 @@ def sphere_partition(sphere11):
 
 
 def sphere_tau_partition(sphere11):
-    Dperp = anti_transpose(sphere11.D)
+    Dperp = anti_transpose_terms(sphere11.D)
     return pairs_to_partition(phrow(Dperp, F11))
 
 
@@ -332,14 +332,11 @@ class TestTextFormat:
 
 
 def exotic_values_complex():
-    """Vertices at -0.0, 0.0, 2**53 and 2**53 + 1, and edges at ints
-    above 2**53: -0.0 ties with 0.0 but prints apart, and 2**53 and
-    2**53 + 1 differ though their floats are equal."""
-    edge = [[(1, 1), (4, 10)], [(1, 1), (3, 10)], [(1, 1), (2, 10)]]
-    D = SparseMatrix(7, [[], [], [], [], []] + edge)
-    return FilteredComplex([0, 0, 0, 0, 1, 1, 1],
-                           [-0.0, 0.0, 2**53, 2**53 + 1, 2**53 + 2, 2**60, 2**60 + 1],
-                           D, F11)
+    """Vertices at -0.0, 0.0, 1 and 1.5, joined to the first by edges at
+    2, 3 and 4: -0.0 ties with 0.0 but prints apart."""
+    vertices = [(0, value, []) for value in (-0.0, 0.0, 1.0, 1.5)]
+    edges = [(1, value, [(1, 1), (v, 10)]) for value, v in ((2.0, 4), (3.0, 3), (4.0, 2))]
+    return build_complex(vertices + edges, F11)
 
 
 class TestDiagramColumns:
@@ -371,20 +368,20 @@ class TestDiagramColumns:
     def test_exact_ties_and_texts(self):
         K = exotic_values_complex()
         d = barcode(compute(K, "abs_hom", "phrow").partition, K, "abs_hom")
-        # equal values tie whatever their bits, and are broken by death;
-        # ints whose floats are equal still order by value
+        # equal values tie whatever their bits, and are broken by death
         assert format_diagram(d, indices=True) == "0 2 6\n0 1 7\n0 3 5\n0 4 4"
-        assert format_diagram(d).splitlines()[:2] == ["0 0 1.15292e+18", "0 -0 inf"]
+        assert format_diagram(d).splitlines()[:2] == ["0 0 4", "0 -0 inf"]
 
     def test_value_tables(self):
-        """A loader's float value table and the object table of the same
-        values given as lists give the same diagrams and texts."""
-        for K in self.complexes()[:3]:
+        """Every complex has a float value table; the same cells through
+        build_complex give the same tables, diagrams and texts."""
+        for K in self.complexes():
             assert K.value_table.dtype == float
-            L = FilteredComplex(K.dims, K.values, K.D, K.field)
-            assert L.value_table.dtype == object
-            assert L.value_table.tolist() == K.value_table.tolist() == [-INF, *K.values, INF]
-            assert L.dim_array.tolist() == K.dim_array.tolist() == K.dims
+            assert K.value_table.tolist() == [-INF, *K.values, INF]
+            assert K.dim_array.tolist() == K.dims
+            L = build_complex(list(zip(K.dims, K.values, K.D.cols[1:])), K.field)
+            assert L.value_table.tolist() == K.value_table.tolist()
+            assert L.dim_array.tolist() == K.dims
             for module in ("abs_hom", "rel_coh"):
                 for drop_zero in (True, False):
                     a, b = (barcode(compute(M, module, "pcoh").partition, M, module, drop_zero)
@@ -421,7 +418,7 @@ class TestCompute:
             original_csc = copy.deepcopy(K.csc)
             part = pairs_to_partition(phcol(D, K.field))
             Ft, tpairs = pairs_to_partition(
-                phcol(anti_transpose(D), K.field))
+                phcol(anti_transpose_terms(D), K.field))
             assert K.D == original
             if module.endswith("_hom"):
                 direct = barcode(part, K, module, drop_zero=False)
@@ -445,13 +442,13 @@ class TestCompute:
                 # it takes D-perp's pairing from D's arrays, not D-perp
                 assert run.matrix is K.csc and isinstance(run.result, Pairing)
             else:
-                assert run.matrix == (anti_transpose(D) if reduced_dual else D)
+                assert run.matrix == (anti_transpose_terms(D) if reduced_dual else D)
             assert run.dual == (reduced_dual or algorithm == "pcoh")
 
             snapshots = []
             phrow(K.D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
             pcoh(K.D, K.field)
-            anti_transpose(K.D)
+            anti_transpose(K.csc)
             assert snapshots == list(range(1, K.n + 1))
             assert K.D == original and K.csc == original_csc
 
@@ -460,3 +457,43 @@ class TestCompute:
             compute(sphere11, "abs_hom", "phdiag")
         with pytest.raises(ValueError, match="module_tag"):
             compute(sphere11, "cubical", "phcol")
+
+
+
+class TestCohomologyRoutes:
+    """The cohomology phcol and phrow routes reduce the term lists of
+    ``anti_transpose(K.csc)`` and build none of D."""
+
+    @staticmethod
+    def loads(tmp_path):
+        """Pairs of separate loads of the same inputs."""
+        path = tmp_path / "rips.cells"
+        for seed in range(8):
+            p = (2, 11)[seed % 2]
+            yield (random_rips(seed, max_points=9, p=p, dim_max=3),
+                   random_rips(seed, max_points=9, p=p, dim_max=3))
+            K = random_rips(seed, max_points=7, p=p, dim_max=2)
+            path.write_text("".join(
+                f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
+                for dim, value, col in zip(K.dims, K.values, K.D.cols[1:])))
+            yield load_cell_file(str(path), Field(p)), load_cell_file(str(path), Field(p))
+        yield load_cell_file(SPHERE_PATH, F11), load_cell_file(SPHERE_PATH, F11)
+
+    @pytest.mark.parametrize("algorithm, keep_V", [("phcol", True), ("phrow", True),
+                                                   ("phrow", False)])
+    @pytest.mark.parametrize("module", ["abs_coh", "rel_coh"])
+    def test_no_term_lists_of_D(self, tmp_path, module, algorithm, keep_V):
+        for K, L in self.loads(tmp_path):
+            run = compute(K, module, algorithm, keep_V=keep_V)
+            assert K._D is None
+            Dperp = anti_transpose_terms(L.D)
+            if algorithm == "phcol":
+                ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dims))
+            else:
+                ref = phrow(Dperp, L.field, keep_V=keep_V)
+            assert run.matrix == Dperp and run.dual
+            assert run.result.R == ref.R and run.result.V == ref.V
+            assert run.result.low_of == ref.low_of
+            Ft, tpairs = pairs_to_partition(ref)
+            assert partition_lists(run.partition) == partition_lists(
+                partition_from_dual(tpairs, Ft, L.n))

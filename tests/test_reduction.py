@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscoh import (GF2, Field, Lcg, SparseMatrix, anti_transpose, build_complex,
+from perscoh import (GF2, Field, Lcg, SparseMatrix, build_complex,
                      compute, cube_points, dual_dims, field_inv, load_cell_file,
                      pairs_to_partition, pcoh, phcol, phcol_pairs, phrow,
                      rips_filtration, verify_decomposition)
-from conftest import (SPHERE_PATH, all_upper_matrices, partition_lists, random_rips,
-                      term_count)
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, partition_lists,
+                      random_rips, term_count)
 from test_loaders import cell_rows, render
 
 F11 = Field(11)
@@ -83,7 +83,7 @@ class TestClearing:
             K = random_rips(seed, max_points=9, p=p)
             D = K.D
             for M, dims in ((D, K.dims),
-                            (anti_transpose(D), dual_dims(K.dims))):
+                            (anti_transpose_terms(D), dual_dims(K.dims))):
                 plain = phcol(M, field, keep_V)
                 cleared = phcol(M, field, keep_V, dims)
                 assert cleared.R == plain.R
@@ -111,7 +111,7 @@ def _pinned_matrix(source, p, dual):
         K = rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
     D = K.D
     if dual:
-        return anti_transpose(D), dual_dims(K.dims)
+        return anti_transpose_terms(D), dual_dims(K.dims)
     return D, K.dims
 
 
@@ -163,7 +163,7 @@ class TestPhrow:
         assert a.R == b.R and a.V == b.V and a.low_of == b.low_of
 
     def test_antitranspose_of_running_example(self, sphere11):
-        Dp = anti_transpose(sphere11.D)
+        Dp = anti_transpose_terms(sphere11.D)
         dec = phrow(Dp, F11)
         assert dec.low_of == {3: 2, 5: 4}
         assert dec.R.cols[3] == [(1, 10), (2, 10)]
@@ -287,7 +287,7 @@ class TestPhcolPairs:
         partition, through compute, equals the homology partition of D."""
         D = K.D
         res = phcol_pairs(K.csc, K.field, K.dims)
-        dec = phcol(anti_transpose(D), K.field, keep_V=False, dims=dual_dims(K.dims))
+        dec = phcol(anti_transpose_terms(D), K.field, keep_V=False, dims=dual_dims(K.dims))
         Ft, _, _, tpairs = partition_lists(pairs_to_partition(dec))
         assert sorted(res.pairs) == tpairs
         assert res.essential == Ft
