@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "bench": ("BenchResult", "Lcg", "RunStats", "cube_points", "render_stats_csv",
               "render_stats_text", "run_bench", "torus_points"),
-    "oracle": ("ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
-               "persistent_betti", "prefix_ranks"),
+    "oracle": ("ORACLE_MAX_CELLS", "dense_rank", "oracle_barcode", "persistent_betti",
+               "prefix_ranks"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -43,8 +43,8 @@ __all__ = [
     "load_cell_file", "load_points", "load_simplicial_file",
     "simplicial_complex",
     "GF2", "Chain", "Field", "Term", "chain_axpy", "field_inv",
-    "ORACLE_MAX_CELLS", "dense_rank", "nullspace_basis", "oracle_barcode",
-    "persistent_betti", "prefix_ranks",
+    "ORACLE_MAX_CELLS", "dense_rank", "oracle_barcode", "persistent_betti",
+    "prefix_ranks",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
     "generators", "pairs_to_partition", "partition_from_dual", "parse_diagram",

@@ -12,8 +12,10 @@ Exit codes: 0 on success, 1 when a verification cross-check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
+import shutil
 import sys
 
 from .complexes import (FilteredComplex, load_cell_file, load_points,
@@ -210,13 +212,23 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _formatter():
+    """argparse's help formatter at the terminal width, resolved once:
+    ``columns - 2``, as each ``HelpFormatter`` would resolve it, and
+    argparse builds one per argument."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser(formatter=None) -> argparse.ArgumentParser:
+    formatter = formatter or _formatter()
     parser = argparse.ArgumentParser(
         prog="perscoh",
-        description="Persistent (co)homology of filtered complexes over Z/p.")
+        description="Persistent (co)homology of filtered complexes over Z/p.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
@@ -228,14 +240,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     out as from the full parser; arguments it does not know, and argv
     without a subcommand, go to the full parser, which reports them.
     """
+    formatter = _formatter()
     if argv and argv[0] in COMMANDS:
-        command = argparse.ArgumentParser(prog=f"perscoh {argv[0]}")
+        command = argparse.ArgumentParser(prog=f"perscoh {argv[0]}",
+                                          formatter_class=formatter)
         COMMANDS[argv[0]][1](command)
         args, unknown = command.parse_known_args(argv[1:])
         if not unknown:
             args.command = argv[0]
             return args
-    return build_parser().parse_args(argv)
+    return build_parser(formatter).parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,8 @@ strictly-upper-triangular matrices (and the subset that are valid
 filtered complexes), seeded random Rips instances, the boundary
 sanity checks reused by the property suites, and chain and matrix
 helpers that only the tests need, among them the term-list
-anti-transpose that the array one is checked against.
+anti-transpose that the array one is checked against and the kernel
+basis that the oracle's rank tables are checked against.
 """
 
 import os
@@ -112,6 +113,37 @@ def anti_transpose_terms(A: SparseMatrix) -> SparseMatrix:
         for i, coef in A.cols[j]:
             out.cols[dual[i]].append((dual[j], coef))
     return out
+
+
+def nullspace_basis(M, p: int) -> np.ndarray:
+    """Columns spanning the kernel of M over Z/p (reduced row echelon form)."""
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    pivots: list[int] = []
+    rank = 0
+    for c in range(cols):
+        if rank < rows:
+            nz = np.nonzero(A[rank:, c])[0]
+        else:
+            nz = np.empty(0, dtype=np.int64)
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
+        inv = pow(int(A[rank, c]), p - 2, p)
+        A[rank] = (A[rank] * inv) % p
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != rank]
+        if others.size:
+            A[others] = (A[others] - np.outer(A[others, c], A[rank])) % p
+        pivots.append(c)
+        rank += 1
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-A[:rank, free]) % p
+    return basis
 
 
 def csc_matrix(A: SparseMatrix) -> CscMatrix:

@@ -322,6 +322,27 @@ class TestParser:
     def test_same_namespace(self, argv):
         assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
+    @pytest.mark.parametrize("argv", [
+        ["barcode", "in.cells", "--field", "11", "--oracle"],
+        ["bench", "cube:10:3", "--csv"],
+        ["barcode", "in.cells", "--bogus"],
+        ["-h"],
+    ])
+    def test_terminal_width_resolved_once(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def size(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", size)
+        try:
+            cli.parse_args(argv)
+        except SystemExit:
+            capsys.readouterr()
+        assert len(calls) == 1
+
     def test_only_the_named_parser_is_built(self, monkeypatch):
         def full_parser():
             raise AssertionError("full parser built")

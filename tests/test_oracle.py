@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode,
-                     build_complex, dense_rank,
-                     nullspace_basis, oracle_barcode, pairs_to_partition,
+                     build_complex, dense_rank, oracle_barcode, pairs_to_partition,
                      persistent_betti, phcol, prefix_ranks, rips_filtration)
-from perscoh.oracle import _RankTables
-from conftest import all_upper_matrices, matrix_complex, random_rips
+from perscoh import oracle
+from perscoh.oracle import _RankTables, stack_prefix_ranks, suffix_ranks
+from conftest import all_upper_matrices, matrix_complex, nullspace_basis, random_rips
 
 F11 = Field(11)
 
@@ -98,20 +98,107 @@ class TestPrefixRanks:
         assert prefix_ranks(np.zeros((3, 0), dtype=np.int64), 11) == [0]
 
 
-class TestZbasis:
+@st.composite
+def _stacks(draw):
+    """(p, stack) of up to four matrices over Z/2, Z/3 or Z/11; tall, wide
+    or empty, with some columns zeroed in every matrix."""
+    p = draw(st.sampled_from([2, 3, 11]))
+    shape = draw(st.integers(0, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-12, 12), min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    stack = np.array(entries, dtype=np.int64).reshape(shape)
+    stack[:, :, sorted(draw(st.sets(st.integers(0, shape[2] - 1))) if shape[2] else [])] = 0
+    return p, stack
+
+
+class TestStackPrefixRanks:
+    """The batched elimination against row reduction of each matrix."""
+
+    @given(_stacks())
+    def test_matches_plain_elimination(self, case):
+        p, stack = case
+        expected = [[plain_rank([r[:c] for r in M], p) for c in range(stack.shape[2] + 1)]
+                    for M in stack.tolist()]
+        assert stack_prefix_ranks(stack, p).tolist() == expected
+
+    def test_large_modulus(self):
+        p = 2**31 - 1
+        stack = np.array([[[p - 1, 5, 1], [1, p - 5, 3]], [[2, 4, 0], [1, 3, 7]]], dtype=np.int64)
+        expected = [[plain_rank([r[:c] for r in M], p) for c in range(4)]
+                    for M in stack.tolist()]
+        assert expected == [[0, 1, 1, 2], [0, 1, 2, 2]]
+        assert stack_prefix_ranks(stack, p).tolist() == expected
+
+    @given(_matrices())
+    def test_suffix_ranks(self, case):
+        p, rows, ncols = case
+        B = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        expected = [[plain_rank([r[:c] for r in rows[m:]], p) for c in range(ncols + 1)]
+                    for m in range(len(rows) + 1)]
+        assert suffix_ranks(B, p).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_entry_chunks(self, monkeypatch, seed):
+        K = random_rips(seed, max_points=8, p=2 if seed % 2 == 0 else 11, dim_max=2)
+        tables = _RankTables(K)
+        expected = {k: tables.table(k) for k in tables.cells}
+        shapes = []
+
+        def eliminate(A, p):
+            shapes.append(A.shape)
+            return real(A, p)
+
+        real = oracle._eliminate
+        monkeypatch.setattr(oracle, "_ENTRIES", 1)
+        monkeypatch.setattr(oracle, "_eliminate", eliminate)
+        tables = _RankTables(K)
+        for k, T in expected.items():
+            assert np.array_equal(tables.table(k), T)
+        assert shapes and all(copies == 1 for copies, _, _ in shapes)
+
+
+def plain_prefix_ranks(M, p):
+    """Rank mod p of every column prefix of M, adding one column at a time
+    to a basis kept with distinct leading rows."""
+    basis = {}  # leading row -> basis column, 1 there and 0 above
+    ranks = [0]
+    for column in np.asarray(M).T.tolist():
+        v = [x % p for x in column]
+        for i in range(len(v)):
+            if v[i] and i in basis:
+                v = [(a - v[i] * b) % p for a, b in zip(v, basis[i])]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            basis[lead] = [x * inv % p for x in v]
+        ranks.append(len(basis))
+    return ranks
+
+
+class TestRankTable:
+    """Every entry of each dimension's rank table equals rank [Z_mz | B_mb]
+    - rank B_mb, with Z_mz spanning the cycles among the first mz k-cells
+    (from the reference kernel basis) and B_mb the boundaries of the
+    first mb (k+1)-cells."""
+
     @pytest.mark.parametrize("seed,p", [(3, 2), (4, 11), (7, 3)])
-    def test_every_prefix_spans_its_cycles(self, seed, p):
+    def test_every_entry(self, seed, p):
         K = random_rips(seed, max_points=8, p=p, dim_max=2)
         tables = _RankTables(K)
         checked = 0
         for k, cells in tables.cells.items():
+            B = tables.block.get(k + 1, np.zeros((len(cells), 0), dtype=np.int64))
+            boundaries = plain_prefix_ranks(B, p)
+            T = tables.table(k)
+            assert T.shape == (len(cells) + 1, B.shape[1] + 1)
             for mz in range(len(cells) + 1):
-                A = tables.block[k][:, :mz]
-                Z = tables.zbasis(k, mz)
-                assert Z.shape == (mz, mz - dense_rank(A, p))
-                assert not ((A @ Z) % p).any()
-                assert dense_rank(Z, p) == Z.shape[1]
-                checked += 1
+                Z = nullspace_basis(tables.block[k][:, :mz], p)
+                padded = np.zeros((len(cells), Z.shape[1]), dtype=np.int64)
+                padded[:mz] = Z
+                stacked = plain_prefix_ranks(np.hstack([padded, B]), p)
+                for mb in range(B.shape[1] + 1):
+                    assert T[mz, mb] == stacked[Z.shape[1] + mb] - boundaries[mb]
+                    checked += 1
         assert checked > K.n
 
 
@@ -143,6 +230,19 @@ class TestPersistentBetti:
         for pi, qi in [(0, 3), (3, 2), (1, 7), (7, 7)]:
             with pytest.raises(ValueError):
                 persistent_betti(sphere11, 0, pi, qi)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_builds_only_its_dimension(self, sphere11, monkeypatch, k):
+        built = []
+
+        def table(self, dim):
+            built.append(dim)
+            return real(self, dim)
+
+        real = _RankTables.table
+        monkeypatch.setattr(_RankTables, "table", table)
+        persistent_betti(sphere11, k, 2, 5)
+        assert set(built) == {k}
 
 
 class TestOracleBarcode:
@@ -185,6 +285,39 @@ class TestOracleBarcode:
         K = random_rips(seed, max_points=7, p=p, dim_max=2)
         assert oracle_barcode(K).index_multiset() == \
             reduced_barcode(K, Field(p)).index_multiset()
+
+    @pytest.mark.parametrize("change,where", [
+        # negatives at <1,3> and <2,inf>; <1,3> comes first
+        (+2, "<1,3>"),
+        # negatives at <1,inf> and <2,3>; <1,inf> comes first
+        (-2, "<1,inf>"),
+    ])
+    def test_negative_multiplicity(self, sphere11, monkeypatch, change, where):
+        def table(self, k):
+            T = real(self, k).copy()
+            if k == 0:
+                T[1, 2] += change
+            return T
+
+        real = _RankTables.table
+        monkeypatch.setattr(_RankTables, "table", table)
+        with pytest.raises(ArithmeticError) as exc:
+            oracle_barcode(sphere11)
+        assert str(exc.value) == f"negative multiplicity at k=0, {where}"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_modulus(self, seed):
+        field = Field(2**31 - 1)
+        K = random_rips(seed, max_points=7, p=field.p, dim_max=2)
+        assert oracle_barcode(K).index_multiset() == \
+            reduced_barcode(K, field).index_multiset()
+
+    def test_dimension_beyond_int64(self):
+        big = 10**20
+        K = build_complex([(0, 1.0, []), (0, 1.0, []), (1, 2.0, [(1, 1), (2, -1)]),
+                           (big, 3.0, [])], F11)
+        assert oracle_barcode(K).index_multiset() == {(0, 1, 4): 1, (0, 2, 2): 1,
+                                                      (big, 4, 4): 1}
 
     def test_interval_values_resolved(self, sphere11):
         by_index = {(iv.dim, iv.p, iv.q): iv
