@@ -237,7 +237,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     Reininghaus 2014).  It builds no term lists.  Otherwise phcol and
     phrow reduce the term lists ``K.D`` for homology and those of
     ``anti_transpose(K.csc)`` for cohomology, which build no ``K.D``,
-    and pcoh sweeps ``K.D`` for every module.  phcol clears, by
+    and pcoh sweeps ``K.D`` for every module.  phcol and phrow clear, by
     ``K.dims`` on D and
     :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
     the V matrix that :func:`generators` reads (pcoh always keeps its
@@ -257,10 +257,8 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
                            True)
     dual = module_tag.endswith("_coh")
     M = anti_transpose(K.csc).to_sparse() if dual else K.D
-    if algorithm == "phcol":
-        dec = phcol(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
-    else:
-        dec = phrow(M, K.field, keep_V=keep_V)
+    reduce_fn = phcol if algorithm == "phcol" else phrow
+    dec = reduce_fn(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
     if not dual:
         return Computation(M, dec, pairs_to_partition(dec), False)
     Ft, tpairs = pairs_to_partition(dec)

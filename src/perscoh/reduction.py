@@ -2,14 +2,14 @@
 
 All three consume a strictly upper-triangular matrix over Z/p.  The
 column and row algorithms return a full :class:`Decomposition` and are
-entry-identical on every input.  Given the degree of each column,
-:func:`phcol` clears: it skips the columns that must reduce to zero,
-with the same R and ``low_of``.  The live-cocycle algorithm
-(:func:`pcoh`) takes a boundary matrix D; it sweeps the cell order,
-keeps only the basis of live cocycles, and reports pairs, essential
-indices, and cocycle chains in the reversed dual indexing of D-perp,
-the anti-transpose of D, where they coincide with the row algorithm's
-output on that matrix.
+entry-identical on every input.  Given the degree of each column, both
+clear: they skip the columns that must reduce to zero, with the same R
+and ``low_of``, and given the same degrees they stay entry-identical.
+The live-cocycle algorithm (:func:`pcoh`) takes a boundary matrix D;
+it sweeps the cell order, keeps only the basis of live cocycles, and
+reports pairs, essential indices, and cocycle chains in the reversed
+dual indexing of D-perp, the anti-transpose of D, where they coincide
+with the row algorithm's output on that matrix.
 
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
@@ -231,9 +231,19 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
-          snapshot=None) -> Decomposition:
+          dims: list[int] | None = None, snapshot=None) -> Decomposition:
     """Row algorithm: sweep rows bottom-up, reducing each row's low
     columns against the smallest-index one.
+
+    ``dims``, the degree of each column as :func:`phcol` takes it, says
+    that D is a graded boundary matrix, and the sweep clears: once row
+    ``i`` has a pivot column, column ``i`` must reduce to zero, and no
+    row processed so far has touched it, as its low lies above row
+    ``i``.  Its R becomes 0 and, with ``keep_V``, its V becomes the
+    pivot's final R, a cycle with low ``i``, at the step of row ``i``,
+    which the snapshot shows.  The result equals ``phcol(D, field,
+    keep_V, dims)`` entry for entry.  Without ``dims`` nothing is
+    cleared, and D may be any strictly upper-triangular matrix.
 
     ``snapshot(k, R, V)`` is called after the k-th row iteration
     (k = 1 processes row n) with live matrix views; copy anything kept.
@@ -276,6 +286,16 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
                     peak = total
                 if new:
                     bucket.setdefault(new[-1][0], []).append(j)
+            if dims is not None:  # column i is still D's, and reduces to zero
+                if R[i]:
+                    bucket[R[i][-1][0]].remove(i)
+                    total -= len(R[i])
+                    R[i] = []
+                if keep_V:
+                    V[i] = list(R[piv])
+                    total += len(V[i]) - 1
+                    if total > peak:
+                        peak = total
         if snapshot is not None:
             snapshot(k, R_view, V_view)
 

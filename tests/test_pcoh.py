@@ -3,7 +3,7 @@ anti-transpose, and the step-by-step live-cocycle/V-column trace."""
 
 import pytest
 
-from perscoh import (GF2, Field, build_complex,
+from perscoh import (GF2, Field, build_complex, dual_dims,
                      load_cell_file, pcoh, phrow)
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, matrix_complex,
                       random_rips)
@@ -101,11 +101,11 @@ class TestAgainstRowAlgorithm:
     """pcoh on D-perp must reproduce the row algorithm's pairing and,
     cocycle by cocycle, its V columns."""
 
-    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(8)
-                                        for p in (2, 11)])
-    def test_rips_instances(self, seed, p):
-        field = Field(p)
-        K = random_rips(seed, max_points=8, p=p, dim_max=2)
+    @staticmethod
+    def check_trace(K, field, dims=None):
+        """pcoh on D against phrow on D-perp given ``dims``: the pairing,
+        the cocycles and the live cocycles of every step.  Returns
+        pcoh's result, phrow's and phrow's V at every step."""
         D = K.D
         Dperp = anti_transpose_terms(D)
         n = Dperp.n
@@ -115,7 +115,7 @@ class TestAgainstRowAlgorithm:
                    snapshot=lambda i, Z: live.__setitem__(
                        i, {b: dict(z) for b, z in Z.items()}))
         vsnaps = {}
-        dec = phrow(Dperp, field, keep_V=True,
+        dec = phrow(Dperp, field, True, dims,
                     snapshot=lambda k, R, V: vsnaps.__setitem__(
                         k, [list(col) for col in V.cols]))
 
@@ -130,6 +130,28 @@ class TestAgainstRowAlgorithm:
         for i in range(1, n + 1):
             for b, z in live[i].items():
                 assert flip_chain(z, n) == vsnaps[i][n + 1 - b]
+        return res, dec, vsnaps
+
+    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(8)
+                                        for p in (2, 11)])
+    def test_rips_instances(self, seed, p):
+        K = random_rips(seed, max_points=8, p=p, dim_max=2)
+        self.check_trace(K, Field(p))
+
+    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(8)
+                                        for p in (2, 11)])
+    def test_live_trace_with_clearing(self, seed, p):
+        """Clearing never touches a live cocycle: a cleared column of
+        D-perp is the killer cell's own cocycle, cleared at that cell's
+        step."""
+        K = random_rips(seed, max_points=8, p=p, dim_max=2)
+        res, dec, vsnaps = self.check_trace(K, Field(p), dual_dims(K.dims))
+        n = K.n
+        for s, t in res.pairs:
+            # the killer cell n + 1 - s enters at step n + 1 - s
+            assert dec.R.cols[s] == [] and dec.V.cols[s] == dec.R.cols[t]
+            assert vsnaps[n - s][s] == [(s, 1)]
+            assert vsnaps[n + 1 - s][s] == dec.R.cols[t]
 
     def test_exhaustive_small_complexes(self):
         checked = 0

@@ -452,6 +452,20 @@ class TestCompute:
             assert snapshots == list(range(1, K.n + 1))
             assert K.D == original and K.csc == original_csc
 
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
+    def test_homology_phrow_clears(self, sphere11, module):
+        """The homology phrow route is the row algorithm on D with
+        clearing by ``K.dims``."""
+        complexes = [random_rips(seed, max_points=8, p=(2, 11)[seed % 2], dim_max=2)
+                     for seed in range(6)] + [sphere11]
+        for K in complexes:
+            run = compute(K, module, "phrow", keep_V=True)
+            ref = phrow(K.D, K.field, True, K.dims)
+            assert run.matrix == K.D and not run.dual
+            assert run.result.R == ref.R and run.result.V == ref.V
+            assert run.result.low_of == ref.low_of
+            assert (run.result.ops, run.result.peak_elements) == (ref.ops, ref.peak_elements)
+
     def test_rejects_unknown_names(self, sphere11):
         with pytest.raises(ValueError, match="algorithm"):
             compute(sphere11, "abs_hom", "phdiag")
@@ -490,7 +504,7 @@ class TestCohomologyRoutes:
             if algorithm == "phcol":
                 ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dims))
             else:
-                ref = phrow(Dperp, L.field, keep_V=keep_V)
+                ref = phrow(Dperp, L.field, keep_V, dual_dims(L.dims))
             assert run.matrix == Dperp and run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of

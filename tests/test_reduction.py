@@ -102,6 +102,40 @@ class TestClearing:
         assert dec.V.cols[2] == dec.R.cols[3]
         assert dec.V.cols[4] == dec.R.cols[5]
 
+    @pytest.mark.parametrize("p", [2, 11])
+    @pytest.mark.parametrize("keep_V", [False, True])
+    def test_phrow_equals_phcol(self, sphere11, p, keep_V):
+        """phrow given the same degrees is entry-identical to phcol."""
+        field = Field(p)
+        complexes = [random_rips(seed, max_points=9, p=p) for seed in range(10)]
+        if p == 11:
+            complexes.append(sphere11)
+        cleared_any = False
+        for K in complexes:
+            D = K.D
+            for M, dims in ((D, K.dims),
+                            (anti_transpose_terms(D), dual_dims(K.dims))):
+                col = phcol(M, field, keep_V, dims)
+                row = phrow(M, field, keep_V, dims)
+                assert row.R == col.R and row.V == col.V
+                assert row.low_of == col.low_of
+                assert row.ops == col.ops
+                cleared_any |= row.ops < phrow(M, field, keep_V).ops
+                if keep_V:
+                    report = verify_decomposition(M, row, field)
+                    assert report.ok, report.message
+        assert cleared_any
+
+    def test_phrow_clears_at_the_step_of_its_row(self, sphere11):
+        D = sphere11.D
+        seen = {}
+        dec = phrow(D, F11, dims=sphere11.dims,
+                    snapshot=lambda k, R, V: seen.__setitem__(
+                        k, (list(R.cols[4]), list(V.cols[4]))))
+        # row 4 is the low of column 5, processed at step 6 - 4 + 1 = 3
+        assert seen[2] == (D.cols[4], [(4, 1)])
+        assert seen[3] == ([], dec.R.cols[5]) == seen[6]
+
 
 def _pinned_matrix(source, p, dual):
     """The pinned matrix and the degrees of its columns."""
@@ -142,16 +176,20 @@ def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     assert (result.ops, result.peak_elements) == (ops, peak)
 
 
-@pytest.mark.parametrize("source, p, dual, keep_V, ops, peak", [
-    ("cube", 2, False, False, 12001, 6736),
-    ("cube", 2, True, False, 205, 6791),
-    ("sphere", 11, False, True, 3, 14),
+@pytest.mark.parametrize("source, p, dual, algorithm, keep_V, ops, peak", [
+    ("cube", 2, False, "phcol", False, 12001, 6736),
+    ("cube", 2, True, "phcol", False, 205, 6791),
+    ("sphere", 11, False, "phcol", True, 3, 14),
+    ("cube", 2, False, "phrow", False, 12001, 6894),
+    ("cube", 2, True, "phrow", False, 205, 6747),
+    ("sphere", 11, False, "phrow", True, 3, 14),
 ])
-def test_cleared_counters_pinned(source, p, dual, keep_V, ops, peak):
-    """The same counts for phcol with clearing (the rows above run
-    without degrees)."""
+def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
+    """The same counts with clearing (the rows above run without
+    degrees)."""
     M, dims = _pinned_matrix(source, p, dual)
-    result = phcol(M, Field(p), keep_V=keep_V, dims=dims)
+    reduce_fn = phcol if algorithm == "phcol" else phrow
+    result = reduce_fn(M, Field(p), keep_V=keep_V, dims=dims)
     assert (result.ops, result.peak_elements) == (ops, peak)
 
 
