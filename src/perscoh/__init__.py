@@ -20,7 +20,8 @@ from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           pairs_to_partition, partition_from_dual,
                           parse_diagram)
 from .reduction import (Decomposition, Pairing, PcohResult, VerifyReport,
-                        pcoh, phcol, phcol_pairs, phrow, verify_decomposition)
+                        pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
+                        verify_decomposition)
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
 __version__ = "0.1.0"
@@ -49,7 +50,7 @@ __all__ = [
     "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
     "generators", "pairs_to_partition", "partition_from_dual", "parse_diagram",
     "Decomposition", "Pairing", "PcohResult", "VerifyReport",
-    "pcoh", "phcol", "phcol_pairs", "phrow", "verify_decomposition",
+    "pcoh", "phcol", "phcol_cycles", "phcol_pairs", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",
     "__version__",
 ]

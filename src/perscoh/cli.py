@@ -126,7 +126,7 @@ def cmd_oracle_check(args) -> int:
     check_oracle_size(K)
     run = compute(K, "abs_hom", args.algorithm, keep_V=True)
     if args.algorithm != "pcoh":
-        report = verify_decomposition(run.matrix, run.result, K.field)
+        report = verify_decomposition(K.D, run.result, K.field)
         if not report.ok:
             print(f"decomposition check failed: {report.message}", file=sys.stderr)
             return 1

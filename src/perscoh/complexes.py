@@ -10,9 +10,10 @@ term list per column (a :class:`SparseMatrix`), is built from them on
 first read.  :func:`anti_transpose` flips the arrays across the minor
 diagonal, which encodes the coboundary of the reversed dual filtration;
 cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
-The barcode-only ``phcol`` route and the cohomology ``phcol``/``phrow``
-routes transpose the arrays, so only ``pcoh``, the homology runs of
-``phrow`` and of ``phcol`` with V, and the oracle build ``K.D``.
+The barcode-only ``phcol`` route and the homology ``phcol`` route with
+V read the arrays, the cohomology ``phcol``/``phrow`` routes transpose
+them, and the oracle reads them too, so only ``pcoh``, the homology runs
+of ``phrow`` and the R = DV check of ``oracle-check`` build ``K.D``.
 
 Two text formats build complexes directly:
 

@@ -43,8 +43,8 @@ import numpy as np
 from .complexes import (CscMatrix, FilteredComplex, SparseMatrix, _ints, anti_transpose,
                         dual_dims, dual_index)
 from .core import Chain
-from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_pairs,
-                        phrow)
+from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_cycles,
+                        phcol_pairs, phrow)
 
 MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
 ALGORITHMS = ("phcol", "phrow", "pcoh")
@@ -208,10 +208,11 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
 class Computation:
     """One reduction run by :func:`compute`.
 
-    ``matrix`` is the matrix handed to the algorithm (``K.D`` itself for
-    a run on D, the term lists of ``anti_transpose(K.csc)`` for a run on
-    D-perp, ``K.csc`` for the barcode-only phcol route), ``result``
-    its raw output, and ``partition`` the absolute partition ``(F,
+    ``matrix`` is the matrix handed to the algorithm (``K.csc`` for
+    every phcol run on D's arrays: barcode-only, or homology with V;
+    ``K.D`` itself for the other runs on D, the term lists of
+    ``anti_transpose(K.csc)`` for a run on D-perp), ``result`` its raw
+    output, and ``partition`` the absolute partition ``(F,
     pairs)`` in original indices, as int arrays
     (:func:`pairs_to_partition`).  ``dual`` is True when the result is
     indexed by the reversed dual order: a reduction of the
@@ -234,7 +235,10 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     :func:`~perscoh.reduction.phcol_pairs` reads D's arrays ``K.csc``,
     takes the apparent pairs in one pass (Bauer 2021, Ripser) and
     reduces only the other columns, with clearing (Bauer, Kerber and
-    Reininghaus 2014).  It builds no term lists.  Otherwise phcol and
+    Reininghaus 2014).  It builds no term lists.  A homology phcol run
+    with V takes that pairing and then D's cycles from ``K.csc``
+    (:func:`~perscoh.reduction.phcol_cycles`), with the R, V and ops of
+    phcol on ``K.D``; it builds no ``K.D`` either.  Otherwise phcol and
     phrow reduce the term lists ``K.D`` for homology and those of
     ``anti_transpose(K.csc)`` for cohomology, which build no ``K.D``,
     and pcoh sweeps ``K.D`` for every module.  phcol and phrow clear, by
@@ -256,6 +260,9 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         return Computation(K.D, res, partition_from_dual(res.pairs, res.essential, K.n),
                            True)
     dual = module_tag.endswith("_coh")
+    if algorithm == "phcol" and not dual:
+        dec = phcol_cycles(K.csc, K.field, K.dim_array)
+        return Computation(K.csc, dec, pairs_to_partition(dec), False)
     M = anti_transpose(K.csc).to_sparse() if dual else K.D
     reduce_fn = phcol if algorithm == "phcol" else phrow
     dec = reduce_fn(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)

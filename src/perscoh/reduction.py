@@ -14,7 +14,10 @@ with the row algorithm's output on that matrix.
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
 without its term lists: it reads the apparent pairs off the arrays and
-reduces only the other columns.
+reduces only the other columns.  :func:`phcol_cycles` gives the
+V-keeping column algorithm on D from D's arrays: that pairing first,
+then the homology cycles, the many independent columns that reduce to
+zero in batched rounds on arrays.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -29,6 +32,7 @@ input's own columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -228,6 +232,199 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
         paired[np.fromiter(x, np.int64, len(low_to_col))] = True
     return Pairing(list(low_to_col.items()), ((~paired[1:]).nonzero()[0] + 1).tolist(),
                    int(apparent.sum()), ops)
+
+
+# phcol_cycles reduces the essential columns in batched rounds while at
+# least this many are nonzero, and the rest one at a time.  A round costs
+# some 40 numpy calls; on the benchmark's cells and cube inputs (2 vCPUs) a
+# cut-off of 16-32 columns ran fastest, 64 and 128 slower.
+_ROUND_MIN = 32
+
+
+def phcol_cycles(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Decomposition:
+    """``phcol(D.to_sparse(), field, True, dims)`` from D's arrays: the
+    same R, V, ``low_of`` and ``ops``, entry for entry.
+
+    The pairs (g, h) come first, from :func:`phcol_pairs`, and the
+    homology cycles are computed after them (Čufar and Virk 2021).  In
+    phcol's sweep every low that a column meets before its own final low
+    already has its final partner, to its left, and a pivot never changes
+    once set, so reducing a column against the final table {g: h}
+    repeats phcol's additions exactly:
+
+    * a death h whose low in D is g keeps D's column, with V = e_h; the
+      other deaths, ascending, are reduced until their low's partner is
+      the column itself;
+    * a birth g is cleared: R = 0 and V = R[h];
+    * an essential column reduces to zero against deaths only, so these
+      columns are independent.  While at least ``_ROUND_MIN`` of them
+      are nonzero they are reduced together in rounds (Bauer, Kerber and
+      Reininghaus 2014), on arrays: a round adds one pivot to each, and
+      one sort of (column, row) keys and a sum mod p merge the terms.
+      Each addition is kept as (column, pivot, multiplier); after the
+      last round V = e_f + the sum of multiplier times pivot's V, for
+      every such column at once.  The rest are reduced one at a time.
+
+    Only the rounds use arrays; the deaths, the columns reduced one at a
+    time and the output are term lists, and D's columns are read from
+    its arrays once.  ``peak_elements`` counts the terms of R and V as
+    returned plus the most terms that a round's merge sorts.
+    """
+    p = field.p
+    n = D.n
+    pairs = phcol_pairs(D, field, dims).pairs
+    # D-perp's pair (s, t) is the pair (h, g) of D; by h ascending
+    st = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    death, birth = dual_index(n, st[st[:, 0].argsort()[::-1]]).T
+    deaths, births = death.tolist(), birth.tolist()
+    start = D.start.tolist()
+    terms = list(zip(D.rows.tolist(), D.coefs.tolist()))
+    partner_of = [0] * (n + 1)  # the final pivot table, row g -> column h
+    R: list[Chain] = [[] for _ in range(n + 1)]
+    V: list[Chain] = [[]] + [[(j, 1)] for j in range(1, n + 1)]
+    for h, g in zip(deaths, births):
+        partner_of[g] = h
+        R[h] = terms[start[h - 1]:start[h]]
+
+    def reduce(i: int, col: Chain) -> int:
+        """Reduce column i, now ``col``, until its low's partner is i or
+        it is zero, as phcol does; V[i] is its V so far.  A pivot's V of
+        one term is e_j: those terms are added to V[i] at once, at the
+        end.  Returns the multiply-adds."""
+        v = V[i]
+        units: Chain = []
+        work = 0
+        while col and (j := partner_of[col[-1][0]]) != i:
+            if not 0 < j < i:
+                raise RuntimeError(f"pairing disagrees with column {i} of D")
+            rj, vj = R[j], V[j]
+            c = p - col[-1][1] * pow(rj[-1][1], p - 2, p) % p
+            col = chain_axpy(c, rj, col, p)
+            if len(vj) == 1:
+                units.append((j, c))
+            else:
+                v = chain_axpy(c, vj, v, p)
+            work += len(rj) + len(vj)
+        if units:
+            units.sort()
+            v = chain_axpy(1, units, v, p)
+        R[i], V[i] = col, v
+        return work
+
+    # deaths, ascending: most keep D's column, whose low is their birth
+    ops = sum(reduce(h, R[h]) for h, g in zip(deaths, births) if R[h][-1][0] != g)
+    for h, g in zip(deaths, births):
+        V[g] = list(R[h])
+
+    # essential columns: in rounds while many are nonzero, then one at a time
+    free = np.ones(n + 1, bool)
+    free[0] = free[death] = free[birth] = False
+    essential = (free[1:] & (D.start[1:] > D.start[:-1])).nonzero()[0] + 1
+    peak = 0
+    if len(essential) >= _ROUND_MIN:
+        rest, peak, round_ops = _rounds(D, essential, R, V, death, birth, p)
+        ops += round_ops
+    else:
+        rest = ((f, terms[start[f - 1]:start[f]]) for f in essential.tolist())
+    for f, col in rest:
+        ops += reduce(f, col)
+
+    peak += sum(map(len, R)) + sum(map(len, V))
+    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), dict(zip(deaths, births)),
+                         ops, peak)
+
+
+def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
+            death: np.ndarray, birth: np.ndarray, p: int):
+    """Reduce D's essential ``columns`` in rounds while at least
+    ``_ROUND_MIN`` are nonzero, against the final R and V of the pairs
+    (``birth``, ``death``), and set V of each column to its V so far.
+
+    Returns the columns left nonzero as (column, term list) pairs, the
+    most terms one merge sorted, and the count of multiply-adds.
+    """
+    n = D.n
+    Rc, Vd = _csc(n, death, R), _csc(n, death, V)
+    partner = np.zeros(n + 1, np.int64)
+    partner[birth] = death
+    inv = np.zeros(n + 1, np.int64)  # the inverse of each death's low coefficient
+    values, which = np.unique(Rc.coefs[Rc.start[death] - 1], return_inverse=True)
+    inv[death] = np.array([pow(a, p - 2, p) for a in values.tolist()], np.int64)[which]
+    at, size = _gather(D, columns)
+    cols, rows, coefs = columns.repeat(size), D.rows[at], D.coefs[at]
+    last = _column_ends(cols)
+
+    added = []  # (columns, pivots, multipliers) of each round
+    peak = 0
+    while len(last) >= _ROUND_MIN:
+        f, j = cols[last], partner[rows[last]]
+        if not ((j > 0) & (j < f)).all():
+            raise RuntimeError("pairing disagrees with an essential column of D")
+        m = p - coefs[last] * inv[j] % p
+        added.append((f, j, m))
+        at, size = _gather(Rc, j)
+        peak = max(peak, len(cols) + len(at))
+        cols, rows, coefs = _merged(n, p, (cols, f.repeat(size)), (rows, Rc.rows[at]),
+                                    (coefs, Rc.coefs[at] * m.repeat(size) % p))
+        last = _column_ends(cols)
+
+    # V = e_f + the sum of m times V[j]
+    f, j, m = map(np.concatenate, zip(*added))
+    at, size = _gather(Vd, j)
+    vcols, vrows, vcoefs = _merged(n, p, (columns, f.repeat(size)), (columns, Vd.rows[at]),
+                                   (np.ones(len(columns), np.int64),
+                                    Vd.coefs[at] * m.repeat(size) % p))
+    for c, v in zip(columns.tolist(), _chains(vrows, vcoefs, _column_ends(vcols))):
+        V[c] = v
+    ops = int((Rc.start[j] - Rc.start[j - 1]).sum() + size.sum())
+    return zip(cols[last].tolist(), _chains(rows, coefs, last)), peak, ops
+
+
+def _chains(rows: np.ndarray, coefs: np.ndarray, last: np.ndarray) -> list[Chain]:
+    """The term lists of the columns whose terms end at ``last``."""
+    terms = list(zip(rows.tolist(), coefs.tolist()))
+    ends = (last + 1).tolist()
+    return [terms[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _column_ends(cols: np.ndarray) -> np.ndarray:
+    """The position of the last term of each column in ``cols``, the
+    column of each term of a matrix sorted by column."""
+    return np.concatenate((cols[1:] != cols[:-1], [True])).nonzero()[0][:len(cols)]
+
+
+def _csc(n: int, columns: np.ndarray, chains: list[Chain]) -> CscMatrix:
+    """The matrix of n columns whose ``columns``, ascending, are the
+    chains ``chains[c]``, and whose other columns are zero."""
+    picked = [chains[c] for c in columns.tolist()]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(picked)), np.int64)
+    start = np.zeros(n + 1, np.int64)
+    start[columns] = [len(c) for c in picked]
+    return CscMatrix(start.cumsum(), flat[0::2], flat[1::2])
+
+
+def _gather(M: CscMatrix, cols: np.ndarray):
+    """The positions of the terms of M's columns ``cols``, one column
+    after another, and the number of terms of each."""
+    first = M.start[cols - 1]
+    size = M.start[cols] - first
+    ends = size.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (first - ends + size).repeat(size), size
+
+
+def _merged(n: int, p: int, cols, rows, coefs):
+    """The terms ``(cols, rows, coefs)``, each given as a tuple of arrays to
+    join, with equal (column, row) summed mod p, zeros dropped, sorted.
+
+    The sort is stable, which merges runs already sorted in linear time."""
+    key = np.concatenate(cols) * (n + 1) + np.concatenate(rows)
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    coef = np.add.reduceat(np.concatenate(coefs)[order], first) % p
+    nonzero = coef.nonzero()[0]
+    cols, rows = np.divmod(key[first[nonzero]], n + 1)
+    return cols, rows, coef[nonzero]
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,

@@ -10,8 +10,8 @@ import sys
 import pytest
 
 import perscoh
-from perscoh import Diagram, cli
-from conftest import DATA_DIR, SPHERE_PATH
+from perscoh import Diagram, cli, persistence
+from conftest import DATA_DIR, SPHERE_PATH, random_rips
 
 SPHERE_ARGS = [SPHERE_PATH, "--field", "11"]
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,6 +147,32 @@ class TestOracleCheck:
                                           "--algorithm", algorithm])
         assert code == 0 and err == ""
         assert out == "ok: 6 cells, 4 intervals, barcode matches the rank oracle\n"
+
+    def test_checks_r_equals_dv_with_d(self, capsys, tmp_path, monkeypatch):
+        """phcol's run reads D's arrays, and R = DV is checked against
+        the term lists of D.  Five deaths of this complex are not D's
+        own lows, so their R and V are reductions."""
+        K = random_rips(11, max_points=8, p=11, dim_max=2)
+        path = tmp_path / "rips.cells"
+        path.write_text("".join(
+            f"{K.dim(j)} {K.value(j)!r} " + " ".join(f"{i}:{c}" for i, c in K.D.cols[j]) + "\n"
+            for j in range(1, K.n + 1)))
+        argv = ["oracle-check", str(path), "--field", "11", "--algorithm", "phcol"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.startswith("ok: 63 cells")
+
+        def corrupted(D, field, dims):
+            dec = real(D, field, dims)
+            h = next(h for h, g in dec.low_of.items() if D.rows[D.start[h] - 1] != g)
+            dec.V.cols[h] = dec.V.cols[h][1:]  # a term below the diagonal dropped
+            return dec
+
+        real = persistence.phcol_cycles
+        monkeypatch.setattr(persistence, "phcol_cycles", corrupted)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "decomposition check failed: R differs from D*V" in err
 
     def test_mismatch_reports_both_multisets(self, capsys, monkeypatch):
         monkeypatch.setattr("perscoh.oracle.oracle_barcode",

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from perscoh import (GF2, Diagram, Field, Interval, Pairing, anti_transpose, barcode,
-                     build_complex, compute,
+from perscoh import (GF2, Decomposition, Diagram, Field, Interval, Pairing, anti_transpose,
+                     barcode, build_complex, compute,
                      concatenated_barcode, cube_points, dual_dims, format_diagram, generators,
                      load_cell_file, pairs_to_partition, parse_diagram,
                      partition_from_dual, pcoh, phcol, phrow, rips_filtration,
@@ -441,6 +441,9 @@ class TestCompute:
             if algorithm == "phcol" and not keep_V:
                 # it takes D-perp's pairing from D's arrays, not D-perp
                 assert run.matrix is K.csc and isinstance(run.result, Pairing)
+            elif algorithm == "phcol" and module.endswith("_hom"):
+                # with V, homology takes that pairing, then D's cycles from D's arrays
+                assert run.matrix is K.csc and isinstance(run.result, Decomposition)
             else:
                 assert run.matrix == (anti_transpose_terms(D) if reduced_dual else D)
             assert run.dual == (reduced_dual or algorithm == "pcoh")

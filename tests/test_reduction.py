@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscoh import (GF2, Field, Lcg, SparseMatrix, build_complex,
-                     compute, cube_points, dual_dims, field_inv, load_cell_file,
-                     pairs_to_partition, pcoh, phcol, phcol_pairs, phrow,
-                     rips_filtration, verify_decomposition)
+                     compute, cube_points, dual_dims, field_inv, generators, load_cell_file,
+                     pairs_to_partition, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
+                     reduction, rips_filtration, verify_decomposition)
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, partition_lists,
                       random_rips, term_count)
+from test_acceptance import rips_instances
 from test_loaders import cell_rows, render
 
 F11 = Field(11)
@@ -409,3 +410,89 @@ class TestPhcolPairs:
         # in D-perp's indexing the edges are columns 1-4 and vertex 1 is
         # column 8; edge 8, column 1, closes the cycle
         assert res.essential == [1, 8]
+
+
+class TestPhcolCycles:
+    """The V-keeping homology phcol route: the pairing of phcol_pairs,
+    then D's cycles from D's arrays, against phcol on the term lists."""
+
+    @staticmethod
+    def check(K):
+        got = phcol_cycles(K.csc, K.field, K.dim_array)
+        want = phcol(K.D, K.field, True, K.dims)
+        assert got.R == want.R
+        assert got.V == want.V
+        assert got.low_of == want.low_of
+        assert got.ops == want.ops
+        return got
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_sphere_and_random_rips(self, p):
+        self.check(load_cell_file(SPHERE_PATH, Field(p)))
+        reduced = 0
+        for seed in range(30):
+            K = random_rips(seed, max_points=10, p=p, dim_max=3)
+            dec = self.check(K)
+            reduced += any(K.D.cols[h][-1][0] != g for h, g in dec.low_of.items())
+        assert reduced  # some deaths are not D's own lows
+
+    def test_acceptance_instances(self):
+        for K in (rips_instances(300, 100, max_points=8, dim_max=2)
+                  + rips_instances(100, 100) + rips_instances(200, 50)):
+            self.check(K)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_rounds_and_tail(self, monkeypatch, p):
+        """The pinned cube Rips has enough essential columns for the
+        batched rounds, and leaves some of them to the scalar tail."""
+        def rounds(*args):
+            rest, peak, ops = real(*args)
+            rest = list(rest)
+            left.append(len(rest))
+            return rest, peak, ops
+
+        left, real = [], reduction._rounds
+        monkeypatch.setattr(reduction, "_rounds", rounds)
+        self.check(rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p)))
+        assert len(left) == 1 and left[0] > 0
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_rounds_on_every_column(self, monkeypatch, p):
+        """With a cut-off of one column every essential column runs
+        through the rounds to zero, also with coefficients other than
+        +-1 (D' = C^-1 D C for a random diagonal C of units)."""
+        monkeypatch.setattr(reduction, "_ROUND_MIN", 1)
+        field = Field(p)
+        for seed in range(20):
+            K = random_rips(seed, max_points=10, p=p, dim_max=3)
+            self.check(K)
+            rng = random.Random(seed)
+            scale = [rng.randrange(1, p) for _ in range(K.n + 1)]
+            self.check(build_complex(
+                [(K.dims[j - 1], K.values[j - 1],
+                  [(i, c * scale[j] * field_inv(scale[i], p) % p) for i, c in K.D.cols[j]])
+                 for j in range(1, K.n + 1)], field))
+
+    def test_edge_cases(self):
+        self.check(build_complex([(0, 0.0, [])], F11))  # no pair
+        # a filled triangle: every pair apparent, nothing essential above 0
+        self.check(build_complex([(0, 0.0, []), (0, 0.0, []), (0, 0.0, []),
+                                  (1, 1.0, [(1, 1), (2, -1)]), (1, 1.0, [(1, 1), (3, -1)]),
+                                  (1, 1.0, [(2, 1), (3, -1)]),
+                                  (2, 2.0, [(4, 1), (5, -1), (6, 1)])], F11))
+        # a hollow square: an essential edge
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        self.check(build_complex([(0, 0.0, [])] * 4
+                                 + [(1, 1.0, [(a, 1), (b, -1)]) for a, b in edges], F11))
+        # a dimension beyond int64
+        self.check(build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
+                                  (1, 2.0, [(1, 1), (3, -1)])], F11))
+
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
+    def test_compute_builds_no_term_lists(self, module):
+        for seed in range(6):
+            K = random_rips(seed, max_points=8, p=11, dim_max=2)
+            run = compute(K, module, "phcol", keep_V=True)
+            generators(run, K, module)
+            assert K._D is None and run.matrix is K.csc
+            assert run.result == phcol_cycles(K.csc, K.field, K.dim_array)
