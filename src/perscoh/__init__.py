@@ -17,8 +17,7 @@ from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
 from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           GeneratorTable, Interval, barcode, compute,
                           concatenated_barcode, format_diagram, generators,
-                          pairs_to_partition, partition_from_dual,
-                          parse_diagram)
+                          parse_diagram, partition_of)
 from .reduction import (Decomposition, Pairing, PcohResult, VerifyReport,
                         pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
                         verify_decomposition)
@@ -48,7 +47,7 @@ __all__ = [
     "prefix_ranks",
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
-    "generators", "pairs_to_partition", "partition_from_dual", "parse_diagram",
+    "generators", "parse_diagram", "partition_of",
     "Decomposition", "Pairing", "PcohResult", "VerifyReport",
     "pcoh", "phcol", "phcol_cycles", "phcol_pairs", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",

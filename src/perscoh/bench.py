@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, GF2
-from .persistence import Diagram, barcode, compute, pairs_to_partition
+from .persistence import Diagram, barcode, compute, partition_of
 from .reduction import phcol
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
@@ -129,7 +129,7 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     for _ in range(repeat):
         t0 = time.perf_counter()
         col = phcol(D, field, keep_V=False, dims=K.dims)
-        col_partition = pairs_to_partition(col)
+        col_partition = partition_of(col.pairs, K.n, False)
         col_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -18,11 +18,11 @@ import math
 import shutil
 import sys
 
-from .complexes import (FilteredComplex, load_cell_file, load_points,
+from .complexes import (FilteredComplex, dual_index, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
-from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute,
-                          format_diagram, format_interval, generators)
+from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute, format_diagram,
+                          generators)
 from .reduction import verify_decomposition
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
@@ -92,14 +92,24 @@ def cmd_barcode(args) -> int:
 
 
 def render_generators(table, indices: bool = False) -> str:
-    blocks = []
-    for e in table.entries:
-        lines = [format_interval(e.interval, indices),
-                 f"  generator: {table.chain_text(e.chain)}"]
-        if e.killer is not None:
-            lines.append(f"  killer: {table.chain_text(e.killer)}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+    """The listing of a generator table: each interval line of
+    :func:`format_diagram`, then its generator and, if it has one, its
+    killer, as ``<label>:<coef>`` terms, or ``0`` for an empty chain.  A
+    term is labelled by its cell; a cochain's term by its cell starred,
+    and in reverse, so that the cells ascend."""
+    if table.starred:
+        n = table.n
+
+        def text(chain):
+            return " ".join([f"{dual_index(n, i)}*:{c}" for i, c in reversed(chain)]) or "0"
+    else:
+        def text(chain):
+            return " ".join([f"{i}:{c}" for i, c in chain]) or "0"
+    lines = format_diagram(table.diagram, indices).split("\n")
+    return "\n\n".join([
+        f"{line}\n  generator: {text(e.chain)}" if e.killer is None else
+        f"{line}\n  generator: {text(e.chain)}\n  killer: {text(e.killer)}"
+        for line, e in zip(lines, table.entries)])
 
 
 def cmd_generators(args) -> int:

@@ -13,7 +13,8 @@ cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
 The barcode-only ``phcol`` route and the homology ``phcol`` route with
 V read the arrays, the cohomology ``phcol``/``phrow`` routes transpose
 them, and the oracle reads them too, so only ``pcoh``, the homology runs
-of ``phrow`` and the R = DV check of ``oracle-check`` build ``K.D``.
+of ``phrow``, the R = DV check of ``oracle-check`` and the column
+reduction of :func:`~perscoh.bench.run_bench` build ``K.D``.
 
 Two text formats build complexes directly:
 

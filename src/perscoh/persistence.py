@@ -10,18 +10,21 @@ the left.
 The stages after a reduction run on int arrays:
 
 * the partition ``(F, pairs)`` of the cells into essential births F and
-  pairs (g, h), in original indices.  The reductions of the
-  anti-transpose, the barcode-only phcol route and pcoh report pairs in
-  reversed dual indexing; :func:`partition_from_dual` translates them
-  through :func:`~perscoh.complexes.dual_index`;
+  pairs (g, h), in original indices, which :func:`partition_of` makes,
+  once per run, from the (low, column) pairs of any reduction.  F is
+  the cells in no pair.  The reductions of the anti-transpose, the
+  barcode-only phcol route and pcoh report pairs in reversed dual
+  indexing, which it translates through
+  :func:`~perscoh.complexes.dual_index`;
 * the :class:`Diagram`, one array per column and positions in the
   complex's value table, which every module builds from the partition
   by one rule (:func:`barcode`).  The cohomology barcodes are the
   homology barcodes of the same pairs: abs_coh equals abs_hom and
   rel_coh equals rel_hom;
 * the order, one ``lexsort`` on the values (:meth:`Diagram.order`),
-  which :meth:`Diagram.sorted` and the text (:func:`format_diagram`)
-  share.
+  which :meth:`Diagram.sorted`, the generator tables and the text
+  (:func:`format_diagram`) share.  The generator listing takes its
+  interval lines from that text too.
 
 :class:`Interval` objects are built only where they are read: by
 :attr:`Diagram.intervals`, generator tables, :func:`concatenated_barcode`
@@ -34,14 +37,13 @@ to the matrix to reduce, the reduction, and the partition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import (CscMatrix, FilteredComplex, SparseMatrix, _ints, anti_transpose,
-                        dual_dims, dual_index)
+from .complexes import FilteredComplex, _ints, anti_transpose, dual_dims, dual_index
 from .core import Chain
 from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_cycles,
                         phcol_pairs, phrow)
@@ -148,34 +150,19 @@ class Diagram:
                            self.values[self.death].tolist()))
 
 
-def pairs_to_partition(dec: Decomposition):
-    """The partition ``(F, pairs)`` of 1..n that ``dec`` pairs: the
-    essential births F ascending, and the pairs (g, h), one row each,
-    by g ascending; both int arrays."""
-    low = dec.low_of
-    hg = np.fromiter(chain.from_iterable(low.items()), np.int64, 2 * len(low)).reshape(-1, 2)
-    free = np.empty(dec.R.n + 1, bool)
-    free.fill(True)
+def partition_of(pairs, n: int, dual: bool):
+    """The partition ``(F, pairs)`` of the cells 1..n by the pairs
+    (low, column) of a reduced matrix: of D, or of D-perp when ``dual``,
+    whose pair (s, t) is D's pair (h, g) in reversed dual indices.  F is
+    the cells in no pair, ascending, and the pairs (g, h), one row each,
+    by g ascending, in original indices; both int arrays."""
+    gh = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    if dual:
+        gh = dual_index(n, gh[:, ::-1])
+    free = np.ones(n + 1, bool)
     free[0] = False
-    free[hg] = False
-    return free.nonzero()[0], hg[hg[:, 1].argsort()][:, ::-1]
-
-
-def partition_from_dual(pairs, essential, n: int):
-    """The partition ``(F, pairs)`` (see :func:`pairs_to_partition`) in
-    original indices of reversed-dual ``pairs`` (s, t) and ``essential``
-    indices, given as sequences or int arrays."""
-    if isinstance(pairs, np.ndarray):
-        flat = np.concatenate((pairs.ravel(), np.asarray(essential, np.int64)))
-    else:
-        flat = np.fromiter(chain(chain.from_iterable(pairs), essential), np.int64,
-                           2 * len(pairs) + len(essential))
-    # (s, t) is (h, g) in original indices
-    flat = dual_index(n, flat)
-    F = flat[2 * len(pairs):]
-    F.sort()
-    hg = flat[:2 * len(pairs)].reshape(-1, 2)
-    return F, hg[hg[:, 1].argsort()][:, ::-1]
+    free[gh] = False
+    return free.nonzero()[0], gh[gh[:, 0].argsort()]
 
 
 def barcode(partition, K: FilteredComplex, module_tag: str,
@@ -208,18 +195,13 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
 class Computation:
     """One reduction run by :func:`compute`.
 
-    ``matrix`` is the matrix handed to the algorithm (``K.csc`` for
-    every phcol run on D's arrays: barcode-only, or homology with V;
-    ``K.D`` itself for the other runs on D, the term lists of
-    ``anti_transpose(K.csc)`` for a run on D-perp), ``result`` its raw
-    output, and ``partition`` the absolute partition ``(F,
-    pairs)`` in original indices, as int arrays
-    (:func:`pairs_to_partition`).  ``dual`` is True when the result is
-    indexed by the reversed dual order: a reduction of the
-    anti-transpose, the barcode-only phcol route, or pcoh.
+    ``result`` is the algorithm's raw output, and ``partition`` the
+    absolute partition ``(F, pairs)`` in original indices, as int arrays
+    (:func:`partition_of`).  ``dual`` is True when the result is indexed
+    by the reversed dual order: a reduction of the anti-transpose, the
+    barcode-only phcol route, or pcoh.
     """
 
-    matrix: SparseMatrix | CscMatrix
     result: Decomposition | PcohResult | Pairing
     partition: tuple[np.ndarray, np.ndarray]
     dual: bool
@@ -227,7 +209,8 @@ class Computation:
 
 def compute(K: FilteredComplex, module_tag: str, algorithm: str,
             keep_V: bool = False) -> Computation:
-    """Run ``algorithm`` on the matrix that ``module_tag`` needs.
+    """Run ``algorithm`` on the matrix that ``module_tag`` needs, and
+    partition the cells by its pairs, once, with :func:`partition_of`.
 
     The four modules share one pairing, so a barcode-only phcol run
     (``keep_V`` off) takes it, for every module, from the clearing
@@ -236,13 +219,13 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     takes the apparent pairs in one pass (Bauer 2021, Ripser) and
     reduces only the other columns, with clearing (Bauer, Kerber and
     Reininghaus 2014).  It builds no term lists.  A homology phcol run
-    with V takes that pairing and then D's cycles from ``K.csc``
-    (:func:`~perscoh.reduction.phcol_cycles`), with the R, V and ops of
-    phcol on ``K.D``; it builds no ``K.D`` either.  Otherwise phcol and
-    phrow reduce the term lists ``K.D`` for homology and those of
-    ``anti_transpose(K.csc)`` for cohomology, which build no ``K.D``,
-    and pcoh sweeps ``K.D`` for every module.  phcol and phrow clear, by
-    ``K.dims`` on D and
+    with V takes that pairing, partitions it, and hands the pairs (g, h)
+    to :func:`~perscoh.reduction.phcol_cycles`, which computes D's
+    cycles from ``K.csc`` with the R, V and ops of phcol on ``K.D``; it
+    builds no ``K.D`` either.  Otherwise phcol and phrow reduce the term
+    lists ``K.D`` for homology and those of ``anti_transpose(K.csc)``
+    for cohomology, which build no ``K.D``, and pcoh sweeps ``K.D`` for
+    every module.  phcol and phrow clear, by ``K.dims`` on D and
     :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
     the V matrix that :func:`generators` reads (pcoh always keeps its
     cocycles).
@@ -251,25 +234,20 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "phcol" and not keep_V:
-        res = phcol_pairs(K.csc, K.field, K.dim_array)
-        return Computation(K.csc, res, partition_from_dual(res.pairs, res.essential, K.n),
-                           True)
-    if algorithm == "pcoh":
-        res = pcoh(K.D, K.field)
-        return Computation(K.D, res, partition_from_dual(res.pairs, res.essential, K.n),
-                           True)
     dual = module_tag.endswith("_coh")
-    if algorithm == "phcol" and not dual:
-        dec = phcol_cycles(K.csc, K.field, K.dim_array)
-        return Computation(K.csc, dec, pairs_to_partition(dec), False)
-    M = anti_transpose(K.csc).to_sparse() if dual else K.D
-    reduce_fn = phcol if algorithm == "phcol" else phrow
-    dec = reduce_fn(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
-    if not dual:
-        return Computation(M, dec, pairs_to_partition(dec), False)
-    Ft, tpairs = pairs_to_partition(dec)
-    return Computation(M, dec, partition_from_dual(tpairs, Ft, K.n), True)
+    if algorithm == "phcol" and not (keep_V and dual):
+        res = phcol_pairs(K.csc, K.field, K.dim_array)
+        part = partition_of(res.pairs, K.n, True)
+        if keep_V:
+            return Computation(phcol_cycles(K.csc, K.field, part[1]), part, False)
+        return Computation(res, part, True)
+    if algorithm == "pcoh":
+        res, dual = pcoh(K.D, K.field), True
+    else:
+        M = anti_transpose(K.csc).to_sparse() if dual else K.D
+        reduce_fn = phcol if algorithm == "phcol" else phrow
+        res = reduce_fn(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
+    return Computation(res, partition_of(res.pairs, K.n, dual), dual)
 
 
 def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
@@ -312,27 +290,19 @@ class GeneratorEntry:
 
 @dataclass
 class GeneratorTable:
+    """The generators of one module, one entry per interval of
+    ``diagram``, in the order of :meth:`Diagram.order`.  When
+    ``starred``, chain terms are indices of the reversed dual order of
+    the ``n`` cells, as D-perp's columns are."""
+
     module_tag: str
     n: int
     starred: bool
     entries: list[GeneratorEntry]
+    diagram: Diagram = field(compare=False)
 
     def by_index_pair(self) -> dict[tuple[int, int], GeneratorEntry]:
         return {(e.interval.p, e.interval.q): e for e in self.entries}
-
-    def term_label(self, index: int) -> str:
-        """Cell label of a chain term (starred original label for cochains)."""
-        if self.starred:
-            return f"{dual_index(self.n, index)}*"
-        return str(index)
-
-    def chain_text(self, chain: Chain) -> str:
-        if not chain:
-            return "0"
-        terms = [(self.term_label(i), c) for i, c in chain]
-        if self.starred:
-            terms.reverse()  # ascending original labels
-        return " ".join(f"{lbl}:{c}" for lbl, c in terms)
 
 
 def generators(run: Computation, K: FilteredComplex, module_tag: str,
@@ -375,8 +345,9 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         raise ValueError(f"{module_tag} generators cannot be read from a "
                          f"reduction of {side}; compute the run for {module_tag}")
     rel = module_tag.startswith("rel_")
+    diagram = barcode(run.partition, K, module_tag, drop_zero)
     entries: list[GeneratorEntry] = []
-    for iv in barcode(run.partition, K, module_tag, drop_zero).sorted():
+    for iv in diagram.sorted():
         # the cell whose column holds the class: an essential birth f, at
         # <f, n> or <0, f-1>, else the pivot column's cell of the pair
         # <g, h-1>: the death h in D, the birth g in D-perp
@@ -388,20 +359,13 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
                                           list(V[j]), "V" + ref))
         else:
             entries.append(GeneratorEntry(iv, list(V[j]), "V" + ref))
-    return GeneratorTable(module_tag, n, starred, entries)
-
-
-def format_interval(iv: Interval, indices: bool = False) -> str:
-    """``<dim> <birth> <death>``; with ``indices``, the integer index
-    pair ``<dim> <p> <q>`` instead of real endpoints."""
-    if indices:
-        return f"{iv.dim} {iv.p} {iv.q}"
-    return f"{iv.dim} {format(iv.birth, 'g')} {format(iv.death, 'g')}"
+    return GeneratorTable(module_tag, n, starred, entries, diagram)
 
 
 def format_diagram(diagram: Diagram, indices: bool = False) -> str:
-    """One interval per line (:func:`format_interval`), sorted by
-    (dim, birth, death, p, q).
+    """One interval per line, ``<dim> <birth> <death>``, or with
+    ``indices`` the index pair ``<dim> <p> <q>``, sorted by (dim, birth,
+    death, p, q).
 
     Each distinct value is formatted once: values with the same float
     bits print the same.

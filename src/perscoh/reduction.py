@@ -15,9 +15,10 @@ with the row algorithm's output on that matrix.
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
 without its term lists: it reads the apparent pairs off the arrays and
 reduces only the other columns.  :func:`phcol_cycles` gives the
-V-keeping column algorithm on D from D's arrays: that pairing first,
-then the homology cycles, the many independent columns that reduce to
-zero in batched rounds on arrays.
+V-keeping column algorithm on D from D's arrays and that pairing: the
+homology cycles, the many independent columns that reduce to zero in
+batched rounds on arrays.  :class:`Pairing`, :class:`PcohResult`
+and :class:`Decomposition` all give their pairs as (low, column).
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -47,6 +48,11 @@ class Decomposition:
     low_of: dict[int, int]
     ops: int = 0
     peak_elements: int = 0
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The pairs (low, column) of R, as :class:`Pairing` gives them."""
+        return list(zip(self.low_of.values(), self.low_of))
 
 
 @dataclass
@@ -151,14 +157,12 @@ class Pairing:
     ``anti_transpose(D)``, D-perp.
 
     In each pair ``(s, t)`` of ``pairs``, row ``s`` is the low of column
-    ``t`` of the reduced matrix, and ``essential`` lists the other
-    columns whose index is no low, ascending.  ``apparent`` of the pairs
-    were read off the matrix; ``ops`` counts the multiply-adds that found
-    the rest, as :func:`phcol` counts them.
+    ``t`` of the reduced matrix; the indices in no pair are essential.
+    ``apparent`` of the pairs were read off the matrix; ``ops`` counts
+    the multiply-adds that found the rest, as :func:`phcol` counts them.
     """
 
     pairs: list[tuple[int, int]]
-    essential: list[int]
     apparent: int
     ops: int = 0
 
@@ -227,11 +231,7 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
             low_to_col[col[-1][0]] = i
             reduced[i] = col
 
-    paired = np.zeros(n + 1, bool)
-    for x in (low_to_col.keys(), low_to_col.values()):
-        paired[np.fromiter(x, np.int64, len(low_to_col))] = True
-    return Pairing(list(low_to_col.items()), ((~paired[1:]).nonzero()[0] + 1).tolist(),
-                   int(apparent.sum()), ops)
+    return Pairing(list(low_to_col.items()), int(apparent.sum()), ops)
 
 
 # phcol_cycles reduces the essential columns in batched rounds while at
@@ -241,12 +241,13 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
 _ROUND_MIN = 32
 
 
-def phcol_cycles(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Decomposition:
-    """``phcol(D.to_sparse(), field, True, dims)`` from D's arrays: the
-    same R, V, ``low_of`` and ``ops``, entry for entry.
+def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition:
+    """``phcol(D.to_sparse(), field, True, dims)`` from D's arrays and D's
+    pairs (g, h), the rows of ``pairs``: the same R, V, ``low_of`` and
+    ``ops``, entry for entry.
 
-    The pairs (g, h) come first, from :func:`phcol_pairs`, and the
-    homology cycles are computed after them (Čufar and Virk 2021).  In
+    The pairs come first, from :func:`phcol_pairs`, and the homology
+    cycles are computed after them (Čufar and Virk 2021).  In
     phcol's sweep every low that a column meets before its own final low
     already has its final partner, to its left, and a pivot never changes
     once set, so reducing a column against the final table {g: h}
@@ -268,14 +269,13 @@ def phcol_cycles(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> De
     Only the rounds use arrays; the deaths, the columns reduced one at a
     time and the output are term lists, and D's columns are read from
     its arrays once.  ``peak_elements`` counts the terms of R and V as
-    returned plus the most terms that a round's merge sorts.
+    returned plus the most terms that a round's merge sorts.  Pairs that
+    are not D's raise ``RuntimeError`` where a column meets a low whose
+    partner is not to its left.
     """
     p = field.p
     n = D.n
-    pairs = phcol_pairs(D, field, dims).pairs
-    # D-perp's pair (s, t) is the pair (h, g) of D; by h ascending
-    st = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-    death, birth = dual_index(n, st[st[:, 0].argsort()[::-1]]).T
+    birth, death = pairs[pairs[:, 1].argsort()].T  # by h ascending
     deaths, births = death.tolist(), birth.tolist()
     start = D.start.tolist()
     terms = list(zip(D.rows.tolist(), D.coefs.tolist()))

@@ -4,9 +4,10 @@ Provides the 6-cell running example, exhaustive enumeration of small
 strictly-upper-triangular matrices (and the subset that are valid
 filtered complexes), seeded random Rips instances, the boundary
 sanity checks reused by the property suites, and chain and matrix
-helpers that only the tests need, among them the term-list
-anti-transpose that the array one is checked against and the kernel
-basis that the oracle's rank tables are checked against.
+helpers that only the tests need, among them the references that the
+library is checked against: the term-list anti-transpose, the plain
+partition of a pairing, the text of one interval, and the kernel basis
+of the oracle's rank tables.
 """
 
 import os
@@ -163,6 +164,24 @@ def entry(A, i, j):
 def term_count(A):
     """The number of stored terms of the sparse matrix ``A``."""
     return sum(len(c) for c in A.cols)
+
+
+def partition_reference(pairs, n, dual):
+    """The partition ``(F, pairs)`` of the (low, column) ``pairs`` of a
+    reduced matrix, D or, when ``dual``, D-perp, as lists: the cells in
+    no pair, ascending, and the pairs (g, h) in original indices, by g."""
+    if dual:
+        pairs = [(dual_index(n, t), dual_index(n, s)) for s, t in pairs]
+    paired = {x for pair in pairs for x in pair}
+    return [x for x in range(1, n + 1) if x not in paired], sorted(pairs)
+
+
+def format_interval(iv, indices=False):
+    """``<dim> <birth> <death>``, or with ``indices`` ``<dim> <p> <q>``:
+    the text of one interval, which format_diagram is checked against."""
+    if indices:
+        return f"{iv.dim} {iv.p} {iv.q}"
+    return f"{iv.dim} {format(iv.birth, 'g')} {format(iv.death, 'g')}"
 
 
 def partition_lists(partition):

@@ -11,7 +11,7 @@ import time
 
 from perscoh import (GF2, Field, barcode, compute,
                      cube_points, generators, load_cell_file, oracle_barcode,
-                     pairs_to_partition, partition_from_dual, pcoh, phcol, phrow,
+                     partition_of, pcoh, phcol, phrow,
                      rips_filtration, run_bench, torus_points,
                      verify_decomposition)
 from perscoh.persistence import INF
@@ -75,10 +75,8 @@ def test_criterion_1_running_example_diagrams():
     t0 = time.perf_counter()
     K = sphere()
     D = K.D
-    part = pairs_to_partition(phcol(D, F11))
-    Ft, tpairs = pairs_to_partition(phrow(anti_transpose_terms(D), F11))
-
-    tpart = partition_from_dual(tpairs, Ft, K.n)
+    part = partition_of(phcol(D, F11).pairs, K.n, False)
+    tpart = partition_of(phrow(anti_transpose_terms(D), F11).pairs, K.n, True)
     abs_hom = barcode(part, K, "abs_hom")
     rel_hom = barcode(part, K, "rel_hom")
     rel_coh = barcode(tpart, K, "rel_coh")
@@ -165,7 +163,7 @@ def test_criterion_5_oracle_equivalence():
     assert [K.n for K in skeleta] == [298, 298]
     complexes += skeleta
     for K in complexes:
-        part = pairs_to_partition(phcol(K.D, K.field))
+        part = partition_of(phcol(K.D, K.field).pairs, K.n, False)
         computed = barcode(part, K, "abs_hom", drop_zero=False)
         assert computed.index_multiset() == \
             oracle_barcode(K).index_multiset()
@@ -179,16 +177,17 @@ def test_criterion_6_duality_properties():
         field = K.field
         n = K.n
         D = K.D
-        part = pairs_to_partition(phcol(D, field))
+        part = partition_of(phcol(D, field).pairs, n, False)
         F, _, _, pairs = partition_lists(part)
-        Ft, _, _, tpairs = partition_lists(pairs_to_partition(phcol(anti_transpose_terms(D), field)))
+        tdec = phcol(anti_transpose_terms(D), field)
+        Ft, _, _, tpairs = partition_lists(partition_of(tdec.pairs, n, False))
 
         # reversed-index pairing corresponds one-to-one
         assert {(n + 1 - t, n + 1 - s) for s, t in tpairs} == set(pairs)
         assert {n + 1 - r for r in Ft} == set(F)
 
         # homology and cohomology diagrams agree
-        tpart = partition_from_dual(tpairs, Ft, n)
+        tpart = partition_of(tdec.pairs, n, True)
         abs_hom = barcode(part, K, "abs_hom", drop_zero=False)
         rel_hom = barcode(part, K, "rel_hom", drop_zero=False)
         abs_coh = barcode(tpart, K, "abs_coh", drop_zero=False)

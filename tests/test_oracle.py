@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perscoh import (GF2, ORACLE_MAX_CELLS, Field, barcode,
-                     build_complex, dense_rank, oracle_barcode, pairs_to_partition,
+                     build_complex, dense_rank, oracle_barcode, partition_of,
                      persistent_betti, phcol, prefix_ranks, rips_filtration)
 from perscoh import oracle
 from perscoh.oracle import _RankTables, stack_prefix_ranks, suffix_ranks
@@ -27,7 +27,7 @@ def dense_boundary(K, p):
 
 
 def reduced_barcode(K, field):
-    part = pairs_to_partition(phcol(K.D, field))
+    part = partition_of(phcol(K.D, field).pairs, K.n, False)
     return barcode(part, K, "abs_hom", drop_zero=False)
 
 

@@ -1,32 +1,34 @@
 """Partition, barcodes, generator tables, and the diagram text format."""
 
 import copy
+import dataclasses
 import itertools
 import math
 from collections import Counter
 
 import pytest
 
-from perscoh import (GF2, Decomposition, Diagram, Field, Interval, Pairing, anti_transpose,
-                     barcode, build_complex, compute,
+from perscoh import (GF2, Decomposition, Diagram, Field, Interval, Pairing, PcohResult,
+                     anti_transpose, barcode, build_complex, compute,
                      concatenated_barcode, cube_points, dual_dims, format_diagram, generators,
-                     load_cell_file, pairs_to_partition, parse_diagram,
-                     partition_from_dual, pcoh, phcol, phrow, rips_filtration,
-                     torus_points)
-from perscoh.persistence import INF, format_interval
-from conftest import (SPHERE_PATH, anti_transpose_terms, infinite_part, partition_lists,
-                      random_rips)
+                     load_cell_file, parse_diagram, partition_of, pcoh, phcol, phcol_pairs,
+                     phrow, rips_filtration, torus_points)
+from perscoh.cli import render_generators
+from perscoh.persistence import ALGORITHMS, INF, MODULE_TAGS
+from conftest import (SPHERE_PATH, anti_transpose_terms, format_interval, infinite_part,
+                      partition_lists, partition_reference, random_rips)
+from test_acceptance import rips_instances
 
 F11 = Field(11)
 
 
 def sphere_partition(sphere11):
-    return pairs_to_partition(phcol(sphere11.D, F11))
+    return partition_of(phcol(sphere11.D, F11).pairs, sphere11.n, False)
 
 
 def sphere_tau_partition(sphere11):
     Dperp = anti_transpose_terms(sphere11.D)
-    return pairs_to_partition(phrow(Dperp, F11))
+    return partition_of(phrow(Dperp, F11).pairs, sphere11.n, True)
 
 
 class TestPartition:
@@ -38,14 +40,46 @@ class TestPartition:
     def test_zero_matrix_is_all_essential(self):
         from perscoh import SparseMatrix
         dec = phcol(SparseMatrix(3), F11)
-        F, G, H, pairs = partition_lists(pairs_to_partition(dec))
+        F, G, H, pairs = partition_lists(partition_of(dec.pairs, 3, False))
         assert (F, G, H, pairs) == ([1, 2, 3], [], [], [])
 
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        F, G, H, pairs = partition_lists(pairs_to_partition(phcol(K.D, F11)))
+        F, G, H, pairs = partition_lists(partition_of(phcol(K.D, F11).pairs, K.n, False))
         assert (F, G, H, pairs) == ([1], [2], [3], [(2, 3)])
+
+
+class TestPartitionOf:
+    """partition_of against the plain partition of every kind of
+    pairing, and compute's partition, the same for every route."""
+
+    @staticmethod
+    def check(K):
+        D = K.D
+        dec = phcol(D, K.field)
+        for res, dual in ((dec, False), (phrow(anti_transpose_terms(D), K.field), True),
+                          (pcoh(D, K.field), True),
+                          (phcol_pairs(K.csc, K.field, K.dims), True)):
+            F, _, _, pairs = partition_lists(partition_of(res.pairs, K.n, dual))
+            assert (F, pairs) == partition_reference(res.pairs, K.n, dual)
+        want = partition_lists(partition_of(dec.pairs, K.n, False))
+        for module, algorithm, keep_V in itertools.product(MODULE_TAGS, ALGORITHMS,
+                                                           (False, True)):
+            assert partition_lists(compute(K, module, algorithm, keep_V).partition) == want
+
+    def test_sphere(self, sphere11):
+        self.check(sphere11)
+
+    def test_acceptance_instances(self):
+        for K in (rips_instances(300, 100, max_points=8, dim_max=2)
+                  + rips_instances(100, 100) + rips_instances(200, 50)):
+            self.check(K)
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_random_rips(self, p):
+        for seed in range(20):
+            self.check(random_rips(seed, max_points=10, p=p, dim_max=3))
 
 
 class TestSphereBarcodes:
@@ -66,17 +100,13 @@ class TestSphereBarcodes:
                                       (2, 4.0, 5.0): 1, (2, -INF, 6.0): 1}
 
     def test_rel_coh(self, sphere11):
-        F, pairs = sphere_tau_partition(sphere11)
-        d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
-                    "rel_coh")
+        d = barcode(sphere_tau_partition(sphere11), sphere11, "rel_coh")
         assert d.module_tag == "rel_coh"
         assert d.index_multiset() == barcode(
             sphere_partition(sphere11), sphere11, "rel_hom").index_multiset()
 
     def test_abs_coh(self, sphere11):
-        F, pairs = sphere_tau_partition(sphere11)
-        d = barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
-                    "abs_coh")
+        d = barcode(sphere_tau_partition(sphere11), sphere11, "abs_coh")
         assert d.index_multiset() == barcode(
             sphere_partition(sphere11), sphere11, "abs_hom").index_multiset()
 
@@ -86,23 +116,21 @@ class TestSphereBarcodes:
         assert format_diagram(d, indices=True) == "0 1 6\n0 2 2\n1 4 4\n2 6 6"
 
     def test_bad_module_tag(self, sphere11):
-        F, pairs = sphere_tau_partition(sphere11)
         with pytest.raises(ValueError, match="module_tag"):
-            barcode(partition_from_dual(pairs, F, sphere11.n), sphere11,
-                    "cubical")
+            barcode(sphere_tau_partition(sphere11), sphere11, "cubical")
 
 
 class TestSmallBarcodes:
     def test_single_vertex(self):
         K = build_complex([(0, 0.5, [])], F11)
-        part = pairs_to_partition(phcol(K.D, F11))
+        part = partition_of(phcol(K.D, F11).pairs, K.n, False)
         assert barcode(part, K, "abs_hom").value_multiset() == {(0, 0.5, INF): 1}
         assert barcode(part, K, "rel_hom").value_multiset() == {(0, -INF, 0.5): 1}
 
     def test_triangle_zero_length_dropped(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
         K = rips_filtration(pts, 1.5, 2, GF2)
-        part = pairs_to_partition(phcol(K.D, GF2))
+        part = partition_of(phcol(K.D, GF2).pairs, K.n, False)
         kept = barcode(part, K, "abs_hom")
         assert sorted((iv.dim, iv.birth, round(iv.death, 9))
                       for iv in kept.intervals) == [
@@ -127,7 +155,7 @@ class TestConcatenatedBarcode:
 
     def test_only_infinite_interval(self):
         K = build_complex([(0, 2.0, [])], F11)
-        part = pairs_to_partition(phcol(K.D, F11))
+        part = partition_of(phcol(K.D, F11).pairs, K.n, False)
         cat = concatenated_barcode(barcode(part, K, "abs_hom"), K)
         assert [(iv.dim, iv.p, iv.q, iv.birth, iv.death)
                 for iv in cat.intervals] == [(0, 1, 1, 2.0, 2.0)]
@@ -218,19 +246,52 @@ class TestSphereGenerators:
 
 
 class TestGeneratorTableText:
+    """The listing that render_generators prints for the running example."""
+
+    @staticmethod
+    def text(K, module, indices=False):
+        run = compute(K, module, "phrow", keep_V=True)
+        return render_generators(generators(run, K, module), indices)
+
     def test_plain_labels(self, sphere11):
-        t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
-                       sphere11, "abs_hom")
-        assert t.term_label(3) == "3"
-        assert t.chain_text([(1, 1), (2, 10)]) == "1:1 2:10"
-        assert t.chain_text([]) == "0"
+        assert self.text(sphere11, "abs_hom") == (
+            "0 1 inf\n  generator: 1:1\n\n"
+            "0 2 3\n  generator: 1:1 2:10\n  killer: 3:1\n\n"
+            "1 4 5\n  generator: 3:1 4:10\n  killer: 5:1\n\n"
+            "2 6 inf\n  generator: 5:10 6:1")
+        assert self.text(sphere11, "abs_hom", indices=True) == (
+            "0 1 6\n  generator: 1:1\n\n"
+            "0 2 2\n  generator: 1:1 2:10\n  killer: 3:1\n\n"
+            "1 4 4\n  generator: 3:1 4:10\n  killer: 5:1\n\n"
+            "2 6 6\n  generator: 5:10 6:1")
+        assert self.text(sphere11, "rel_hom") == (
+            "0 -inf 1\n  generator: 1:1\n\n"
+            "1 2 3\n  generator: 3:1\n\n"
+            "2 -inf 6\n  generator: 5:10 6:1\n\n"
+            "2 4 5\n  generator: 5:1")
 
     def test_starred_labels_reverse(self, sphere11):
-        t = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
-                       sphere11, "abs_coh")
-        assert t.term_label(1) == "6*"
-        assert t.term_label(6) == "1*"
-        assert t.chain_text([(5, 1), (6, 1)]) == "1*:1 2*:1"
+        """A cochain's terms, in reversed dual order, print as ascending
+        starred cells: column 1* of D-perp is [(5, 1), (6, 1)]."""
+        assert self.text(sphere11, "abs_coh") == (
+            "0 1 inf\n  generator: 1*:1 2*:1\n\n"
+            "0 2 3\n  generator: 2*:1\n\n"
+            "1 4 5\n  generator: 4*:1\n\n"
+            "2 6 inf\n  generator: 6*:1")
+        assert self.text(sphere11, "rel_coh", indices=True) == (
+            "0 0 0\n  generator: 1*:1 2*:1\n\n"
+            "1 2 2\n  generator: 3*:10 4*:10\n  killer: 2*:1\n\n"
+            "2 0 5\n  generator: 6*:1\n\n"
+            "2 4 4\n  generator: 5*:10 6*:10\n  killer: 4*:1")
+
+    @pytest.mark.parametrize("module", MODULE_TAGS)
+    def test_empty_chain(self, sphere11, module):
+        table = generators(compute(sphere11, module, "phcol", keep_V=True), sphere11, module)
+        e = table.entries[1]
+        table.entries[1] = dataclasses.replace(e, chain=[], killer=e.killer and [])
+        lines = render_generators(table).split("\n")
+        assert lines[4] == "  generator: 0"
+        assert lines[5] == ("  killer: 0" if module in ("abs_hom", "rel_coh") else "")
 
 
 class TestGeneratorErrors:
@@ -416,15 +477,13 @@ class TestCompute:
             # every route reads K.D and K.csc in place; none may change them
             original = copy.deepcopy(K.D)
             original_csc = copy.deepcopy(K.csc)
-            part = pairs_to_partition(phcol(D, K.field))
-            Ft, tpairs = pairs_to_partition(
-                phcol(anti_transpose_terms(D), K.field))
+            part = partition_of(phcol(D, K.field).pairs, K.n, False)
+            tpart = partition_of(phcol(anti_transpose_terms(D), K.field).pairs, K.n, True)
             assert K.D == original
             if module.endswith("_hom"):
                 direct = barcode(part, K, module, drop_zero=False)
             else:
-                direct = barcode(partition_from_dual(tpairs, Ft, K.n), K,
-                                 module, drop_zero=False)
+                direct = barcode(tpart, K, module, drop_zero=False)
 
             run = compute(K, module, algorithm, keep_V=keep_V)
             assert K.D == original and K.csc == original_csc
@@ -435,18 +494,22 @@ class TestCompute:
             assert got.module_tag == module
             assert got.index_multiset() == direct.index_multiset()
             assert partition_lists(run.partition) == partition_lists(part)
-            # a barcode-only phcol run reduces D-perp whatever the module
+            # a barcode-only phcol run reduces D-perp whatever the module,
+            # and takes its pairing from D's arrays
             reduced_dual = algorithm != "pcoh" and (
                 module.endswith("_coh") or (algorithm == "phcol" and not keep_V))
-            if algorithm == "phcol" and not keep_V:
-                # it takes D-perp's pairing from D's arrays, not D-perp
-                assert run.matrix is K.csc and isinstance(run.result, Pairing)
-            elif algorithm == "phcol" and module.endswith("_hom"):
-                # with V, homology takes that pairing, then D's cycles from D's arrays
-                assert run.matrix is K.csc and isinstance(run.result, Decomposition)
+            if algorithm == "pcoh":
+                assert type(run.result) is PcohResult
+            elif algorithm == "phcol" and not keep_V:
+                assert type(run.result) is Pairing
             else:
-                assert run.matrix == (anti_transpose_terms(D) if reduced_dual else D)
+                assert type(run.result) is Decomposition
             assert run.dual == (reduced_dual or algorithm == "pcoh")
+            # only pcoh and homology phrow read the term lists of D
+            L = random_rips(seed, max_points=8, p=p, dim_max=2)
+            compute(L, module, algorithm, keep_V=keep_V)
+            assert (L._D is None) == (algorithm == "phcol" or (
+                algorithm == "phrow" and module.endswith("_coh")))
 
             snapshots = []
             phrow(K.D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
@@ -464,7 +527,7 @@ class TestCompute:
         for K in complexes:
             run = compute(K, module, "phrow", keep_V=True)
             ref = phrow(K.D, K.field, True, K.dims)
-            assert run.matrix == K.D and not run.dual
+            assert type(run.result) is Decomposition and not run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of
             assert (run.result.ops, run.result.peak_elements) == (ref.ops, ref.peak_elements)
@@ -508,9 +571,8 @@ class TestCohomologyRoutes:
                 ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dims))
             else:
                 ref = phrow(Dperp, L.field, keep_V, dual_dims(L.dims))
-            assert run.matrix == Dperp and run.dual
+            assert type(run.result) is Decomposition and run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of
-            Ft, tpairs = pairs_to_partition(ref)
-            assert partition_lists(run.partition) == partition_lists(
-                partition_from_dual(tpairs, Ft, L.n))
+            F, _, _, pairs = partition_lists(run.partition)
+            assert (F, pairs) == partition_reference(ref.pairs, L.n, True)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscoh import (GF2, Field, Lcg, SparseMatrix, build_complex,
+from perscoh import (GF2, Decomposition, Field, Lcg, SparseMatrix, build_complex,
                      compute, cube_points, dual_dims, field_inv, generators, load_cell_file,
-                     pairs_to_partition, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
+                     partition_of, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
                      reduction, rips_filtration, verify_decomposition)
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, partition_lists,
-                      random_rips, term_count)
+                      partition_reference, random_rips, term_count)
 from test_acceptance import rips_instances
 from test_loaders import cell_rows, render
 
@@ -327,15 +327,14 @@ class TestPhcolPairs:
         D = K.D
         res = phcol_pairs(K.csc, K.field, K.dims)
         dec = phcol(anti_transpose_terms(D), K.field, keep_V=False, dims=dual_dims(K.dims))
-        Ft, _, _, tpairs = partition_lists(pairs_to_partition(dec))
+        tpairs = partition_lists(partition_of(dec.pairs, K.n, False))[3]
         assert sorted(res.pairs) == tpairs
-        assert res.essential == Ft
         assert res.ops == dec.ops
         assert 0 <= res.apparent <= len(res.pairs)
         for module in ("abs_hom", "rel_hom", "abs_coh", "rel_coh"):
             run = compute(K, module, "phcol")
             assert partition_lists(run.partition) == partition_lists(
-                pairs_to_partition(phcol(D, K.field)))
+                partition_of(phcol(D, K.field).pairs, K.n, False))
         return res
 
     @pytest.mark.parametrize("p", [2, 11])
@@ -381,10 +380,10 @@ class TestPhcolPairs:
     def test_edge_cases(self, sphere11, p):
         field = Field(p)
         vertex = build_complex([(0, 0.0, [])], field)
-        assert self.check(vertex).essential == [1]
+        assert not self.check(vertex).pairs
         vertices = build_complex([(0, float(v), []) for v in range(4)], field)
         res = self.check(vertices)
-        assert res.essential == [1, 2, 3, 4] and not res.pairs
+        assert not res.pairs
         self.check(load_cell_file(SPHERE_PATH, field))
         self.check(sphere11)
         # a dimension beyond int64 orders the columns as well
@@ -408,8 +407,8 @@ class TestPhcolPairs:
         res = self.check(K)
         assert K.csc.rows.max() <= 4  # no edge is a face
         # in D-perp's indexing the edges are columns 1-4 and vertex 1 is
-        # column 8; edge 8, column 1, closes the cycle
-        assert res.essential == [1, 8]
+        # column 8; edge 8, column 1, closes the cycle: both are in no pair
+        assert partition_reference(res.pairs, K.n, False)[0] == [1, 8]
 
 
 class TestPhcolCycles:
@@ -418,7 +417,8 @@ class TestPhcolCycles:
 
     @staticmethod
     def check(K):
-        got = phcol_cycles(K.csc, K.field, K.dim_array)
+        pairs = partition_of(phcol_pairs(K.csc, K.field, K.dims).pairs, K.n, True)[1]
+        got = phcol_cycles(K.csc, K.field, pairs)
         want = phcol(K.D, K.field, True, K.dims)
         assert got.R == want.R
         assert got.V == want.V
@@ -494,5 +494,5 @@ class TestPhcolCycles:
             K = random_rips(seed, max_points=8, p=11, dim_max=2)
             run = compute(K, module, "phcol", keep_V=True)
             generators(run, K, module)
-            assert K._D is None and run.matrix is K.csc
-            assert run.result == phcol_cycles(K.csc, K.field, K.dim_array)
+            assert K._D is None and type(run.result) is Decomposition and not run.dual
+            assert run.result == phcol_cycles(K.csc, K.field, run.partition[1])
