@@ -31,20 +31,16 @@ def _resolve_points(spec: str, seed: int) -> list[tuple[float, ...]]:
     """A points argument is a file path or a generator spec.
 
     ``cube:<count>:<dim>`` draws from the unit cube, ``torus:<count>``
-    from the torus in R^3; both use the seeded generator.
+    from the torus in R^3; both use the seeded generator.  Each field is
+    a non-negative integer.
     """
-    if spec.startswith("cube:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("cube spec is cube:<count>:<dim>")
-        from .bench import cube_points
-        return cube_points(int(parts[1]), int(parts[2]), seed)
-    if spec.startswith("torus:"):
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise ValueError("torus spec is torus:<count>")
-        from .bench import torus_points
-        return torus_points(int(parts[1]), seed)
+    for name, shape in (("cube", "cube:<count>:<dim>"), ("torus", "torus:<count>")):
+        if spec.startswith(name + ":"):
+            fields = spec.split(":")[1:]
+            if len(fields) != shape.count(":") or not all(f.isdecimal() for f in fields):
+                raise ValueError(f"{name} spec is {shape}")
+            from . import bench
+            return getattr(bench, f"{name}_points")(*map(int, fields), seed)
     return load_points(spec)
 
 
@@ -151,51 +147,58 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+# the field and Rips options, by flag; bench takes them in its own order
+_POINT_OPTIONS = {
+    "--field": dict(type=int, default=2, metavar="P",
+                    help="prime field modulus (default 2)"),
+    "--rmax": dict(type=float, default=math.inf,
+                   help="Rips diameter cutoff (points format; default none)"),
+    "--maxdim": dict(type=int, default=2,
+                     help="Rips maximum simplex dimension (default 2)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for generated point clouds (default 0)"),
+}
+
+
 def _input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input",
                    help="input file; with --format points also "
                         "cube:<count>:<dim> or torus:<count>")
     p.add_argument("--format", choices=("cells", "simplicial", "points"),
                    default="cells", help="input format (default cells)")
-    p.add_argument("--field", type=int, default=2, metavar="P",
-                   help="prime field modulus (default 2)")
-    p.add_argument("--rmax", type=float, default=math.inf,
-                   help="Rips diameter cutoff (points format; default none)")
-    p.add_argument("--maxdim", type=int, default=2,
-                   help="Rips maximum simplex dimension (default 2)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for generated point clouds (default 0)")
+    for flag, options in _POINT_OPTIONS.items():
+        p.add_argument(flag, **options)
 
 
-def _barcode_arguments(p: argparse.ArgumentParser) -> None:
+def _listing_arguments(p: argparse.ArgumentParser, oracle: bool = False) -> None:
+    """The input and options of a barcode or generator listing."""
     _input_arguments(p)
     p.add_argument("--module", choices=MODULE_TAGS, default="abs_hom")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the dense rank oracle (small inputs)")
+    if oracle:
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check against the dense rank oracle (small inputs)")
     p.add_argument("--indices", action="store_true",
                    help="print index pairs instead of filtration values")
     p.add_argument("--keep-zero-length", action="store_true",
                    help="keep intervals with equal birth and death values")
+
+
+def _barcode_arguments(p: argparse.ArgumentParser) -> None:
+    _listing_arguments(p, oracle=True)
     p.set_defaults(func=cmd_barcode)
 
 
 def _generators_arguments(p: argparse.ArgumentParser) -> None:
-    _input_arguments(p)
-    p.add_argument("--module", choices=MODULE_TAGS, default="abs_hom")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
-    p.add_argument("--indices", action="store_true")
-    p.add_argument("--keep-zero-length", action="store_true")
+    _listing_arguments(p)
     p.set_defaults(func=cmd_generators)
 
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input",
                    help="points file, cube:<count>:<dim>, or torus:<count>")
-    p.add_argument("--rmax", type=float, default=math.inf)
-    p.add_argument("--maxdim", type=int, default=2)
-    p.add_argument("--field", type=int, default=2, metavar="P")
-    p.add_argument("--seed", type=int, default=0)
+    for flag in ("--rmax", "--maxdim", "--field", "--seed"):
+        p.add_argument(flag, **_POINT_OPTIONS[flag])
     p.add_argument("--repeat", type=int, default=1,
                    help="run each algorithm this many times (default 1)")
     p.add_argument("--max-cells", type=int, default=RIPS_MAX_CELLS, dest="max_cells",
@@ -271,10 +274,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -27,8 +27,7 @@ The stages after a reduction run on int arrays:
   interval lines from that text too.
 
 :class:`Interval` objects are built only where they are read: by
-:attr:`Diagram.intervals`, generator tables, :func:`concatenated_barcode`
-and :func:`parse_diagram`.
+:attr:`Diagram.intervals`, :func:`concatenated_barcode` and :func:`parse_diagram`.
 
 :func:`compute` is the single dispatch from a module and an algorithm
 to the matrix to reduce, the reduction, and the partition.
@@ -225,10 +224,11 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     builds no ``K.D`` either.  Otherwise phcol and phrow reduce the term
     lists ``K.D`` for homology and those of ``anti_transpose(K.csc)``
     for cohomology, which build no ``K.D``, and pcoh sweeps ``K.D`` for
-    every module.  phcol and phrow clear, by ``K.dims`` on D and
-    :func:`~perscoh.complexes.dual_dims` on D-perp.  ``keep_V`` keeps
-    the V matrix that :func:`generators` reads (pcoh always keeps its
-    cocycles).
+    every module.  (phcol_cycles on D-perp after phcol_pairs gives the
+    cohomology run with V too, but searches the pairing twice: slower.)
+    phcol and phrow clear, by ``K.dims`` on D and ``dual_dims`` on
+    D-perp.  ``keep_V`` keeps the V matrix that :func:`generators` reads
+    (pcoh always keeps its cocycles).
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -281,19 +281,18 @@ def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
 
 @dataclass
 class GeneratorEntry:
-    interval: Interval
+    """A generator ``chain`` and its ``killer``: a chain whose boundary it is, or None."""
+
     chain: Chain
-    source: str
     killer: Chain | None = None
-    killer_source: str | None = None
 
 
 @dataclass
 class GeneratorTable:
-    """The generators of one module, one entry per interval of
-    ``diagram``, in the order of :meth:`Diagram.order`.  When
-    ``starred``, chain terms are indices of the reversed dual order of
-    the ``n`` cells, as D-perp's columns are."""
+    """The generators of one module: ``entries[k]`` is the generator of
+    the interval ``diagram.sorted()[k]``.  When ``starred``, chain terms
+    are indices of the reversed dual order of the ``n`` cells, as
+    D-perp's columns are."""
 
     module_tag: str
     n: int
@@ -302,30 +301,30 @@ class GeneratorTable:
     diagram: Diagram = field(compare=False)
 
     def by_index_pair(self) -> dict[tuple[int, int], GeneratorEntry]:
-        return {(e.interval.p, e.interval.q): e for e in self.entries}
+        d, order = self.diagram, self.diagram.order()
+        return dict(zip(zip(d.p[order].tolist(), d.q[order].tolist()), self.entries))
 
 
 def generators(run: Computation, K: FilteredComplex, module_tag: str,
                drop_zero: bool = True) -> GeneratorTable:
     """Extract the generator table of one persistence module.
 
-    ``run`` is the :func:`compute` result for ``module_tag``: a
-    decomposition of the boundary matrix for ``abs_hom``/``rel_hom``, of
-    its anti-transpose for ``rel_coh``/``abs_coh``, or the pcoh output
-    for ``abs_coh``.  Reductions run without V, pcoh output for modules
-    other than ``abs_coh``, and a run on the other side (D for a
-    cohomology module, the reversed dual for a homology module) raise
-    ``ValueError``.
+    ``run`` is the :func:`compute` result for ``module_tag``: a reduction
+    with V of D for ``abs_hom``/``rel_hom``, of D-perp for
+    ``rel_coh``/``abs_coh``, or pcoh's for ``abs_coh``; any other run
+    raises ``ValueError``.
 
-    Dual modules read the same columns: abs_hom and rel_coh take a pair's
-    chain from R and its killer from V, rel_hom and abs_coh take the
-    chain from V and have no killer.
+    One rule on the diagram's sorted arrays names each entry's column j:
+    an essential birth f, at ``<f, n>`` or ``<0, f-1>``, else the pivot
+    column's cell of the pair ``<g, h-1>``, the death h in D, the birth g
+    in D-perp, through dual_index when starred.  abs_hom and rel_coh take
+    a pair's chain from R[j] and its killer from V[j]; every other chain
+    is V[j], with no killer.  Chains are the reduction's lists, not copies.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     n = K.n
-    starred = module_tag.endswith("_coh")
-    killers = module_tag in ("abs_hom", "rel_coh")
+    rel, starred = module_tag.startswith("rel_"), module_tag.endswith("_coh")
 
     dec = run.result
     if isinstance(dec, PcohResult):
@@ -333,9 +332,7 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
             raise ValueError(
                 f"{module_tag} generators are unavailable from pcoh "
                 "(it drops the columns they come from); use phcol or phrow")
-        R = None
-        V = dict(zip(dec.essential, dec.essential_cocycles))
-        V.update((t, z) for (_, t), z in zip(dec.pairs, dec.pair_cocycles))
+        R, V = None, dict(zip([t for _, t in dec.pairs] + dec.essential, dec.cocycles))
     else:
         if not isinstance(dec, Decomposition) or dec.V is None:
             raise ValueError("generators need the V matrix; rerun with keep_V on")
@@ -344,21 +341,20 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         side = "the anti-transpose" if run.dual else "the boundary matrix D"
         raise ValueError(f"{module_tag} generators cannot be read from a "
                          f"reduction of {side}; compute the run for {module_tag}")
-    rel = module_tag.startswith("rel_")
     diagram = barcode(run.partition, K, module_tag, drop_zero)
-    entries: list[GeneratorEntry] = []
-    for iv in diagram.sorted():
-        # the cell whose column holds the class: an essential birth f, at
-        # <f, n> or <0, f-1>, else the pivot column's cell of the pair
-        # <g, h-1>: the death h in D, the birth g in D-perp
-        essential = iv.p == 0 if rel else iv.q == n
-        c = iv.q + 1 if (rel if essential else not starred) else iv.p
-        j, ref = (dual_index(n, c), f"t[{c}*]") if starred else (c, f"[{c}]")
-        if killers and not essential:
-            entries.append(GeneratorEntry(iv, list(R[j]), "R" + ref,
-                                          list(V[j]), "V" + ref))
-        else:
-            entries.append(GeneratorEntry(iv, list(V[j]), "V" + ref))
+    order = diagram.order()
+    p, q = diagram.p[order], diagram.q[order]
+    essential = p == 0 if rel else q == n
+    cell = np.where(essential, q + 1 if rel else p, p if starred else q + 1)
+    j = dual_index(n, cell) if starred else cell
+    if module_tag in ("abs_hom", "rel_coh"):
+        # indices into R, V, None: a pair's R[j] killed by V[j], else V[j] alone
+        columns, m = [*R, *V, None], len(R)
+        chains = map(columns.__getitem__, np.where(essential, m + j, j).tolist())
+        killers = map(columns.__getitem__, np.where(essential, 2 * m, m + j).tolist())
+        entries = list(map(GeneratorEntry, chains, killers))
+    else:
+        entries = list(map(GeneratorEntry, map(V.__getitem__, j.tolist())))
     return GeneratorTable(module_tag, n, starred, entries, diagram)
 
 

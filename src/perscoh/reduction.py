@@ -43,6 +43,9 @@ from .core import Chain, Field, chain_axpy, field_inv
 
 @dataclass
 class Decomposition:
+    """R = MV from :func:`phcol`, :func:`phcol_cycles` or :func:`phrow`.
+    Nothing mutates a returned result: generator tables share its columns."""
+
     R: SparseMatrix
     V: SparseMatrix | None
     low_of: dict[int, int]
@@ -68,7 +71,7 @@ class PcohResult:
 
     ``pair_cocycles[k]`` is the cocycle that died at ``pairs[k]``;
     ``essential_cocycles[k]`` is the final live cocycle born at
-    ``essential[k]``.
+    ``essential[k]``.  Nothing mutates a returned result.
     """
 
     pairs: list[tuple[int, int]]

@@ -139,7 +139,7 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
     if r_max < 0 or dim_max < 0:
         raise ValueError("r_max and dim_max must be non-negative")
     width = len(points[0])
-    for i, pt in enumerate(points):
+    for i, pt in enumerate(points, start=1):  # numbered as load_points numbers them
         if len(pt) != width:
             raise ValueError(f"point {i} has {len(pt)} coordinates, expected {width}")
         if not all(math.isfinite(x) for x in pt):

@@ -247,6 +247,6 @@ def assert_generator_sanity(K):
     n = K.n
     tablec = generators(compute(K, "abs_coh", "phcol", keep_V=True), K,
                         "abs_coh", drop_zero=False)
-    for e in tablec.entries:
+    for iv, e in zip(tablec.diagram.sorted(), tablec.entries):
         for t, _ in matvec(Dp, e.chain, p):
-            assert n + 1 - t > e.interval.q, "cocycle dies before its death index"
+            assert n + 1 - t > iv.q, "cocycle dies before its death index"

@@ -300,6 +300,29 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, ["bench", "cube:10"])
         assert code == 2 and "cube spec" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("cube:3:-1", "cube spec is cube:<count>:<dim>"),
+        ("cube:x:2", "cube spec is cube:<count>:<dim>"),
+        ("cube:3:2.5", "cube spec is cube:<count>:<dim>"),
+        ("cube:-3:2", "cube spec is cube:<count>:<dim>"),
+        ("cube:3:", "cube spec is cube:<count>:<dim>"),
+        ("torus:x", "torus spec is torus:<count>"),
+        ("torus:-3", "torus spec is torus:<count>"),
+        ("torus:4:1", "torus spec is torus:<count>"),
+    ])
+    @pytest.mark.parametrize("command", ["barcode", "bench"])
+    def test_spec_fields_are_counts(self, capsys, command, spec, message):
+        argv = [command, spec] + (["--format", "points"] if command == "barcode" else [])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_point_numbered_from_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.pts"
+        path.write_text("0 0\nnan 1\n")
+        code, out, err = run_cli(capsys, ["barcode", str(path), "--format", "points"])
+        assert code == 2 and out == ""
+        assert "point 2 has a non-finite coordinate" in err
+
     def test_seeded_specs_are_deterministic(self, capsys):
         args = ["barcode", "torus:10", "--format", "points",
                 "--rmax", "1.5", "--seed", "7"]

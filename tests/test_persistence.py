@@ -182,15 +182,13 @@ class TestSphereGenerators:
                        sphere11, "abs_hom")
         assert not t.starred
         e = self.entry(t, 1, 6)
-        assert (e.chain, e.source, e.killer) == ([(1, 1)], "V[1]", None)
+        assert (e.chain, e.killer) == ([(1, 1)], None)
         e = self.entry(t, 2, 2)
-        assert (e.chain, e.source) == ([(1, 1), (2, 10)], "R[3]")
-        assert (e.killer, e.killer_source) == ([(3, 1)], "V[3]")
+        assert (e.chain, e.killer) == ([(1, 1), (2, 10)], [(3, 1)])
         e = self.entry(t, 4, 4)
-        assert (e.chain, e.source) == ([(3, 1), (4, 10)], "R[5]")
-        assert (e.killer, e.killer_source) == ([(5, 1)], "V[5]")
+        assert (e.chain, e.killer) == ([(3, 1), (4, 10)], [(5, 1)])
         e = self.entry(t, 6, 6)
-        assert (e.chain, e.source, e.killer) == ([(5, 10), (6, 1)], "V[6]", None)
+        assert (e.chain, e.killer) == ([(5, 10), (6, 1)], None)
 
     def test_rel_hom(self, sphere11):
         t = generators(compute(sphere11, "rel_hom", "phcol", keep_V=True),
@@ -199,8 +197,7 @@ class TestSphereGenerators:
         assert self.entry(t, 0, 0).chain == [(1, 1)]
         assert self.entry(t, 2, 2).chain == [(3, 1)]
         assert self.entry(t, 4, 4).chain == [(5, 1)]
-        e = self.entry(t, 0, 5)
-        assert (e.chain, e.source) == ([(5, 10), (6, 1)], "V[6]")
+        assert self.entry(t, 0, 5).chain == [(5, 10), (6, 1)]
         assert all(e.killer is None for e in t.entries)
 
     def test_rel_coh(self, sphere11):
@@ -208,15 +205,13 @@ class TestSphereGenerators:
                        sphere11, "rel_coh")
         assert t.starred
         e = self.entry(t, 0, 5)
-        assert (e.chain, e.source, e.killer) == ([(1, 1)], "Vt[6*]", None)
+        assert (e.chain, e.killer) == ([(1, 1)], None)
         e = self.entry(t, 4, 4)
-        assert (e.chain, e.source) == ([(1, 10), (2, 10)], "Rt[4*]")
-        assert (e.killer, e.killer_source) == ([(3, 1)], "Vt[4*]")
+        assert (e.chain, e.killer) == ([(1, 10), (2, 10)], [(3, 1)])
         e = self.entry(t, 2, 2)
-        assert (e.chain, e.source) == ([(3, 10), (4, 10)], "Rt[2*]")
-        assert (e.killer, e.killer_source) == ([(5, 1)], "Vt[2*]")
+        assert (e.chain, e.killer) == ([(3, 10), (4, 10)], [(5, 1)])
         e = self.entry(t, 0, 0)
-        assert (e.chain, e.source, e.killer) == ([(5, 1), (6, 1)], "Vt[1*]", None)
+        assert (e.chain, e.killer) == ([(5, 1), (6, 1)], None)
 
     def test_abs_coh(self, sphere11):
         t = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
@@ -225,24 +220,71 @@ class TestSphereGenerators:
         assert self.entry(t, 6, 6).chain == [(1, 1)]
         assert self.entry(t, 4, 4).chain == [(3, 1)]
         assert self.entry(t, 2, 2).chain == [(5, 1)]
-        e = self.entry(t, 1, 6)
-        assert (e.chain, e.source) == ([(5, 1), (6, 1)], "Vt[1*]")
+        assert self.entry(t, 1, 6).chain == [(5, 1), (6, 1)]
 
     def test_abs_coh_from_pcoh_matches_row_route(self, sphere11):
         via_rows = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
                               sphere11, "abs_coh")
         via_pcoh = generators(compute(sphere11, "abs_coh", "pcoh", keep_V=True),
                               sphere11, "abs_coh")
-        for a, b in zip(via_rows.entries, via_pcoh.entries):
-            assert a.interval == b.interval
-            assert a.chain == b.chain
-            assert a.source == b.source
+        assert via_rows.diagram.sorted() == via_pcoh.diagram.sorted()
+        assert via_rows.entries == via_pcoh.entries
 
     def test_entries_sorted_by_interval(self, sphere11):
         t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
                        sphere11, "abs_hom")
-        keys = [e.interval.sort_key() for e in t.entries]
+        keys = [iv.sort_key() for iv in t.diagram.sorted()]
         assert keys == sorted(keys)
+        assert len(t.entries) == len(keys)
+        assert list(t.by_index_pair()) == [(1, 6), (2, 2), (4, 4), (6, 6)]
+
+
+class TestColumnRule:
+    """Entry k of a table is read from the column j that its interval
+    ``diagram.sorted()[k]`` names: its chain and killer are R[j] and V[j]
+    of the run (for pcoh, the cocycle at dual index j)."""
+
+    @staticmethod
+    def column(iv, module, n):
+        """j for one interval: an essential birth f, at <f, n> or <0, f-1>,
+        else the pivot column's cell of <g, h-1>, h in D, g in D-perp."""
+        rel, starred = module.startswith("rel_"), module.endswith("_coh")
+        if iv.q == n if module.startswith("abs_") else iv.p == 0:
+            cell, essential = (iv.q + 1 if rel else iv.p), True
+        else:
+            cell, essential = (iv.p if starred else iv.q + 1), False
+        return (n + 1 - cell if starred else cell), essential
+
+    def check(self, K):
+        for module, algorithm in itertools.product(MODULE_TAGS, ALGORITHMS):
+            if algorithm == "pcoh" and module != "abs_coh":
+                continue
+            run = compute(K, module, algorithm, keep_V=True)
+            res = run.result
+            if algorithm == "pcoh":
+                R = None
+                V = dict(zip(res.essential, res.essential_cocycles))
+                V.update((t, z) for (_, t), z in zip(res.pairs, res.pair_cocycles))
+            else:
+                R, V = res.R.cols, res.V.cols
+            for drop_zero in (True, False):
+                table = generators(run, K, module, drop_zero)
+                intervals = table.diagram.sorted()
+                assert len(table.entries) == len(intervals)
+                for iv, e in zip(intervals, table.entries):
+                    j, essential = self.column(iv, module, K.n)
+                    if module in ("abs_hom", "rel_coh") and not essential:
+                        assert (e.chain, e.killer) == (R[j], V[j]), (module, algorithm, iv)
+                    else:
+                        assert (e.chain, e.killer) == (V[j], None), (module, algorithm, iv)
+
+    def test_sphere(self, sphere11):
+        self.check(sphere11)
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_rips(self, seed, p):
+        self.check(random_rips(seed, max_points=9, p=p, dim_max=3))
 
 
 class TestGeneratorTableText:
@@ -354,8 +396,8 @@ class TestZeroLengthGenerators:
             run = compute(K, module, algorithm, keep_V=True)
             full = generators(run, K, module, drop_zero=False)
             kept = generators(run, K, module)
-            assert kept.entries == [e for e in full.entries
-                                    if e.interval.birth != e.interval.death]
+            assert kept.entries == [e for e, iv in zip(full.entries, full.diagram.sorted())
+                                    if iv.birth != iv.death]
             assert len(kept.entries) < len(full.entries)
 
 

@@ -139,6 +139,11 @@ def test_input_validation():
         rips_filtration([(0.0, 0.0), (1.0,)], 1.0, 1, F11)
     with pytest.raises(ValueError, match="non-finite"):
         rips_filtration([(0.0, math.nan)], 1.0, 1, F11)
+    # points are numbered from 1, as load_points numbers a file's lines
+    with pytest.raises(ValueError, match="point 2 has a non-finite"):
+        rips_filtration([(0.0, 0.0), (math.inf, 1.0)], 1.0, 1, F11)
+    with pytest.raises(ValueError, match="point 2 has 1 coordinates"):
+        rips_filtration([(0.0, 0.0), (1.0,)], 1.0, 1, F11)
 
 
 @pytest.mark.parametrize("p", [2, 11])
