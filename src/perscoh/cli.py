@@ -170,11 +170,21 @@ def _input_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, **options)
 
 
+# the module and algorithm options, by flag; oracle-check takes the algorithm
+_RUN_OPTIONS = {
+    "--module": dict(choices=MODULE_TAGS, default="abs_hom",
+                     help="persistence module (default abs_hom)"),
+    "--algorithm": dict(choices=ALGORITHMS, default="phcol",
+                        help="reduction: column phcol, row phrow or live-cocycle pcoh "
+                             "(default phcol)"),
+}
+
+
 def _listing_arguments(p: argparse.ArgumentParser, oracle: bool = False) -> None:
     """The input and options of a barcode or generator listing."""
     _input_arguments(p)
-    p.add_argument("--module", choices=MODULE_TAGS, default="abs_hom")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
+    for flag, options in _RUN_OPTIONS.items():
+        p.add_argument(flag, **options)
     if oracle:
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the dense rank oracle (small inputs)")
@@ -211,7 +221,7 @@ def _bench_arguments(p: argparse.ArgumentParser) -> None:
 
 def _oracle_check_arguments(p: argparse.ArgumentParser) -> None:
     _input_arguments(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="phcol")
+    p.add_argument("--algorithm", **_RUN_OPTIONS["--algorithm"])
     p.set_defaults(func=cmd_oracle_check)
 
 

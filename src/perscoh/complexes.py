@@ -23,9 +23,12 @@ Two text formats build complexes directly:
       <dim> <value> [<face_index>:<int_coef> ...]
 
   with 1-based implicit cell indices, ``#`` comments and blank lines
-  ignored.  The loader parses the file into flat arrays of dimensions,
-  values and ``(cell, face, coefficient)`` terms and runs the checks of
-  :func:`build_complex` on them at once; coefficients are reduced mod p.
+  ignored.  The loader splits each line once and reads the dimensions,
+  the values and the ``<face>:<coef>`` pieces each with one numpy parse
+  of their joined tokens; a column that numpy would read otherwise than
+  Python's ``int``/``float`` is read token by token, so integers of any
+  size parse.  The checks of :func:`build_complex` run on those arrays
+  at once; coefficients are reduced mod p.
 
 * simplicial format, one simplex per line::
 
@@ -46,8 +49,9 @@ coordinates) feed the Rips builder in :mod:`perscoh.rips`.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Callable
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from operator import itemgetter, lt
 
 import numpy as np
@@ -182,13 +186,14 @@ def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
     Checks that filtration values are not NaN and are monotone, that
     every boundary term points to an earlier cell one dimension down,
     and that the composite boundary vanishes over Z/p.  Raises :class:`ComplexError` naming
-    the first offending cell.  The rows are flattened into
-    :func:`_validated`, which the cell-file loader calls directly.
+    the first offending cell.  The rows are flattened into arrays for
+    :func:`_validated`, which the cell-file loader calls directly; the
+    values stay a list, so that an int value is compared exactly.
     """
-    return _validated([dim for dim, _, _ in cells], [value for _, value, _ in cells],
+    return _validated(_ints([dim for dim, _, _ in cells]), [value for _, value, _ in cells],
                       [len(terms) for _, _, terms in cells],
-                      [idx for _, _, terms in cells for idx, _ in terms],
-                      [coef for _, _, terms in cells for _, coef in terms], field)
+                      _ints([idx for _, _, terms in cells for idx, _ in terms]),
+                      _ints([coef for _, _, terms in cells for _, coef in terms]), field)
 
 
 def _ints(xs: list) -> np.ndarray:
@@ -199,12 +204,16 @@ def _ints(xs: list) -> np.ndarray:
         return np.array(xs, object)
 
 
-def _validated(dims: list[int], values: list[float], counts: list[int], faces: list[int],
-               coefs: list[int], field: Field) -> FilteredComplex:
+def _validated(dims: np.ndarray, values: np.ndarray | list, counts: np.ndarray | list,
+               faces: np.ndarray, coefs: np.ndarray, field: Field) -> FilteredComplex:
     """The complex of cells ``1..n`` with ``dims`` and ``values``, cell ``j``
     having the next ``counts[j - 1]`` boundary terms ``(faces, coefs)``.
 
-    Every check of :func:`build_complex` runs on the flat arrays at once.
+    ``dims``, ``faces`` and ``coefs`` are int64 arrays, or object arrays
+    of Python ints where one does not fit; ``values`` is a float64 array,
+    or the raw list of :func:`build_complex`, whose int values are
+    compared with the float before them exactly, as Python compares them.
+    Every check of :func:`build_complex` runs on the arrays at once.
     The first offending cell is the first one that any per-cell check
     flags, and :func:`_cell_fault` re-checks that cell alone, check by
     check, for the message.  Only a complex that passes them all has its
@@ -212,19 +221,18 @@ def _validated(dims: list[int], values: list[float], counts: list[int], faces: l
     """
     p = field.p
     n = len(dims)
-    vals = np.array(values, dtype=float)
-    floats = vals.tolist()
-    d = _ints(dims)
-    flags = (d < 0) | np.isnan(vals)
-    # each value against the float of the one before, as Python compares
-    # them: exactly, also for an int value
-    flags[1:] |= np.fromiter(map(lt, values[1:], floats), bool, n - 1)
+    vals = np.asarray(values, dtype=float)
+    flags = (dims < 0) | np.isnan(vals)
+    if isinstance(values, list):  # from build_complex: int values compare exactly
+        flags[1:] |= np.fromiter(map(lt, values[1:], vals.tolist()), bool, n - 1)
+    else:
+        flags[1:] |= vals[1:] < vals[:-1]
 
     # cell j and face i are j - 1 and i - 1 from here on
     cell = np.arange(n).repeat(counts)
-    face = _ints(faces) - 1
+    face = faces - 1
     early = (face >= 0) & (face < cell)
-    coef = (_ints(coefs) % p).astype(np.int64, copy=False)
+    coef = (coefs % p).astype(np.int64, copy=False)
     if not early.all():
         flags[cell[~early]] = True
         cell, face, coef = cell[early], face[early], coef[early]
@@ -233,17 +241,18 @@ def _validated(dims: list[int], values: list[float], counts: list[int], faces: l
     nonzero = coef.nonzero()[0]
     cell, face = np.divmod(key[nonzero], n)
     coef = coef[nonzero]
-    flags[cell[d[face] != d[cell] - 1]] = True
+    flags[cell[dims[face] != dims[cell] - 1]] = True
     if flags.any():
         j = int(flags.argmax()) + 1
-        at = sum(counts[:j - 1])
-        terms = zip(faces[at:at + counts[j - 1]], coefs[at:at + counts[j - 1]])
+        at = int(np.sum(counts[:j - 1]))
+        upto = at + int(counts[j - 1])
+        terms = zip(faces[at:upto].tolist(), coefs[at:upto].tolist())
         raise ComplexError(j, _cell_fault(j, dims, values, terms, p))
 
     # the terms of cell j are start[j - 1]:start[j]
     start = cell.searchsorted(np.arange(n + 1))
     _check_boundary_squared(cell, face, coef, start, p)
-    return FilteredComplex(d, vals, CscMatrix(start, face + 1, coef), field)
+    return FilteredComplex(dims, vals, CscMatrix(start, face + 1, coef), field)
 
 
 # products of boundary terms formed at once by _check_boundary_squared
@@ -542,27 +551,72 @@ def load_cell_file(path: str, field: Field) -> FilteredComplex:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_cells(path: str) -> tuple[list[int], list[float], list[int], list[int], list[int]]:
+def _parse_cells(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The dimensions, values, term counts, faces and coefficients of a
-    cells file, in file order.
+    cells file, in file order, as arrays.
 
-    Each line is split once; the dimensions, the values and the
-    ``<face>:<coef>`` pieces are each parsed by one ``map``.
+    Each line is split once.  The dimensions, the values and the
+    ``<face>:<coef>`` pieces are each read from their joined tokens by
+    :func:`_numbers`, the pieces after checking that every term token
+    holds one colon, so that the faces are at the even places.
     """
     numbers, rows = _read_lines(path)
     if not rows:
         raise ParseError(f"{path}:1: empty complex")
     try:
-        dims = list(map(int, map(itemgetter(0), rows)))
-        values = list(map(float, map(itemgetter(1), rows)))
-        terms = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
-        # one colon a term keeps faces at the even places of the pieces
-        if list(map(str.count, terms, repeat(":"))).count(1) < len(terms):
+        dims = _numbers(" ".join(map(itemgetter(0), rows)), int, len(rows))
+        values = _numbers(" ".join(map(itemgetter(1), rows)), float, len(rows))
+        terms = " ".join(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
+        # one colon a term: every space lies between two colons
+        seps = np.frombuffer(terms.encode(), np.uint8)
+        colon, space = np.flatnonzero(seps == 58), np.flatnonzero(seps == 32)
+        if terms and (len(colon) != len(space) + 1
+                      or not ((colon[:-1] < space) & (space < colon[1:])).all()):
             raise ValueError
-        pieces = list(map(int, ":".join(terms).split(":"))) if terms else []
+        pieces = _numbers(terms.replace(":", " "), int, 2 * len(colon))
     except (ValueError, IndexError):
         raise _parse_error(path, numbers, rows) from None
-    return dims, values, [len(tokens) - 2 for tokens in rows], pieces[::2], pieces[1::2]
+    counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 2
+    return dims, values, counts, pieces[::2], pieces[1::2]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _numbers(text: str, kind: type, count: int) -> np.ndarray:
+    """The ``count`` space-separated tokens of ``text``, each read as
+    ``kind`` (int or float) reads it: an int64 or float64 array, or
+    Python ints where one does not fit int64.  Raises :class:`ValueError`
+    where ``kind`` does.
+
+    One numpy parse reads the whole text, unless it could read a token
+    otherwise than ``kind``.  numpy rejects ``1_0`` and Unicode digits,
+    which Python reads; it reads ``nan(...)`` as NaN and a bare sign as
+    the int 0, which Python rejects; and it clamps an int beyond int64
+    to the nearest bound.  So a text that is not ASCII or holds ``(``,
+    that numpy rejects or reads as another number of tokens, or whose
+    ints reach a bound of int64 or read a 0 beside a bare sign, is read
+    token by token.
+    """
+    if not text:
+        return np.empty(0, np.int64)
+    if text.isascii() and "(" not in text:
+        try:
+            with warnings.catch_warnings():
+                # older numpy only warns where it stops reading
+                warnings.simplefilter("error", DeprecationWarning)
+                out = np.fromstring(text, np.int64 if kind is int else float, sep=" ")
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            # ints at a bound may be clamped, and a 0 may be a bare sign
+            if len(out) == count and (kind is float or (
+                    _INT64.min < out.min() <= out.max() < _INT64.max
+                    and (out.all() or not ("+ " in text or "- " in text
+                                           or text[-1] in "+-")))):
+                return out
+    numbers = list(map(kind, text.split(" ")))
+    return _ints(numbers) if kind is int else np.array(numbers, float)
 
 
 def _parse_error(path: str, numbers: list[int], rows: list[list[str]]) -> ParseError:

@@ -111,6 +111,7 @@ def outcome(load, *args):
 
 
 HUGE = 10**30
+INT64_EDGES = [2**63 - 1, -(2**63 - 1), -2**63, 2**63, -2**63 - 1]
 
 
 def cell_rows(rng: random.Random, K: FilteredComplex) -> list[list[str]]:
@@ -261,6 +262,22 @@ def test_malformed_files_give_scalar_errors(tmp_path, monkeypatch, p, products):
     # products in a block of their own when blocks hold 5
     "0 0\n0 0\n0 0\n1 1 1:1 2:-1\n1 1 2:1 3:-1\n1 1 1:1 3:-1\n"
     "2 2 4:1 5:1 6:-1\n2 3 4:1 5:1\n",
+    # dimensions, faces and coefficients at and past the bounds of int64,
+    # which a bulk parse clamps to them
+    *(f"{big} 0\n" for big in INT64_EDGES),
+    *(f"0 0\n1 1 {big}:1\n" for big in INT64_EDGES),
+    *(f"0 0\n1 1 1:{big}\n" for big in INT64_EDGES),
+    "0 0\n" * 10 + "1 1 010:+7 +7:-1\n1 1 10:1 1:-1\n",  # decimal, not octal
+    "0 0\n" * 10 + "1 1 1_0:1 0_1:-1\n",  # underscores, which int accepts
+    "0 ٣\n١ ٤ １:١\n",  # Unicode digits, which int accepts
+    "0 -0.0\n0 0\n0 1_0.5\n0 1e400\n0 infinity\n1 1e400 1:1 2:-1\n",
+    "0 0x1p3\n",
+    "0 nan(1)\n",
+    "+ 0\n",  # bare signs
+    "0 0\n1 1 1:-\n",
+    "0 0\n1 1 -:1\n",
+    "0 0\n0 0\n1 1 1: :2\n",  # one colon a term, an empty piece each
+    "0 0\n0 0\n1 1 1:2:3 4\n",  # as many colons as terms, not one a term
 ])
 @pytest.mark.parametrize("products", BLOCKS)
 @pytest.mark.parametrize("p", [2, 11])
