@@ -10,11 +10,12 @@ term list per column (a :class:`SparseMatrix`), is built from them on
 first read.  :func:`anti_transpose` flips the arrays across the minor
 diagonal, which encodes the coboundary of the reversed dual filtration;
 cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
-The barcode-only ``phcol`` route and the homology ``phcol`` route with
-V read the arrays, the cohomology ``phcol``/``phrow`` routes transpose
-them, and the oracle reads them too, so only ``pcoh``, the homology runs
-of ``phrow``, the R = DV check of ``oracle-check`` and the column
-reduction of :func:`~perscoh.bench.run_bench` build ``K.D``.
+Every ``phcol`` route reads the arrays and builds no term lists of D,
+nor of D-perp beyond its reduced columns and pivots; the cohomology
+``phrow`` routes build D-perp's from them, and the oracle reads them
+too.  So only ``pcoh``, the homology runs of ``phrow``, the R = DV
+check of ``oracle-check`` and the column reduction of
+:func:`~perscoh.bench.run_bench` build ``K.D``.
 
 Two text formats build complexes directly:
 

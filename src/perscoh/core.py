@@ -2,8 +2,11 @@
 
 A chain is a list of ``(index, coefficient)`` pairs with strictly
 increasing 1-based indices and no zero coefficients; coefficients are
-residues in ``[0, p)``.  The empty list is the zero chain.  All column
-arithmetic in the reduction algorithms goes through :func:`chain_axpy`.
+residues in ``[0, p)``.  The empty list is the zero chain.  The column
+and row reductions add term lists with :func:`chain_axpy`; the batched
+rounds of :func:`~perscoh.reduction.phcol_cycles` merge columns as
+numpy arrays, and :func:`~perscoh.reduction.pcoh` adds cocycles kept
+as dicts.
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ import numpy as np
 
 from .complexes import FilteredComplex, _ints, anti_transpose, dual_dims, dual_index
 from .core import Chain
-from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol, phcol_cycles,
-                        phcol_pairs, phrow)
+from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol_cycles, phcol_pairs,
+                        phrow)
 
 MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
 ALGORITHMS = ("phcol", "phrow", "pcoh")
@@ -197,8 +197,8 @@ class Computation:
     ``result`` is the algorithm's raw output, and ``partition`` the
     absolute partition ``(F, pairs)`` in original indices, as int arrays
     (:func:`partition_of`).  ``dual`` is True when the result is indexed
-    by the reversed dual order: a reduction of the anti-transpose, the
-    barcode-only phcol route, or pcoh.
+    by the reversed dual order: a reduction of the anti-transpose, which
+    every phcol run is but a homology one with V, or pcoh.
     """
 
     result: Decomposition | PcohResult | Pairing
@@ -211,42 +211,42 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     """Run ``algorithm`` on the matrix that ``module_tag`` needs, and
     partition the cells by its pairs, once, with :func:`partition_of`.
 
-    The four modules share one pairing, so a barcode-only phcol run
-    (``keep_V`` off) takes it, for every module, from the clearing
-    reduction of the anti-transpose D-perp, the cheapest one:
-    :func:`~perscoh.reduction.phcol_pairs` reads D's arrays ``K.csc``,
-    takes the apparent pairs in one pass (Bauer 2021, Ripser) and
-    reduces only the other columns, with clearing (Bauer, Kerber and
-    Reininghaus 2014).  It builds no term lists.  A homology phcol run
-    with V takes that pairing, partitions it, and hands the pairs (g, h)
-    to :func:`~perscoh.reduction.phcol_cycles`, which computes D's
-    cycles from ``K.csc`` with the R, V and ops of phcol on ``K.D``; it
-    builds no ``K.D`` either.  Otherwise phcol and phrow reduce the term
-    lists ``K.D`` for homology and those of ``anti_transpose(K.csc)``
-    for cohomology, which build no ``K.D``, and pcoh sweeps ``K.D`` for
-    every module.  (phcol_cycles on D-perp after phcol_pairs gives the
-    cohomology run with V too, but searches the pairing twice: slower.)
-    phcol and phrow clear, by ``K.dims`` on D and ``dual_dims`` on
-    D-perp.  ``keep_V`` keeps the V matrix that :func:`generators` reads
-    (pcoh always keeps its cocycles).
+    Every phcol run starts from the clearing reduction of the
+    anti-transpose D-perp, the cheapest one, since the four modules
+    share one pairing: :func:`~perscoh.reduction.phcol_pairs` reads D's
+    arrays ``K.csc``, takes the apparent pairs in one pass (Bauer 2021,
+    Ripser) and reduces only the other columns, with clearing (Bauer,
+    Kerber and Reininghaus 2014).  A barcode-only run (``keep_V`` off)
+    keeps just its pairing, for every module.  A cohomology run with V
+    gets the whole decomposition of D-perp from that same pass, with
+    the R, V and ops of phcol on D-perp's term lists.  A homology run
+    with V partitions the pairing and hands the pairs (g, h) to
+    :func:`~perscoh.reduction.phcol_cycles`, which computes D's cycles
+    from ``K.csc`` with the R, V and ops of phcol on ``K.D``.  No phcol
+    run builds ``K.D`` or the term lists of all of D-perp, only those of
+    the columns it reduces and their pivots.  phrow reduces the term lists
+    ``K.D`` for homology and those of ``anti_transpose(K.csc)`` for
+    cohomology, by ``K.dims`` on D and ``dual_dims`` on D-perp, with
+    clearing, and pcoh sweeps ``K.D`` for every module.  ``keep_V``
+    keeps the V matrix that :func:`generators` reads (pcoh always keeps
+    its cocycles).
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     dual = module_tag.endswith("_coh")
-    if algorithm == "phcol" and not (keep_V and dual):
-        res = phcol_pairs(K.csc, K.field, K.dim_array)
+    if algorithm == "phcol":
+        res = phcol_pairs(K.csc, K.field, K.dim_array, keep_V and dual)
         part = partition_of(res.pairs, K.n, True)
-        if keep_V:
+        if keep_V and not dual:
             return Computation(phcol_cycles(K.csc, K.field, part[1]), part, False)
         return Computation(res, part, True)
     if algorithm == "pcoh":
         res, dual = pcoh(K.D, K.field), True
     else:
         M = anti_transpose(K.csc).to_sparse() if dual else K.D
-        reduce_fn = phcol if algorithm == "phcol" else phrow
-        res = reduce_fn(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
+        res = phrow(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
     return Computation(res, partition_of(res.pairs, K.n, dual), dual)
 
 

@@ -14,7 +14,9 @@ with the row algorithm's output on that matrix.
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
 without its term lists: it reads the apparent pairs off the arrays and
-reduces only the other columns.  :func:`phcol_cycles` gives the
+reduces only the other columns.  Asked for V, the same pass gives that
+algorithm's whole decomposition, the cohomology generators, and builds
+term lists of R for the pivots alone.  :func:`phcol_cycles` gives the
 V-keeping column algorithm on D from D's arrays and that pairing: the
 homology cycles, the many independent columns that reduce to zero in
 batched rounds on arrays.  :class:`Pairing`, :class:`PcohResult`
@@ -43,8 +45,9 @@ from .core import Chain, Field, chain_axpy, field_inv
 
 @dataclass
 class Decomposition:
-    """R = MV from :func:`phcol`, :func:`phcol_cycles` or :func:`phrow`.
-    Nothing mutates a returned result: generator tables share its columns."""
+    """R = MV from :func:`phcol`, :func:`phcol_cycles`, :func:`phrow` or
+    :func:`phcol_pairs` with V.  Nothing mutates a returned result:
+    generator tables share its columns."""
 
     R: SparseMatrix
     V: SparseMatrix | None
@@ -170,10 +173,12 @@ class Pairing:
     ops: int = 0
 
 
-def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pairing:
+def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
+                keep_V: bool = False) -> Pairing | Decomposition:
     """The pairing of ``phcol(anti_transpose(D).to_sparse(), field,
-    keep_V=False, dims=dual_dims(dims))``, from D's arrays and the
-    degrees ``dims`` of its columns.
+    keep_V, dims=dual_dims(dims))``, from D's arrays and the degrees
+    ``dims`` of its columns; with ``keep_V``, that whole
+    :class:`Decomposition`, with the same R, V, ``low_of`` and ``ops``.
 
     Column ``c`` of that matrix, D-perp, is the coboundary of cell
     ``dual_index(n, c)``, and its low is the cell's oldest cofacet.
@@ -191,6 +196,15 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
     those pairs first changes no addition: the pairs and ``ops`` are
     phcol's.  Only the columns that are reduced, and the pivots they
     meet, are turned into term lists.
+
+    With ``keep_V`` the same pass gives phcol's R and V: an apparent
+    pivot keeps its column, with V = e_j, and all of them are read from
+    the arrays at once; a reduced column adds c * V[j] with each c *
+    R[j], the pivots' V of one term, e_j, merged in at once at the end,
+    and ``ops`` counts the terms of both, as phcol does; a cleared column,
+    empty or not, has R = 0 and V = its partner's R; every other column
+    has R = 0 and V = e_j.  ``peak_elements`` counts the terms of R and
+    V as returned.
     """
     p = field.p
     n = D.n
@@ -214,12 +228,18 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
         a, b = pstart[j - 1], pstart[j]
         return list(zip(P.rows[a:b].tolist(), P.coefs[a:b].tolist()))
 
+    reduced: dict[int, Chain] = {}  # the pivots' R
+    if keep_V:
+        pivots = cols[apparent]
+        at, size = _gather(P, pivots)
+        reduced = dict(zip(pivots.tolist(), _chains(P.rows[at], P.coefs[at], size.cumsum() - 1)))
+        V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
     ops = 0
-    reduced: dict[int, Chain] = {}
     for i in rest.tolist():
         if i in low_to_col:  # a pivot row, an apparent one or found: cleared
             continue
         col = column(i)
+        units: Chain = []  # the additions of pivots whose V is e_j
         while col:
             j = low_to_col.get(col[-1][0])
             if j is None:
@@ -227,14 +247,34 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray) -> Pai
             pivot = reduced.get(j)
             if pivot is None:
                 pivot = reduced[j] = column(j)
-            c = (col[-1][1] * field_inv(pivot[-1][1], p)) % p
-            col = chain_axpy(p - c, pivot, col, p)
+            c = p - col[-1][1] * field_inv(pivot[-1][1], p) % p
+            col = chain_axpy(c, pivot, col, p)
             ops += len(pivot)
+            if keep_V:
+                vj = V[j]
+                if len(vj) == 1:
+                    units.append((j, c))
+                    ops += 1
+                else:
+                    V[i] = chain_axpy(c, vj, V[i], p)
+                    ops += len(vj)
+        if units:
+            units.sort()
+            V[i] = chain_axpy(1, units, V[i], p)
         if col:
             low_to_col[col[-1][0]] = i
             reduced[i] = col
 
-    return Pairing(list(low_to_col.items()), int(apparent.sum()), ops)
+    if not keep_V:
+        return Pairing(list(low_to_col.items()), int(apparent.sum()), ops)
+    R: list[Chain] = [[] for _ in range(n + 1)]
+    for t, col in reduced.items():
+        R[t] = col
+    for s, t in low_to_col.items():
+        V[s] = reduced[t]
+    low_of = {t: reduced[t][-1][0] for t in sorted(reduced)}
+    peak = sum(map(len, R)) + sum(map(len, V))
+    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), low_of, ops, peak)
 
 
 # phcol_cycles reduces the essential columns in batched rounds while at

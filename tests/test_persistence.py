@@ -583,8 +583,10 @@ class TestCompute:
 
 
 class TestCohomologyRoutes:
-    """The cohomology phcol and phrow routes reduce the term lists of
-    ``anti_transpose(K.csc)`` and build none of D."""
+    """The cohomology routes build no term list of D: phcol reads D's
+    arrays (:func:`phcol_pairs`), and phrow reduces the term lists of
+    ``anti_transpose(K.csc)``.  Both equal the reduction of D-perp's
+    term lists, with the same ops."""
 
     @staticmethod
     def loads(tmp_path):
@@ -616,5 +618,6 @@ class TestCohomologyRoutes:
             assert type(run.result) is Decomposition and run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of
+            assert run.result.ops == ref.ops
             F, _, _, pairs = partition_lists(run.partition)
             assert (F, pairs) == partition_reference(ref.pairs, L.n, True)

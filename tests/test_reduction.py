@@ -138,12 +138,15 @@ class TestClearing:
         assert seen[3] == ([], dec.R.cols[5]) == seen[6]
 
 
+def _pinned_complex(source, p):
+    if source == "sphere":
+        return load_cell_file(SPHERE_PATH, Field(p))
+    return rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
+
+
 def _pinned_matrix(source, p, dual):
     """The pinned matrix and the degrees of its columns."""
-    if source == "sphere":
-        K = load_cell_file(SPHERE_PATH, Field(p))
-    else:
-        K = rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p))
+    K = _pinned_complex(source, p)
     D = K.D
     if dual:
         return anti_transpose_terms(D), dual_dims(K.dims)
@@ -181,17 +184,23 @@ def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     ("cube", 2, False, "phcol", False, 12001, 6736),
     ("cube", 2, True, "phcol", False, 205, 6791),
     ("sphere", 11, False, "phcol", True, 3, 14),
+    ("cube", 2, True, "phcol", True, 225, 10768),
+    ("sphere", 11, True, "phcol", True, 3, 14),
     ("cube", 2, False, "phrow", False, 12001, 6894),
     ("cube", 2, True, "phrow", False, 205, 6747),
     ("sphere", 11, False, "phrow", True, 3, 14),
 ])
 def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     """The same counts with clearing (the rows above run without
-    degrees)."""
+    degrees).  phcol on D-perp counts the same ops from D's arrays
+    (:func:`phcol_pairs`), with V or without."""
     M, dims = _pinned_matrix(source, p, dual)
     reduce_fn = phcol if algorithm == "phcol" else phrow
     result = reduce_fn(M, Field(p), keep_V=keep_V, dims=dims)
     assert (result.ops, result.peak_elements) == (ops, peak)
+    if dual and algorithm == "phcol":
+        K = _pinned_complex(source, p)
+        assert phcol_pairs(K.csc, K.field, K.dims, keep_V).ops == ops
 
 
 class TestPhrow:
@@ -409,6 +418,73 @@ class TestPhcolPairs:
         # in D-perp's indexing the edges are columns 1-4 and vertex 1 is
         # column 8; edge 8, column 1, closes the cycle: both are in no pair
         assert partition_reference(res.pairs, K.n, False)[0] == [1, 8]
+
+
+class TestPhcolPairsWithV:
+    """The V-keeping cohomology phcol route: the Decomposition of phcol
+    on D-perp from D's arrays, in the one pass of phcol_pairs, against
+    phcol on D-perp's term lists."""
+
+    @staticmethod
+    def check(K):
+        got = phcol_pairs(K.csc, K.field, K.dims, keep_V=True)
+        want = phcol(anti_transpose_terms(K.D), K.field, True, dual_dims(K.dims))
+        assert got.R == want.R
+        assert got.V == want.V
+        assert got.low_of == want.low_of
+        assert got.ops == want.ops
+        return got
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_sphere_and_random_rips(self, p):
+        self.check(load_cell_file(SPHERE_PATH, Field(p)))
+        reduced = 0
+        for seed in range(30):
+            got = self.check(random_rips(seed, max_points=10, p=p, dim_max=3))
+            reduced += any(len(v) > 1 for s, v in enumerate(got.V.cols)
+                           if s not in got.low_of.values())
+        assert reduced  # some V columns hold more than e_j and are not cleared
+
+    def test_acceptance_instances(self):
+        for K in (rips_instances(300, 100, max_points=8, dim_max=2)
+                  + rips_instances(100, 100) + rips_instances(200, 50)):
+            self.check(K)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_pinned_cube(self, p):
+        self.check(rips_filtration(cube_points(12, 4, seed=1), 9.0, 4, Field(p)))
+
+    def test_single_vertex(self):
+        got = self.check(build_complex([(0, 0.0, [])], F11))
+        assert got.R.cols == [[], []] and got.V.cols == [[], [(1, 1)]]
+
+    def test_all_columns_empty(self):
+        # isolated vertices: D, and so D-perp, has no term
+        got = self.check(build_complex([(0, float(v), []) for v in range(4)], F11))
+        assert got.low_of == {} and got.ops == 0
+        assert got.V.cols[1:] == [[(j, 1)] for j in range(1, 5)]
+
+    def test_cleared_empty_top_cells(self):
+        # a filled triangle: the face, column 1 of D-perp, has an empty
+        # coboundary and is the low of an edge's column, so it is cleared
+        K = build_complex([(0, 0.0, []), (0, 0.0, []), (0, 0.0, []),
+                           (1, 1.0, [(1, 1), (2, -1)]), (1, 1.0, [(1, 1), (3, -1)]),
+                           (1, 1.0, [(2, 1), (3, -1)]),
+                           (2, 2.0, [(4, 1), (5, -1), (6, 1)])], F11)
+        got = self.check(K)
+        assert anti_transpose_terms(K.D).cols[1] == [] and 1 in got.low_of.values()
+        t = next(t for t, s in got.low_of.items() if s == 1)
+        assert got.R.cols[1] == [] and got.V.cols[1] == got.R.cols[t] != []
+
+    def test_column_reducing_to_zero(self):
+        # a hollow square: vertex 1, column 8 of D-perp, has a nonempty
+        # coboundary that reduces to zero, and stays essential
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        K = build_complex([(0, 0.0, [])] * 4
+                          + [(1, 1.0, [(a, 1), (b, -1)]) for a, b in edges], F11)
+        got = self.check(K)
+        assert anti_transpose_terms(K.D).cols[8] and got.R.cols[8] == []
+        assert 8 not in got.low_of.values() and len(got.V.cols[8]) > 1
 
 
 class TestPhcolCycles:
