@@ -24,21 +24,23 @@ from .core import Field
 from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute, format_diagram,
                           generators)
 from .reduction import verify_decomposition
-from .rips import RIPS_MAX_CELLS, rips_filtration
+from .rips import RIPS_MAX_CELLS, _check_ceiling, rips_filtration
 
 
-def _resolve_points(spec: str, seed: int) -> list[tuple[float, ...]]:
+def _resolve_points(spec: str, seed: int, max_cells: int) -> list[tuple[float, ...]]:
     """A points argument is a file path or a generator spec.
 
     ``cube:<count>:<dim>`` draws from the unit cube, ``torus:<count>``
     from the torus in R^3; both use the seeded generator.  Each field is
-    a non-negative integer.
+    a non-negative integer.  A count above ``max_cells``, the cell
+    ceiling of the Rips filtration, is rejected before any point is drawn.
     """
     for name, shape in (("cube", "cube:<count>:<dim>"), ("torus", "torus:<count>")):
         if spec.startswith(name + ":"):
             fields = spec.split(":")[1:]
             if len(fields) != shape.count(":") or not all(f.isdecimal() for f in fields):
                 raise ValueError(f"{name} spec is {shape}")
+            _check_ceiling(int(fields[0]), max_cells)
             from . import bench
             return getattr(bench, f"{name}_points")(*map(int, fields), seed)
     return load_points(spec)
@@ -50,7 +52,7 @@ def _load_complex(args) -> FilteredComplex:
         return load_cell_file(args.input, field)
     if args.format == "simplicial":
         return load_simplicial_file(args.input, field)
-    points = _resolve_points(args.input, args.seed)
+    points = _resolve_points(args.input, args.seed, RIPS_MAX_CELLS)
     return rips_filtration(points, args.rmax, args.maxdim, field, RIPS_MAX_CELLS)
 
 
@@ -119,7 +121,7 @@ def cmd_generators(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import render_stats_csv, render_stats_text, run_bench
     field = Field(args.field)
-    points = _resolve_points(args.input, args.seed)
+    points = _resolve_points(args.input, args.seed, args.max_cells)
     result = run_bench(points, args.rmax, args.maxdim, field,
                        repeat=args.repeat, max_cells=args.max_cells)
     print(render_stats_csv(result) if args.csv else render_stats_text(result))

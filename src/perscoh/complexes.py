@@ -15,7 +15,10 @@ nor of D-perp beyond its reduced columns and pivots; the cohomology
 ``phrow`` routes build D-perp's from them, and the oracle reads them
 too.  So only ``pcoh``, the homology runs of ``phrow``, the R = DV
 check of ``oracle-check`` and the column reduction of
-:func:`~perscoh.bench.run_bench` build ``K.D``.
+:func:`~perscoh.bench.run_bench` build ``K.D``.  The kernels on the
+arrays live here, once: :meth:`CscMatrix.gather`,
+:meth:`CscMatrix.term_columns` and :func:`merge_terms`, which the
+validator, :func:`anti_transpose` and the array reductions share.
 
 Two text formats build complexes directly:
 
@@ -116,6 +119,18 @@ class CscMatrix:
         return isinstance(other, CscMatrix) and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("start", "rows", "coefs"))
+
+    def term_columns(self) -> np.ndarray:
+        """The column of each term."""
+        return np.arange(1, self.n + 1).repeat(self.start[1:] - self.start[:-1])
+
+    def gather(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the terms of the columns ``cols``, one column
+        after another, and the number of terms of each."""
+        end = self.start[cols]
+        size = end - self.start[cols - 1]
+        # each column's end, less the terms gathered up to its end
+        return np.arange(size.sum()) + (end - size.cumsum()).repeat(size), size
 
     def to_sparse(self) -> SparseMatrix:
         """The same matrix as term lists, one tuple per distinct term,
@@ -238,10 +253,7 @@ def _validated(dims: np.ndarray, values: np.ndarray | list, counts: np.ndarray |
         flags[cell[~early]] = True
         cell, face, coef = cell[early], face[early], coef[early]
     # repeated faces of a cell merge, and zero sums drop
-    key, coef = _sums_by_key(cell * n + face.astype(np.int64, copy=False), coef, p)
-    nonzero = coef.nonzero()[0]
-    cell, face = np.divmod(key[nonzero], n)
-    coef = coef[nonzero]
+    cell, face, coef = merge_terms(cell, face.astype(np.int64, copy=False), coef, n, p)
     flags[cell[dims[face] != dims[cell] - 1]] = True
     if flags.any():
         j = int(flags.argmax()) + 1
@@ -251,55 +263,56 @@ def _validated(dims: np.ndarray, values: np.ndarray | list, counts: np.ndarray |
         raise ComplexError(j, _cell_fault(j, dims, values, terms, p))
 
     # the terms of cell j are start[j - 1]:start[j]
-    start = cell.searchsorted(np.arange(n + 1))
-    _check_boundary_squared(cell, face, coef, start, p)
-    return FilteredComplex(dims, vals, CscMatrix(start, face + 1, coef), field)
+    D = CscMatrix(cell.searchsorted(np.arange(n + 1)), face + 1, coef)
+    _check_boundary_squared(D, p)
+    return FilteredComplex(dims, vals, D, field)
+
+
+def merge_terms(cols: np.ndarray, rows: np.ndarray, coefs: np.ndarray, n: int, p: int):
+    """The terms ``(cols, rows, coefs)``, rows below ``n + 1``, with equal
+    (column, row) summed mod p, zero sums dropped, sorted by column, then
+    row.  The sort is stable, which merges runs already sorted in linear
+    time."""
+    key = cols * (n + 1) + rows
+    order = key.argsort(kind="stable")
+    key = key[order]
+    starts = np.ones(len(key), bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = starts.nonzero()[0]
+    coef = np.add.reduceat(coefs[order], first) % p
+    nonzero = coef.nonzero()[0]
+    cols, rows = np.divmod(key[first[nonzero]], n + 1)
+    return cols, rows, coef[nonzero]
 
 
 # products of boundary terms formed at once by _check_boundary_squared
 _PRODUCTS = 1 << 18
 
 
-def _check_boundary_squared(cell, face, coef, start, p: int) -> None:
+def _check_boundary_squared(D: CscMatrix, p: int) -> None:
     """Raise :class:`ComplexError` at the first cell whose boundary's
     boundary is nonzero mod p, naming the first cell it is nonzero at.
 
-    Each term (cell, face, coef), sorted by (cell, face), meets every term
-    of its face's column; their products, summed per cell and face of the
-    face, are the entries of D times D.  They are formed for whole cells
-    at a time, about ``_PRODUCTS`` at once, which bounds the memory.
+    Each term of D meets every term of its face's column; their products,
+    summed per cell and face of the face, are the entries of D times D.
+    They are formed for whole cells at a time, about ``_PRODUCTS`` at
+    once, which bounds the memory.
     """
-    n = len(start) - 1
-    lo = start[face]
-    size = start[face + 1] - lo
-    done = np.concatenate(([0], size.cumsum()))  # products before each term
-    cuts = [0, len(face)]
+    cell = D.term_columns()
+    # the products before each term
+    done = np.concatenate(([0], (D.start[1:] - D.start[:-1])[D.rows - 1].cumsum()))
+    cuts = [0, len(cell)]
     if done[-1] > _PRODUCTS:
-        at = done[start].searchsorted(np.arange(0, done[-1], _PRODUCTS))
-        cuts = start[at].tolist() + cuts[1:]
-    # term t meets the terms lo[t]..lo[t] + size[t] - 1 of its face's column
-    shift = lo - done[:-1]
+        at = done[D.start].searchsorted(np.arange(0, done[-1], _PRODUCTS))
+        cuts = D.start[at].tolist() + cuts[1:]
     for a, b in zip(cuts, cuts[1:]):
-        outer = np.arange(a, b).repeat(size[a:b])
-        inner = np.arange(done[a], done[b]) + shift[a:b].repeat(size[a:b])
-        key, total = _sums_by_key(cell[outer] * n + face[inner],
-                                  coef[outer] * coef[inner] % p, p)
-        bad = total.nonzero()[0]
-        if len(bad):
-            j, i = divmod(int(key[bad[0]]), n)
-            raise ComplexError(j + 1, f"boundary of boundary is nonzero at cell {i + 1}")
-
-
-def _sums_by_key(key: np.ndarray, coef: np.ndarray, p: int):
-    """The distinct keys, ascending, and the sum mod p of each one's coefs."""
-    if not len(key):
-        return key, coef
-    order = key.argsort()
-    key = key[order]
-    starts = np.ones(len(key), bool)
-    starts[1:] = key[1:] != key[:-1]
-    first = starts.nonzero()[0]
-    return key[first], np.add.reduceat(coef[order], first) % p
+        inner, size = D.gather(D.rows[a:b])
+        outer = np.arange(a, b).repeat(size)
+        cols, rows, _ = merge_terms(cell[outer], D.rows[inner],
+                                    D.coefs[outer] * D.coefs[inner] % p, D.n, p)
+        if len(cols):
+            raise ComplexError(int(cols[0]),
+                               f"boundary of boundary is nonzero at cell {int(rows[0])}")
 
 
 def _cell_fault(j: int, dims: list[int], values: list[float], terms, p: int) -> str:
@@ -520,7 +533,7 @@ def anti_transpose(D: CscMatrix) -> CscMatrix:
     result's columns left to right, each with its rows ascending.
     """
     n = D.n
-    cells = np.arange(1, n + 1).repeat(np.diff(D.start))
+    cells = D.term_columns()
     order = (D.rows * (n + 1) + cells).argsort()[::-1]
     start = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(D.rows, minlength=n + 1)[:0:-1], out=start[1:])

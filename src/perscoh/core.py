@@ -5,8 +5,8 @@ increasing 1-based indices and no zero coefficients; coefficients are
 residues in ``[0, p)``.  The empty list is the zero chain.  The column
 and row reductions add term lists with :func:`chain_axpy`; the batched
 rounds of :func:`~perscoh.reduction.phcol_cycles` merge columns as
-numpy arrays, and :func:`~perscoh.reduction.pcoh` adds cocycles kept
-as dicts.
+numpy arrays with :func:`~perscoh.complexes.merge_terms`, and
+:func:`~perscoh.reduction.pcoh` adds cocycles kept as dicts.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= 2**31:  # before the primality test, whose trial division runs to √p
+            raise ValueError(f"field modulus too large: {p}")
         if not _is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
-        if p >= 2**31:
-            raise ValueError(f"field modulus too large: {p}")
         self.p = p
 
     def __eq__(self, other: object) -> bool:

@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import CscMatrix, SparseMatrix, _ints, anti_transpose, dual_index
+from .complexes import CscMatrix, SparseMatrix, _ints, anti_transpose, dual_index, merge_terms
 from .core import Chain, Field, chain_axpy, field_inv
 
 
@@ -70,7 +70,8 @@ class VerifyReport:
 
 @dataclass
 class PcohResult:
-    """Output of :func:`pcoh`, in the input matrix's own indexing.
+    """Output of :func:`pcoh`, in the reversed dual indexing of D-perp,
+    the anti-transpose of its input D.
 
     ``pair_cocycles[k]`` is the cocycle that died at ``pairs[k]``;
     ``essential_cocycles[k]`` is the final live cocycle born at
@@ -200,11 +201,10 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
     With ``keep_V`` the same pass gives phcol's R and V: an apparent
     pivot keeps its column, with V = e_j, and all of them are read from
     the arrays at once; a reduced column adds c * V[j] with each c *
-    R[j], the pivots' V of one term, e_j, merged in at once at the end,
-    and ``ops`` counts the terms of both, as phcol does; a cleared column,
-    empty or not, has R = 0 and V = its partner's R; every other column
-    has R = 0 and V = e_j.  ``peak_elements`` counts the terms of R and
-    V as returned.
+    R[j], and ``ops`` counts the terms of both, as phcol does; a cleared
+    column, empty or not, has R = 0 and V = its partner's R; every other
+    column has R = 0 and V = e_j.  ``peak_elements`` counts the terms of
+    R and V as returned.
     """
     p = field.p
     n = D.n
@@ -231,7 +231,7 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
     reduced: dict[int, Chain] = {}  # the pivots' R
     if keep_V:
         pivots = cols[apparent]
-        at, size = _gather(P, pivots)
+        at, size = P.gather(pivots)
         reduced = dict(zip(pivots.tolist(), _chains(P.rows[at], P.coefs[at], size.cumsum() - 1)))
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
     ops = 0
@@ -239,7 +239,6 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
         if i in low_to_col:  # a pivot row, an apparent one or found: cleared
             continue
         col = column(i)
-        units: Chain = []  # the additions of pivots whose V is e_j
         while col:
             j = low_to_col.get(col[-1][0])
             if j is None:
@@ -251,16 +250,8 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
             col = chain_axpy(c, pivot, col, p)
             ops += len(pivot)
             if keep_V:
-                vj = V[j]
-                if len(vj) == 1:
-                    units.append((j, c))
-                    ops += 1
-                else:
-                    V[i] = chain_axpy(c, vj, V[i], p)
-                    ops += len(vj)
-        if units:
-            units.sort()
-            V[i] = chain_axpy(1, units, V[i], p)
+                V[i] = chain_axpy(c, V[j], V[i], p)
+                ops += len(V[j])
         if col:
             low_to_col[col[-1][0]] = i
             reduced[i] = col
@@ -299,12 +290,12 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
     * a death h whose low in D is g keeps D's column, with V = e_h; the
       other deaths, ascending, are reduced until their low's partner is
       the column itself;
-    * a birth g is cleared: R = 0 and V = R[h];
+    * a birth g is cleared: R = 0 and V = R[h], the same list;
     * an essential column reduces to zero against deaths only, so these
       columns are independent.  While at least ``_ROUND_MIN`` of them
       are nonzero they are reduced together in rounds (Bauer, Kerber and
       Reininghaus 2014), on arrays: a round adds one pivot to each, and
-      one sort of (column, row) keys and a sum mod p merge the terms.
+      :func:`~perscoh.complexes.merge_terms` merges the terms.
       Each addition is kept as (column, pivot, multiplier); after the
       last round V = e_f + the sum of multiplier times pivot's V, for
       every such column at once.  The rest are reduced one at a time.
@@ -331,11 +322,9 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
 
     def reduce(i: int, col: Chain) -> int:
         """Reduce column i, now ``col``, until its low's partner is i or
-        it is zero, as phcol does; V[i] is its V so far.  A pivot's V of
-        one term is e_j: those terms are added to V[i] at once, at the
-        end.  Returns the multiply-adds."""
+        it is zero, as phcol does; V[i] is its V so far.  Returns the
+        multiply-adds."""
         v = V[i]
-        units: Chain = []
         work = 0
         while col and (j := partner_of[col[-1][0]]) != i:
             if not 0 < j < i:
@@ -343,21 +332,15 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
             rj, vj = R[j], V[j]
             c = p - col[-1][1] * pow(rj[-1][1], p - 2, p) % p
             col = chain_axpy(c, rj, col, p)
-            if len(vj) == 1:
-                units.append((j, c))
-            else:
-                v = chain_axpy(c, vj, v, p)
+            v = chain_axpy(c, vj, v, p)
             work += len(rj) + len(vj)
-        if units:
-            units.sort()
-            v = chain_axpy(1, units, v, p)
         R[i], V[i] = col, v
         return work
 
     # deaths, ascending: most keep D's column, whose low is their birth
     ops = sum(reduce(h, R[h]) for h, g in zip(deaths, births) if R[h][-1][0] != g)
     for h, g in zip(deaths, births):
-        V[g] = list(R[h])
+        V[g] = R[h]
 
     # essential columns: in rounds while many are nonzero, then one at a time
     free = np.ones(n + 1, bool)
@@ -393,7 +376,7 @@ def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
     inv = np.zeros(n + 1, np.int64)  # the inverse of each death's low coefficient
     values, which = np.unique(Rc.coefs[Rc.start[death] - 1], return_inverse=True)
     inv[death] = np.array([pow(a, p - 2, p) for a in values.tolist()], np.int64)[which]
-    at, size = _gather(D, columns)
+    at, size = D.gather(columns)
     cols, rows, coefs = columns.repeat(size), D.rows[at], D.coefs[at]
     last = _column_ends(cols)
 
@@ -405,18 +388,21 @@ def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
             raise RuntimeError("pairing disagrees with an essential column of D")
         m = p - coefs[last] * inv[j] % p
         added.append((f, j, m))
-        at, size = _gather(Rc, j)
+        at, size = Rc.gather(j)
         peak = max(peak, len(cols) + len(at))
-        cols, rows, coefs = _merged(n, p, (cols, f.repeat(size)), (rows, Rc.rows[at]),
-                                    (coefs, Rc.coefs[at] * m.repeat(size) % p))
+        cols, rows, coefs = merge_terms(np.concatenate((cols, f.repeat(size))),
+                                        np.concatenate((rows, Rc.rows[at])),
+                                        np.concatenate((coefs, Rc.coefs[at] * m.repeat(size) % p)),
+                                        n, p)
         last = _column_ends(cols)
 
     # V = e_f + the sum of m times V[j]
     f, j, m = map(np.concatenate, zip(*added))
-    at, size = _gather(Vd, j)
-    vcols, vrows, vcoefs = _merged(n, p, (columns, f.repeat(size)), (columns, Vd.rows[at]),
-                                   (np.ones(len(columns), np.int64),
-                                    Vd.coefs[at] * m.repeat(size) % p))
+    at, size = Vd.gather(j)
+    vcols, vrows, vcoefs = merge_terms(np.concatenate((columns, f.repeat(size))),
+                                       np.concatenate((columns, Vd.rows[at])),
+                                       np.concatenate((np.ones(len(columns), np.int64),
+                                                       Vd.coefs[at] * m.repeat(size) % p)), n, p)
     for c, v in zip(columns.tolist(), _chains(vrows, vcoefs, _column_ends(vcols))):
         V[c] = v
     ops = int((Rc.start[j] - Rc.start[j - 1]).sum() + size.sum())
@@ -444,30 +430,6 @@ def _csc(n: int, columns: np.ndarray, chains: list[Chain]) -> CscMatrix:
     start = np.zeros(n + 1, np.int64)
     start[columns] = [len(c) for c in picked]
     return CscMatrix(start.cumsum(), flat[0::2], flat[1::2])
-
-
-def _gather(M: CscMatrix, cols: np.ndarray):
-    """The positions of the terms of M's columns ``cols``, one column
-    after another, and the number of terms of each."""
-    first = M.start[cols - 1]
-    size = M.start[cols] - first
-    ends = size.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) + (first - ends + size).repeat(size), size
-
-
-def _merged(n: int, p: int, cols, rows, coefs):
-    """The terms ``(cols, rows, coefs)``, each given as a tuple of arrays to
-    join, with equal (column, row) summed mod p, zeros dropped, sorted.
-
-    The sort is stable, which merges runs already sorted in linear time."""
-    key = np.concatenate(cols) * (n + 1) + np.concatenate(rows)
-    order = key.argsort(kind="stable")
-    key = key[order]
-    first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
-    coef = np.add.reduceat(np.concatenate(coefs)[order], first) % p
-    nonzero = coef.nonzero()[0]
-    cols, rows = np.divmod(key[first[nonzero]], n + 1)
-    return cols, rows, coef[nonzero]
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,

@@ -290,6 +290,21 @@ class TestInputHandling:
         assert code == 2 and out == ""
         assert "above the ceiling 100" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["barcode", "cube:2000000:3", "--format", "points"],
+        ["bench", "torus:400000", "--max-cells", "1000"]])
+    def test_point_spec_ceiling_before_points(self, capsys, monkeypatch, argv):
+        """A spec whose point count alone passes the cell ceiling exits 2
+        with the Rips filtration's message before any point is drawn."""
+        for name in ("cube_points", "torus_points"):
+            monkeypatch.setattr(f"perscoh.bench.{name}", lambda *a: pytest.fail(
+                "points drawn for a spec over the cell ceiling"))
+        code, out, err = run_cli(capsys, argv)
+        ceiling = "1000" if "bench" in argv else "500000"
+        count = argv[1].split(":")[1]
+        assert code == 2 and out == ""
+        assert f"Rips filtration has at least {count} cells, above the ceiling {ceiling}" in err
+
     def test_nan_rmax_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["barcode", "cube:5:2", "--format",
                                           "points", "--rmax", "nan"])

@@ -11,6 +11,7 @@ from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
                      anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
+from perscoh.complexes import merge_terms
 from conftest import SPHERE_PATH, anti_transpose_terms, csc_matrix, entry, term_count
 from test_acceptance import rips_both_fields, rips_instances, small_complexes
 from test_rips import simplex_boundary
@@ -189,6 +190,75 @@ class TestAntiTranspose:
                      + rips_instances(100, 100) + rips_instances(200, 50))
         for K in instances:
             self.check(K.csc)
+
+
+class TestCscKernels:
+    """``CscMatrix.term_columns``, ``CscMatrix.gather`` and
+    ``merge_terms`` against term-list and dict references."""
+
+    M = csc_matrix(SparseMatrix(5, [[], [], [(1, 3)], [], [(1, 1), (2, 4), (3, 2)], []]))
+
+    def test_term_columns(self):
+        assert self.M.term_columns().tolist() == [2, 4, 4, 4]
+        assert csc_matrix(SparseMatrix(3)).term_columns().tolist() == []
+
+    def test_gather_empty_selection(self):
+        at, size = self.M.gather(np.empty(0, np.int64))
+        assert at.tolist() == [] and size.tolist() == []
+
+    def test_gather_empty_columns(self):
+        at, size = self.M.gather(np.array([1, 3, 5]))
+        assert at.tolist() == [] and size.tolist() == [0, 0, 0]
+        at, size = self.M.gather(np.array([4, 2, 4, 1, 4]))
+        assert at.tolist() == [1, 2, 3, 0, 1, 2, 3, 1, 2, 3]
+        assert size.tolist() == [3, 1, 3, 0, 3]
+
+    def test_gather_random(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randrange(1, 9)
+            cols = [[]] + [sorted((i, rng.randrange(1, 11)) for i in
+                                  rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
+                           for _ in range(n)]
+            M = csc_matrix(SparseMatrix(n, cols))
+            pick = [rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 6))]
+            at, size = M.gather(np.array(pick, np.int64))
+            assert size.tolist() == [len(cols[j]) for j in pick]
+            assert list(zip(M.rows[at].tolist(), M.coefs[at].tolist())) == [
+                t for j in pick for t in cols[j]]
+
+    @staticmethod
+    def merged(cols, rows, coefs, n, p):
+        out = merge_terms(*(np.array(x, np.int64) for x in (cols, rows, coefs)), n, p)
+        return [x.tolist() for x in out]
+
+    def test_merge_empty(self):
+        assert self.merged([], [], [], 4, 11) == [[], [], []]
+
+    def test_merge_cancels_mod_p(self):
+        # (2, 1) sums to 11 = 0 and drops; (1, 3) sums to 5; (2, 4) stays
+        assert self.merged([2, 1, 2, 1, 2], [1, 3, 4, 3, 1], [4, 9, 10, 7, 7], 4, 11) == [
+            [1, 2], [3, 4], [5, 10]]
+        assert self.merged([3, 3], [2, 2], [1, 10], 3, 11) == [[], [], []]
+
+    def test_merge_mod_two(self):
+        # an even number of equal terms cancels, an odd number leaves one
+        assert self.merged([1, 1, 2, 2, 2, 1], [1, 1, 0, 0, 0, 2], [1] * 6, 2, 2) == [
+            [1, 2], [2, 0], [1, 1]]
+
+    @pytest.mark.parametrize("p", [2, 3, 11])
+    def test_merge_random(self, p):
+        rng = random.Random(p)
+        for _ in range(50):
+            n = rng.randrange(1, 7)
+            terms = [(rng.randrange(0, n + 1), rng.randrange(0, n + 1), rng.randrange(0, 3 * p))
+                     for _ in range(rng.randrange(0, 30))]
+            sums = {}
+            for c, r, a in terms:
+                sums[c, r] = (sums.get((c, r), 0) + a) % p
+            want = sorted((c, r, a) for (c, r), a in sums.items() if a)
+            got = self.merged(*(zip(*terms) if terms else ([], [], [])), n, p)
+            assert list(zip(*got)) == want
 
 
 class TestLoadCellFile:

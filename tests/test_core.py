@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from perscoh import Field, chain_axpy, field_inv
+from perscoh import Field, chain_axpy, core, field_inv
 from conftest import chain_eq_up_to_scalar
 
 
@@ -21,6 +21,24 @@ class TestField:
     def test_oversized_modulus_rejected(self):
         with pytest.raises(ValueError):
             Field(2**31 + 11)
+
+    def test_size_checked_before_primality(self, monkeypatch):
+        """A modulus of 2^31 or more is rejected before trial division,
+        which runs to √p: some 100 s for 2^61 - 1."""
+        is_prime = core._is_prime
+
+        def guarded(p):
+            if p >= 2**31:
+                pytest.fail(f"primality tested on {p}")
+            return is_prime(p)
+
+        monkeypatch.setattr(core, "_is_prime", guarded)
+        for p in (2**31, 2**31 + 11, 2**61 - 1):
+            with pytest.raises(ValueError, match=f"field modulus too large: {p}"):
+                Field(p)
+        assert Field(2**31 - 1).p == 2**31 - 1
+        with pytest.raises(ValueError, match="field modulus must be prime, got 4"):
+            Field(4)
 
     def test_equality(self):
         assert Field(11) == Field(11)
