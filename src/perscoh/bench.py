@@ -1,11 +1,11 @@
 """Instrumented comparison of the column and live-cocycle algorithms.
 
-Builds one Rips filtration and the term lists of its boundary matrix D,
-runs the barcode-only column reduction of D (the homology column
-algorithm the paper compares against, called directly because
+Builds one Rips filtration, runs the barcode-only column reduction of
+its boundary matrix D, as term lists (the homology column algorithm the
+paper compares against, called directly because
 :func:`~perscoh.persistence.compute` would take the pairing from the
-anti-transpose's apparent pairs instead) and the live-cocycle reduction
-of D (abs_coh, through ``compute``),
+anti-transpose's apparent pairs instead), and the live-cocycle reduction
+of D's arrays (abs_coh, through ``compute``, without cocycles),
 checks that both find the same pairing, and only then reports
 primitive-operation counts, peak stored term counts, and wall time.
 Point clouds are generated with a fixed 64-bit linear congruential
@@ -114,7 +114,9 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
     Each timed run covers the reduction and its partition; the term
-    lists of D are built once, before the first run, and shared by both.
+    lists of D that the column reduction reads are built once, before
+    the first run.  The live-cocycle run reads D's arrays, which the
+    Rips builder made.
     Raises
     ``ValueError`` as soon as the Rips enumeration passes ``max_cells``
     cells, and ``AssertionError`` if the two pairings ever disagree (no

@@ -11,12 +11,12 @@ first read.  :func:`anti_transpose` flips the arrays across the minor
 diagonal, which encodes the coboundary of the reversed dual filtration;
 cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
 Every ``phcol`` route reads the arrays and builds no term lists of D,
-nor of D-perp beyond its reduced columns and pivots; the cohomology
-``phrow`` routes build D-perp's from them, and the oracle reads them
-too.  So only ``pcoh``, the homology runs of ``phrow``, the R = DV
-check of ``oracle-check`` and the column reduction of
-:func:`~perscoh.bench.run_bench` build ``K.D``.  The kernels on the
-arrays live here, once: :meth:`CscMatrix.gather`,
+nor of D-perp beyond its reduced columns and pivots; ``pcoh`` sweeps
+D's arrays; the cohomology ``phrow`` routes build D-perp's term lists
+from them, and the oracle reads them too.  So only the homology runs
+of ``phrow``, the R = DV check of ``oracle-check`` and the column
+reduction of :func:`~perscoh.bench.run_bench` build ``K.D``.  The
+kernels on the arrays live here, once: :meth:`CscMatrix.gather`,
 :meth:`CscMatrix.term_columns` and :func:`merge_terms`, which the
 validator, :func:`anti_transpose` and the array reductions share.
 
@@ -158,10 +158,13 @@ class FilteredComplex:
     ``values`` are the same as lists, and ``value_table`` is the float64
     table ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that
     the barcodes read.  ``D``, the term lists of ``csc``, is built on
-    first read.  Every reduction reads ``csc`` and ``D`` in place:
-    nothing mutates either.  ``simplex_vertices[j - 1]`` is the sorted
-    vertex tuple of cell ``j`` of a simplicial complex, from a function
-    that builds the list on the first read; for a cells file it is None.
+    first read, which only the homology ``phrow`` routes, the R = DV
+    check of ``oracle-check`` and :func:`~perscoh.bench.run_bench` make;
+    ``phcol`` and ``pcoh`` read ``csc``.  Every reduction reads ``csc``
+    and ``D`` in place: nothing mutates either.
+    ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
+    of a simplicial complex, from a function that builds the list on
+    the first read; for a cells file it is None.
     """
 
     def __init__(self, dim_array: np.ndarray, value_array: np.ndarray, csc: CscMatrix,

@@ -6,7 +6,8 @@ residues in ``[0, p)``.  The empty list is the zero chain.  The column
 and row reductions add term lists with :func:`chain_axpy`; the batched
 rounds of :func:`~perscoh.reduction.phcol_cycles` merge columns as
 numpy arrays with :func:`~perscoh.complexes.merge_terms`, and
-:func:`~perscoh.reduction.pcoh` adds cocycles kept as dicts.
+:func:`~perscoh.reduction.pcoh` adds cocycles kept as dicts and turns
+only the kept ones into term lists.
 """
 
 from __future__ import annotations

@@ -227,9 +227,10 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     the columns it reduces and their pivots.  phrow reduces the term lists
     ``K.D`` for homology and those of ``anti_transpose(K.csc)`` for
     cohomology, by ``K.dims`` on D and ``dual_dims`` on D-perp, with
-    clearing, and pcoh sweeps ``K.D`` for every module.  ``keep_V``
-    keeps the V matrix that :func:`generators` reads (pcoh always keeps
-    its cocycles).
+    clearing.  pcoh sweeps ``K.csc`` for every module and builds no
+    term lists of D either.  ``keep_V`` keeps the V matrix that
+    :func:`generators` reads, pcoh's cocycles; without it pcoh keeps no
+    cocycle chains.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -243,7 +244,7 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
             return Computation(phcol_cycles(K.csc, K.field, part[1]), part, False)
         return Computation(res, part, True)
     if algorithm == "pcoh":
-        res, dual = pcoh(K.D, K.field), True
+        res, dual = pcoh(K.csc, K.field, keep_V), True
     else:
         M = anti_transpose(K.csc).to_sparse() if dual else K.D
         res = phrow(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
@@ -311,8 +312,8 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
 
     ``run`` is the :func:`compute` result for ``module_tag``: a reduction
     with V of D for ``abs_hom``/``rel_hom``, of D-perp for
-    ``rel_coh``/``abs_coh``, or pcoh's for ``abs_coh``; any other run
-    raises ``ValueError``.
+    ``rel_coh``/``abs_coh``, or pcoh's with its cocycles for
+    ``abs_coh``; any other run raises ``ValueError``.
 
     One rule on the diagram's sorted arrays names each entry's column j:
     an essential birth f, at ``<f, n>`` or ``<0, f-1>``, else the pivot
@@ -327,16 +328,18 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     rel, starred = module_tag.startswith("rel_"), module_tag.endswith("_coh")
 
     dec = run.result
+    R = V = None
     if isinstance(dec, PcohResult):
         if module_tag != "abs_coh":
             raise ValueError(
                 f"{module_tag} generators are unavailable from pcoh "
                 "(it drops the columns they come from); use phcol or phrow")
-        R, V = None, dict(zip([t for _, t in dec.pairs] + dec.essential, dec.cocycles))
-    else:
-        if not isinstance(dec, Decomposition) or dec.V is None:
-            raise ValueError("generators need the V matrix; rerun with keep_V on")
+        if dec.pair_cocycles is not None:
+            V = dict(zip([t for _, t in dec.pairs] + dec.essential, dec.cocycles))
+    elif isinstance(dec, Decomposition) and dec.V is not None:
         R, V = dec.R.cols, dec.V.cols
+    if V is None:
+        raise ValueError("generators need the V matrix; rerun with keep_V on")
     if run.dual != starred:
         side = "the anti-transpose" if run.dual else "the boundary matrix D"
         raise ValueError(f"{module_tag} generators cannot be read from a "

@@ -5,11 +5,12 @@ column and row algorithms return a full :class:`Decomposition` and are
 entry-identical on every input.  Given the degree of each column, both
 clear: they skip the columns that must reduce to zero, with the same R
 and ``low_of``, and given the same degrees they stay entry-identical.
-The live-cocycle algorithm (:func:`pcoh`) takes a boundary matrix D;
-it sweeps the cell order, keeps only the basis of live cocycles, and
-reports pairs, essential indices, and cocycle chains in the reversed
-dual indexing of D-perp, the anti-transpose of D, where they coincide
-with the row algorithm's output on that matrix.
+The live-cocycle algorithm (:func:`pcoh`) takes a boundary matrix D
+as its arrays; it sweeps the cell order, keeps only the basis of live
+cocycles, and reports pairs, essential indices and, asked for them,
+cocycle chains in the reversed dual indexing of D-perp, the
+anti-transpose of D, where they coincide with the row algorithm's
+output on that matrix.
 
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
@@ -35,7 +36,7 @@ input's own columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -75,18 +76,22 @@ class PcohResult:
 
     ``pair_cocycles[k]`` is the cocycle that died at ``pairs[k]``;
     ``essential_cocycles[k]`` is the final live cocycle born at
-    ``essential[k]``.  Nothing mutates a returned result.
+    ``essential[k]``.  A sweep without ``keep_V`` keeps no cocycles:
+    both lists, and ``cocycles``, are None.  Nothing mutates a returned
+    result.
     """
 
     pairs: list[tuple[int, int]]
     essential: list[int]
-    pair_cocycles: list[Chain]
-    essential_cocycles: list[Chain]
+    pair_cocycles: list[Chain] | None
+    essential_cocycles: list[Chain] | None
     ops: int = 0
     peak_elements: int = 0
 
     @property
-    def cocycles(self) -> list[Chain]:
+    def cocycles(self) -> list[Chain] | None:
+        if self.pair_cocycles is None:
+            return None
         return self.pair_cocycles + self.essential_cocycles
 
 
@@ -504,16 +509,26 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
     return Decomposition(R_view, V_view, low_of, ops, peak)
 
 
-def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
-    """Live-cocycle algorithm on a boundary matrix.
+# pcoh lists D's terms this many at a time, so that no list of all of D's
+# rows is held: on the 4-skeleton of 30 points (835,200 terms), listing them
+# all at once raised the peak RSS of ``perscoh barcode`` by some 35 MB
+_BLOCK = 1 << 16
+
+
+def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> PcohResult:
+    """Live-cocycle algorithm on a boundary matrix, read from its arrays.
 
     Sweeps the cells in filtration order; at each step the entering
     cell either starts a new live cocycle or kills the youngest cocycle
     whose coboundary contains it (found by dotting live cocycles with
-    the cell's boundary column).  Dead cocycles are dropped
-    immediately.  Pairs, essential indices, and cocycle chains are
-    reported in the reversed dual indexing of D-perp, the anti-transpose
-    of D, matching ``phrow`` on D-perp.
+    the cell's boundary column, the terms ``start[i - 1]:start[i]`` of
+    D's arrays, read in one pass).  Dead cocycles are dropped from the
+    store immediately.  Pairs, essential indices and, with
+    ``keep_V``, cocycle chains are reported in the reversed dual
+    indexing of D-perp, the anti-transpose of D, matching ``phrow`` on
+    D-perp.  Without ``keep_V`` no chain is kept: ``pair_cocycles`` and
+    ``essential_cocycles`` are None, and the pairs, ``ops`` and
+    ``peak_elements`` are the same.
 
     ``snapshot(i, Z)`` is called after each sweep step with the live
     cocycle store, a dict mapping birth index to coefficient dict, both
@@ -521,19 +536,22 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
     """
     p = field.p
     n = D.n
+    sizes = (D.start[1:] - D.start[:-1]).tolist()
+    terms = chain.from_iterable(zip(D.rows[a:a + _BLOCK].tolist(), D.coefs[a:a + _BLOCK].tolist())
+                                for a in range(0, len(D.rows), _BLOCK))
 
     Z: dict[int, dict[int, int]] = {}
-    support: dict[int, set[int]] = {}
+    support: list[set[int] | None] = [None] * (n + 1)  # the live cocycles holding each cell
     sigma_pairs: list[tuple[int, int]] = []
     dying_chains: list[dict[int, int]] = []
     ops = 0
     total = 0
     peak = 0
 
-    for i in range(1, n + 1):
+    for i, size in enumerate(sizes, start=1):
         acc: dict[int, int] = {}
-        for t, coef in D.cols[i]:
-            holders = support.get(t)
+        for t, coef in islice(terms, size):
+            holders = support[t]
             if holders:
                 for j in holders:
                     acc[j] = (acc.get(j, 0) + coef * Z[j][t]) % p
@@ -542,7 +560,7 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
 
         if not candidates:
             Z[i] = {i: 1}
-            support.setdefault(i, set()).add(i)
+            support[i] = {i}
             total += 1
             if total > peak:
                 peak = total
@@ -551,7 +569,7 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
             if total > peak:
                 peak = total
             piv = max(candidates)
-            zp = Z[piv]
+            zp = Z.pop(piv)  # never changed again: kept as it is
             inv_piv = field_inv(acc[piv], p)
             for j in sorted(candidates):
                 if j == piv:
@@ -563,7 +581,7 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
                     new = (zj.get(t, 0) - c * a) % p
                     if new:
                         if t not in zj:
-                            support.setdefault(t, set()).add(j)
+                            support[t].add(j)
                             total += 1
                         zj[t] = new
                     elif t in zj:
@@ -573,24 +591,24 @@ def pcoh(D: SparseMatrix, field: Field, snapshot=None) -> PcohResult:
                 if total > peak:
                     peak = total
             sigma_pairs.append((piv, i))
-            dying_chains.append(dict(zp))
+            if keep_V:
+                dying_chains.append(zp)
             for t in zp:
                 support[t].discard(piv)
             total -= len(zp) + 1
-            del Z[piv]
         if snapshot is not None:
             snapshot(i, Z)
 
     def to_dual(z: dict[int, int]) -> Chain:
-        return sorted((dual_index(n, t), a) for t, a in z.items())
+        return [(n + 1 - t, a) for t, a in sorted(z.items(), reverse=True)]
 
     pairs = [(dual_index(n, d), dual_index(n, b)) for b, d in sigma_pairs]
-    pair_cocycles = [to_dual(z) for z in dying_chains]
     births = sorted(Z, reverse=True)  # ascending in dual indexing
     essential = [dual_index(n, b) for b in births]
-    essential_cocycles = [to_dual(Z[b]) for b in births]
-    return PcohResult(pairs, essential, pair_cocycles, essential_cocycles,
-                      ops, peak)
+    if not keep_V:
+        return PcohResult(pairs, essential, None, None, ops, peak)
+    return PcohResult(pairs, essential, list(map(to_dual, dying_chains)),
+                      [to_dual(Z[b]) for b in births], ops, peak)
 
 
 def verify_decomposition(D: SparseMatrix, dec: Decomposition,

@@ -220,7 +220,7 @@ def test_criterion_7_live_cocycles_match_row_reduction():
         n = Dperp.n
 
         live = {}
-        res = pcoh(D, field,
+        res = pcoh(K.csc, field,
                    snapshot=lambda i, Z: live.__setitem__(
                        i, {b: dict(z) for b, z in Z.items()}))
         vsnaps = {}

@@ -91,10 +91,9 @@ class TestRunBench:
     def test_barcode_disagreement_reports_no_stats(self, monkeypatch):
         real_pcoh = persistence_mod.pcoh
 
-        def broken(D, field):
-            res = real_pcoh(D, field)
+        def broken(D, field, keep_V):
+            res = real_pcoh(D, field, keep_V)
             res.pairs = res.pairs[1:]
-            res.pair_cocycles = res.pair_cocycles[1:]
             return res
 
         monkeypatch.setattr(persistence_mod, "pcoh", broken)

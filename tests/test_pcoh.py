@@ -3,10 +3,11 @@ anti-transpose, and the step-by-step live-cocycle/V-column trace."""
 
 import pytest
 
-from perscoh import (GF2, Field, build_complex, dual_dims,
+from perscoh import (GF2, Field, build_complex, compute, dual_dims,
                      load_cell_file, pcoh, phrow)
-from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, matrix_complex,
-                      random_rips)
+from perscoh.persistence import MODULE_TAGS
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, csc_matrix,
+                      matrix_complex, random_rips)
 
 F11 = Field(11)
 
@@ -24,7 +25,7 @@ class TestSphere:
     @pytest.mark.parametrize("field", [GF2, F11])
     def test_exact_output(self, field):
         K = load_cell_file(SPHERE_PATH, field)
-        res = pcoh(K.D, field)
+        res = pcoh(K.csc, field)
         assert res.pairs == [(4, 5), (2, 3)]
         assert res.essential == [1, 6]
         assert res.pair_cocycles == [[(5, 1)], [(3, 1)]]
@@ -34,13 +35,13 @@ class TestSphere:
     def test_pairs_match_row_algorithm(self, sphere11):
         D = sphere11.D
         Dperp = anti_transpose_terms(D)
-        res = pcoh(D, F11)
+        res = pcoh(sphere11.csc, F11)
         dec = phrow(Dperp, F11)
         assert set(res.pairs) == low_pairs(dec)
 
     def test_cocycles_are_v_columns(self, sphere11):
         D = sphere11.D
-        res = pcoh(D, F11)
+        res = pcoh(sphere11.csc, F11)
         V = phrow(anti_transpose_terms(D), F11).V
         for (_, t), z in zip(res.pairs, res.pair_cocycles):
             assert z == V.cols[t]
@@ -53,7 +54,7 @@ class TestSphere:
         n = Dperp.n
 
         live = {}
-        pcoh(D, F11,
+        pcoh(sphere11.csc, F11,
              snapshot=lambda i, Z: live.__setitem__(
                  i, {b: dict(z) for b, z in Z.items()}))
 
@@ -73,7 +74,7 @@ class TestSphere:
 class TestSmallCases:
     def test_single_vertex(self):
         K = build_complex([(0, 1.0, [])], F11)
-        res = pcoh(K.D, F11)
+        res = pcoh(K.csc, F11)
         assert res.pairs == []
         assert res.essential == [1]
         assert res.essential_cocycles == [[(1, 1)]]
@@ -81,19 +82,19 @@ class TestSmallCases:
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        res = pcoh(K.D, F11)
+        res = pcoh(K.csc, F11)
         assert res.pairs == [(1, 2)]
         assert res.essential == [3]
 
     def test_zero_matrix(self):
         from perscoh import SparseMatrix
-        res = pcoh(SparseMatrix(3), F11)
+        res = pcoh(csc_matrix(SparseMatrix(3)), F11)
         assert res.pairs == []
         assert res.essential == [1, 2, 3]
         assert res.essential_cocycles == [[(1, 1)], [(2, 1)], [(3, 1)]]
 
     def test_essential_is_ascending(self, sphere11):
-        res = pcoh(sphere11.D, F11)
+        res = pcoh(sphere11.csc, F11)
         assert res.essential == sorted(res.essential)
 
 
@@ -111,7 +112,7 @@ class TestAgainstRowAlgorithm:
         n = Dperp.n
 
         live = {}
-        res = pcoh(D, field,
+        res = pcoh(K.csc, field,
                    snapshot=lambda i, Z: live.__setitem__(
                        i, {b: dict(z) for b, z in Z.items()}))
         vsnaps = {}
@@ -161,7 +162,7 @@ class TestAgainstRowAlgorithm:
                 continue
             D = K.D
             Dperp = anti_transpose_terms(D)
-            res = pcoh(D, GF2)
+            res = pcoh(K.csc, GF2)
             dec = phrow(Dperp, GF2)
             assert set(res.pairs) == low_pairs(dec)
             for (_, t), z in zip(res.pairs, res.pair_cocycles):
@@ -172,15 +173,40 @@ class TestAgainstRowAlgorithm:
         assert checked > 30
 
 
+class TestWithoutCocycles:
+    """A sweep without ``keep_V`` keeps no chains, and does the same work."""
+
+    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(8)
+                                        for p in (2, 11)])
+    def test_same_pairs_and_counters(self, seed, p):
+        K = random_rips(seed, max_points=8, p=p, dim_max=2)
+        full = pcoh(K.csc, K.field, keep_V=True)
+        bare = pcoh(K.csc, K.field, keep_V=False)
+        assert (bare.pairs, bare.essential) == (full.pairs, full.essential)
+        assert (bare.ops, bare.peak_elements) == (full.ops, full.peak_elements)
+        assert bare.pair_cocycles is None and bare.essential_cocycles is None
+        assert bare.cocycles is None
+        assert len(full.pair_cocycles) == len(full.pairs)
+
+    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(4)
+                                        for p in (2, 11)])
+    def test_compute_leaves_term_lists_unbuilt(self, seed, p):
+        for module in MODULE_TAGS:
+            for keep_V in (False, True):
+                K = random_rips(seed, max_points=8, p=p, dim_max=2)
+                run = compute(K, module, "pcoh", keep_V)
+                assert K._D is None
+                assert (run.result.cocycles is None) == (not keep_V)
+
+
 class TestCounters:
     def test_counters_positive_and_deterministic(self):
         K = random_rips(3, max_points=8, p=2, dim_max=2)
-        D = K.D
-        a = pcoh(D, GF2)
-        b = pcoh(D, GF2)
+        a = pcoh(K.csc, GF2)
+        b = pcoh(K.csc, GF2)
         assert a.ops == b.ops > 0
         assert a.peak_elements == b.peak_elements > 0
 
     def test_peak_counts_live_cocycle_terms(self, sphere11):
-        res = pcoh(sphere11.D, F11)
+        res = pcoh(sphere11.csc, F11)
         assert res.peak_elements == 4

@@ -59,7 +59,7 @@ class TestPartitionOf:
         D = K.D
         dec = phcol(D, K.field)
         for res, dual in ((dec, False), (phrow(anti_transpose_terms(D), K.field), True),
-                          (pcoh(D, K.field), True),
+                          (pcoh(K.csc, K.field), True),
                           (phcol_pairs(K.csc, K.field, K.dims), True)):
             F, _, _, pairs = partition_lists(partition_of(res.pairs, K.n, dual))
             assert (F, pairs) == partition_reference(res.pairs, K.n, dual)
@@ -342,6 +342,13 @@ class TestGeneratorErrors:
         with pytest.raises(ValueError, match="keep_V"):
             generators(run, sphere11, "abs_hom")
 
+    def test_pcoh_run_without_cocycles(self, sphere11):
+        run = compute(sphere11, "abs_coh", "pcoh")
+        assert run.result.cocycles is None
+        with pytest.raises(ValueError, match="generators need the V matrix; "
+                                             "rerun with keep_V on"):
+            generators(run, sphere11, "abs_coh")
+
     def test_pcoh_only_provides_abs_coh(self, sphere11):
         for tag in ("abs_hom", "rel_hom", "rel_coh"):
             run = compute(sphere11, tag, "pcoh", keep_V=True)
@@ -547,15 +554,14 @@ class TestCompute:
             else:
                 assert type(run.result) is Decomposition
             assert run.dual == (reduced_dual or algorithm == "pcoh")
-            # only pcoh and homology phrow read the term lists of D
+            # only homology phrow reads the term lists of D
             L = random_rips(seed, max_points=8, p=p, dim_max=2)
             compute(L, module, algorithm, keep_V=keep_V)
-            assert (L._D is None) == (algorithm == "phcol" or (
-                algorithm == "phrow" and module.endswith("_coh")))
+            assert (L._D is None) == (algorithm != "phrow" or module.endswith("_coh"))
 
             snapshots = []
             phrow(K.D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
-            pcoh(K.D, K.field)
+            pcoh(K.csc, K.field)
             anti_transpose(K.csc)
             assert snapshots == list(range(1, K.n + 1))
             assert K.D == original and K.csc == original_csc

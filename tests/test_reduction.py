@@ -10,8 +10,8 @@ from perscoh import (GF2, Decomposition, Field, Lcg, SparseMatrix, build_complex
                      compute, cube_points, dual_dims, field_inv, generators, load_cell_file,
                      partition_of, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
                      reduction, rips_filtration, verify_decomposition)
-from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, partition_lists,
-                      partition_reference, random_rips, term_count)
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, csc_matrix,
+                      partition_lists, partition_reference, random_rips, term_count)
 from test_acceptance import rips_instances
 from test_loaders import cell_rows, render
 
@@ -173,7 +173,7 @@ def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     largest number of terms stored at once."""
     M, _ = _pinned_matrix(source, p, dual)
     if algorithm == "pcoh":
-        result = pcoh(M, Field(p))
+        result = pcoh(csc_matrix(M), Field(p))
     else:
         reduce_fn = phcol if algorithm == "phcol" else phrow
         result = reduce_fn(M, Field(p), keep_V=keep_V)
