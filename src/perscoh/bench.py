@@ -114,18 +114,16 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
     Each timed run covers the reduction and its partition; the term
-    lists of D that the column reduction reads are built once, before
+    lists of D that the column reduction reads are listed once, before
     the first run.  The live-cocycle run reads D's arrays, which the
-    Rips builder made.
-    Raises
-    ``ValueError`` as soon as the Rips enumeration passes ``max_cells``
-    cells, and ``AssertionError`` if the two pairings ever disagree (no
-    stats are reported in that case).
+    Rips builder made.  Raises ``ValueError`` as soon as the Rips
+    enumeration passes ``max_cells`` cells, and ``AssertionError`` if
+    the two pairings ever disagree (no stats are reported in that case).
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     K = rips_filtration(points, r_max, dim_max, field, max_cells)
-    D = K.D
+    D = K.csc.to_sparse()
 
     stats: list[RunStats] = []
     for _ in range(repeat):

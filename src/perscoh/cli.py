@@ -132,9 +132,10 @@ def cmd_oracle_check(args) -> int:
     from .oracle import check_oracle_size
     K = _load_complex(args)
     check_oracle_size(K)
-    run = compute(K, "abs_hom", args.algorithm, keep_V=True)
-    if args.algorithm != "pcoh":
-        report = verify_decomposition(K.D, run.result, K.field)
+    verify = args.algorithm != "pcoh"
+    run = compute(K, "abs_hom", args.algorithm, keep_V=verify)
+    if verify:
+        report = verify_decomposition(K.csc.to_sparse(), run.result, K.field)
         if not report.ok:
             print(f"decomposition check failed: {report.message}", file=sys.stderr)
             return 1

@@ -5,20 +5,15 @@ Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells, which is column ``j`` of the
 strictly upper-triangular boundary matrix ``D``.  Every complex stores
 ``D`` in one form, flat arrays, a :class:`CscMatrix` (``K.csc``): int64
-column starts, rows and coefficients.  ``K.D``, the same matrix as one
-term list per column (a :class:`SparseMatrix`), is built from them on
-first read.  :func:`anti_transpose` flips the arrays across the minor
-diagonal, which encodes the coboundary of the reversed dual filtration;
-cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
-Every ``phcol`` route reads the arrays and builds no term lists of D,
-nor of D-perp beyond its reduced columns and pivots; ``pcoh`` sweeps
-D's arrays; the cohomology ``phrow`` routes build D-perp's term lists
-from them, and the oracle reads them too.  So only the homology runs
-of ``phrow``, the R = DV check of ``oracle-check`` and the column
-reduction of :func:`~perscoh.bench.run_bench` build ``K.D``.  The
-kernels on the arrays live here, once: :meth:`CscMatrix.gather`,
-:meth:`CscMatrix.term_columns` and :func:`merge_terms`, which the
-validator, :func:`anti_transpose` and the array reductions share.
+column starts, rows and coefficients.  ``K.csc.to_sparse()`` lists the
+same matrix as one term list per column (a :class:`SparseMatrix`), for
+the reductions that read term lists.  :func:`anti_transpose` flips the
+arrays across the minor diagonal, which encodes the coboundary of the
+reversed dual filtration; cell ``i`` sits at index ``dual_index(n, i)``
+of that reversed order.  The kernels on the arrays live here, once:
+:meth:`CscMatrix.gather`, :meth:`CscMatrix.term_columns` and
+:func:`merge_terms`, which the validator, :func:`anti_transpose` and the
+array reductions share.
 
 Two text formats build complexes directly:
 
@@ -157,11 +152,8 @@ class FilteredComplex:
     values as float64, and ``csc`` the boundary matrix.  ``dims`` and
     ``values`` are the same as lists, and ``value_table`` is the float64
     table ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that
-    the barcodes read.  ``D``, the term lists of ``csc``, is built on
-    first read, which only the homology ``phrow`` routes, the R = DV
-    check of ``oracle-check`` and :func:`~perscoh.bench.run_bench` make;
-    ``phcol`` and ``pcoh`` read ``csc``.  Every reduction reads ``csc``
-    and ``D`` in place: nothing mutates either.
+    the barcodes read.  Every reduction reads ``csc`` in place: nothing
+    mutates it.
     ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
     of a simplicial complex, from a function that builds the list on
     the first read; for a cells file it is None.
@@ -176,14 +168,7 @@ class FilteredComplex:
         self.csc = csc
         self.field = field
         self.n = len(self.dims)
-        self._D = None
         self._simplex_vertices = simplex_vertices
-
-    @property
-    def D(self) -> SparseMatrix:
-        if self._D is None:
-            self._D = self.csc.to_sparse()
-        return self._D
 
     @property
     def simplex_vertices(self) -> list[tuple] | None:

@@ -12,10 +12,9 @@ The stages after a reduction run on int arrays:
 * the partition ``(F, pairs)`` of the cells into essential births F and
   pairs (g, h), in original indices, which :func:`partition_of` makes,
   once per run, from the (low, column) pairs of any reduction.  F is
-  the cells in no pair.  The reductions of the anti-transpose, the
-  barcode-only phcol route and pcoh report pairs in reversed dual
-  indexing, which it translates through
-  :func:`~perscoh.complexes.dual_index`;
+  the cells in no pair.  Every run but a homology one with V reduces
+  the anti-transpose, and reports pairs in reversed dual indexing,
+  which it translates through :func:`~perscoh.complexes.dual_index`;
 * the :class:`Diagram`, one array per column and positions in the
   complex's value table, which every module builds from the partition
   by one rule (:func:`barcode`).  The cohomology barcodes are the
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import FilteredComplex, _ints, anti_transpose, dual_dims, dual_index
+from .complexes import FilteredComplex, _ints, anti_transpose, dual_index
 from .core import Chain
 from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol_cycles, phcol_pairs,
                         phrow)
@@ -197,8 +196,8 @@ class Computation:
     ``result`` is the algorithm's raw output, and ``partition`` the
     absolute partition ``(F, pairs)`` in original indices, as int arrays
     (:func:`partition_of`).  ``dual`` is True when the result is indexed
-    by the reversed dual order: a reduction of the anti-transpose, which
-    every phcol run is but a homology one with V, or pcoh.
+    by the reversed dual order, a reduction of the anti-transpose, as
+    every run is but a homology one with V, which hands out D's cycles.
     """
 
     result: Decomposition | PcohResult | Pairing
@@ -211,43 +210,38 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     """Run ``algorithm`` on the matrix that ``module_tag`` needs, and
     partition the cells by its pairs, once, with :func:`partition_of`.
 
-    Every phcol run starts from the clearing reduction of the
-    anti-transpose D-perp, the cheapest one, since the four modules
-    share one pairing: :func:`~perscoh.reduction.phcol_pairs` reads D's
-    arrays ``K.csc``, takes the apparent pairs in one pass (Bauer 2021,
-    Ripser) and reduces only the other columns, with clearing (Bauer,
-    Kerber and Reininghaus 2014).  A barcode-only run (``keep_V`` off)
-    keeps just its pairing, for every module.  A cohomology run with V
-    gets the whole decomposition of D-perp from that same pass, with
-    the R, V and ops of phcol on D-perp's term lists.  A homology run
-    with V partitions the pairing and hands the pairs (g, h) to
-    :func:`~perscoh.reduction.phcol_cycles`, which computes D's cycles
-    from ``K.csc`` with the R, V and ops of phcol on ``K.D``.  No phcol
-    run builds ``K.D`` or the term lists of all of D-perp, only those of
-    the columns it reduces and their pivots.  phrow reduces the term lists
-    ``K.D`` for homology and those of ``anti_transpose(K.csc)`` for
-    cohomology, by ``K.dims`` on D and ``dual_dims`` on D-perp, with
-    clearing.  pcoh sweeps ``K.csc`` for every module and builds no
-    term lists of D either.  ``keep_V`` keeps the V matrix that
-    :func:`generators` reads, pcoh's cocycles; without it pcoh keeps no
-    cocycle chains.
+    The four modules share one pairing, so one rule picks the matrix for
+    every algorithm: D when the run hands out D's cycles (``abs_hom`` or
+    ``rel_hom`` with ``keep_V``), else the anti-transpose D-perp, whose
+    reduction with clearing (Bauer, Kerber and Reininghaus 2014) is the
+    cheapest; pcoh's result is always D-perp's.  phcol reads D's arrays
+    ``K.csc``: :func:`~perscoh.reduction.phcol_pairs` takes D-perp's
+    apparent pairs in one pass (Bauer 2021, Ripser) and reduces only the
+    other columns, with clearing, keeping V for cohomology generators; a
+    homology run with V partitions that pairing and hands the pairs
+    (g, h) to :func:`~perscoh.reduction.phcol_cycles`, which computes D's
+    cycles with the R, V and ops of phcol on D's term lists.  phrow
+    reduces the term lists of ``K.csc`` or of ``anti_transpose(K.csc)``,
+    with clearing.  pcoh sweeps ``K.csc``.  ``keep_V`` keeps the V
+    matrix that :func:`generators` reads, pcoh's cocycles; without it
+    pcoh keeps no cocycle chains.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    dual = module_tag.endswith("_coh")
+    dual = algorithm == "pcoh" or not keep_V or module_tag.endswith("_coh")
     if algorithm == "phcol":
         res = phcol_pairs(K.csc, K.field, K.dim_array, keep_V and dual)
         part = partition_of(res.pairs, K.n, True)
-        if keep_V and not dual:
+        if not dual:
             return Computation(phcol_cycles(K.csc, K.field, part[1]), part, False)
         return Computation(res, part, True)
     if algorithm == "pcoh":
-        res, dual = pcoh(K.csc, K.field, keep_V), True
+        res = pcoh(K.csc, K.field, keep_V)
     else:
-        M = anti_transpose(K.csc).to_sparse() if dual else K.D
-        res = phrow(M, K.field, keep_V, dual_dims(K.dims) if dual else K.dims)
+        res = phrow((anti_transpose(K.csc) if dual else K.csc).to_sparse(), K.field,
+                    keep_V, clear=True)
     return Computation(res, partition_of(res.pairs, K.n, dual), dual)
 
 

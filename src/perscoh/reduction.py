@@ -2,9 +2,10 @@
 
 All three consume a strictly upper-triangular matrix over Z/p.  The
 column and row algorithms return a full :class:`Decomposition` and are
-entry-identical on every input.  Given the degree of each column, both
-clear: they skip the columns that must reduce to zero, with the same R
-and ``low_of``, and given the same degrees they stay entry-identical.
+entry-identical on every input.  On a boundary matrix both clear, the
+column algorithm given the degree of each column and the row algorithm
+given ``clear``: they skip the columns that must reduce to zero, with
+the same R and ``low_of``, and stay entry-identical.
 The live-cocycle algorithm (:func:`pcoh`) takes a boundary matrix D
 as its arrays; it sweeps the cell order, keeps only the basis of live
 cocycles, and reports pairs, essential indices and, asked for them,
@@ -438,19 +439,21 @@ def _csc(n: int, columns: np.ndarray, chains: list[Chain]) -> CscMatrix:
 
 
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
-          dims: list[int] | None = None, snapshot=None) -> Decomposition:
+          clear: bool = False, snapshot=None) -> Decomposition:
     """Row algorithm: sweep rows bottom-up, reducing each row's low
     columns against the smallest-index one.
 
-    ``dims``, the degree of each column as :func:`phcol` takes it, says
-    that D is a graded boundary matrix, and the sweep clears: once row
-    ``i`` has a pivot column, column ``i`` must reduce to zero, and no
-    row processed so far has touched it, as its low lies above row
-    ``i``.  Its R becomes 0 and, with ``keep_V``, its V becomes the
-    pivot's final R, a cycle with low ``i``, at the step of row ``i``,
-    which the snapshot shows.  The result equals ``phcol(D, field,
-    keep_V, dims)`` entry for entry.  Without ``dims`` nothing is
-    cleared, and D may be any strictly upper-triangular matrix.
+    With ``clear``, the sweep clears: once row ``i`` has a pivot column,
+    column ``i`` must reduce to zero, and no row processed so far has
+    touched it, as its low lies above row ``i``.  Its R becomes 0 and,
+    with ``keep_V``, its V becomes the pivot's final R, a cycle with low
+    ``i``, at the step of row ``i``, which the snapshot shows.  That
+    holds only for a graded boundary matrix, such as D or D-perp, and
+    there the result equals ``phcol(D, field, keep_V, dims)``, given the
+    degrees ``dims`` of its columns, entry for entry.  Without ``clear``
+    nothing is cleared, D may be any strictly upper-triangular matrix,
+    and the result equals ``phcol(D, field, keep_V)``: the live-cocycle
+    trace (acceptance criterion 7) and other matrices run without it.
 
     ``snapshot(k, R, V)`` is called after the k-th row iteration
     (k = 1 processes row n) with live matrix views; copy anything kept.
@@ -493,7 +496,7 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
                     peak = total
                 if new:
                     bucket.setdefault(new[-1][0], []).append(j)
-            if dims is not None:  # column i is still D's, and reduces to zero
+            if clear:  # column i is still D's, and reduces to zero
                 if R[i]:
                     bucket[R[i][-1][0]].remove(i)
                     total -= len(R[i])

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from perscoh import (GF2, CscMatrix, Field, Lcg, SparseMatrix, build_complex, compute,
-                     dual_index, field_inv, generators, load_cell_file,
+from perscoh import (GF2, CscMatrix, Field, Lcg, SparseMatrix, anti_transpose, build_complex,
+                     compute, dual_index, field_inv, generators, load_cell_file,
                      rips_filtration)
 from perscoh.complexes import ComplexError
 
@@ -33,6 +33,33 @@ SPHERE_PATH = os.path.join(DATA_DIR, "sphere6.cells")
 def sphere11():
     """The 6-cell filtered 2-sphere over Z/11 (signed coefficients visible)."""
     return load_cell_file(SPHERE_PATH, Field(11))
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The matrices that ``CscMatrix.to_sparse`` lists as term lists, in
+    call order; clear it to start a new record."""
+    matrices, to_sparse = [], CscMatrix.to_sparse
+
+    def spy(self):
+        matrices.append(self)
+        return to_sparse(self)
+
+    monkeypatch.setattr(CscMatrix, "to_sparse", spy)
+    return matrices
+
+
+def assert_listed_by_rule(listed, K, module, algorithm, keep_V):
+    """What one ``compute(K, module, algorithm, keep_V)`` call listed:
+    phcol and pcoh nothing, phrow one matrix, ``K.csc`` itself only for
+    a homology run with V, which hands out D's cycles, else D-perp."""
+    if algorithm != "phrow":
+        assert listed == []
+    elif module.endswith("_hom") and keep_V:
+        assert len(listed) == 1 and listed[0] is K.csc
+    else:
+        assert len(listed) == 1 and listed[0] is not K.csc
+        assert listed[0] == anti_transpose(K.csc)
 
 
 def upper_matrices(n):
@@ -227,7 +254,7 @@ def assert_boundary_squared_zero(D, p):
 def assert_generator_sanity(K):
     """Generators are cycles, killers map to generators, cocycles die on time."""
     p = K.field.p
-    D = K.D
+    D = K.csc.to_sparse()
     assert_boundary_squared_zero(D, p)
     table = generators(compute(K, "abs_hom", "phcol", keep_V=True), K,
                        "abs_hom", drop_zero=False)

@@ -62,7 +62,7 @@ def rips_both_fields():
 def reduction_results():
     """Both reductions of every exhaustive-matrix and random-Rips instance."""
     pairs = [(D, GF2) for D in small_matrices()]
-    pairs += [(K.D, K.field) for K in rips_both_fields()]
+    pairs += [(K.csc.to_sparse(), K.field) for K in rips_both_fields()]
     return [(D, field, phcol(D, field), phrow(D, field))
             for D, field in pairs]
 
@@ -74,7 +74,7 @@ def sphere():
 def test_criterion_1_running_example_diagrams():
     t0 = time.perf_counter()
     K = sphere()
-    D = K.D
+    D = K.csc.to_sparse()
     part = partition_of(phcol(D, F11).pairs, K.n, False)
     tpart = partition_of(phrow(anti_transpose_terms(D), F11).pairs, K.n, True)
     abs_hom = barcode(part, K, "abs_hom")
@@ -163,7 +163,7 @@ def test_criterion_5_oracle_equivalence():
     assert [K.n for K in skeleta] == [298, 298]
     complexes += skeleta
     for K in complexes:
-        part = partition_of(phcol(K.D, K.field).pairs, K.n, False)
+        part = partition_of(phcol(K.csc.to_sparse(), K.field).pairs, K.n, False)
         computed = barcode(part, K, "abs_hom", drop_zero=False)
         assert computed.index_multiset() == \
             oracle_barcode(K).index_multiset()
@@ -176,7 +176,7 @@ def test_criterion_6_duality_properties():
     for K in instances:
         field = K.field
         n = K.n
-        D = K.D
+        D = K.csc.to_sparse()
         part = partition_of(phcol(D, field).pairs, n, False)
         F, _, _, pairs = partition_lists(part)
         tdec = phcol(anti_transpose_terms(D), field)
@@ -215,7 +215,7 @@ def test_criterion_7_live_cocycles_match_row_reduction():
     instances = rips_instances(200, 50)
     for K in instances:
         field = K.field
-        D = K.D
+        D = K.csc.to_sparse()
         Dperp = anti_transpose_terms(D)
         n = Dperp.n
 
@@ -264,7 +264,7 @@ def test_criterion_9_boundary_and_generator_sanity():
     complexes += rips_instances(100, 100)      # the duality instances
     complexes += rips_instances(200, 50)       # the live-cocycle instances
     for K in complexes:
-        assert_boundary_squared_zero(K.D, K.field.p)
+        assert_boundary_squared_zero(K.csc.to_sparse(), K.field.p)
         assert_generator_sanity(K)
     print(f"criterion 9: PASS - boundary-squared-zero and generator "
           f"sanity on {len(complexes)} complexes")

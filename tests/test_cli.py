@@ -148,14 +148,31 @@ class TestOracleCheck:
         assert code == 0 and err == ""
         assert out == "ok: 6 cells, 4 intervals, barcode matches the rank oracle\n"
 
+    @pytest.mark.parametrize("algorithm", ["phcol", "phrow", "pcoh"])
+    def test_keeps_v_only_to_verify(self, capsys, monkeypatch, algorithm):
+        """The run keeps V only when R = DV is checked: pcoh's is not,
+        so it keeps no cocycles.  Output and exit code stay put."""
+        argv = ["oracle-check", *SPHERE_ARGS, "--algorithm", algorithm]
+        want = run_cli(capsys, argv)
+
+        def spy(K, module, algorithm, keep_V=False):
+            kept.append(keep_V)
+            return real(K, module, algorithm, keep_V)
+
+        kept, real = [], cli.compute
+        monkeypatch.setattr(cli, "compute", spy)
+        assert run_cli(capsys, argv) == want
+        assert want[0] == 0 and kept == [algorithm != "pcoh"]
+
     def test_checks_r_equals_dv_with_d(self, capsys, tmp_path, monkeypatch):
         """phcol's run reads D's arrays, and R = DV is checked against
         the term lists of D.  Five deaths of this complex are not D's
         own lows, so their R and V are reductions."""
         K = random_rips(11, max_points=8, p=11, dim_max=2)
+        D = K.csc.to_sparse()
         path = tmp_path / "rips.cells"
         path.write_text("".join(
-            f"{K.dim(j)} {K.value(j)!r} " + " ".join(f"{i}:{c}" for i, c in K.D.cols[j]) + "\n"
+            f"{K.dim(j)} {K.value(j)!r} " + " ".join(f"{i}:{c}" for i, c in D.cols[j]) + "\n"
             for j in range(1, K.n + 1)))
         argv = ["oracle-check", str(path), "--field", "11", "--algorithm", "phcol"]
         code, out, err = run_cli(capsys, argv)
@@ -418,10 +435,10 @@ class TestParser:
 
 class TestBarcodeOnlyPhcol:
     """``barcode --algorithm phcol`` takes the pairing from the arrays of
-    D-perp, transposed from D's arrays: it builds no term lists of D."""
+    D-perp, transposed from D's arrays: it lists no term lists."""
 
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom", "abs_coh", "rel_coh"])
-    def test_no_term_lists(self, capsys, monkeypatch, tmp_path, module):
+    def test_no_term_lists(self, capsys, listed, tmp_path, module):
         simp = tmp_path / "square.simp"
         simp.write_text("0 a\n0 b\n0 c\n0 d\n1 a b\n1 b c\n1 c d\n2 a d\n3 a c\n"
                         "4 a b c\n5 a c d\n")
@@ -429,16 +446,11 @@ class TestBarcodeOnlyPhcol:
                    ["cube:7:3", "--format", "points", "--maxdim", "3", "--seed", "2"]]
         argvs = [["barcode", *source, "--module", module, "--indices"] for source in sources]
         expected = [run_cli(capsys, argv + ["--algorithm", "phrow"]) for argv in argvs]
-
-        def load(args):
-            loaded.append(real_load(args))
-            return loaded[-1]
-
-        loaded, real_load = [], cli._load_complex
-        monkeypatch.setattr(cli, "_load_complex", load)
+        assert len(listed) == len(argvs)
+        listed.clear()
         for argv, want in zip(argvs, expected):
             assert run_cli(capsys, argv + ["--algorithm", "phcol"]) == want
-            assert want[0] == 0 and loaded[-1]._D is None
+            assert want[0] == 0 and listed == []
 
 
 class TestCollector:

@@ -42,11 +42,11 @@ class TestBuildComplex:
         assert K.n == 6
         assert K.dims == [0, 0, 1, 1, 2, 2]
         assert [K.value(j) for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
-        assert K.D.cols[3] == [(1, 1), (2, 10)]
+        assert K.csc.to_sparse().cols[3] == [(1, 1), (2, 10)]
 
     def test_single_vertex(self):
         K = build_complex([(0, 0.0, [])], F11)
-        assert K.n == 1 and K.dim(1) == 0 and K.D.cols[1] == []
+        assert K.n == 1 and K.dim(1) == 0 and K.csc.to_sparse().cols[1] == []
 
     def test_forward_reference_rejected(self):
         cells = [(0, 1.0, []), (1, 2.0, [(1, 1), (3, -1)]), (0, 3.0, [])]
@@ -81,16 +81,16 @@ class TestBuildComplex:
         cells = [(0, 0.0, []), (0, 0.0, []),
                  (1, 1.0, [(1, -1), (2, 6), (2, 6)])]
         K = build_complex(cells, F11)
-        assert K.D.cols[3] == [(1, 10), (2, 1)]
+        assert K.csc.to_sparse().cols[3] == [(1, 10), (2, 1)]
 
     def test_cancelled_terms_dropped(self):
         cells = [(0, 0.0, []), (1, 1.0, [(1, 1), (1, -1)])]
         K = build_complex(cells, F11)
-        assert K.D.cols[2] == []
+        assert K.csc.to_sparse().cols[2] == []
 
     def test_mod_two_collapses_signs(self):
         K = build_complex(SPHERE_CELLS, GF2)
-        assert K.D.cols[3] == [(1, 1), (2, 1)]
+        assert K.csc.to_sparse().cols[3] == [(1, 1), (2, 1)]
 
 
 class TestSparseMatrix:
@@ -116,17 +116,17 @@ class TestSparseMatrix:
 class TestBoundaryMatrix:
     def test_sphere(self):
         K = build_complex(SPHERE_CELLS, F11)
-        D = K.D
+        D = K.csc.to_sparse()
         assert D.cols[1:] == SPHERE_D
 
     def test_single_vertex(self):
         K = build_complex([(0, 0.0, [])], F11)
-        D = K.D
+        D = K.csc.to_sparse()
         assert D.n == 1 and D.cols[1] == []
 
     def test_reversed_edge_signs(self):
         cells = [(0, 0.0, []), (0, 0.0, []), (1, 1.0, [(1, -1), (2, 1)])]
-        D = build_complex(cells, F11).D
+        D = build_complex(cells, F11).csc.to_sparse()
         assert D.cols[3] == [(1, 10), (2, 1)]
 
 
@@ -267,14 +267,14 @@ class TestLoadCellFile:
         expected = build_complex(SPHERE_CELLS, F11)
         assert K.n == expected.n
         assert K.dims == expected.dims
-        assert all(K.D.cols[j] == expected.D.cols[j] for j in range(1, 7))
+        assert K.csc.to_sparse().cols[1:7] == expected.csc.to_sparse().cols[1:7]
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cells"
         path.write_text("# header\n\n0 0\n0 0  # trailing comment\n1 1 1:1 2:-1\n")
         K = load_cell_file(str(path), F11)
         assert K.n == 3
-        assert K.D.cols[3] == [(1, 1), (2, 10)]
+        assert K.csc.to_sparse().cols[3] == [(1, 1), (2, 10)]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.cells"
@@ -314,7 +314,7 @@ class TestLoadSimplicialFile:
         assert K.n == 7
         assert K.dims == [0, 0, 0, 1, 1, 1, 2]
         # alternating signs: +(b,c) -(a,c) +(a,b) over sorted vertices
-        assert K.D.cols[7] == [(4, 1), (5, 10), (6, 1)]
+        assert K.csc.to_sparse().cols[7] == [(4, 1), (5, 10), (6, 1)]
 
     def test_tie_break_order(self, tmp_path):
         path = tmp_path / "tie.simp"
@@ -397,7 +397,8 @@ class TestLoadSimplicialFile:
                 index_of[verts] = len(rows)
             ref = build_complex(rows, field)
             assert len(set(ref.values)) < ref.n  # ties
-            assert (K.dims, K.values, K.D) == (ref.dims, ref.values, ref.D)
+            assert ((K.dims, K.values, K.csc.to_sparse())
+                    == (ref.dims, ref.values, ref.csc.to_sparse()))
             assert K.simplex_vertices == [verts for _, verts in ordered]
 
 
@@ -436,12 +437,10 @@ def plain_columns(A):
 
 
 class TestCscView:
-    """``K.csc`` and ``K.D`` describe one matrix, and ``K.D`` is built
-    only when read."""
+    """``K.csc`` holds D, and ``K.csc.to_sparse()`` lists the same matrix."""
 
     @staticmethod
     def check(K):
-        assert K._D is None
         A = K.csc
         assert all(x.dtype == np.int64 for x in (A.start, A.rows, A.coefs))
         assert A.n == K.n and A.start[0] == 0 and len(A.rows) == len(A.coefs) == A.start[-1]
@@ -451,8 +450,7 @@ class TestCscView:
             rows = A.rows[A.start[j - 1]:A.start[j]]
             assert (rows[1:] > rows[:-1]).all() and (rows < j).all() and (rows >= 1).all()
         TestAntiTranspose.check(A)
-        assert K._D is None
-        assert K.D == SparseMatrix(K.n, plain_columns(K.csc))
+        assert K.csc.to_sparse() == SparseMatrix(K.n, plain_columns(K.csc))
 
     # the largest field puts the coefficients 1 and p - 1 far apart
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
@@ -473,7 +471,7 @@ class TestCscView:
             cells = tmp_path / f"c{seed}.cells"
             cells.write_text("".join(
                 f"{d} {v!r} " + " ".join(f"{i}:{c - p}" for i, c in col) + "\n"
-                for d, v, col in zip(K.dims, K.values, K.D.cols[1:])))
+                for d, v, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
             C = load_cell_file(str(cells), field)
             self.check(C)
             assert S.csc == K.csc == C.csc
@@ -487,4 +485,4 @@ class TestCscView:
         for n in (0, 1, 3):
             K = build_complex([(0, 0.0, [])] * n, F11)
             self.check(K)
-            assert K.D == SparseMatrix(n)
+            assert K.csc.to_sparse() == SparseMatrix(n)

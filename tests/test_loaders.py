@@ -106,7 +106,7 @@ def outcome(load, *args):
         got = load(*args)
     except (ParseError, ComplexError) as exc:
         return repr(exc)
-    dims, values, D = got if isinstance(got, tuple) else (got.dims, got.values, got.D)
+    dims, values, D = got if isinstance(got, tuple) else (got.dims, got.values, got.csc.to_sparse())
     return dims, values, D.cols
 
 
@@ -121,9 +121,10 @@ def cell_rows(rng: random.Random, K: FilteredComplex) -> list[list[str]]:
     with a sign or leading zeros; terms in random order."""
     p = K.field.p
     rows = []
+    D = K.csc.to_sparse()
     for j in range(1, K.n + 1):
         terms = []
-        for i, c in K.D.cols[j]:
+        for i, c in D.cols[j]:
             parts = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(3))]
             parts.append(c - sum(parts) + p * rng.choice([0, 0, -1, 2, HUGE]))
             terms += [(i, part) for part in parts]

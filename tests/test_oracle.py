@@ -18,7 +18,7 @@ F11 = Field(11)
 
 
 def dense_boundary(K, p):
-    D = K.D
+    D = K.csc.to_sparse()
     M = np.zeros((K.n, K.n), dtype=np.int64)
     for j in range(1, K.n + 1):
         for i, c in D.cols[j]:
@@ -27,7 +27,7 @@ def dense_boundary(K, p):
 
 
 def reduced_barcode(K, field):
-    part = partition_of(phcol(K.D, field).pairs, K.n, False)
+    part = partition_of(phcol(K.csc.to_sparse(), field).pairs, K.n, False)
     return barcode(part, K, "abs_hom", drop_zero=False)
 
 

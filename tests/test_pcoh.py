@@ -3,11 +3,11 @@ anti-transpose, and the step-by-step live-cocycle/V-column trace."""
 
 import pytest
 
-from perscoh import (GF2, Field, build_complex, compute, dual_dims,
+from perscoh import (GF2, Field, build_complex, compute,
                      load_cell_file, pcoh, phrow)
 from perscoh.persistence import MODULE_TAGS
-from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, csc_matrix,
-                      matrix_complex, random_rips)
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
+                      assert_listed_by_rule, csc_matrix, matrix_complex, random_rips)
 
 F11 = Field(11)
 
@@ -33,14 +33,14 @@ class TestSphere:
         assert res.cocycles == res.pair_cocycles + res.essential_cocycles
 
     def test_pairs_match_row_algorithm(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         Dperp = anti_transpose_terms(D)
         res = pcoh(sphere11.csc, F11)
         dec = phrow(Dperp, F11)
         assert set(res.pairs) == low_pairs(dec)
 
     def test_cocycles_are_v_columns(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         res = pcoh(sphere11.csc, F11)
         V = phrow(anti_transpose_terms(D), F11).V
         for (_, t), z in zip(res.pairs, res.pair_cocycles):
@@ -49,7 +49,7 @@ class TestSphere:
             assert z == V.cols[f]
 
     def test_live_trace_matches_v_snapshots(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         Dperp = anti_transpose_terms(D)
         n = Dperp.n
 
@@ -103,11 +103,11 @@ class TestAgainstRowAlgorithm:
     cocycle by cocycle, its V columns."""
 
     @staticmethod
-    def check_trace(K, field, dims=None):
-        """pcoh on D against phrow on D-perp given ``dims``: the pairing,
-        the cocycles and the live cocycles of every step.  Returns
+    def check_trace(K, field, clear=False):
+        """pcoh on D against phrow on D-perp, clearing with ``clear``: the
+        pairing, the cocycles and the live cocycles of every step.  Returns
         pcoh's result, phrow's and phrow's V at every step."""
-        D = K.D
+        D = K.csc.to_sparse()
         Dperp = anti_transpose_terms(D)
         n = Dperp.n
 
@@ -116,7 +116,7 @@ class TestAgainstRowAlgorithm:
                    snapshot=lambda i, Z: live.__setitem__(
                        i, {b: dict(z) for b, z in Z.items()}))
         vsnaps = {}
-        dec = phrow(Dperp, field, True, dims,
+        dec = phrow(Dperp, field, True, clear,
                     snapshot=lambda k, R, V: vsnaps.__setitem__(
                         k, [list(col) for col in V.cols]))
 
@@ -146,7 +146,7 @@ class TestAgainstRowAlgorithm:
         D-perp is the killer cell's own cocycle, cleared at that cell's
         step."""
         K = random_rips(seed, max_points=8, p=p, dim_max=2)
-        res, dec, vsnaps = self.check_trace(K, Field(p), dual_dims(K.dims))
+        res, dec, vsnaps = self.check_trace(K, Field(p), clear=True)
         n = K.n
         for s, t in res.pairs:
             # the killer cell n + 1 - s enters at step n + 1 - s
@@ -160,7 +160,7 @@ class TestAgainstRowAlgorithm:
             K = matrix_complex(D)
             if K is None:
                 continue
-            D = K.D
+            D = K.csc.to_sparse()
             Dperp = anti_transpose_terms(D)
             res = pcoh(K.csc, GF2)
             dec = phrow(Dperp, GF2)
@@ -190,12 +190,12 @@ class TestWithoutCocycles:
 
     @pytest.mark.parametrize("seed,p", [(s, p) for s in range(4)
                                         for p in (2, 11)])
-    def test_compute_leaves_term_lists_unbuilt(self, seed, p):
+    def test_compute_leaves_term_lists_unbuilt(self, listed, seed, p):
         for module in MODULE_TAGS:
             for keep_V in (False, True):
                 K = random_rips(seed, max_points=8, p=p, dim_max=2)
                 run = compute(K, module, "pcoh", keep_V)
-                assert K._D is None
+                assert_listed_by_rule(listed, K, module, "pcoh", keep_V)
                 assert (run.result.cocycles is None) == (not keep_V)
 
 

@@ -15,19 +15,20 @@ from perscoh import (GF2, Decomposition, Diagram, Field, Interval, Pairing, Pcoh
                      phrow, rips_filtration, torus_points)
 from perscoh.cli import render_generators
 from perscoh.persistence import ALGORITHMS, INF, MODULE_TAGS
-from conftest import (SPHERE_PATH, anti_transpose_terms, format_interval, infinite_part,
-                      partition_lists, partition_reference, random_rips)
+from conftest import (SPHERE_PATH, anti_transpose_terms, assert_listed_by_rule,
+                      format_interval, infinite_part, partition_lists, partition_reference,
+                      random_rips)
 from test_acceptance import rips_instances
 
 F11 = Field(11)
 
 
 def sphere_partition(sphere11):
-    return partition_of(phcol(sphere11.D, F11).pairs, sphere11.n, False)
+    return partition_of(phcol(sphere11.csc.to_sparse(), F11).pairs, sphere11.n, False)
 
 
 def sphere_tau_partition(sphere11):
-    Dperp = anti_transpose_terms(sphere11.D)
+    Dperp = anti_transpose_terms(sphere11.csc.to_sparse())
     return partition_of(phrow(Dperp, F11).pairs, sphere11.n, True)
 
 
@@ -46,7 +47,8 @@ class TestPartition:
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
-        F, G, H, pairs = partition_lists(partition_of(phcol(K.D, F11).pairs, K.n, False))
+        D = K.csc.to_sparse()
+        F, G, H, pairs = partition_lists(partition_of(phcol(D, F11).pairs, K.n, False))
         assert (F, G, H, pairs) == ([1], [2], [3], [(2, 3)])
 
 
@@ -56,7 +58,7 @@ class TestPartitionOf:
 
     @staticmethod
     def check(K):
-        D = K.D
+        D = K.csc.to_sparse()
         dec = phcol(D, K.field)
         for res, dual in ((dec, False), (phrow(anti_transpose_terms(D), K.field), True),
                           (pcoh(K.csc, K.field), True),
@@ -123,14 +125,14 @@ class TestSphereBarcodes:
 class TestSmallBarcodes:
     def test_single_vertex(self):
         K = build_complex([(0, 0.5, [])], F11)
-        part = partition_of(phcol(K.D, F11).pairs, K.n, False)
+        part = partition_of(phcol(K.csc.to_sparse(), F11).pairs, K.n, False)
         assert barcode(part, K, "abs_hom").value_multiset() == {(0, 0.5, INF): 1}
         assert barcode(part, K, "rel_hom").value_multiset() == {(0, -INF, 0.5): 1}
 
     def test_triangle_zero_length_dropped(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
         K = rips_filtration(pts, 1.5, 2, GF2)
-        part = partition_of(phcol(K.D, GF2).pairs, K.n, False)
+        part = partition_of(phcol(K.csc.to_sparse(), GF2).pairs, K.n, False)
         kept = barcode(part, K, "abs_hom")
         assert sorted((iv.dim, iv.birth, round(iv.death, 9))
                       for iv in kept.intervals) == [
@@ -155,7 +157,7 @@ class TestConcatenatedBarcode:
 
     def test_only_infinite_interval(self):
         K = build_complex([(0, 2.0, [])], F11)
-        part = partition_of(phcol(K.D, F11).pairs, K.n, False)
+        part = partition_of(phcol(K.csc.to_sparse(), F11).pairs, K.n, False)
         cat = concatenated_barcode(barcode(part, K, "abs_hom"), K)
         assert [(iv.dim, iv.p, iv.q, iv.birth, iv.death)
                 for iv in cat.intervals] == [(0, 1, 1, 2.0, 2.0)]
@@ -396,7 +398,7 @@ class TestZeroLengthGenerators:
         path = tmp_path / "rips.cells"
         path.write_text("".join(
             f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
-            for dim, value, col in zip(K.dims, K.values, K.D.cols[1:])))
+            for dim, value, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
         K = load_cell_file(str(path), Field(p))
         for module, algorithm in (("abs_hom", "phcol"), ("rel_hom", "phrow"),
                                   ("rel_coh", "phcol"), ("abs_coh", "pcoh")):
@@ -414,7 +416,7 @@ class TestLeadingTerms:
     @pytest.mark.parametrize("seed", range(4))
     def test_v_diagonal(self, seed):
         K = random_rips(seed, max_points=8, p=11, dim_max=2)
-        dec = phcol(K.D, F11)
+        dec = phcol(K.csc.to_sparse(), F11)
         for j in range(1, dec.V.n + 1):
             assert dec.V.cols[j][-1] == (j, 1)
 
@@ -489,7 +491,7 @@ class TestDiagramColumns:
             assert K.value_table.dtype == float
             assert K.value_table.tolist() == [-INF, *K.values, INF]
             assert K.dim_array.tolist() == K.dims
-            L = build_complex(list(zip(K.dims, K.values, K.D.cols[1:])), K.field)
+            L = build_complex(list(zip(K.dims, K.values, K.csc.to_sparse().cols[1:])), K.field)
             assert L.value_table.tolist() == K.value_table.tolist()
             assert L.dim_array.tolist() == K.dims
             for module in ("abs_hom", "rel_coh"):
@@ -517,68 +519,79 @@ class TestCompute:
     @pytest.mark.parametrize("algorithm", ["phcol", "phrow", "pcoh"])
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom",
                                         "abs_coh", "rel_coh"])
-    def test_matches_direct_routes(self, module, algorithm):
+    def test_matches_direct_routes(self, listed, module, algorithm):
         # keep_V is looped, not parametrized, so the test ids stay put
         for seed, p, keep_V in itertools.product(range(6), (2, 11),
                                                  (False, True)):
             K = random_rips(seed, max_points=8, p=p, dim_max=2)
-            D = K.D
-            # every route reads K.D and K.csc in place; none may change them
-            original = copy.deepcopy(K.D)
+            D = K.csc.to_sparse()
+            # every route reads D's arrays and term lists in place; none may change them
+            original = copy.deepcopy(D)
             original_csc = copy.deepcopy(K.csc)
             part = partition_of(phcol(D, K.field).pairs, K.n, False)
             tpart = partition_of(phcol(anti_transpose_terms(D), K.field).pairs, K.n, True)
-            assert K.D == original
+            assert D == original
             if module.endswith("_hom"):
                 direct = barcode(part, K, module, drop_zero=False)
             else:
                 direct = barcode(tpart, K, module, drop_zero=False)
 
+            listed.clear()
             run = compute(K, module, algorithm, keep_V=keep_V)
-            assert K.D == original and K.csc == original_csc
+            assert_listed_by_rule(listed, K, module, algorithm, keep_V)
+            assert K.csc == original_csc
             if keep_V and (algorithm != "pcoh" or module == "abs_coh"):
                 generators(run, K, module)
-                assert K.D == original and K.csc == original_csc
+                assert K.csc == original_csc
             got = barcode(run.partition, K, module, drop_zero=False)
             assert got.module_tag == module
             assert got.index_multiset() == direct.index_multiset()
             assert partition_lists(run.partition) == partition_lists(part)
-            # a barcode-only phcol run reduces D-perp whatever the module,
-            # and takes its pairing from D's arrays
-            reduced_dual = algorithm != "pcoh" and (
-                module.endswith("_coh") or (algorithm == "phcol" and not keep_V))
+            # every run reduces D-perp but one that hands out D's cycles,
+            # a homology run with V; pcoh always sweeps D-perp
+            hands_out_cycles = (algorithm != "pcoh" and keep_V
+                                and module.endswith("_hom"))
             if algorithm == "pcoh":
                 assert type(run.result) is PcohResult
             elif algorithm == "phcol" and not keep_V:
                 assert type(run.result) is Pairing
             else:
                 assert type(run.result) is Decomposition
-            assert run.dual == (reduced_dual or algorithm == "pcoh")
-            # only homology phrow reads the term lists of D
-            L = random_rips(seed, max_points=8, p=p, dim_max=2)
-            compute(L, module, algorithm, keep_V=keep_V)
-            assert (L._D is None) == (algorithm != "phrow" or module.endswith("_coh"))
+            assert run.dual == (not hands_out_cycles)
 
             snapshots = []
-            phrow(K.D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
+            phrow(D, K.field, snapshot=lambda k, R, V: snapshots.append(k))
             pcoh(K.csc, K.field)
             anti_transpose(K.csc)
             assert snapshots == list(range(1, K.n + 1))
-            assert K.D == original and K.csc == original_csc
+            assert D == original and K.csc == original_csc
 
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
     def test_homology_phrow_clears(self, sphere11, module):
-        """The homology phrow route is the row algorithm on D with
-        clearing by ``K.dims``."""
+        """The homology phrow route with V is the row algorithm on D with
+        clearing."""
         complexes = [random_rips(seed, max_points=8, p=(2, 11)[seed % 2], dim_max=2)
                      for seed in range(6)] + [sphere11]
         for K in complexes:
             run = compute(K, module, "phrow", keep_V=True)
-            ref = phrow(K.D, K.field, True, K.dims)
+            ref = phrow(K.csc.to_sparse(), K.field, True, clear=True)
             assert type(run.result) is Decomposition and not run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of
             assert (run.result.ops, run.result.peak_elements) == (ref.ops, ref.peak_elements)
+
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
+    def test_homology_phrow_barcode_reduces_dperp(self, sphere11, module):
+        """A barcode-only homology phrow run reduces D-perp, and gives the
+        partition of the row algorithm on D with clearing."""
+        complexes = [random_rips(seed, max_points=8, p=p, dim_max=2)
+                     for seed in range(6) for p in (2, 11)] + [sphere11]
+        for K in complexes:
+            run = compute(K, module, "phrow")
+            ref = phrow(K.csc.to_sparse(), K.field, False, clear=True)
+            assert type(run.result) is Decomposition and run.dual
+            assert (partition_lists(run.partition)
+                    == partition_lists(partition_of(ref.pairs, K.n, False)))
 
     def test_rejects_unknown_names(self, sphere11):
         with pytest.raises(ValueError, match="algorithm"):
@@ -589,7 +602,7 @@ class TestCompute:
 
 
 class TestCohomologyRoutes:
-    """The cohomology routes build no term list of D: phcol reads D's
+    """The cohomology routes list no term list of D: phcol reads D's
     arrays (:func:`phcol_pairs`), and phrow reduces the term lists of
     ``anti_transpose(K.csc)``.  Both equal the reduction of D-perp's
     term lists, with the same ops."""
@@ -605,22 +618,23 @@ class TestCohomologyRoutes:
             K = random_rips(seed, max_points=7, p=p, dim_max=2)
             path.write_text("".join(
                 f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
-                for dim, value, col in zip(K.dims, K.values, K.D.cols[1:])))
+                for dim, value, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
             yield load_cell_file(str(path), Field(p)), load_cell_file(str(path), Field(p))
         yield load_cell_file(SPHERE_PATH, F11), load_cell_file(SPHERE_PATH, F11)
 
     @pytest.mark.parametrize("algorithm, keep_V", [("phcol", True), ("phrow", True),
                                                    ("phrow", False)])
     @pytest.mark.parametrize("module", ["abs_coh", "rel_coh"])
-    def test_no_term_lists_of_D(self, tmp_path, module, algorithm, keep_V):
+    def test_no_term_lists_of_D(self, listed, tmp_path, module, algorithm, keep_V):
         for K, L in self.loads(tmp_path):
+            listed.clear()
             run = compute(K, module, algorithm, keep_V=keep_V)
-            assert K._D is None
-            Dperp = anti_transpose_terms(L.D)
+            assert_listed_by_rule(listed, K, module, algorithm, keep_V)
+            Dperp = anti_transpose_terms(L.csc.to_sparse())
             if algorithm == "phcol":
                 ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dims))
             else:
-                ref = phrow(Dperp, L.field, keep_V, dual_dims(L.dims))
+                ref = phrow(Dperp, L.field, keep_V, clear=True)
             assert type(run.result) is Decomposition and run.dual
             assert run.result.R == ref.R and run.result.V == ref.V
             assert run.result.low_of == ref.low_of

@@ -10,8 +10,9 @@ from perscoh import (GF2, Decomposition, Field, Lcg, SparseMatrix, build_complex
                      compute, cube_points, dual_dims, field_inv, generators, load_cell_file,
                      partition_of, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
                      reduction, rips_filtration, verify_decomposition)
-from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms, csc_matrix,
-                      partition_lists, partition_reference, random_rips, term_count)
+from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
+                      assert_listed_by_rule, csc_matrix, partition_lists, partition_reference,
+                      random_rips, term_count)
 from test_acceptance import rips_instances
 from test_loaders import cell_rows, render
 
@@ -31,7 +32,7 @@ def random_upper_matrix(seed, n, p, density=0.5):
 
 class TestPhcol:
     def test_running_example(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         assert dec.low_of == {3: 2, 5: 4}
         assert dec.R.cols[1:] == [[], [], [(1, 1), (2, 10)], [],
@@ -57,7 +58,7 @@ class TestPhcol:
         assert dec.ops == 0
 
     def test_keep_v_off(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11, keep_V=False)
         assert dec.V is None
         assert dec.low_of == {3: 2, 5: 4}
@@ -65,7 +66,7 @@ class TestPhcol:
             verify_decomposition(D, dec, F11)
 
     def test_ops_counter_scoped_to_run(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         assert dec.ops > 0
         assert dec.peak_elements >= term_count(dec.R) + term_count(dec.V)
@@ -82,7 +83,7 @@ class TestClearing:
         cleared_any = False
         for seed in range(10):
             K = random_rips(seed, max_points=9, p=p)
-            D = K.D
+            D = K.csc.to_sparse()
             for M, dims in ((D, K.dims),
                             (anti_transpose_terms(D), dual_dims(K.dims))):
                 plain = phcol(M, field, keep_V)
@@ -97,7 +98,7 @@ class TestClearing:
         assert cleared_any
 
     def test_cleared_v_is_partner_r(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11, dims=sphere11.dims)
         # cells 2 and 4 are paired with 3 and 5, and cleared
         assert dec.V.cols[2] == dec.R.cols[3]
@@ -113,11 +114,11 @@ class TestClearing:
             complexes.append(sphere11)
         cleared_any = False
         for K in complexes:
-            D = K.D
+            D = K.csc.to_sparse()
             for M, dims in ((D, K.dims),
                             (anti_transpose_terms(D), dual_dims(K.dims))):
                 col = phcol(M, field, keep_V, dims)
-                row = phrow(M, field, keep_V, dims)
+                row = phrow(M, field, keep_V, clear=True)
                 assert row.R == col.R and row.V == col.V
                 assert row.low_of == col.low_of
                 assert row.ops == col.ops
@@ -128,9 +129,9 @@ class TestClearing:
         assert cleared_any
 
     def test_phrow_clears_at_the_step_of_its_row(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         seen = {}
-        dec = phrow(D, F11, dims=sphere11.dims,
+        dec = phrow(D, F11, clear=True,
                     snapshot=lambda k, R, V: seen.__setitem__(
                         k, (list(R.cols[4]), list(V.cols[4]))))
         # row 4 is the low of column 5, processed at step 6 - 4 + 1 = 3
@@ -147,7 +148,7 @@ def _pinned_complex(source, p):
 def _pinned_matrix(source, p, dual):
     """The pinned matrix and the degrees of its columns."""
     K = _pinned_complex(source, p)
-    D = K.D
+    D = K.csc.to_sparse()
     if dual:
         return anti_transpose_terms(D), dual_dims(K.dims)
     return D, K.dims
@@ -195,8 +196,10 @@ def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     degrees).  phcol on D-perp counts the same ops from D's arrays
     (:func:`phcol_pairs`), with V or without."""
     M, dims = _pinned_matrix(source, p, dual)
-    reduce_fn = phcol if algorithm == "phcol" else phrow
-    result = reduce_fn(M, Field(p), keep_V=keep_V, dims=dims)
+    if algorithm == "phcol":
+        result = phcol(M, Field(p), keep_V=keep_V, dims=dims)
+    else:
+        result = phrow(M, Field(p), keep_V=keep_V, clear=True)
     assert (result.ops, result.peak_elements) == (ops, peak)
     if dual and algorithm == "phcol":
         K = _pinned_complex(source, p)
@@ -205,13 +208,13 @@ def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
 
 class TestPhrow:
     def test_matches_phcol_on_running_example(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         a = phcol(D, F11)
         b = phrow(D, F11)
         assert a.R == b.R and a.V == b.V and a.low_of == b.low_of
 
     def test_antitranspose_of_running_example(self, sphere11):
-        Dp = anti_transpose_terms(sphere11.D)
+        Dp = anti_transpose_terms(sphere11.csc.to_sparse())
         dec = phrow(Dp, F11)
         assert dec.low_of == {3: 2, 5: 4}
         assert dec.R.cols[3] == [(1, 10), (2, 10)]
@@ -220,13 +223,13 @@ class TestPhrow:
         assert dec.V.cols[6] == [(5, 1), (6, 1)]
 
     def test_keep_v_off(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phrow(D, F11, keep_V=False)
         assert dec.V is None
         assert dec.low_of == {3: 2, 5: 4}
 
     def test_snapshot_called_per_row(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         seen = []
         phrow(D, F11, snapshot=lambda k, R, V: seen.append(k))
         assert seen == [1, 2, 3, 4, 5, 6]
@@ -258,12 +261,12 @@ class TestExhaustiveSmall:
 
 class TestVerifyDecomposition:
     def test_pass_on_valid(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         report = verify_decomposition(D, phcol(D, F11), F11)
         assert report.ok and report.location is None
 
     def test_tampered_r_entry(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.R.cols[3] = [(1, 5), (2, 10)]
         report = verify_decomposition(D, dec, F11)
@@ -272,7 +275,7 @@ class TestVerifyDecomposition:
         assert report.location == (1, 3)
 
     def test_tampered_r_names_first_entry(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.R.cols[5] = [(2, 1), (3, 1)]  # D*V column 5 is [(3, 1), (4, 10)]
         report = verify_decomposition(D, dec, F11)
@@ -281,7 +284,7 @@ class TestVerifyDecomposition:
         assert "entry (2, 5)" in report.message
 
     def test_zero_v_diagonal(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.V.cols[2] = []
         report = verify_decomposition(D, dec, F11)
@@ -290,7 +293,7 @@ class TestVerifyDecomposition:
         assert report.location == (2, 2)
 
     def test_v_below_diagonal(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.V.cols[2] = [(2, 1), (5, 3)]
         report = verify_decomposition(D, dec, F11)
@@ -310,7 +313,7 @@ class TestVerifyDecomposition:
         assert "repeats" in report.message
 
     def test_low_of_mismatch(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.low_of[3] = 1
         report = verify_decomposition(D, dec, F11)
@@ -318,7 +321,7 @@ class TestVerifyDecomposition:
         assert "low_of" in report.message
 
     def test_low_of_maps_zero_column(self, sphere11):
-        D = sphere11.D
+        D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.low_of[4] = 1
         report = verify_decomposition(D, dec, F11)
@@ -333,7 +336,7 @@ class TestPhcolPairs:
     def check(K):
         """The route's pairing and ops equal phcol's on D-perp, and its
         partition, through compute, equals the homology partition of D."""
-        D = K.D
+        D = K.csc.to_sparse()
         res = phcol_pairs(K.csc, K.field, K.dims)
         dec = phcol(anti_transpose_terms(D), K.field, keep_V=False, dims=dual_dims(K.dims))
         tpairs = partition_lists(partition_of(dec.pairs, K.n, False))[3]
@@ -372,17 +375,18 @@ class TestPhcolPairs:
             rng = random.Random(seed)
             K = random_rips(seed, max_points=8, p=p, dim_max=2)
             scale = [rng.randrange(1, p) for _ in range(K.n + 1)]
+            D = K.csc.to_sparse()
             rows = [(K.dims[j - 1], K.values[j - 1],
                      [(i, c * scale[j] * field_inv(scale[i], p) % p)
-                      for i, c in K.D.cols[j]])
+                      for i, c in D.cols[j]])
                     for j in range(1, K.n + 1)]
             scaled = build_complex(rows, field)
             path = tmp_path / f"scaled{seed}.cells"
             path.write_text(render(rng, cell_rows(rng, scaled)), newline="")
             L = load_cell_file(str(path), field)
-            assert L.D == scaled.D
+            assert L.csc.to_sparse() == scaled.csc.to_sparse()
             if p > 2:
-                assert any(c not in (1, p - 1) for col in L.D.cols for _, c in col)
+                assert any(c not in (1, p - 1) for col in L.csc.to_sparse().cols for _, c in col)
             self.check(L)
 
     @pytest.mark.parametrize("p", [2, 11])
@@ -428,7 +432,7 @@ class TestPhcolPairsWithV:
     @staticmethod
     def check(K):
         got = phcol_pairs(K.csc, K.field, K.dims, keep_V=True)
-        want = phcol(anti_transpose_terms(K.D), K.field, True, dual_dims(K.dims))
+        want = phcol(anti_transpose_terms(K.csc.to_sparse()), K.field, True, dual_dims(K.dims))
         assert got.R == want.R
         assert got.V == want.V
         assert got.low_of == want.low_of
@@ -472,7 +476,7 @@ class TestPhcolPairsWithV:
                            (1, 1.0, [(2, 1), (3, -1)]),
                            (2, 2.0, [(4, 1), (5, -1), (6, 1)])], F11)
         got = self.check(K)
-        assert anti_transpose_terms(K.D).cols[1] == [] and 1 in got.low_of.values()
+        assert anti_transpose_terms(K.csc.to_sparse()).cols[1] == [] and 1 in got.low_of.values()
         t = next(t for t, s in got.low_of.items() if s == 1)
         assert got.R.cols[1] == [] and got.V.cols[1] == got.R.cols[t] != []
 
@@ -483,7 +487,7 @@ class TestPhcolPairsWithV:
         K = build_complex([(0, 0.0, [])] * 4
                           + [(1, 1.0, [(a, 1), (b, -1)]) for a, b in edges], F11)
         got = self.check(K)
-        assert anti_transpose_terms(K.D).cols[8] and got.R.cols[8] == []
+        assert anti_transpose_terms(K.csc.to_sparse()).cols[8] and got.R.cols[8] == []
         assert 8 not in got.low_of.values() and len(got.V.cols[8]) > 1
 
 
@@ -495,7 +499,7 @@ class TestPhcolCycles:
     def check(K):
         pairs = partition_of(phcol_pairs(K.csc, K.field, K.dims).pairs, K.n, True)[1]
         got = phcol_cycles(K.csc, K.field, pairs)
-        want = phcol(K.D, K.field, True, K.dims)
+        want = phcol(K.csc.to_sparse(), K.field, True, K.dims)
         assert got.R == want.R
         assert got.V == want.V
         assert got.low_of == want.low_of
@@ -509,7 +513,8 @@ class TestPhcolCycles:
         for seed in range(30):
             K = random_rips(seed, max_points=10, p=p, dim_max=3)
             dec = self.check(K)
-            reduced += any(K.D.cols[h][-1][0] != g for h, g in dec.low_of.items())
+            D = K.csc.to_sparse()
+            reduced += any(D.cols[h][-1][0] != g for h, g in dec.low_of.items())
         assert reduced  # some deaths are not D's own lows
 
     def test_acceptance_instances(self):
@@ -544,9 +549,10 @@ class TestPhcolCycles:
             self.check(K)
             rng = random.Random(seed)
             scale = [rng.randrange(1, p) for _ in range(K.n + 1)]
+            D = K.csc.to_sparse()
             self.check(build_complex(
                 [(K.dims[j - 1], K.values[j - 1],
-                  [(i, c * scale[j] * field_inv(scale[i], p) % p) for i, c in K.D.cols[j]])
+                  [(i, c * scale[j] * field_inv(scale[i], p) % p) for i, c in D.cols[j]])
                  for j in range(1, K.n + 1)], field))
 
     def test_edge_cases(self):
@@ -565,10 +571,11 @@ class TestPhcolCycles:
                                   (1, 2.0, [(1, 1), (3, -1)])], F11))
 
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
-    def test_compute_builds_no_term_lists(self, module):
+    def test_compute_builds_no_term_lists(self, listed, module):
         for seed in range(6):
             K = random_rips(seed, max_points=8, p=11, dim_max=2)
             run = compute(K, module, "phcol", keep_V=True)
             generators(run, K, module)
-            assert K._D is None and type(run.result) is Decomposition and not run.dual
+            assert_listed_by_rule(listed, K, module, "phcol", True)
+            assert type(run.result) is Decomposition and not run.dual
             assert run.result == phcol_cycles(K.csc, K.field, run.partition[1])

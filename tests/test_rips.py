@@ -41,13 +41,13 @@ def validating_rips(points, r_max, dim_max, field):
         rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
         index_of[verts] = len(rows)
     ref = build_complex(rows, field)
-    return (ref.dims, ref.values, ref.D), [verts for _, verts in simplices]
+    return (ref.dims, ref.values, ref.csc.to_sparse()), [verts for _, verts in simplices]
 
 
 def assert_matches_reference(points, r_max, dim_max, field=F11):
     K = rips_filtration(points, r_max, dim_max, field)
     cells, vertices = validating_rips(points, r_max, dim_max, field)
-    assert (K.dims, K.values, K.D) == cells
+    assert (K.dims, K.values, K.csc.to_sparse()) == cells
     assert K.simplex_vertices == vertices
     return K
 
@@ -57,7 +57,7 @@ def test_two_points():
     assert K.n == 3
     assert K.dims == [0, 0, 1]
     assert [K.value(j) for j in (1, 2, 3)] == [0.0, 0.0, 1.0]
-    assert K.D.cols[3] == [(1, 10), (2, 1)]
+    assert K.csc.to_sparse().cols[3] == [(1, 10), (2, 1)]
 
 
 def test_equilateral_triangle():
@@ -93,11 +93,12 @@ def test_dim_max_respected():
 
 def test_faces_precede_cofaces():
     K = random_rips(42, max_points=9, p=11)
+    D = K.csc.to_sparse()
     for j in range(1, K.n + 1):
         verts = K.simplex_vertices[j - 1]
         assert verts == tuple(sorted(verts))
         assert K.dim(j) == len(verts) - 1
-        for i, _ in K.D.cols[j]:
+        for i, _ in D.cols[j]:
             assert i < j
             assert K.value(i) <= K.value(j)
             assert set(K.simplex_vertices[i - 1]) < set(verts)
@@ -125,7 +126,7 @@ def test_determinism():
     K2 = random_rips(5, p=2)
     assert K1.n == K2.n
     assert K1.simplex_vertices == K2.simplex_vertices
-    assert all(K1.D.cols[j] == K2.D.cols[j] for j in range(1, K1.n + 1))
+    assert K1.csc.to_sparse() == K2.csc.to_sparse()
 
 
 def test_input_validation():
@@ -201,8 +202,8 @@ def test_many_vertices():
     assert K.values == [0.0] * shift + alone.values
     assert K.simplex_vertices == [(v,) for v in range(shift)] + [
         tuple(v + shift for v in verts) for verts in alone.simplex_vertices]
-    assert K.D.cols[1:] == [[]] * shift + [
-        [(i + shift, c) for i, c in col] for col in alone.D.cols[1:]]
+    assert K.csc.to_sparse().cols[1:] == [[]] * shift + [
+        [(i + shift, c) for i, c in col] for col in alone.csc.to_sparse().cols[1:]]
 
 
 def test_pair_at_exact_radius():
@@ -221,7 +222,7 @@ def test_duplicate_points_keep_zero_length_edge():
 
 def test_one_point():
     K = assert_matches_reference([(0.5, 0.5)], math.inf, 3)
-    assert K.n == 1 and K.D.cols[1] == []
+    assert K.n == 1 and K.csc.to_sparse().cols[1] == []
 
 
 def test_line_at_infinite_radius():
