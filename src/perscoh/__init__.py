@@ -18,9 +18,8 @@ from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
                           GeneratorTable, Interval, barcode, compute,
                           concatenated_barcode, format_diagram, generators,
                           parse_diagram, partition_of)
-from .reduction import (Decomposition, Pairing, PcohResult, VerifyReport,
-                        pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
-                        verify_decomposition)
+from .reduction import (Decomposition, VerifyReport, pcoh, phcol, phcol_cycles,
+                        phcol_pairs, phrow, verify_decomposition)
 from .rips import RIPS_MAX_CELLS, rips_filtration
 
 __version__ = "0.1.0"
@@ -48,7 +47,7 @@ __all__ = [
     "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
     "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
     "generators", "parse_diagram", "partition_of",
-    "Decomposition", "Pairing", "PcohResult", "VerifyReport",
+    "Decomposition", "VerifyReport",
     "pcoh", "phcol", "phcol_cycles", "phcol_pairs", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",
     "__version__",

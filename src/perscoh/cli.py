@@ -135,7 +135,7 @@ def cmd_oracle_check(args) -> int:
     verify = args.algorithm != "pcoh"
     run = compute(K, "abs_hom", args.algorithm, keep_V=verify)
     if verify:
-        report = verify_decomposition(K.csc.to_sparse(), run.result, K.field)
+        report = verify_decomposition(K.csc, run.result, K.field)
         if not report.ok:
             print(f"decomposition check failed: {report.message}", file=sys.stderr)
             return 1

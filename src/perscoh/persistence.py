@@ -43,8 +43,7 @@ import numpy as np
 
 from .complexes import FilteredComplex, _ints, anti_transpose, dual_index
 from .core import Chain
-from .reduction import (Decomposition, Pairing, PcohResult, pcoh, phcol_cycles, phcol_pairs,
-                        phrow)
+from .reduction import Decomposition, pcoh, phcol_cycles, phcol_pairs, phrow
 
 MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
 ALGORITHMS = ("phcol", "phrow", "pcoh")
@@ -193,14 +192,14 @@ def barcode(partition, K: FilteredComplex, module_tag: str,
 class Computation:
     """One reduction run by :func:`compute`.
 
-    ``result`` is the algorithm's raw output, and ``partition`` the
-    absolute partition ``(F, pairs)`` in original indices, as int arrays
-    (:func:`partition_of`).  ``dual`` is True when the result is indexed
+    ``result`` is the reduction's :class:`~perscoh.reduction.Decomposition`,
+    and ``partition`` the absolute partition ``(F, pairs)`` in original
+    indices, as int arrays (:func:`partition_of`).  ``dual`` is True when the result is indexed
     by the reversed dual order, a reduction of the anti-transpose, as
     every run is but a homology one with V, which hands out D's cycles.
     """
 
-    result: Decomposition | PcohResult | Pairing
+    result: Decomposition
     partition: tuple[np.ndarray, np.ndarray]
     dual: bool
 
@@ -223,8 +222,8 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     cycles with the R, V and ops of phcol on D's term lists.  phrow
     reduces the term lists of ``K.csc`` or of ``anti_transpose(K.csc)``,
     with clearing.  pcoh sweeps ``K.csc``.  ``keep_V`` keeps the V
-    matrix that :func:`generators` reads, pcoh's cocycles; without it
-    pcoh keeps no cocycle chains.
+    matrix that :func:`generators` reads, for pcoh its cocycles.  Every
+    route keeps R but pcoh's and barcode-only phcol's.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -306,8 +305,8 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
 
     ``run`` is the :func:`compute` result for ``module_tag``: a reduction
     with V of D for ``abs_hom``/``rel_hom``, of D-perp for
-    ``rel_coh``/``abs_coh``, or pcoh's with its cocycles for
-    ``abs_coh``; any other run raises ``ValueError``.
+    ``rel_coh``/``abs_coh``; pcoh's, which has V but no R, serves
+    ``abs_coh`` alone.  Any other run raises ``ValueError``.
 
     One rule on the diagram's sorted arrays names each entry's column j:
     an essential birth f, at ``<f, n>`` or ``<0, f-1>``, else the pivot
@@ -315,6 +314,7 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     in D-perp, through dual_index when starred.  abs_hom and rel_coh take
     a pair's chain from R[j] and its killer from V[j]; every other chain
     is V[j], with no killer.  Chains are the reduction's lists, not copies.
+    pcoh's V is phrow's on D-perp at every column these rules read.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -322,18 +322,13 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     rel, starred = module_tag.startswith("rel_"), module_tag.endswith("_coh")
 
     dec = run.result
-    R = V = None
-    if isinstance(dec, PcohResult):
-        if module_tag != "abs_coh":
-            raise ValueError(
-                f"{module_tag} generators are unavailable from pcoh "
-                "(it drops the columns they come from); use phcol or phrow")
-        if dec.pair_cocycles is not None:
-            V = dict(zip([t for _, t in dec.pairs] + dec.essential, dec.cocycles))
-    elif isinstance(dec, Decomposition) and dec.V is not None:
-        R, V = dec.R.cols, dec.V.cols
-    if V is None:
+    if dec.V is None:
         raise ValueError("generators need the V matrix; rerun with keep_V on")
+    if dec.R is None and module_tag != "abs_coh":
+        # pcoh's run, of D-perp without R: abs_coh alone reads only its V
+        raise ValueError(
+            f"{module_tag} generators are unavailable from pcoh "
+            "(it drops the columns they come from); use phcol or phrow")
     if run.dual != starred:
         side = "the anti-transpose" if run.dual else "the boundary matrix D"
         raise ValueError(f"{module_tag} generators cannot be read from a "
@@ -346,12 +341,12 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     j = dual_index(n, cell) if starred else cell
     if module_tag in ("abs_hom", "rel_coh"):
         # indices into R, V, None: a pair's R[j] killed by V[j], else V[j] alone
-        columns, m = [*R, *V, None], len(R)
+        columns, m = [*dec.R.cols, *dec.V.cols, None], n + 1
         chains = map(columns.__getitem__, np.where(essential, m + j, j).tolist())
         killers = map(columns.__getitem__, np.where(essential, 2 * m, m + j).tolist())
         entries = list(map(GeneratorEntry, chains, killers))
     else:
-        entries = list(map(GeneratorEntry, map(V.__getitem__, j.tolist())))
+        entries = list(map(GeneratorEntry, map(dec.V.cols.__getitem__, j.tolist())))
     return GeneratorTable(module_tag, n, starred, entries, diagram)
 
 

@@ -1,17 +1,15 @@
 """R = DV reductions: the column, row, and live-cocycle algorithms.
 
-All three consume a strictly upper-triangular matrix over Z/p.  The
-column and row algorithms return a full :class:`Decomposition` and are
-entry-identical on every input.  On a boundary matrix both clear, the
-column algorithm given the degree of each column and the row algorithm
-given ``clear``: they skip the columns that must reduce to zero, with
-the same R and ``low_of``, and stay entry-identical.
-The live-cocycle algorithm (:func:`pcoh`) takes a boundary matrix D
-as its arrays; it sweeps the cell order, keeps only the basis of live
-cocycles, and reports pairs, essential indices and, asked for them,
-cocycle chains in the reversed dual indexing of D-perp, the
-anti-transpose of D, where they coincide with the row algorithm's
-output on that matrix.
+All three consume a strictly upper-triangular matrix over Z/p, and
+every reduction returns a :class:`Decomposition`.  The column and row
+algorithms are entry-identical on every input.  On a boundary matrix
+both clear, the column algorithm given the degree of each column and
+the row algorithm given ``clear``: they skip the columns that must
+reduce to zero, with the same R and ``low_of``, and stay
+entry-identical.  The live-cocycle algorithm (:func:`pcoh`) takes a
+boundary matrix D as its arrays; it sweeps the cell order and keeps
+only the basis of live cocycles.  Its pairs and cocycles are the row
+algorithm's ``low_of`` and V on D-perp, the anti-transpose of D.
 
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
@@ -21,8 +19,7 @@ algorithm's whole decomposition, the cohomology generators, and builds
 term lists of R for the pivots alone.  :func:`phcol_cycles` gives the
 V-keeping column algorithm on D from D's arrays and that pairing: the
 homology cycles, the many independent columns that reduce to zero in
-batched rounds on arrays.  :class:`Pairing`, :class:`PcohResult`
-and :class:`Decomposition` all give their pairs as (low, column).
+batched rounds on arrays.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -47,19 +44,26 @@ from .core import Chain, Field, chain_axpy, field_inv
 
 @dataclass
 class Decomposition:
-    """R = MV from :func:`phcol`, :func:`phcol_cycles`, :func:`phrow` or
-    :func:`phcol_pairs` with V.  Nothing mutates a returned result:
-    generator tables share its columns."""
+    """R = MV from every reduction, with ``low_of`` mapping each pivot
+    column to its low.
 
-    R: SparseMatrix
+    :func:`phcol_cycles` fills R and V, :func:`phcol` and :func:`phrow`
+    R, and V with ``keep_V``; :func:`phcol_pairs` both with ``keep_V``,
+    else neither, and it alone counts ``apparent`` pairs.  :func:`pcoh`
+    has no R; with ``keep_V`` its V holds its cocycles.  Nothing mutates
+    a returned result: generator tables share its columns.
+    """
+
+    R: SparseMatrix | None
     V: SparseMatrix | None
     low_of: dict[int, int]
     ops: int = 0
     peak_elements: int = 0
+    apparent: int = 0
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
-        """The pairs (low, column) of R, as :class:`Pairing` gives them."""
+        """The pairs (low, column), in ``low_of``'s order."""
         return list(zip(self.low_of.values(), self.low_of))
 
 
@@ -68,32 +72,6 @@ class VerifyReport:
     ok: bool
     message: str
     location: tuple[int, int] | None = None
-
-
-@dataclass
-class PcohResult:
-    """Output of :func:`pcoh`, in the reversed dual indexing of D-perp,
-    the anti-transpose of its input D.
-
-    ``pair_cocycles[k]`` is the cocycle that died at ``pairs[k]``;
-    ``essential_cocycles[k]`` is the final live cocycle born at
-    ``essential[k]``.  A sweep without ``keep_V`` keeps no cocycles:
-    both lists, and ``cocycles``, are None.  Nothing mutates a returned
-    result.
-    """
-
-    pairs: list[tuple[int, int]]
-    essential: list[int]
-    pair_cocycles: list[Chain] | None
-    essential_cocycles: list[Chain] | None
-    ops: int = 0
-    peak_elements: int = 0
-
-    @property
-    def cocycles(self) -> list[Chain] | None:
-        if self.pair_cocycles is None:
-            return None
-        return self.pair_cocycles + self.essential_cocycles
 
 
 def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
@@ -164,28 +142,13 @@ def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
                          low_of, ops, peak)
 
 
-@dataclass
-class Pairing:
-    """Output of :func:`phcol_pairs`, in the reversed dual indexing of
-    ``anti_transpose(D)``, D-perp.
-
-    In each pair ``(s, t)`` of ``pairs``, row ``s`` is the low of column
-    ``t`` of the reduced matrix; the indices in no pair are essential.
-    ``apparent`` of the pairs were read off the matrix; ``ops`` counts
-    the multiply-adds that found the rest, as :func:`phcol` counts them.
-    """
-
-    pairs: list[tuple[int, int]]
-    apparent: int
-    ops: int = 0
-
-
 def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
-                keep_V: bool = False) -> Pairing | Decomposition:
+                keep_V: bool = False) -> Decomposition:
     """The pairing of ``phcol(anti_transpose(D).to_sparse(), field,
     keep_V, dims=dual_dims(dims))``, from D's arrays and the degrees
-    ``dims`` of its columns; with ``keep_V``, that whole
-    :class:`Decomposition`, with the same R, V, ``low_of`` and ``ops``.
+    ``dims`` of its columns: the same ``low_of`` and ``ops``, with no R
+    or V; with ``keep_V``, that whole :class:`Decomposition`, with the
+    same R and V too.  ``apparent`` counts the apparent pairs.
 
     Column ``c`` of that matrix, D-perp, is the coboundary of cell
     ``dual_index(n, c)``, and its low is the cell's oldest cofacet.
@@ -262,16 +225,16 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
             low_to_col[col[-1][0]] = i
             reduced[i] = col
 
+    low_of, count = dict(zip(low_to_col.values(), low_to_col)), int(apparent.sum())
     if not keep_V:
-        return Pairing(list(low_to_col.items()), int(apparent.sum()), ops)
+        return Decomposition(None, None, low_of, ops, apparent=count)
     R: list[Chain] = [[] for _ in range(n + 1)]
     for t, col in reduced.items():
         R[t] = col
     for s, t in low_to_col.items():
         V[s] = reduced[t]
-    low_of = {t: reduced[t][-1][0] for t in sorted(reduced)}
     peak = sum(map(len, R)) + sum(map(len, V))
-    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), low_of, ops, peak)
+    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), low_of, ops, peak, count)
 
 
 # phcol_cycles reduces the essential columns in batched rounds while at
@@ -518,7 +481,7 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
 _BLOCK = 1 << 16
 
 
-def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> PcohResult:
+def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Decomposition:
     """Live-cocycle algorithm on a boundary matrix, read from its arrays.
 
     Sweeps the cells in filtration order; at each step the entering
@@ -526,12 +489,13 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Pcoh
     whose coboundary contains it (found by dotting live cocycles with
     the cell's boundary column, the terms ``start[i - 1]:start[i]`` of
     D's arrays, read in one pass).  Dead cocycles are dropped from the
-    store immediately.  Pairs, essential indices and, with
-    ``keep_V``, cocycle chains are reported in the reversed dual
-    indexing of D-perp, the anti-transpose of D, matching ``phrow`` on
-    D-perp.  Without ``keep_V`` no chain is kept: ``pair_cocycles`` and
-    ``essential_cocycles`` are None, and the pairs, ``ops`` and
-    ``peak_elements`` are the same.
+    store immediately.
+
+    The result has no R and is indexed as D-perp, the anti-transpose of
+    D.  ``low_of`` is ``phrow``'s on D-perp, in sweep order; with
+    ``keep_V``, V is its V, each dying cocycle at its pair's column and
+    each final live one at its essential column, with the pairs' lows
+    empty.  Without ``keep_V`` there is no V, and the rest is the same.
 
     ``snapshot(i, Z)`` is called after each sweep step with the live
     cocycle store, a dict mapping birth index to coefficient dict, both
@@ -605,20 +569,24 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Pcoh
     def to_dual(z: dict[int, int]) -> Chain:
         return [(n + 1 - t, a) for t, a in sorted(z.items(), reverse=True)]
 
-    pairs = [(dual_index(n, d), dual_index(n, b)) for b, d in sigma_pairs]
-    births = sorted(Z, reverse=True)  # ascending in dual indexing
-    essential = [dual_index(n, b) for b in births]
+    low_of = {dual_index(n, b): dual_index(n, d) for b, d in sigma_pairs}
     if not keep_V:
-        return PcohResult(pairs, essential, None, None, ops, peak)
-    return PcohResult(pairs, essential, list(map(to_dual, dying_chains)),
-                      [to_dual(Z[b]) for b in births], ops, peak)
+        return Decomposition(None, None, low_of, ops, peak)
+    V: list[Chain] = [[]] * (n + 1)  # the pairs' lows share one empty column
+    for t, z in zip(low_of, dying_chains):
+        V[t] = to_dual(z)
+    for b, z in Z.items():
+        V[dual_index(n, b)] = to_dual(z)
+    return Decomposition(None, SparseMatrix(n, V), low_of, ops, peak)
 
 
-def verify_decomposition(D: SparseMatrix, dec: Decomposition,
+def verify_decomposition(D: CscMatrix, dec: Decomposition,
                          field: Field) -> VerifyReport:
-    """Check R = DV, V invertible upper-triangular, and low injectivity."""
-    if dec.V is None:
-        raise ValueError("decomposition has no V matrix (keep_V was off)")
+    """Check R = DV, V invertible upper-triangular, and low injectivity,
+    reading D's columns from its arrays.  A result without R or V raises
+    ``ValueError``."""
+    if dec.R is None or dec.V is None:
+        raise ValueError("decomposition has no R or no V (keep_V was off, or it is pcoh's)")
     p = field.p
     n = D.n
     for j in range(1, n + 1):
@@ -631,10 +599,12 @@ def verify_decomposition(D: SparseMatrix, dec: Decomposition,
             return VerifyReport(
                 False, f"V diagonal entry ({j}, {j}) is zero", (j, j))
 
+    start = D.start.tolist()
+    terms = list(zip(D.rows.tolist(), D.coefs.tolist()))
     for j in range(1, n + 1):
         acc: dict[int, int] = {}
         for t, vc in dec.V.cols[j]:
-            for i, dc in D.cols[t]:
+            for i, dc in terms[start[t - 1]:start[t]]:
                 acc[i] = (acc.get(i, 0) + vc * dc) % p
         stored = dict(dec.R.cols[j])
         differing = [i for i in acc.keys() | stored.keys()

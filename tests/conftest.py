@@ -203,6 +203,13 @@ def partition_reference(pairs, n, dual):
     return [x for x in range(1, n + 1) if x not in paired], sorted(pairs)
 
 
+def unpaired(dec, n):
+    """The columns 1..n of a reduction's result in none of its pairs,
+    ascending: its essential indices."""
+    paired = {x for pair in dec.pairs for x in pair}
+    return [x for x in range(1, n + 1) if x not in paired]
+
+
 def format_interval(iv, indices=False):
     """``<dim> <birth> <death>``, or with ``indices`` ``<dim> <p> <q>``:
     the text of one interval, which format_diagram is checked against."""

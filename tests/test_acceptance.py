@@ -17,7 +17,7 @@ from perscoh import (GF2, Field, barcode, compute,
 from perscoh.persistence import INF
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
                       assert_boundary_squared_zero, assert_generator_sanity,
-                      chain_eq_up_to_scalar, matrix_complex, partition_lists,
+                      chain_eq_up_to_scalar, csc_matrix, matrix_complex, partition_lists,
                       random_rips)
 
 F11 = Field(11)
@@ -60,10 +60,11 @@ def rips_both_fields():
 
 @functools.lru_cache(maxsize=None)
 def reduction_results():
-    """Both reductions of every exhaustive-matrix and random-Rips instance."""
+    """Both reductions of every exhaustive-matrix and random-Rips
+    instance, after the instance's arrays, which verify_decomposition reads."""
     pairs = [(D, GF2) for D in small_matrices()]
     pairs += [(K.csc.to_sparse(), K.field) for K in rips_both_fields()]
-    return [(D, field, phcol(D, field), phrow(D, field))
+    return [(csc_matrix(D), field, phcol(D, field), phrow(D, field))
             for D, field in pairs]
 
 
@@ -230,8 +231,8 @@ def test_criterion_7_live_cocycles_match_row_reduction():
 
         assert set(res.pairs) == {(i, j) for j, i in dec.low_of.items()}
         paired = {x for pair in res.pairs for x in pair}
-        assert res.essential == [x for x in range(1, n + 1)
-                                 if x not in paired]
+        assert all(res.V.cols[f] == dec.V.cols[f] for f in range(1, n + 1)
+                   if f not in paired)
         for i in range(1, n + 1):
             for b, z in live[i].items():
                 got = sorted((n + 1 - t, a) for t, a in z.items())

@@ -164,6 +164,13 @@ class TestOracleCheck:
         assert run_cli(capsys, argv) == want
         assert want[0] == 0 and kept == [algorithm != "pcoh"]
 
+    @pytest.mark.parametrize("algorithm, times", [("phcol", 0), ("phrow", 1), ("pcoh", 0)])
+    def test_lists_d_at_most_once(self, capsys, listed, algorithm, times):
+        """R = DV is checked on D's arrays: only phrow's reduction lists
+        a matrix as term lists."""
+        code, _, _ = run_cli(capsys, ["oracle-check", *SPHERE_ARGS, "--algorithm", algorithm])
+        assert code == 0 and len(listed) == times
+
     def test_checks_r_equals_dv_with_d(self, capsys, tmp_path, monkeypatch):
         """phcol's run reads D's arrays, and R = DV is checked against
         the term lists of D.  Five deaths of this complex are not D's

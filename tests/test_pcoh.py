@@ -7,7 +7,8 @@ from perscoh import (GF2, Field, build_complex, compute,
                      load_cell_file, pcoh, phrow)
 from perscoh.persistence import MODULE_TAGS
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
-                      assert_listed_by_rule, csc_matrix, matrix_complex, random_rips)
+                      assert_listed_by_rule, csc_matrix, matrix_complex, random_rips,
+                      unpaired)
 
 F11 = Field(11)
 
@@ -27,10 +28,9 @@ class TestSphere:
         K = load_cell_file(SPHERE_PATH, field)
         res = pcoh(K.csc, field)
         assert res.pairs == [(4, 5), (2, 3)]
-        assert res.essential == [1, 6]
-        assert res.pair_cocycles == [[(5, 1)], [(3, 1)]]
-        assert res.essential_cocycles == [[(1, 1)], [(5, 1), (6, 1)]]
-        assert res.cocycles == res.pair_cocycles + res.essential_cocycles
+        assert unpaired(res, K.n) == [1, 6]
+        assert [res.V.cols[t] for _, t in res.pairs] == [[(5, 1)], [(3, 1)]]
+        assert [res.V.cols[f] for f in unpaired(res, K.n)] == [[(1, 1)], [(5, 1), (6, 1)]]
 
     def test_pairs_match_row_algorithm(self, sphere11):
         D = sphere11.csc.to_sparse()
@@ -43,10 +43,10 @@ class TestSphere:
         D = sphere11.csc.to_sparse()
         res = pcoh(sphere11.csc, F11)
         V = phrow(anti_transpose_terms(D), F11).V
-        for (_, t), z in zip(res.pairs, res.pair_cocycles):
-            assert z == V.cols[t]
-        for f, z in zip(res.essential, res.essential_cocycles):
-            assert z == V.cols[f]
+        for _, t in res.pairs:
+            assert res.V.cols[t] == V.cols[t]
+        for f in unpaired(res, sphere11.n):
+            assert res.V.cols[f] == V.cols[f]
 
     def test_live_trace_matches_v_snapshots(self, sphere11):
         D = sphere11.csc.to_sparse()
@@ -76,26 +76,22 @@ class TestSmallCases:
         K = build_complex([(0, 1.0, [])], F11)
         res = pcoh(K.csc, F11)
         assert res.pairs == []
-        assert res.essential == [1]
-        assert res.essential_cocycles == [[(1, 1)]]
+        assert unpaired(res, K.n) == [1]
+        assert [res.V.cols[f] for f in unpaired(res, K.n)] == [[(1, 1)]]
 
     def test_two_vertices_and_edge(self):
         K = build_complex([(0, 1.0, []), (0, 2.0, []),
                            (1, 3.0, [(1, 1), (2, 10)])], F11)
         res = pcoh(K.csc, F11)
         assert res.pairs == [(1, 2)]
-        assert res.essential == [3]
+        assert unpaired(res, K.n) == [3]
 
     def test_zero_matrix(self):
         from perscoh import SparseMatrix
         res = pcoh(csc_matrix(SparseMatrix(3)), F11)
         assert res.pairs == []
-        assert res.essential == [1, 2, 3]
-        assert res.essential_cocycles == [[(1, 1)], [(2, 1)], [(3, 1)]]
-
-    def test_essential_is_ascending(self, sphere11):
-        res = pcoh(sphere11.csc, F11)
-        assert res.essential == sorted(res.essential)
+        assert unpaired(res, 3) == [1, 2, 3]
+        assert [res.V.cols[f] for f in unpaired(res, 3)] == [[(1, 1)], [(2, 1)], [(3, 1)]]
 
 
 class TestAgainstRowAlgorithm:
@@ -121,13 +117,10 @@ class TestAgainstRowAlgorithm:
                         k, [list(col) for col in V.cols]))
 
         assert set(res.pairs) == low_pairs(dec)
-        paired = {x for pair in res.pairs for x in pair}
-        assert res.essential == [x for x in range(1, n + 1)
-                                 if x not in paired]
-        for (_, t), z in zip(res.pairs, res.pair_cocycles):
-            assert z == dec.V.cols[t]
-        for f, z in zip(res.essential, res.essential_cocycles):
-            assert z == dec.V.cols[f]
+        for _, t in res.pairs:
+            assert res.V.cols[t] == dec.V.cols[t]
+        for f in unpaired(res, n):
+            assert res.V.cols[f] == dec.V.cols[f]
         for i in range(1, n + 1):
             for b, z in live[i].items():
                 assert flip_chain(z, n) == vsnaps[i][n + 1 - b]
@@ -144,11 +137,14 @@ class TestAgainstRowAlgorithm:
     def test_live_trace_with_clearing(self, seed, p):
         """Clearing never touches a live cocycle: a cleared column of
         D-perp is the killer cell's own cocycle, cleared at that cell's
-        step."""
+        step.  pcoh's V is that phrow's V, but for these columns, which
+        it leaves empty."""
         K = random_rips(seed, max_points=8, p=p, dim_max=2)
         res, dec, vsnaps = self.check_trace(K, Field(p), clear=True)
         n = K.n
+        assert res.R is None
         for s, t in res.pairs:
+            assert res.V.cols[s] == []
             # the killer cell n + 1 - s enters at step n + 1 - s
             assert dec.R.cols[s] == [] and dec.V.cols[s] == dec.R.cols[t]
             assert vsnaps[n - s][s] == [(s, 1)]
@@ -165,10 +161,10 @@ class TestAgainstRowAlgorithm:
             res = pcoh(K.csc, GF2)
             dec = phrow(Dperp, GF2)
             assert set(res.pairs) == low_pairs(dec)
-            for (_, t), z in zip(res.pairs, res.pair_cocycles):
-                assert z == dec.V.cols[t]
-            for f, z in zip(res.essential, res.essential_cocycles):
-                assert z == dec.V.cols[f]
+            for _, t in res.pairs:
+                assert res.V.cols[t] == dec.V.cols[t]
+            for f in unpaired(res, K.n):
+                assert res.V.cols[f] == dec.V.cols[f]
             checked += 1
         assert checked > 30
 
@@ -182,11 +178,10 @@ class TestWithoutCocycles:
         K = random_rips(seed, max_points=8, p=p, dim_max=2)
         full = pcoh(K.csc, K.field, keep_V=True)
         bare = pcoh(K.csc, K.field, keep_V=False)
-        assert (bare.pairs, bare.essential) == (full.pairs, full.essential)
+        assert bare.pairs == full.pairs
         assert (bare.ops, bare.peak_elements) == (full.ops, full.peak_elements)
-        assert bare.pair_cocycles is None and bare.essential_cocycles is None
-        assert bare.cocycles is None
-        assert len(full.pair_cocycles) == len(full.pairs)
+        assert bare.V is None
+        assert all(full.V.cols[t] for _, t in full.pairs)
 
     @pytest.mark.parametrize("seed,p", [(s, p) for s in range(4)
                                         for p in (2, 11)])
@@ -196,7 +191,7 @@ class TestWithoutCocycles:
                 K = random_rips(seed, max_points=8, p=p, dim_max=2)
                 run = compute(K, module, "pcoh", keep_V)
                 assert_listed_by_rule(listed, K, module, "pcoh", keep_V)
-                assert (run.result.cocycles is None) == (not keep_V)
+                assert (run.result.V is None) == (not keep_V)
 
 
 class TestCounters:

@@ -8,9 +8,9 @@ from collections import Counter
 
 import pytest
 
-from perscoh import (GF2, Decomposition, Diagram, Field, Interval, Pairing, PcohResult,
-                     anti_transpose, barcode, build_complex, compute,
-                     concatenated_barcode, cube_points, dual_dims, format_diagram, generators,
+from perscoh import (GF2, Decomposition, Diagram, Field, Interval, anti_transpose, barcode,
+                     build_complex, compute, concatenated_barcode, cube_points, dual_dims,
+                     format_diagram, generators,
                      load_cell_file, parse_diagram, partition_of, pcoh, phcol, phcol_pairs,
                      phrow, rips_filtration, torus_points)
 from perscoh.cli import render_generators
@@ -263,12 +263,6 @@ class TestColumnRule:
                 continue
             run = compute(K, module, algorithm, keep_V=True)
             res = run.result
-            if algorithm == "pcoh":
-                R = None
-                V = dict(zip(res.essential, res.essential_cocycles))
-                V.update((t, z) for (_, t), z in zip(res.pairs, res.pair_cocycles))
-            else:
-                R, V = res.R.cols, res.V.cols
             for drop_zero in (True, False):
                 table = generators(run, K, module, drop_zero)
                 intervals = table.diagram.sorted()
@@ -276,9 +270,11 @@ class TestColumnRule:
                 for iv, e in zip(intervals, table.entries):
                     j, essential = self.column(iv, module, K.n)
                     if module in ("abs_hom", "rel_coh") and not essential:
-                        assert (e.chain, e.killer) == (R[j], V[j]), (module, algorithm, iv)
+                        assert (e.chain, e.killer) == (res.R.cols[j], res.V.cols[j]), \
+                            (module, algorithm, iv)
                     else:
-                        assert (e.chain, e.killer) == (V[j], None), (module, algorithm, iv)
+                        assert (e.chain, e.killer) == (res.V.cols[j], None), \
+                            (module, algorithm, iv)
 
     def test_sphere(self, sphere11):
         self.check(sphere11)
@@ -346,7 +342,7 @@ class TestGeneratorErrors:
 
     def test_pcoh_run_without_cocycles(self, sphere11):
         run = compute(sphere11, "abs_coh", "pcoh")
-        assert run.result.cocycles is None
+        assert run.result.V is None
         with pytest.raises(ValueError, match="generators need the V matrix; "
                                              "rerun with keep_V on"):
             generators(run, sphere11, "abs_coh")
@@ -551,12 +547,12 @@ class TestCompute:
             # a homology run with V; pcoh always sweeps D-perp
             hands_out_cycles = (algorithm != "pcoh" and keep_V
                                 and module.endswith("_hom"))
-            if algorithm == "pcoh":
-                assert type(run.result) is PcohResult
-            elif algorithm == "phcol" and not keep_V:
-                assert type(run.result) is Pairing
-            else:
-                assert type(run.result) is Decomposition
+            # one result type; pcoh keeps no R, nor barcode-only phcol
+            # R or V, and V is kept exactly with keep_V
+            assert type(run.result) is Decomposition
+            assert (run.result.R is None) == (algorithm == "pcoh"
+                                              or algorithm == "phcol" and not keep_V)
+            assert (run.result.V is None) == (not keep_V)
             assert run.dual == (not hands_out_cycles)
 
             snapshots = []

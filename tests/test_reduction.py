@@ -40,7 +40,7 @@ class TestPhcol:
         assert dec.V.cols[1:] == [[(1, 1)], [(2, 1)], [(3, 1)],
                                   [(3, 10), (4, 1)], [(5, 1)],
                                   [(5, 10), (6, 1)]]
-        assert verify_decomposition(D, dec, F11).ok
+        assert verify_decomposition(sphere11.csc, dec, F11).ok
 
     def test_zero_matrix(self):
         D = SparseMatrix(4)
@@ -63,7 +63,7 @@ class TestPhcol:
         assert dec.V is None
         assert dec.low_of == {3: 2, 5: 4}
         with pytest.raises(ValueError):
-            verify_decomposition(D, dec, F11)
+            verify_decomposition(sphere11.csc, dec, F11)
 
     def test_ops_counter_scoped_to_run(self, sphere11):
         D = sphere11.csc.to_sparse()
@@ -93,7 +93,7 @@ class TestClearing:
                 assert cleared.ops <= plain.ops
                 cleared_any |= cleared.ops < plain.ops
                 if keep_V:
-                    report = verify_decomposition(M, cleared, field)
+                    report = verify_decomposition(csc_matrix(M), cleared, field)
                     assert report.ok, report.message
         assert cleared_any
 
@@ -124,7 +124,7 @@ class TestClearing:
                 assert row.ops == col.ops
                 cleared_any |= row.ops < phrow(M, field, keep_V).ops
                 if keep_V:
-                    report = verify_decomposition(M, row, field)
+                    report = verify_decomposition(csc_matrix(M), row, field)
                     assert report.ok, report.message
         assert cleared_any
 
@@ -243,7 +243,7 @@ class TestPhrow:
         a = phcol(D, field)
         b = phrow(D, field)
         assert a.R == b.R and a.V == b.V and a.low_of == b.low_of
-        assert verify_decomposition(D, a, field).ok
+        assert verify_decomposition(csc_matrix(D), a, field).ok
 
 
 class TestExhaustiveSmall:
@@ -253,7 +253,7 @@ class TestExhaustiveSmall:
             a = phcol(D, GF2)
             b = phrow(D, GF2)
             assert a.R == b.R and a.V == b.V and a.low_of == b.low_of
-            report = verify_decomposition(D, a, GF2)
+            report = verify_decomposition(csc_matrix(D), a, GF2)
             assert report.ok, report.message
             count += 1
         assert count == 1 + 2 + 8 + 64
@@ -262,14 +262,18 @@ class TestExhaustiveSmall:
 class TestVerifyDecomposition:
     def test_pass_on_valid(self, sphere11):
         D = sphere11.csc.to_sparse()
-        report = verify_decomposition(D, phcol(D, F11), F11)
+        report = verify_decomposition(sphere11.csc, phcol(D, F11), F11)
         assert report.ok and report.location is None
+
+    def test_result_without_r_rejected(self, sphere11):
+        with pytest.raises(ValueError, match="no R"):
+            verify_decomposition(sphere11.csc, pcoh(sphere11.csc, F11), F11)
 
     def test_tampered_r_entry(self, sphere11):
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.R.cols[3] = [(1, 5), (2, 10)]
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
         assert "R differs from D*V" in report.message
         assert report.location == (1, 3)
@@ -278,7 +282,7 @@ class TestVerifyDecomposition:
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.R.cols[5] = [(2, 1), (3, 1)]  # D*V column 5 is [(3, 1), (4, 10)]
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
         assert report.location == (2, 5)
         assert "entry (2, 5)" in report.message
@@ -287,7 +291,7 @@ class TestVerifyDecomposition:
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.V.cols[2] = []
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
         assert "diagonal" in report.message
         assert report.location == (2, 2)
@@ -296,7 +300,7 @@ class TestVerifyDecomposition:
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.V.cols[2] = [(2, 1), (5, 3)]
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
         assert "below the diagonal" in report.message
 
@@ -308,7 +312,7 @@ class TestVerifyDecomposition:
         from perscoh import Decomposition
         dec = Decomposition(SparseMatrix(n, [list(c) for c in R.cols]), V,
                             {2: 1, 3: 1})
-        report = verify_decomposition(R, dec, F11)
+        report = verify_decomposition(csc_matrix(R), dec, F11)
         assert not report.ok
         assert "repeats" in report.message
 
@@ -316,7 +320,7 @@ class TestVerifyDecomposition:
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.low_of[3] = 1
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
         assert "low_of" in report.message
 
@@ -324,7 +328,7 @@ class TestVerifyDecomposition:
         D = sphere11.csc.to_sparse()
         dec = phcol(D, F11)
         dec.low_of[4] = 1
-        report = verify_decomposition(D, dec, F11)
+        report = verify_decomposition(sphere11.csc, dec, F11)
         assert not report.ok
 
 
@@ -402,6 +406,15 @@ class TestPhcolPairs:
         # a dimension beyond int64 orders the columns as well
         self.check(build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
                                   (1, 2.0, [(1, 1), (3, -1)])], field))
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_apparent_with_and_without_v(self, p):
+        """Keeping V counts the same apparent pairs."""
+        for seed in range(10):
+            K = random_rips(seed, max_points=10, p=p, dim_max=3)
+            bare = phcol_pairs(K.csc, K.field, K.dims)
+            assert bare.R is None and bare.V is None
+            assert phcol_pairs(K.csc, K.field, K.dims, keep_V=True).apparent == bare.apparent
 
     def test_every_pair_apparent(self):
         # a filled triangle, vertices 1-3, edges 4-6, face 7
