@@ -146,13 +146,12 @@ class FilteredComplex:
     """Validated filtered cell complex over a fixed prime field, built
     from arrays by the loaders.
 
-    Cell ``j`` has dimension ``dims[j - 1]``, value ``values[j - 1]`` and
-    boundary column ``j`` of D.  ``dim_array`` holds the dimensions as
-    int64, or as Python ints where one does not fit, ``value_array`` the
-    values as float64, and ``csc`` the boundary matrix.  ``dims`` and
-    ``values`` are the same as lists, and ``value_table`` is the float64
-    table ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that
-    the barcodes read.  Every reduction reads ``csc`` in place: nothing
+    Cell ``j`` has dimension ``dim_array[j - 1]``, value
+    ``value_table[j]`` and boundary column ``j`` of D, ``csc``.
+    ``dim_array`` holds the dimensions as int64, or as Python ints where
+    one does not fit, and ``value_table`` is the float64 table
+    ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that the
+    barcodes read.  Every reduction reads ``csc`` in place: nothing
     mutates it.
     ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
     of a simplicial complex, from a function that builds the list on
@@ -162,12 +161,10 @@ class FilteredComplex:
     def __init__(self, dim_array: np.ndarray, value_array: np.ndarray, csc: CscMatrix,
                  field: Field, simplex_vertices: Callable[[], list[tuple]] | None = None):
         self.dim_array = dim_array
-        self.dims = dim_array.tolist()
-        self.values = value_array.tolist()
         self.value_table = np.concatenate(([-math.inf], value_array, [math.inf]))
         self.csc = csc
         self.field = field
-        self.n = len(self.dims)
+        self.n = len(dim_array)
         self._simplex_vertices = simplex_vertices
 
     @property
@@ -175,12 +172,6 @@ class FilteredComplex:
         if callable(self._simplex_vertices):
             self._simplex_vertices = self._simplex_vertices()
         return self._simplex_vertices
-
-    def dim(self, j: int) -> int:
-        return self.dims[j - 1]
-
-    def value(self, j: int) -> float:
-        return self.values[j - 1]
 
 
 def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],

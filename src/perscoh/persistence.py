@@ -15,18 +15,19 @@ The stages after a reduction run on int arrays:
   the cells in no pair.  Every run but a homology one with V reduces
   the anti-transpose, and reports pairs in reversed dual indexing,
   which it translates through :func:`~perscoh.complexes.dual_index`;
-* the :class:`Diagram`, one array per column and positions in the
-  complex's value table, which every module builds from the partition
-  by one rule (:func:`barcode`).  The cohomology barcodes are the
-  homology barcodes of the same pairs: abs_coh equals abs_hom and
-  rel_coh equals rel_hom;
+* the :class:`Diagram`, one array per column, its endpoints the values
+  ``a_p`` and ``a_{q+1}`` read once from the complex's value table,
+  which every module builds from the partition by one rule
+  (:func:`barcode`).  The cohomology barcodes are the homology
+  barcodes of the same pairs: abs_coh equals abs_hom and rel_coh
+  equals rel_hom;
 * the order, one ``lexsort`` on the values (:meth:`Diagram.order`),
   which :meth:`Diagram.sorted`, the generator tables and the text
   (:func:`format_diagram`) share.  The generator listing takes its
   interval lines from that text too.
 
 :class:`Interval` objects are built only where they are read: by
-:attr:`Diagram.intervals`, :func:`concatenated_barcode` and :func:`parse_diagram`.
+:attr:`Diagram.intervals` and :func:`parse_diagram`.
 
 :func:`compute` is the single dispatch from a module and an algorithm
 to the matrix to reduce, the reduction, and the partition.
@@ -49,6 +50,9 @@ MODULE_TAGS = ("abs_hom", "abs_coh", "rel_hom", "rel_coh")
 ALGORITHMS = ("phcol", "phrow", "pcoh")
 
 INF = float("inf")
+
+_UNAVAILABLE_FROM_PCOH = ("{} generators are unavailable from pcoh "
+                          "(it drops the columns they come from); use phcol or phrow")
 
 
 class Interval(NamedTuple):
@@ -75,23 +79,21 @@ class Interval(NamedTuple):
 
 class Diagram:
     """A barcode as columns: interval ``k`` is ``<p[k], q[k]>`` in
-    dimension ``dim[k]``, from ``values[birth[k]]`` to
-    ``values[death[k]]``.
+    dimension ``dim[k]``, from ``birth[k]`` to ``death[k]``.
 
-    The columns are int arrays (``dim`` an object array where a
-    dimension does not fit int64), and ``values`` is a non-decreasing
-    float64 array.  A diagram of a complex K (:meth:`from_indices`) has
-    the values ``K.value_table``, ``[-inf, a_1, ..., a_n, inf]``, and
-    the positions ``p`` and ``q + 1``.  ``intervals`` builds the
+    ``dim``, ``p`` and ``q`` are int arrays (``dim`` an object array
+    where a dimension does not fit int64), and ``birth`` and ``death``
+    are float64 endpoint values: for a diagram of a complex K
+    (:meth:`from_indices`), ``K.value_table[p]`` and
+    ``K.value_table[q + 1]``.  ``intervals`` builds the
     :class:`Interval` objects on first read.
     """
 
     def __init__(self, module_tag: str, dim: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 birth: np.ndarray, death: np.ndarray, values: np.ndarray):
+                 birth: np.ndarray, death: np.ndarray):
         self.module_tag = module_tag
         self.dim, self.p, self.q = dim, p, q
         self.birth, self.death = birth, death
-        self.values = values
         self._intervals = None
 
     @classmethod
@@ -99,23 +101,19 @@ class Diagram:
                      p: np.ndarray, q: np.ndarray, drop_zero: bool = False) -> Diagram:
         """The intervals ``<p[k], q[k]>`` of K, ``[a_p, a_{q+1})``.  With
         ``drop_zero``, those whose birth equals their death are left out."""
-        values = K.value_table
-        death = q + 1
+        birth, death = K.value_table[p], K.value_table[q + 1]
         if drop_zero:
-            keep = values[p] != values[death]
+            keep = birth != death
             if not keep.all():
-                dim, p, q, death = dim[keep], p[keep], q[keep], death[keep]
-        return cls(module_tag, dim, p, q, p, death, values)
+                dim, p, q, birth, death = dim[keep], p[keep], q[keep], birth[keep], death[keep]
+        return cls(module_tag, dim, p, q, birth, death)
 
     @classmethod
     def from_intervals(cls, module_tag: str, intervals: list[Interval]) -> Diagram:
-        """The diagram of ``intervals``, whose endpoints, sorted, are its values."""
-        ends = np.array([x for iv in intervals for x in (iv.birth, iv.death)], float)
-        order = ends.argsort(kind="stable")
-        at = np.empty(len(ends), np.int64)
-        at[order] = np.arange(len(ends))
-        columns = ([getattr(iv, name) for iv in intervals] for name in ("dim", "p", "q"))
-        diagram = cls(module_tag, *map(_ints, columns), at[0::2], at[1::2], ends[order])
+        """The diagram of ``intervals``, one column per field."""
+        dim, p, q, birth, death = zip(*intervals) if intervals else [()] * 5
+        diagram = cls(module_tag, *map(_ints, (dim, p, q)),
+                      np.array(birth, float), np.array(death, float))
         diagram._intervals = intervals
         return diagram
 
@@ -127,13 +125,12 @@ class Diagram:
         if self._intervals is None:
             self._intervals = list(map(
                 Interval, self.dim.tolist(), self.p.tolist(), self.q.tolist(),
-                self.values[self.birth].tolist(), self.values[self.death].tolist()))
+                self.birth.tolist(), self.death.tolist()))
         return self._intervals
 
     def order(self) -> np.ndarray:
         """The indices of the intervals sorted by (dim, birth, death, p, q)."""
-        values = self.values
-        return np.lexsort((self.q, self.p, values[self.death], values[self.birth], self.dim))
+        return np.lexsort((self.q, self.p, self.death, self.birth, self.dim))
 
     def sorted(self) -> list[Interval]:
         """``intervals`` sorted by (dim, birth, death, p, q)."""
@@ -143,8 +140,7 @@ class Diagram:
         return Counter(zip(self.dim.tolist(), self.p.tolist(), self.q.tolist()))
 
     def value_multiset(self) -> Counter:
-        return Counter(zip(self.dim.tolist(), self.values[self.birth].tolist(),
-                           self.values[self.death].tolist()))
+        return Counter(zip(self.dim.tolist(), self.birth.tolist(), self.death.tolist()))
 
 
 def partition_of(pairs, n: int, dual: bool):
@@ -222,13 +218,17 @@ def compute(K: FilteredComplex, module_tag: str, algorithm: str,
     cycles with the R, V and ops of phcol on D's term lists.  phrow
     reduces the term lists of ``K.csc`` or of ``anti_transpose(K.csc)``,
     with clearing.  pcoh sweeps ``K.csc``.  ``keep_V`` keeps the V
-    matrix that :func:`generators` reads, for pcoh its cocycles.  Every
-    route keeps R but pcoh's and barcode-only phcol's.
+    matrix that :func:`generators` reads, for pcoh its cocycles, which
+    serve abs_coh alone: pcoh with ``keep_V`` for another module raises
+    ``ValueError`` before the sweep.  Every route keeps R but pcoh's and
+    barcode-only phcol's.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "pcoh" and keep_V and module_tag != "abs_coh":
+        raise ValueError(_UNAVAILABLE_FROM_PCOH.format(module_tag))
     dual = algorithm == "pcoh" or not keep_V or module_tag.endswith("_coh")
     if algorithm == "phcol":
         res = phcol_pairs(K.csc, K.field, K.dim_array, keep_V and dual)
@@ -249,28 +249,24 @@ def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
 
     Indices above n are barred copies (n + i stands for the second pass
     over cell i, with the same filtration value).  Each finite interval
-    keeps its original copy and adds a barred copy one dimension up;
-    each infinite interval [a_f, inf) becomes [a_f, barred a_f).
+    keeps its original copy and is followed by a barred copy one
+    dimension up, with the same endpoints; each infinite interval
+    [a_f, inf) becomes [a_f, barred a_f), of length zero.
     """
     if abs_diagram.module_tag != "abs_hom":
         raise ValueError("concatenated_barcode expects an absolute homology diagram")
-    n = K.n
+    n, d = K.n, abs_diagram
+    infinite = d.q == n
+    # row 2k is interval k, row 2k + 1 its barred copy, kept if it is finite
+    keep = np.stack((np.ones(len(d), bool), ~infinite), 1).ravel()
 
-    def doubled_value(idx: int) -> float:
-        return K.value(idx if idx <= n else idx - n)
+    def interleaved(first: np.ndarray, barred: np.ndarray) -> np.ndarray:
+        return np.stack((first, barred), 1).ravel()[keep]
 
-    out = []
-    for iv in abs_diagram.intervals:
-        if iv.q == n:  # [a_f, inf) -> [a_f, barred a_f)
-            f = iv.p
-            out.append(Interval(iv.dim, f, n + f - 1,
-                                K.value(f), doubled_value(n + f)))
-        else:
-            out.append(iv)
-            out.append(Interval(iv.dim + 1, n + iv.p, n + iv.q,
-                                doubled_value(n + iv.p),
-                                doubled_value(n + iv.q + 1)))
-    return Diagram.from_intervals("abs_concat", out)
+    return Diagram("abs_concat", interleaved(d.dim, d.dim + 1), interleaved(d.p, n + d.p),
+                   interleaved(np.where(infinite, n + d.p - 1, d.q), n + d.q),
+                   interleaved(d.birth, d.birth),
+                   interleaved(np.where(infinite, d.birth, d.death), d.death))
 
 
 @dataclass
@@ -326,9 +322,7 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
         raise ValueError("generators need the V matrix; rerun with keep_V on")
     if dec.R is None and module_tag != "abs_coh":
         # pcoh's run, of D-perp without R: abs_coh alone reads only its V
-        raise ValueError(
-            f"{module_tag} generators are unavailable from pcoh "
-            "(it drops the columns they come from); use phcol or phrow")
+        raise ValueError(_UNAVAILABLE_FROM_PCOH.format(module_tag))
     if run.dual != starred:
         side = "the anti-transpose" if run.dual else "the boundary matrix D"
         raise ValueError(f"{module_tag} generators cannot be read from a "
@@ -363,8 +357,8 @@ def format_diagram(diagram: Diagram, indices: bool = False) -> str:
         first, second = diagram.p[order].tolist(), diagram.q[order].tolist()
     else:
         m = len(order)
-        ends = diagram.values[np.concatenate((diagram.birth[order], diagram.death[order]))]
-        bits = ends.astype(float).view(np.int64).tolist()
+        ends = np.concatenate((diagram.birth[order], diagram.death[order]))
+        bits = ends.view(np.int64).tolist()
         text = {b: format(x, "g") for b, x in dict(zip(bits, ends.tolist())).items()}
         texts = list(map(text.__getitem__, bits))
         first, second = texts[:m], texts[m:]

@@ -6,8 +6,8 @@ filtered complexes), seeded random Rips instances, the boundary
 sanity checks reused by the property suites, and chain and matrix
 helpers that only the tests need, among them the references that the
 library is checked against: the term-list anti-transpose, the plain
-partition of a pairing, the text of one interval, and the kernel basis
-of the oracle's rank tables.
+partition of a pairing, the text of one interval, the per-interval
+concatenated barcode, and the kernel basis of the oracle's rank tables.
 """
 
 import os
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from perscoh import (GF2, CscMatrix, Field, Lcg, SparseMatrix, anti_transpose, build_complex,
-                     compute, dual_index, field_inv, generators, load_cell_file,
+from perscoh import (GF2, CscMatrix, Field, Interval, Lcg, SparseMatrix, anti_transpose,
+                     build_complex, compute, dual_index, field_inv, generators, load_cell_file,
                      rips_filtration)
 from perscoh.complexes import ComplexError
 
@@ -216,6 +216,29 @@ def format_interval(iv, indices=False):
     if indices:
         return f"{iv.dim} {iv.p} {iv.q}"
     return f"{iv.dim} {format(iv.birth, 'g')} {format(iv.death, 'g')}"
+
+
+def concatenated_intervals(abs_diagram, K):
+    """The intervals of ``concatenated_barcode(abs_diagram, K)`` by the
+    per-interval rule, which the array version is checked against: each
+    finite interval, then its barred copy one dimension up, n + i for
+    cell i, with cell i's value; each infinite [a_f, inf) as
+    [a_f, barred a_f)."""
+    n, value = K.n, K.value_table.tolist()
+
+    def doubled_value(idx):
+        return value[idx if idx <= n else idx - n]
+
+    out = []
+    for iv in abs_diagram.intervals:
+        if iv.q == n:
+            f = iv.p
+            out.append(Interval(iv.dim, f, n + f - 1, value[f], doubled_value(n + f)))
+        else:
+            out.append(iv)
+            out.append(Interval(iv.dim + 1, n + iv.p, n + iv.q,
+                                doubled_value(n + iv.p), doubled_value(n + iv.q + 1)))
+    return out
 
 
 def partition_lists(partition):

@@ -132,6 +132,22 @@ class TestGenerators:
         assert code == 2
         assert "pcoh" in err and out == ""
 
+    @pytest.mark.parametrize("module", ["abs_hom", "rel_hom", "rel_coh"])
+    def test_pcoh_refused_before_the_sweep(self, capsys, monkeypatch, module):
+        """Only abs_coh reads pcoh's cocycles; another module exits 2,
+        with the message generators gives, before pcoh runs."""
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        calls, real = [], persistence.pcoh
+        monkeypatch.setattr(persistence, "pcoh", spy)
+        code, out, err = run_cli(capsys, ["generators", *SPHERE_ARGS, "--module", module,
+                                          "--algorithm", "pcoh"])
+        assert (code, out, calls) == (2, "", [])
+        assert err == (f"error: {module} generators are unavailable from pcoh "
+                       "(it drops the columns they come from); use phcol or phrow\n")
+
     def test_single_vertex(self, capsys, tmp_path):
         f = tmp_path / "dot.cells"
         f.write_text("0 1.5\n")
@@ -176,10 +192,10 @@ class TestOracleCheck:
         the term lists of D.  Five deaths of this complex are not D's
         own lows, so their R and V are reductions."""
         K = random_rips(11, max_points=8, p=11, dim_max=2)
-        D = K.csc.to_sparse()
+        D, dims, values = K.csc.to_sparse(), K.dim_array.tolist(), K.value_table.tolist()
         path = tmp_path / "rips.cells"
         path.write_text("".join(
-            f"{K.dim(j)} {K.value(j)!r} " + " ".join(f"{i}:{c}" for i, c in D.cols[j]) + "\n"
+            f"{dims[j - 1]} {values[j]!r} " + " ".join(f"{i}:{c}" for i, c in D.cols[j]) + "\n"
             for j in range(1, K.n + 1)))
         argv = ["oracle-check", str(path), "--field", "11", "--algorithm", "phcol"]
         code, out, err = run_cli(capsys, argv)

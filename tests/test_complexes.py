@@ -40,13 +40,13 @@ class TestBuildComplex:
     def test_sphere_accepted(self):
         K = build_complex(SPHERE_CELLS, F11)
         assert K.n == 6
-        assert K.dims == [0, 0, 1, 1, 2, 2]
-        assert [K.value(j) for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+        assert K.dim_array.tolist() == [0, 0, 1, 1, 2, 2]
+        assert [K.value_table[j] for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
         assert K.csc.to_sparse().cols[3] == [(1, 1), (2, 10)]
 
     def test_single_vertex(self):
         K = build_complex([(0, 0.0, [])], F11)
-        assert K.n == 1 and K.dim(1) == 0 and K.csc.to_sparse().cols[1] == []
+        assert K.n == 1 and K.dim_array[0] == 0 and K.csc.to_sparse().cols[1] == []
 
     def test_forward_reference_rejected(self):
         cells = [(0, 1.0, []), (1, 2.0, [(1, 1), (3, -1)]), (0, 3.0, [])]
@@ -266,7 +266,7 @@ class TestLoadCellFile:
         K = load_cell_file(SPHERE_PATH, F11)
         expected = build_complex(SPHERE_CELLS, F11)
         assert K.n == expected.n
-        assert K.dims == expected.dims
+        assert K.dim_array.tolist() == expected.dim_array.tolist()
         assert K.csc.to_sparse().cols[1:7] == expected.csc.to_sparse().cols[1:7]
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -312,7 +312,7 @@ class TestLoadSimplicialFile:
         path.write_text("0 a\n0 b\n0 c\n1 a b\n1 b c\n1 a c\n1 a b c\n")
         K = load_simplicial_file(str(path), F11)
         assert K.n == 7
-        assert K.dims == [0, 0, 0, 1, 1, 1, 2]
+        assert K.dim_array.tolist() == [0, 0, 0, 1, 1, 1, 2]
         # alternating signs: +(b,c) -(a,c) +(a,b) over sorted vertices
         assert K.csc.to_sparse().cols[7] == [(4, 1), (5, 10), (6, 1)]
 
@@ -396,9 +396,9 @@ class TestLoadSimplicialFile:
                              simplex_boundary(verts, index_of, p)))
                 index_of[verts] = len(rows)
             ref = build_complex(rows, field)
-            assert len(set(ref.values)) < ref.n  # ties
-            assert ((K.dims, K.values, K.csc.to_sparse())
-                    == (ref.dims, ref.values, ref.csc.to_sparse()))
+            assert len(set(ref.value_table[1:-1].tolist())) < ref.n  # ties
+            assert ((K.dim_array.tolist(), K.value_table.tolist(), K.csc.to_sparse())
+                    == (ref.dim_array.tolist(), ref.value_table.tolist(), ref.csc.to_sparse()))
             assert K.simplex_vertices == [verts for _, verts in ordered]
 
 
@@ -463,7 +463,7 @@ class TestCscView:
             K = rips_filtration(points, 0.9, 3, field)
             self.check(K)
             rows = [[repr(v), *(f"v{x:02}" for x in verts)]
-                    for v, verts in zip(K.values, K.simplex_vertices)]
+                    for v, verts in zip(K.value_table[1:-1].tolist(), K.simplex_vertices)]
             simp = tmp_path / f"c{seed}.simp"
             simp.write_text("".join(" ".join(r) + "\n" for r in reversed(rows)))
             S = load_simplicial_file(str(simp), field)
@@ -471,7 +471,8 @@ class TestCscView:
             cells = tmp_path / f"c{seed}.cells"
             cells.write_text("".join(
                 f"{d} {v!r} " + " ".join(f"{i}:{c - p}" for i, c in col) + "\n"
-                for d, v, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
+                for d, v, col in zip(K.dim_array.tolist(), K.value_table[1:-1].tolist(),
+                                     K.csc.to_sparse().cols[1:])))
             C = load_cell_file(str(cells), field)
             self.check(C)
             assert S.csc == K.csc == C.csc

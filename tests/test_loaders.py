@@ -106,7 +106,9 @@ def outcome(load, *args):
         got = load(*args)
     except (ParseError, ComplexError) as exc:
         return repr(exc)
-    dims, values, D = got if isinstance(got, tuple) else (got.dims, got.values, got.csc.to_sparse())
+    if not isinstance(got, tuple):
+        got = got.dim_array.tolist(), got.value_table[1:-1].tolist(), got.csc.to_sparse()
+    dims, values, D = got
     return dims, values, D.cols
 
 
@@ -121,7 +123,7 @@ def cell_rows(rng: random.Random, K: FilteredComplex) -> list[list[str]]:
     with a sign or leading zeros; terms in random order."""
     p = K.field.p
     rows = []
-    D = K.csc.to_sparse()
+    D, dims, values = K.csc.to_sparse(), K.dim_array.tolist(), K.value_table.tolist()
     for j in range(1, K.n + 1):
         terms = []
         for i, c in D.cols[j]:
@@ -133,7 +135,7 @@ def cell_rows(rng: random.Random, K: FilteredComplex) -> list[list[str]]:
             terms += [(i, a), (i, -a + p * rng.randrange(-2, 3))]
         rng.shuffle(terms)
         faces = [rng.choice([str(i), f"+{i}", f"00{i}"]) for i, _ in terms]
-        rows.append([str(K.dims[j - 1]), repr(K.values[j - 1])]
+        rows.append([str(dims[j - 1]), repr(values[j])]
                     + [f"{i}:{c}" for i, (_, c) in zip(faces, terms)])
     return rows
 
@@ -321,7 +323,7 @@ def test_lines_end_only_at_newlines(tmp_path, load, text, message):
     good = tmp_path / "good"
     good.write_text(text.rsplit("\n", 2)[0] + "\n")
     loaded = load(str(good), *args)
-    assert len(loaded if load is load_points else loaded.dims) == 3
+    assert len(loaded if load is load_points else loaded.dim_array) == 3
     bad = tmp_path / "bad"
     bad.write_text(text)
     with pytest.raises(ParseError) as exc:

@@ -189,6 +189,12 @@ class TestWithoutCocycles:
         for module in MODULE_TAGS:
             for keep_V in (False, True):
                 K = random_rips(seed, max_points=8, p=p, dim_max=2)
+                if keep_V and module != "abs_coh":
+                    # only abs_coh reads pcoh's cocycles: refused before the sweep
+                    with pytest.raises(ValueError, match="unavailable from pcoh"):
+                        compute(K, module, "pcoh", keep_V)
+                    assert listed == []
+                    continue
                 run = compute(K, module, "pcoh", keep_V)
                 assert_listed_by_rule(listed, K, module, "pcoh", keep_V)
                 assert (run.result.V is None) == (not keep_V)

@@ -16,8 +16,8 @@ from perscoh import (GF2, Decomposition, Diagram, Field, Interval, anti_transpos
 from perscoh.cli import render_generators
 from perscoh.persistence import ALGORITHMS, INF, MODULE_TAGS
 from conftest import (SPHERE_PATH, anti_transpose_terms, assert_listed_by_rule,
-                      format_interval, infinite_part, partition_lists, partition_reference,
-                      random_rips)
+                      concatenated_intervals, format_interval, infinite_part, partition_lists,
+                      partition_reference, random_rips)
 from test_acceptance import rips_instances
 
 F11 = Field(11)
@@ -62,12 +62,14 @@ class TestPartitionOf:
         dec = phcol(D, K.field)
         for res, dual in ((dec, False), (phrow(anti_transpose_terms(D), K.field), True),
                           (pcoh(K.csc, K.field), True),
-                          (phcol_pairs(K.csc, K.field, K.dims), True)):
+                          (phcol_pairs(K.csc, K.field, K.dim_array), True)):
             F, _, _, pairs = partition_lists(partition_of(res.pairs, K.n, dual))
             assert (F, pairs) == partition_reference(res.pairs, K.n, dual)
         want = partition_lists(partition_of(dec.pairs, K.n, False))
         for module, algorithm, keep_V in itertools.product(MODULE_TAGS, ALGORITHMS,
                                                            (False, True)):
+            if algorithm == "pcoh" and keep_V and module != "abs_coh":
+                continue  # refused: only abs_coh reads pcoh's cocycles
             assert partition_lists(compute(K, module, algorithm, keep_V).partition) == want
 
     def test_sphere(self, sphere11):
@@ -154,18 +156,32 @@ class TestConcatenatedBarcode:
                        (1, 8, 8, 2.0, 3.0), (1, 4, 4, 4.0, 5.0),
                        (2, 10, 10, 4.0, 5.0), (2, 6, 11, 6.0, 6.0)}
         assert all(iv.finite for iv in cat.intervals)
+        assert cat.intervals == concatenated_intervals(d, sphere11)
 
     def test_only_infinite_interval(self):
         K = build_complex([(0, 2.0, [])], F11)
         part = partition_of(phcol(K.csc.to_sparse(), F11).pairs, K.n, False)
-        cat = concatenated_barcode(barcode(part, K, "abs_hom"), K)
+        d = barcode(part, K, "abs_hom")
+        cat = concatenated_barcode(d, K)
         assert [(iv.dim, iv.p, iv.q, iv.birth, iv.death)
                 for iv in cat.intervals] == [(0, 1, 1, 2.0, 2.0)]
+        assert cat.intervals == concatenated_intervals(d, K)
 
     def test_empty(self, sphere11):
         from perscoh import Diagram
-        cat = concatenated_barcode(Diagram.from_intervals("abs_hom", []), sphere11)
-        assert cat.intervals == []
+        d = Diagram.from_intervals("abs_hom", [])
+        cat = concatenated_barcode(d, sphere11)
+        assert cat.intervals == [] == concatenated_intervals(d, sphere11)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    @pytest.mark.parametrize("drop_zero", [True, False])
+    def test_matches_per_interval_rule(self, p, drop_zero):
+        for seed in range(10):
+            K = random_rips(seed, max_points=8, p=p, dim_max=2)
+            d = barcode(compute(K, "abs_hom", "phcol").partition, K, "abs_hom", drop_zero)
+            cat = concatenated_barcode(d, K)
+            assert cat.intervals == concatenated_intervals(d, K)
+            assert cat.birth.dtype == cat.death.dtype == float
 
     def test_wrong_tag(self, sphere11):
         d = barcode(sphere_partition(sphere11), sphere11, "rel_hom")
@@ -349,9 +365,14 @@ class TestGeneratorErrors:
 
     def test_pcoh_only_provides_abs_coh(self, sphere11):
         for tag in ("abs_hom", "rel_hom", "rel_coh"):
-            run = compute(sphere11, tag, "pcoh", keep_V=True)
             with pytest.raises(ValueError):
+                run = compute(sphere11, tag, "pcoh", keep_V=True)
                 generators(run, sphere11, tag)
+
+    def test_pcoh_abs_coh_run_read_as_rel_coh(self, sphere11):
+        run = compute(sphere11, "abs_coh", "pcoh", keep_V=True)
+        with pytest.raises(ValueError, match="rel_coh generators are unavailable from pcoh"):
+            generators(run, sphere11, "rel_coh")
 
     def test_unknown_tag(self, sphere11):
         run = compute(sphere11, "abs_hom", "phcol", keep_V=True)
@@ -394,7 +415,8 @@ class TestZeroLengthGenerators:
         path = tmp_path / "rips.cells"
         path.write_text("".join(
             f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
-            for dim, value, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
+            for dim, value, col in zip(K.dim_array.tolist(), K.value_table[1:-1].tolist(),
+                                       K.csc.to_sparse().cols[1:])))
         K = load_cell_file(str(path), Field(p))
         for module, algorithm in (("abs_hom", "phcol"), ("rel_hom", "phrow"),
                                   ("rel_coh", "phcol"), ("abs_coh", "pcoh")):
@@ -461,8 +483,8 @@ class TestDiagramColumns:
 
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom", "abs_coh", "rel_coh"])
     def test_text_is_the_sorted_intervals(self, module):
-        """format_diagram's lexsort on value ranks and its value table
-        give the text of the intervals sorted by their sort key."""
+        """format_diagram's lexsort on the endpoint values gives the
+        text of the intervals sorted by their sort key."""
         for K in self.complexes():
             for drop_zero in (True, False):
                 d = barcode(compute(K, module, "phcol").partition, K, module, drop_zero)
@@ -472,6 +494,15 @@ class TestDiagramColumns:
                 for indices in (False, True):
                     assert format_diagram(d, indices) == "\n".join(
                         format_interval(iv, indices) for iv in ordered)
+
+    @pytest.mark.parametrize("module", MODULE_TAGS)
+    def test_endpoints_are_values(self, module):
+        """birth and death are the float64 values a_p and a_{q+1}, bit for bit."""
+        for K in self.complexes():
+            for drop_zero in (True, False):
+                d = barcode(compute(K, module, "phcol").partition, K, module, drop_zero)
+                assert d.birth.tobytes() == K.value_table[d.p].tobytes()
+                assert d.death.tobytes() == K.value_table[d.q + 1].tobytes()
 
     def test_exact_ties_and_texts(self):
         K = exotic_values_complex()
@@ -485,11 +516,11 @@ class TestDiagramColumns:
         build_complex give the same tables, diagrams and texts."""
         for K in self.complexes():
             assert K.value_table.dtype == float
-            assert K.value_table.tolist() == [-INF, *K.values, INF]
-            assert K.dim_array.tolist() == K.dims
-            L = build_complex(list(zip(K.dims, K.values, K.csc.to_sparse().cols[1:])), K.field)
+            assert K.value_table[[0, -1]].tolist() == [-INF, INF]
+            cells = zip(K.dim_array, K.value_table[1:-1].tolist(), K.csc.to_sparse().cols[1:])
+            L = build_complex(list(cells), K.field)
             assert L.value_table.tolist() == K.value_table.tolist()
-            assert L.dim_array.tolist() == K.dims
+            assert L.dim_array.tolist() == K.dim_array.tolist()
             for module in ("abs_hom", "rel_coh"):
                 for drop_zero in (True, False):
                     a, b = (barcode(compute(M, module, "pcoh").partition, M, module, drop_zero)
@@ -533,10 +564,16 @@ class TestCompute:
                 direct = barcode(tpart, K, module, drop_zero=False)
 
             listed.clear()
+            if algorithm == "pcoh" and keep_V and module != "abs_coh":
+                # only abs_coh reads pcoh's cocycles: refused before the sweep
+                with pytest.raises(ValueError, match="unavailable from pcoh"):
+                    compute(K, module, algorithm, keep_V=keep_V)
+                assert listed == []
+                continue
             run = compute(K, module, algorithm, keep_V=keep_V)
             assert_listed_by_rule(listed, K, module, algorithm, keep_V)
             assert K.csc == original_csc
-            if keep_V and (algorithm != "pcoh" or module == "abs_coh"):
+            if keep_V:
                 generators(run, K, module)
                 assert K.csc == original_csc
             got = barcode(run.partition, K, module, drop_zero=False)
@@ -614,7 +651,8 @@ class TestCohomologyRoutes:
             K = random_rips(seed, max_points=7, p=p, dim_max=2)
             path.write_text("".join(
                 f"{dim} {value!r} " + " ".join(f"{i}:{c}" for i, c in col) + "\n"
-                for dim, value, col in zip(K.dims, K.values, K.csc.to_sparse().cols[1:])))
+                for dim, value, col in zip(K.dim_array.tolist(), K.value_table[1:-1].tolist(),
+                                           K.csc.to_sparse().cols[1:])))
             yield load_cell_file(str(path), Field(p)), load_cell_file(str(path), Field(p))
         yield load_cell_file(SPHERE_PATH, F11), load_cell_file(SPHERE_PATH, F11)
 
@@ -628,7 +666,7 @@ class TestCohomologyRoutes:
             assert_listed_by_rule(listed, K, module, algorithm, keep_V)
             Dperp = anti_transpose_terms(L.csc.to_sparse())
             if algorithm == "phcol":
-                ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dims))
+                ref = phcol(Dperp, L.field, keep_V, dual_dims(L.dim_array))
             else:
                 ref = phrow(Dperp, L.field, keep_V, clear=True)
             assert type(run.result) is Decomposition and run.dual

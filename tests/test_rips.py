@@ -41,13 +41,14 @@ def validating_rips(points, r_max, dim_max, field):
         rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
         index_of[verts] = len(rows)
     ref = build_complex(rows, field)
-    return (ref.dims, ref.values, ref.csc.to_sparse()), [verts for _, verts in simplices]
+    cells = ref.dim_array.tolist(), ref.value_table[1:-1].tolist(), ref.csc.to_sparse()
+    return cells, [verts for _, verts in simplices]
 
 
 def assert_matches_reference(points, r_max, dim_max, field=F11):
     K = rips_filtration(points, r_max, dim_max, field)
     cells, vertices = validating_rips(points, r_max, dim_max, field)
-    assert (K.dims, K.values, K.csc.to_sparse()) == cells
+    assert (K.dim_array.tolist(), K.value_table[1:-1].tolist(), K.csc.to_sparse()) == cells
     assert K.simplex_vertices == vertices
     return K
 
@@ -55,8 +56,8 @@ def assert_matches_reference(points, r_max, dim_max, field=F11):
 def test_two_points():
     K = rips_filtration([(0.0,), (1.0,)], 2.0, 1, F11)
     assert K.n == 3
-    assert K.dims == [0, 0, 1]
-    assert [K.value(j) for j in (1, 2, 3)] == [0.0, 0.0, 1.0]
+    assert K.dim_array.tolist() == [0, 0, 1]
+    assert [K.value_table[j] for j in (1, 2, 3)] == [0.0, 0.0, 1.0]
     assert K.csc.to_sparse().cols[3] == [(1, 10), (2, 1)]
 
 
@@ -64,30 +65,30 @@ def test_equilateral_triangle():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
     K = rips_filtration(pts, 1.0, 2, F11)
     assert K.n == 7
-    assert K.dims == [0, 0, 0, 1, 1, 1, 2]
-    assert K.value(7) == pytest.approx(1.0)
-    assert all(K.value(j) == pytest.approx(1.0) for j in (4, 5, 6))
+    assert K.dim_array.tolist() == [0, 0, 0, 1, 1, 1, 2]
+    assert K.value_table[7] == pytest.approx(1.0)
+    assert all(K.value_table[j] == pytest.approx(1.0) for j in (4, 5, 6))
 
 
 def test_r_max_zero_keeps_vertices_only():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     K = rips_filtration(pts, 0.0, 3, F11)
     assert K.n == 4
-    assert K.dims == [0, 0, 0, 0]
+    assert K.dim_array.tolist() == [0, 0, 0, 0]
 
 
 def test_complete_complex_counts():
     pts = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)]
     K = rips_filtration(pts, 10.0, 3, F11)
     assert K.n == 4 + 6 + 4 + 1
-    counts = {k: K.dims.count(k) for k in range(4)}
+    counts = {k: K.dim_array.tolist().count(k) for k in range(4)}
     assert counts == {0: 4, 1: 6, 2: 4, 3: 1}
 
 
 def test_dim_max_respected():
     pts = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)]
     K = rips_filtration(pts, 10.0, 1, F11)
-    assert max(K.dims) == 1
+    assert max(K.dim_array) == 1
     assert K.n == 10
 
 
@@ -97,17 +98,17 @@ def test_faces_precede_cofaces():
     for j in range(1, K.n + 1):
         verts = K.simplex_vertices[j - 1]
         assert verts == tuple(sorted(verts))
-        assert K.dim(j) == len(verts) - 1
+        assert K.dim_array[j - 1] == len(verts) - 1
         for i, _ in D.cols[j]:
             assert i < j
-            assert K.value(i) <= K.value(j)
+            assert K.value_table[i] <= K.value_table[j]
             assert set(K.simplex_vertices[i - 1]) < set(verts)
 
 
 def test_diameter_values_match_geometry():
     pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)]
     K = rips_filtration(pts, 5.0, 2, F11)
-    values = {K.simplex_vertices[j - 1]: K.value(j) for j in range(1, K.n + 1)}
+    values = {K.simplex_vertices[j - 1]: K.value_table[j] for j in range(1, K.n + 1)}
     assert values[(0, 1)] == pytest.approx(2.0)
     assert values[(0, 2)] == pytest.approx(3.0)
     assert values[(1, 2)] == pytest.approx(math.hypot(2.0, 3.0))
@@ -118,7 +119,7 @@ def test_r_max_cuts_long_edges():
     pts = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)]
     K = rips_filtration(pts, 2.0, 2, F11)
     assert K.n == 4  # three vertices plus the single short edge
-    assert max(K.dims) == 1
+    assert max(K.dim_array) == 1
 
 
 def test_determinism():
@@ -198,8 +199,8 @@ def test_many_vertices():
     alone = rips_filtration(cluster, 2.0, 5, F11)
     shift = len(far)
     assert alone.n == 2 ** 7 - 2  # every vertex subset but the empty and the full one
-    assert K.dims == [0] * shift + alone.dims
-    assert K.values == [0.0] * shift + alone.values
+    assert K.dim_array.tolist() == [0] * shift + alone.dim_array.tolist()
+    assert K.value_table[1:-1].tolist() == [0.0] * shift + alone.value_table[1:-1].tolist()
     assert K.simplex_vertices == [(v,) for v in range(shift)] + [
         tuple(v + shift for v in verts) for verts in alone.simplex_vertices]
     assert K.csc.to_sparse().cols[1:] == [[]] * shift + [
@@ -209,7 +210,7 @@ def test_many_vertices():
 def test_pair_at_exact_radius():
     points = [(0.0, 0.0), (3.0, 4.0)]
     K = assert_matches_reference(points, 5.0, 1)
-    assert K.n == 3 and K.value(3) == 5.0
+    assert K.n == 3 and K.value_table[3] == 5.0
     K = assert_matches_reference(points, math.nextafter(5.0, 0), 1)
     assert K.n == 2
 
@@ -217,7 +218,7 @@ def test_pair_at_exact_radius():
 def test_duplicate_points_keep_zero_length_edge():
     K = assert_matches_reference([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0)], 0.0, 2)
     assert K.n == 4
-    assert K.simplex_vertices[3] == (0, 2) and K.value(4) == 0.0
+    assert K.simplex_vertices[3] == (0, 2) and K.value_table[4] == 0.0
 
 
 def test_one_point():
