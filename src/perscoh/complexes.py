@@ -5,15 +5,15 @@ Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells, which is column ``j`` of the
 strictly upper-triangular boundary matrix ``D``.  Every complex stores
 ``D`` in one form, flat arrays, a :class:`CscMatrix` (``K.csc``): int64
-column starts, rows and coefficients.  ``K.csc.to_sparse()`` lists the
-same matrix as one term list per column (a :class:`SparseMatrix`), for
-the reductions that read term lists.  :func:`anti_transpose` flips the
+column starts, rows and coefficients.  :func:`anti_transpose` flips the
 arrays across the minor diagonal, which encodes the coboundary of the
 reversed dual filtration; cell ``i`` sits at index ``dual_index(n, i)``
 of that reversed order.  The kernels on the arrays live here, once:
-:meth:`CscMatrix.gather`, :meth:`CscMatrix.term_columns` and
-:func:`merge_terms`, which the validator, :func:`anti_transpose` and the
-array reductions share.
+:meth:`CscMatrix.gather`, :meth:`CscMatrix.term_columns`,
+:func:`merge_terms`, and :func:`term_lists`, the one way from the
+arrays to term lists, with one tuple per distinct term.  The validator,
+:func:`anti_transpose`, ``K.csc.to_sparse()`` (D as a
+:class:`SparseMatrix`) and the array reductions share them.
 
 Two text formats build complexes directly:
 
@@ -128,18 +128,8 @@ class CscMatrix:
         return np.arange(size.sum()) + (end - size.cumsum()).repeat(size), size
 
     def to_sparse(self) -> SparseMatrix:
-        """The same matrix as term lists, one tuple per distinct term,
-        shared by every column that holds it."""
-        rows, coefs = self.rows, self.coefs
-        if not len(rows):
-            return SparseMatrix(self.n)
-        width = int(coefs.max()) + 1
-        distinct, which = np.unique(rows * width + coefs, return_inverse=True)
-        terms = np.fromiter(zip((distinct // width).tolist(), (distinct % width).tolist()),
-                            dtype=object, count=len(distinct))
-        terms = terms[which].tolist()
-        start = self.start.tolist()
-        return SparseMatrix(self.n, [[]] + [terms[a:b] for a, b in zip(start, start[1:])])
+        """The same matrix as term lists, listed by :func:`term_lists`."""
+        return SparseMatrix(self.n, [[]] + term_lists(self.rows, self.coefs, self.start[1:]))
 
 
 class FilteredComplex:
@@ -262,6 +252,19 @@ def merge_terms(cols: np.ndarray, rows: np.ndarray, coefs: np.ndarray, n: int, p
     nonzero = coef.nonzero()[0]
     cols, rows = np.divmod(key[first[nonzero]], n + 1)
     return cols, rows, coef[nonzero]
+
+
+def term_lists(rows: np.ndarray, coefs: np.ndarray, ends: np.ndarray) -> list[Chain]:
+    """The term lists of the columns whose terms ``(rows, coefs)`` end
+    before the positions ``ends``, one column after another from 0.
+    Each distinct term is one tuple, shared by every column that holds
+    it, so a term repeated across columns is built once."""
+    width = int(coefs.max(initial=0)) + 1
+    distinct, which = np.unique(rows * width + coefs, return_inverse=True)
+    terms = np.fromiter(zip((distinct // width).tolist(), (distinct % width).tolist()),
+                        dtype=object, count=len(distinct))[which].tolist()
+    ends = ends.tolist()
+    return [terms[a:b] for a, b in zip([0] + ends, ends)]
 
 
 # products of boundary terms formed at once by _check_boundary_squared

@@ -15,11 +15,12 @@ algorithm's ``low_of`` and V on D-perp, the anti-transpose of D.
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
 without its term lists: it reads the apparent pairs off the arrays and
 reduces only the other columns.  Asked for V, the same pass gives that
-algorithm's whole decomposition, the cohomology generators, and builds
-term lists of R for the pivots alone.  :func:`phcol_cycles` gives the
-V-keeping column algorithm on D from D's arrays and that pairing: the
-homology cycles, the many independent columns that reduce to zero in
-batched rounds on arrays.
+algorithm's whole decomposition, the cohomology generators.
+:func:`phcol_cycles` gives the V-keeping column algorithm on D from D's
+arrays and that pairing: the homology cycles, the many independent
+columns that reduce to zero in batched rounds on arrays.  Both list the
+columns they hand back, as :func:`verify_decomposition` lists D, with
+:func:`~perscoh.complexes.term_lists`: one tuple per distinct term.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -38,7 +39,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .complexes import CscMatrix, SparseMatrix, _ints, anti_transpose, dual_index, merge_terms
+from .complexes import (CscMatrix, SparseMatrix, _ints, anti_transpose, dual_index, merge_terms,
+                        term_lists)
 from .core import Chain, Field, chain_axpy, field_inv
 
 
@@ -164,15 +166,16 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
     is skipped, as is an empty one, which stays essential.  No column
     left of an apparent pair's column ever holds its row, so knowing
     those pairs first changes no addition: the pairs and ``ops`` are
-    phcol's.  Only the columns that are reduced, and the pivots they
-    meet, are turned into term lists.
+    phcol's.  Only the columns reduced, and the pivots they meet, are
+    listed, each by ``column(j)`` when the reduction first reads it, not
+    all at once by :func:`~perscoh.complexes.term_lists`.
 
     With ``keep_V`` the same pass gives phcol's R and V: an apparent
-    pivot keeps its column, with V = e_j, and all of them are read from
-    the arrays at once; a reduced column adds c * V[j] with each c *
-    R[j], and ``ops`` counts the terms of both, as phcol does; a cleared
-    column, empty or not, has R = 0 and V = its partner's R; every other
-    column has R = 0 and V = e_j.  ``peak_elements`` counts the terms of
+    pivot keeps its column, with V = e_j, all of them listed at once by
+    :func:`~perscoh.complexes.term_lists`; a reduced column adds c * V[j]
+    with each c * R[j], and ``ops`` counts the terms of both, as phcol
+    does; a cleared column, empty or not, has R = 0 and V = its partner's
+    R; every other column has R = 0 and V = e_j.  ``peak_elements`` counts the terms of
     R and V as returned.
     """
     p = field.p
@@ -201,7 +204,7 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
     if keep_V:
         pivots = cols[apparent]
         at, size = P.gather(pivots)
-        reduced = dict(zip(pivots.tolist(), _chains(P.rows[at], P.coefs[at], size.cumsum() - 1)))
+        reduced = dict(zip(pivots.tolist(), term_lists(P.rows[at], P.coefs[at], size.cumsum())))
         V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
     ops = 0
     for i in rest.tolist():
@@ -270,24 +273,23 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
       every such column at once.  The rest are reduced one at a time.
 
     Only the rounds use arrays; the deaths, the columns reduced one at a
-    time and the output are term lists, and D's columns are read from
-    its arrays once.  ``peak_elements`` counts the terms of R and V as
-    returned plus the most terms that a round's merge sorts.  Pairs that
-    are not D's raise ``RuntimeError`` where a column meets a low whose
-    partner is not to its left.
+    time and the output are term lists, and D's columns are listed once,
+    by :func:`~perscoh.complexes.term_lists`.  ``peak_elements`` counts
+    the terms of R and V as returned plus the most terms that a round's
+    merge sorts.  Pairs that are not D's raise ``RuntimeError`` where a
+    column meets a low whose partner is not to its left.
     """
     p = field.p
     n = D.n
     birth, death = pairs[pairs[:, 1].argsort()].T  # by h ascending
     deaths, births = death.tolist(), birth.tolist()
-    start = D.start.tolist()
-    terms = list(zip(D.rows.tolist(), D.coefs.tolist()))
+    columns = [[]] + term_lists(D.rows, D.coefs, D.start[1:])  # D's columns
     partner_of = [0] * (n + 1)  # the final pivot table, row g -> column h
     R: list[Chain] = [[] for _ in range(n + 1)]
     V: list[Chain] = [[]] + [[(j, 1)] for j in range(1, n + 1)]
     for h, g in zip(deaths, births):
         partner_of[g] = h
-        R[h] = terms[start[h - 1]:start[h]]
+        R[h] = columns[h]
 
     def reduce(i: int, col: Chain) -> int:
         """Reduce column i, now ``col``, until its low's partner is i or
@@ -320,7 +322,7 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
         rest, peak, round_ops = _rounds(D, essential, R, V, death, birth, p)
         ops += round_ops
     else:
-        rest = ((f, terms[start[f - 1]:start[f]]) for f in essential.tolist())
+        rest = ((f, columns[f]) for f in essential.tolist())
     for f, col in rest:
         ops += reduce(f, col)
 
@@ -336,7 +338,8 @@ def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
     (``birth``, ``death``), and set V of each column to its V so far.
 
     Returns the columns left nonzero as (column, term list) pairs, the
-    most terms one merge sorted, and the count of multiply-adds.
+    most terms one merge sorted, and the count of multiply-adds; V and
+    the term lists are listed by :func:`~perscoh.complexes.term_lists`.
     """
     n = D.n
     Rc, Vd = _csc(n, death, R), _csc(n, death, V)
@@ -372,17 +375,10 @@ def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
                                        np.concatenate((columns, Vd.rows[at])),
                                        np.concatenate((np.ones(len(columns), np.int64),
                                                        Vd.coefs[at] * m.repeat(size) % p)), n, p)
-    for c, v in zip(columns.tolist(), _chains(vrows, vcoefs, _column_ends(vcols))):
+    for c, v in zip(columns.tolist(), term_lists(vrows, vcoefs, _column_ends(vcols) + 1)):
         V[c] = v
     ops = int((Rc.start[j] - Rc.start[j - 1]).sum() + size.sum())
-    return zip(cols[last].tolist(), _chains(rows, coefs, last)), peak, ops
-
-
-def _chains(rows: np.ndarray, coefs: np.ndarray, last: np.ndarray) -> list[Chain]:
-    """The term lists of the columns whose terms end at ``last``."""
-    terms = list(zip(rows.tolist(), coefs.tolist()))
-    ends = (last + 1).tolist()
-    return [terms[a:b] for a, b in zip([0] + ends, ends)]
+    return zip(cols[last].tolist(), term_lists(rows, coefs, last + 1)), peak, ops
 
 
 def _column_ends(cols: np.ndarray) -> np.ndarray:
@@ -487,9 +483,9 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
     Sweeps the cells in filtration order; at each step the entering
     cell either starts a new live cocycle or kills the youngest cocycle
     whose coboundary contains it (found by dotting live cocycles with
-    the cell's boundary column, the terms ``start[i - 1]:start[i]`` of
-    D's arrays, read in one pass).  Dead cocycles are dropped from the
-    store immediately.
+    the cell's boundary column, read from D's arrays in one pass of
+    blocks, which holds no list of D, as ``term_lists`` would).  Dead
+    cocycles are dropped from the store immediately.
 
     The result has no R and is indexed as D-perp, the anti-transpose of
     D.  ``low_of`` is ``phrow``'s on D-perp, in sweep order; with
@@ -583,8 +579,8 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
 def verify_decomposition(D: CscMatrix, dec: Decomposition,
                          field: Field) -> VerifyReport:
     """Check R = DV, V invertible upper-triangular, and low injectivity,
-    reading D's columns from its arrays.  A result without R or V raises
-    ``ValueError``."""
+    with D's columns listed by :func:`~perscoh.complexes.term_lists`.  A
+    result without R or V raises ``ValueError``."""
     if dec.R is None or dec.V is None:
         raise ValueError("decomposition has no R or no V (keep_V was off, or it is pcoh's)")
     p = field.p
@@ -599,12 +595,11 @@ def verify_decomposition(D: CscMatrix, dec: Decomposition,
             return VerifyReport(
                 False, f"V diagonal entry ({j}, {j}) is zero", (j, j))
 
-    start = D.start.tolist()
-    terms = list(zip(D.rows.tolist(), D.coefs.tolist()))
+    columns = [[]] + term_lists(D.rows, D.coefs, D.start[1:])  # D's columns
     for j in range(1, n + 1):
         acc: dict[int, int] = {}
         for t, vc in dec.V.cols[j]:
-            for i, dc in terms[start[t - 1]:start[t]]:
+            for i, dc in columns[t]:
                 acc[i] = (acc.get(i, 0) + vc * dc) % p
         stored = dict(dec.R.cols[j])
         differing = [i for i in acc.keys() | stored.keys()

@@ -50,9 +50,11 @@ def listed(monkeypatch):
 
 
 def assert_listed_by_rule(listed, K, module, algorithm, keep_V):
-    """What one ``compute(K, module, algorithm, keep_V)`` call listed:
-    phcol and pcoh nothing, phrow one matrix, ``K.csc`` itself only for
-    a homology run with V, which hands out D's cycles, else D-perp."""
+    """What one ``compute(K, module, algorithm, keep_V)`` call listed by
+    ``CscMatrix.to_sparse``, the calls the spy counts: phcol and pcoh
+    nothing, as their array routes call ``term_lists`` directly; phrow
+    one matrix, ``K.csc`` itself only for a homology run with V, which
+    hands out D's cycles, else D-perp."""
     if algorithm != "phrow":
         assert listed == []
     elif module.endswith("_hom") and keep_V:

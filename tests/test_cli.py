@@ -182,8 +182,9 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("algorithm, times", [("phcol", 0), ("phrow", 1), ("pcoh", 0)])
     def test_lists_d_at_most_once(self, capsys, listed, algorithm, times):
-        """R = DV is checked on D's arrays: only phrow's reduction lists
-        a matrix as term lists."""
+        """The spy counts ``CscMatrix.to_sparse`` calls: phrow's reduction
+        makes one.  phcol's route and ``verify_decomposition`` list D's
+        columns with ``term_lists`` directly, which the spy does not see."""
         code, _, _ = run_cli(capsys, ["oracle-check", *SPHERE_ARGS, "--algorithm", algorithm])
         assert code == 0 and len(listed) == times
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from perscoh import (GF2, ComplexError, Field, Lcg, ParseError, SparseMatrix,
+from perscoh import (GF2, ComplexError, CscMatrix, Field, Lcg, ParseError, SparseMatrix,
                      anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
@@ -437,7 +437,8 @@ def plain_columns(A):
 
 
 class TestCscView:
-    """``K.csc`` holds D, and ``K.csc.to_sparse()`` lists the same matrix."""
+    """``K.csc`` holds D, and ``K.csc.to_sparse()`` lists the same matrix,
+    with one tuple per distinct term."""
 
     @staticmethod
     def check(K):
@@ -451,6 +452,11 @@ class TestCscView:
             assert (rows[1:] > rows[:-1]).all() and (rows < j).all() and (rows >= 1).all()
         TestAntiTranspose.check(A)
         assert K.csc.to_sparse() == SparseMatrix(K.n, plain_columns(K.csc))
+        for M in (A, anti_transpose(A)):  # each distinct term is one object
+            terms = [t for col in M.to_sparse().cols for t in col]
+            assert len({id(t) for t in terms}) == len(set(terms))
+        none = np.zeros(0, np.int64)  # no term at all: n empty columns
+        assert CscMatrix(np.zeros(K.n + 1, np.int64), none, none).to_sparse() == SparseMatrix(K.n)
 
     # the largest field puts the coefficients 1 and p - 1 far apart
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])

@@ -1,15 +1,18 @@
 """Column and row reduction algorithms and decomposition verification."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscoh import (GF2, Decomposition, Field, Lcg, SparseMatrix, build_complex,
-                     compute, cube_points, dual_dims, field_inv, generators, load_cell_file,
-                     partition_of, pcoh, phcol, phcol_cycles, phcol_pairs, phrow,
-                     reduction, rips_filtration, verify_decomposition)
+from perscoh import (GF2, Decomposition, Field, Lcg, SparseMatrix, anti_transpose,
+                     build_complex, compute, cube_points, dual_dims, dual_index, field_inv,
+                     generators, load_cell_file, partition_of, pcoh, phcol, phcol_cycles,
+                     phcol_pairs, phrow, reduction, rips_filtration, torus_points,
+                     verify_decomposition)
 from conftest import (SPHERE_PATH, all_upper_matrices, anti_transpose_terms,
                       assert_listed_by_rule, csc_matrix, partition_lists, partition_reference,
                       random_rips, term_count)
@@ -592,3 +595,27 @@ class TestPhcolCycles:
             assert_listed_by_rule(listed, K, module, "phcol", True)
             assert type(run.result) is Decomposition and not run.dual
             assert run.result == phcol_cycles(K.csc, K.field, run.partition[1])
+
+
+@pytest.mark.parametrize("points, rmax, maxdim, field", [
+    (lambda: cube_points(10, 4, 0), math.inf, 4, GF2),
+    (lambda: torus_points(120, 0), 1.5, 2, F11)], ids=["cube", "torus"])
+def test_listed_columns_share_terms(points, rmax, maxdim, field):
+    """The columns a phcol run hands back as listed from the arrays hold
+    one tuple per distinct term: for homology with V the deaths whose R
+    is D's column, for cohomology the apparent pivots, the D-perp columns
+    whose first low's cell has the column's cell as its youngest face."""
+    K = rips_filtration(points(), rmax, maxdim, field)
+    D, n = K.csc, K.n
+    dec = compute(K, "abs_hom", "phcol", keep_V=True).result
+    D_cols = D.to_sparse().cols
+    hom = [dec.R.cols[h] for h in dec.low_of if dec.R.cols[h] == D_cols[h]]
+    P = anti_transpose(D)
+    dec = compute(K, "abs_coh", "phcol", keep_V=True).result
+    cols = np.array(list(dec.low_of))
+    first_low = P.rows[P.start[cols] - 1]
+    apparent = cols[D.rows[D.start[dual_index(n, first_low)] - 1] == dual_index(n, cols)]
+    coh = [dec.R.cols[c] for c in apparent.tolist()]
+    for listed in (hom, coh):
+        terms = [t for col in listed for t in col]
+        assert len({id(t) for t in terms}) == len(set(terms))
