@@ -37,9 +37,12 @@ Two text formats build complexes directly:
   rank of their token and hands the simplices, one lexicographically
   sorted array per dimension, to :func:`simplicial_complex`, the
   builder the Rips filtration shares.  It orders them by (value,
-  dimension, lexicographic vertex list) and gives each boundary
-  alternating (-1)^i signs over the sorted vertex list; a face that is
-  missing or comes after its coface is an error.
+  dimension, lexicographic vertex list), finds each face by its key in
+  :class:`SimplexKeys` (a direct lookup where a dimension's keys are
+  dense, a search of its sorted keys elsewhere), gives each boundary
+  alternating (-1)^i signs over the sorted vertex list, and writes D
+  one dimension at a time; a face that is missing or comes after its
+  coface is an error.
 
 Point-cloud files (one point per line, whitespace-separated decimal
 coordinates) feed the Rips builder in :mod:`perscoh.rips`.
@@ -318,8 +321,12 @@ def _cell_fault(j: int, dims: list[int], values: list[float], terms, p: int) -> 
     raise AssertionError(f"cell {j} passes every check")
 
 
-# after a table's keys, above every key and every query
+# after a sorted table's keys, above every key and every query
 _END = np.array([np.iinfo(np.int64).max])
+
+# a layer whose keys lie below this many times their count gets one slot
+# per possible key: its table costs at most this many int64 slots a key
+_SLOTS_PER_KEY = 8
 
 
 class SimplexKeys:
@@ -334,16 +341,26 @@ class SimplexKeys:
     whose prefix is absent (row -1) gets no key.  When the vertices
     0..n-1 are layer 0, a vertex's row is its number, no table is kept
     for them, and the edge ``u < v`` is found at ``find(1, u, v)``.
+
+    Each other layer keeps one of two tables, by the density of its
+    keys.  Where its last key is below ``_SLOTS_PER_KEY`` times its
+    number of keys, the table is dense: one slot per key up to the last,
+    holding the row of that key or -1, then one final -1 slot, so that
+    ``find`` is one gather, a query past the last key or of an absent
+    prefix (a negative query) reading the final slot.  Such a table
+    costs at most ``_SLOTS_PER_KEY`` int64 slots a key.  Every other
+    layer, whose keys are sparse (a few edges among many vertices), keeps
+    its keys sorted and is searched.
     """
 
     __slots__ = ("n_vertices", "_tables")
 
     def __init__(self, n_vertices: int):
         self.n_vertices = n_vertices
-        # per layer: its defined keys, then _END; and the rows of those
-        # keys, then -1, or None when every row has a key.  None for a
-        # layer 0 of every vertex.
-        self._tables: list[tuple[np.ndarray, np.ndarray | None] | None] = []
+        # per layer: None for a layer 0 of every vertex; the dense slots;
+        # or the sorted form, a pair of its defined keys, then _END, and
+        # the rows of those keys, then -1, or None when every row has a key
+        self._tables: list[np.ndarray | tuple[np.ndarray, np.ndarray | None] | None] = []
 
     def __len__(self) -> int:
         return len(self._tables)
@@ -354,21 +371,31 @@ class SimplexKeys:
             self._tables.append(None)
             return
         key = prefix * self.n_vertices + last
-        defined = key >= 0
-        if defined.all():
-            self._tables.append((np.concatenate((key, _END)), None))
+        rows = np.flatnonzero(key >= 0)
+        key = key[rows]
+        size = int(key[-1]) + 1 if len(key) else 0
+        if size <= _SLOTS_PER_KEY * len(key):
+            slots = np.full(size + 1, -1, np.int64)
+            slots[key] = rows
+            self._tables.append(slots)
         else:
-            rows = defined.nonzero()[0]
-            self._tables.append((np.concatenate((key[rows], _END)),
-                                 np.concatenate((rows, [-1]))))
+            rows = None if len(key) == len(last) else np.concatenate((rows, [-1]))
+            self._tables.append((np.concatenate((key, _END)), rows))
 
     def find(self, k: int, prefix, last) -> np.ndarray:
         """Rows in layer ``k`` of the simplices with prefix rows ``prefix``
-        and last vertices ``last``, elementwise; -1 where none is."""
-        if self._tables[k] is None:
+        and last vertices ``last`` (int64 arrays, or an int prefix),
+        elementwise; -1 where none is."""
+        table = self._tables[k]
+        if table is None:
             return last
-        keys, rows = self._tables[k]
         query = prefix * self.n_vertices + last
+        if isinstance(table, np.ndarray):
+            # a negative query, read unsigned, is past every key too
+            at = query.view(np.uint64)
+            np.minimum(at, len(table) - 1, out=at)
+            return table[at]
+        keys, rows = table
         at = keys.searchsorted(query)
         return np.where(keys[at] == query, at if rows is None else rows[at], -1)
 
@@ -406,6 +433,11 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     absent gets no key, and its cofaces find no face there: the pass
     over the layers finds the first bad cell, and that cell's first bad
     face is looked up again face by face, each through its own prefixes.
+
+    D's column starts follow from the sorted dimensions alone, so they
+    are laid out before the layers, and each layer writes its faces'
+    positions and signs into D's arrays in its own pass: no layer's
+    faces are held until the last layer is done.
     """
     if keys is None:
         keys = SimplexKeys(len(labels) if labels is not None
@@ -420,6 +452,14 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     # 1-based position of each cell
     position = np.empty(start[-1], np.int64)
     position[order] = np.arange(1, start[-1] + 1)
+    # cell j of dimension k > 0 has its k + 1 faces at cstart[j - 1]:cstart[j]
+    dims = dims[order]
+    cstart = np.zeros(start[-1] + 1, np.int64)
+    np.cumsum(np.where(dims > 0, dims + 1, 0), out=cstart[1:])
+    # each face at code 2 * position + parity of its place (odd places are
+    # the odd columns), so that sorting a simplex's codes sorts its faces
+    # by position; each layer writes its codes as it goes
+    code = np.empty(cstart[-1], np.int64)
 
     # rows of each simplex's faces in the layer below, -1 where absent; a
     # vertex's face is the empty simplex, and the last row is all absent,
@@ -427,7 +467,6 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     faces = np.zeros((sizes[0] + 1, 1), np.int64)
     faces[-1] = -1
     bad_cells = []  # (position, dimension, row) of each layer's first bad cell
-    codes = []  # (positions, sorted face codes) of each layer's simplices
     for k, (S, _) in enumerate(layers):
         prefix = keys.rows(S[:, :k]) if k else 0
         if k == len(keys) < len(layers) - 1:  # the top layer has no cofaces
@@ -451,13 +490,10 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
             r = bad[own[bad].argmin()]
             bad_cells.append((own[r], k, r))
         if not bad_cells:
-            # each face at code 2 * position + parity of its place (odd
-            # places are the odd columns), so that sorting a simplex's
-            # codes sorts its faces by position
-            code = 2 * at
-            code[:, 1::2] += 1
-            code.sort(axis=1)
-            codes.append((own, code))
+            at *= 2
+            at[:, 1::2] += 1
+            at.sort(axis=1)
+            code[cstart[own - 1, None] + np.arange(k + 1)] = at
 
     names = None if labels is None else np.array(labels, dtype=object)
     if bad_cells:
@@ -469,14 +505,9 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
         face = faces[np.argmax(at > j)]
         face = " ".join(map(str, (face if names is None else names[face]).tolist()))
         raise ComplexError(int(j), f"face {face} is missing")
-    # cell j of dimension k > 0 has its k + 1 faces at cstart[j - 1]:cstart[j]
-    dims = dims[order]
-    cstart = np.zeros(start[-1] + 1, np.int64)
-    np.cumsum(np.where(dims > 0, dims + 1, 0), out=cstart[1:])
-    code = np.empty(cstart[-1], np.int64)
-    for own, c in codes:
-        code[cstart[own - 1, None] + np.arange(c.shape[1])] = c
-    D = CscMatrix(cstart, code >> 1, np.where(code & 1, field.p - 1, 1))
+    coefs = np.where(code & 1, field.p - 1, 1)
+    code >>= 1
+    D = CscMatrix(cstart, code, coefs)
 
     def vertices() -> list[tuple]:
         rows = []

@@ -11,7 +11,7 @@ from perscoh import (GF2, ComplexError, CscMatrix, Field, Lcg, ParseError, Spars
                      anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
-from perscoh.complexes import merge_terms
+from perscoh.complexes import SimplexKeys, merge_terms
 from conftest import SPHERE_PATH, anti_transpose_terms, csc_matrix, entry, term_count
 from test_acceptance import rips_both_fields, rips_instances, small_complexes
 from test_rips import simplex_boundary
@@ -261,6 +261,47 @@ class TestCscKernels:
             assert list(zip(*got)) == want
 
 
+def _layers(*layers):
+    return [np.array(S, np.int64).reshape(len(S), -1) for S in layers]
+
+
+class TestSimplexKeys:
+    """Both forms of a layer's table, one slot per key where the keys are
+    dense and the sorted keys where they are not, find what a dict of the
+    layer's simplices finds."""
+
+    @pytest.mark.parametrize("n, layers, forms", [
+        # complete layers: dense tables, none for the vertices 0..5
+        (6, _layers(*(list(itertools.combinations(range(6), size)) for size in (1, 2, 3))),
+         [None, "dense", "dense"]),
+        # a few edges among 100 vertices: sorted tables; vertex 2 is
+        # unlisted, so the vertices keep a table and the edge (2, 50) no key
+        (100, _layers([0, 3, 10, 11, 50, 97], [(0, 3), (2, 50), (3, 97), (10, 11)]),
+         ["sorted", "sorted"]),
+        # vertex 2 unlisted among 5: a dense vertex table, no key for the
+        # edges on vertex 2
+        (5, _layers([0, 1, 3, 4], [(0, 1), (0, 4), (2, 3), (2, 4), (3, 4)], [(0, 1, 4)]),
+         ["dense", "dense", "dense"]),
+    ])
+    def test_find_against_dict(self, n, layers, forms):
+        keys = SimplexKeys(n)
+        for k, S in enumerate(layers):  # indexed as the builder indexes them
+            keys.add(keys.rows(S[:, :k]) if k else 0, S[:, k])
+        assert [table if table is None else "dense" if isinstance(table, np.ndarray)
+                else "sorted" for table in keys._tables] == forms
+        # every prefix row, with an absent one (-1), meets every vertex, so
+        # the last prefix row queries past the last key; a vertex layer
+        # without a table is read at its one prefix, the empty simplex
+        for k, S in enumerate(layers):
+            below = [()] if not k else [tuple(s) for s in layers[k - 1].tolist()]
+            row = {tuple(s): r for r, s in enumerate(S.tolist())}
+            prefixes = np.arange(-1 if forms[k] else 0, len(below)).repeat(n)
+            last = np.tile(np.arange(n), len(prefixes) // n)
+            want = [row.get(below[a] + (v,), -1) if a >= 0 else -1
+                    for a, v in zip(prefixes.tolist(), last.tolist())]
+            assert keys.find(k, prefixes, last).tolist() == want
+
+
 class TestLoadCellFile:
     def test_sphere_fixture(self):
         K = load_cell_file(SPHERE_PATH, F11)
@@ -335,10 +376,15 @@ class TestLoadSimplicialFile:
             load_simplicial_file(str(path), F11)
 
     def test_missing_face_rejected(self, tmp_path):
+        # with 97 more vertices, numbered before a, the two edges' keys lie
+        # among 100 * 100 and their table stays sorted; without, it is dense
         path = tmp_path / "miss.simp"
-        path.write_text("0 a\n0 b\n0 c\n1 a b\n1 a c\n1 a b c\n")
-        with pytest.raises(ParseError, match="face b c is missing"):
-            load_simplicial_file(str(path), F11)
+        for others in (0, 97):
+            path.write_text("".join(f"0 {v:02}\n" for v in range(others))
+                            + "0 a\n0 b\n0 c\n1 a b\n1 a c\n1 a b c\n")
+            with pytest.raises(ParseError,
+                               match=rf"miss\.simp:{others + 6}: face b c is missing"):
+                load_simplicial_file(str(path), F11)
 
     def test_missing_vertex_rejected(self, tmp_path):
         # a is on an edge but never listed as a vertex
