@@ -3,17 +3,19 @@
 A filtered complex is an ordered list of cells, one added per step.
 Cell ``j`` (1-based) carries a dimension, a filtration value ``a_j``,
 and a boundary chain over earlier cells, which is column ``j`` of the
-strictly upper-triangular boundary matrix ``D``.  Every complex stores
-``D`` in one form, flat arrays, a :class:`CscMatrix` (``K.csc``): int64
-column starts, rows and coefficients.  :func:`anti_transpose` flips the
-arrays across the minor diagonal, which encodes the coboundary of the
-reversed dual filtration; cell ``i`` sits at index ``dual_index(n, i)``
-of that reversed order.  The kernels on the arrays live here, once:
-:meth:`CscMatrix.gather`, :meth:`CscMatrix.term_columns`,
-:func:`merge_terms`, and :func:`term_lists`, the one way from the
-arrays to term lists, with one tuple per distinct term.  The validator,
-:func:`anti_transpose`, ``K.csc.to_sparse()`` (D as a
-:class:`SparseMatrix`) and the array reductions share them.
+strictly upper-triangular boundary matrix ``D``.  A complex is these
+arrays and no more (no vertex lists, which no reduction reads): the
+dimensions, the values, and ``D`` in one form, flat arrays, a
+:class:`CscMatrix` (``K.csc``): int64 column starts, rows and
+coefficients.  :func:`anti_transpose` flips the arrays across the minor
+diagonal, which encodes the coboundary of the reversed dual filtration;
+cell ``i`` sits at index ``dual_index(n, i)`` of that reversed order.
+The kernels on the arrays live here, once: :meth:`CscMatrix.gather`,
+:meth:`CscMatrix.term_columns`, :func:`merge_terms`, and
+:func:`term_lists`, the one way from the arrays to term lists, with one
+tuple per distinct term.  The validator, :func:`anti_transpose`,
+``K.csc.to_sparse()`` (D as a :class:`SparseMatrix`) and the array
+reductions share them.
 
 Two text formats build complexes directly:
 
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from itertools import accumulate, chain, compress, count
 from operator import itemgetter, lt
 
@@ -145,26 +146,17 @@ class FilteredComplex:
     one does not fit, and ``value_table`` is the float64 table
     ``[-inf, a_1, ..., a_n, inf]``, ``a_i`` at position i, that the
     barcodes read.  Every reduction reads ``csc`` in place: nothing
-    mutates it.
-    ``simplex_vertices[j - 1]`` is the sorted vertex tuple of cell ``j``
-    of a simplicial complex, from a function that builds the list on
-    the first read; for a cells file it is None.
+    mutates it.  These arrays are all a complex keeps: a simplicial
+    complex keeps no vertex lists of its cells.
     """
 
     def __init__(self, dim_array: np.ndarray, value_array: np.ndarray, csc: CscMatrix,
-                 field: Field, simplex_vertices: Callable[[], list[tuple]] | None = None):
+                 field: Field):
         self.dim_array = dim_array
         self.value_table = np.concatenate(([-math.inf], value_array, [math.inf]))
         self.csc = csc
         self.field = field
         self.n = len(dim_array)
-        self._simplex_vertices = simplex_vertices
-
-    @property
-    def simplex_vertices(self) -> list[tuple] | None:
-        if callable(self._simplex_vertices):
-            self._simplex_vertices = self._simplex_vertices()
-        return self._simplex_vertices
 
 
 def build_complex(cells: list[tuple[int, float, list[tuple[int, int]]]],
@@ -416,16 +408,15 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
 
     ``layers[k]`` is a pair of arrays: distinct k-simplices, one row of
     k + 1 increasing vertex numbers each, in lexicographic row order, and
-    their filtration values.  Vertex ``v`` is ``labels[v]`` in
-    ``simplex_vertices`` and messages (default ``v``); with ``labels``,
-    every vertex number is below ``len(labels)``.  ``keys``, when given,
-    already indexes the first layers (a caller that enumerated them by
-    it); the builder indexes the rest.  The face without vertex ``i``
-    gets sign ``(-1)^i``.  Sorted values, faces before cofaces and these
-    signs satisfy every check of :func:`build_complex`, so only the
-    faces are checked: the first cell with a face that is missing or
-    comes after it raises :class:`ComplexError` naming the cell and that
-    face.
+    their filtration values.  Vertex ``v`` is ``labels[v]`` in messages
+    (default ``v``); with ``labels``, every vertex number is below
+    ``len(labels)``.  ``keys``, when given, already indexes the first
+    layers (a caller that enumerated them by it); the builder indexes
+    the rest.  The face without vertex ``i`` gets sign ``(-1)^i``.
+    Sorted values, faces before cofaces and these signs satisfy every
+    check of :func:`build_complex`, so only the faces are checked: the
+    first cell with a face that is missing or comes after it raises
+    :class:`ComplexError` naming the cell and that face.
 
     Faces are found by :class:`SimplexKeys`.  The face without vertex
     ``i``, for ``i`` not the last, is the prefix's face without vertex
@@ -437,7 +428,8 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     D's column starts follow from the sorted dimensions alone, so they
     are laid out before the layers, and each layer writes its faces'
     positions and signs into D's arrays in its own pass: no layer's
-    faces are held until the last layer is done.
+    faces are held until the last layer is done.  The complex keeps
+    only its arrays, and nothing of ``layers`` outlives the call.
     """
     if keys is None:
         keys = SimplexKeys(len(labels) if labels is not None
@@ -495,28 +487,19 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
             at.sort(axis=1)
             code[cstart[own - 1, None] + np.arange(k + 1)] = at
 
-    names = None if labels is None else np.array(labels, dtype=object)
     if bad_cells:
         j, k, r = min(bad_cells)
         simplex = layers[k][0][r]
         faces = np.array([np.delete(simplex, i) for i in range(k + 1)])
         rows = keys.rows(faces)
         at = np.where(rows >= 0, position[start[k - 1] + rows], j + 1)
-        face = faces[np.argmax(at > j)]
-        face = " ".join(map(str, (face if names is None else names[face]).tolist()))
+        face = faces[np.argmax(at > j)].tolist()
+        face = " ".join(map(str, face if labels is None else [labels[v] for v in face]))
         raise ComplexError(int(j), f"face {face} is missing")
     coefs = np.where(code & 1, field.p - 1, 1)
     code >>= 1
     D = CscMatrix(cstart, code, coefs)
-
-    def vertices() -> list[tuple]:
-        rows = []
-        for S, _ in layers:
-            rows += zip(*(S if names is None else names[S]).T.tolist())
-        return [rows[i] for i in order.tolist()]
-
-    values = values[order].astype(float, copy=False)
-    return FilteredComplex(dims, values, D, field, vertices)
+    return FilteredComplex(dims, values[order].astype(float, copy=False), D, field)
 
 
 def dual_index(n: int, i: int) -> int:

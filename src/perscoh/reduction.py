@@ -19,8 +19,8 @@ algorithm's whole decomposition, the cohomology generators.
 :func:`phcol_cycles` gives the V-keeping column algorithm on D from D's
 arrays and that pairing: the homology cycles, the many independent
 columns that reduce to zero in batched rounds on arrays.  Both list the
-columns they hand back, as :func:`verify_decomposition` lists D, with
-:func:`~perscoh.complexes.term_lists`: one tuple per distinct term.
+columns they hand back with :func:`~perscoh.complexes.term_lists`: one
+tuple per distinct term.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
@@ -563,7 +563,7 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
             snapshot(i, Z)
 
     def to_dual(z: dict[int, int]) -> Chain:
-        return [(n + 1 - t, a) for t, a in sorted(z.items(), reverse=True)]
+        return [(dual_index(n, t), a) for t, a in sorted(z.items(), reverse=True)]
 
     low_of = {dual_index(n, b): dual_index(n, d) for b, d in sigma_pairs}
     if not keep_V:
@@ -579,8 +579,8 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
 def verify_decomposition(D: CscMatrix, dec: Decomposition,
                          field: Field) -> VerifyReport:
     """Check R = DV, V invertible upper-triangular, and low injectivity,
-    with D's columns listed by :func:`~perscoh.complexes.term_lists`.  A
-    result without R or V raises ``ValueError``."""
+    with D's columns read off its arrays, which it lists in no other
+    form.  A result without R or V raises ``ValueError``."""
     if dec.R is None or dec.V is None:
         raise ValueError("decomposition has no R or no V (keep_V was off, or it is pcoh's)")
     p = field.p
@@ -595,12 +595,13 @@ def verify_decomposition(D: CscMatrix, dec: Decomposition,
             return VerifyReport(
                 False, f"V diagonal entry ({j}, {j}) is zero", (j, j))
 
-    columns = [[]] + term_lists(D.rows, D.coefs, D.start[1:])  # D's columns
+    start, rows, coefs = D.start.tolist(), D.rows.tolist(), D.coefs.tolist()
     for j in range(1, n + 1):
         acc: dict[int, int] = {}
         for t, vc in dec.V.cols[j]:
-            for i, dc in columns[t]:
-                acc[i] = (acc.get(i, 0) + vc * dc) % p
+            for s in range(start[t - 1], start[t]):
+                i = rows[s]
+                acc[i] = (acc.get(i, 0) + vc * coefs[s]) % p
         stored = dict(dec.R.cols[j])
         differing = [i for i in acc.keys() | stored.keys()
                      if acc.get(i, 0) != stored.get(i, 0)]

@@ -47,11 +47,13 @@ def _check_ceiling(count: int, max_cells: int | None) -> None:
                          f"above the ceiling {max_cells}")
 
 
-def _edges(points: list[tuple[float, ...]], r_max: float, max_cells: int | None):
+def _edges(points: list[tuple[float, ...]], coords: np.ndarray, r_max: float,
+           max_cells: int | None):
     """Edges ``i < j`` within ``r_max`` as lex-sorted (heads, tails,
-    exact lengths), checking the ceiling after each row of heads."""
+    exact lengths), checking the ceiling after each row of heads.
+    ``coords`` holds the points, one row each."""
     n = len(points)
-    coords = np.array(points, dtype=float).reshape(n, len(points[0])).T.copy()
+    coords = coords.T.copy()
     reach = r_max * _SLACK
     reach = reach * reach + np.finfo(float).tiny
     heads, tails, lengths = [], [], []
@@ -138,21 +140,26 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
         raise ValueError("r_max is NaN")
     if r_max < 0 or dim_max < 0:
         raise ValueError("r_max and dim_max must be non-negative")
-    width = len(points[0])
-    for i, pt in enumerate(points, start=1):  # numbered as load_points numbers them
-        if len(pt) != width:
-            raise ValueError(f"point {i} has {len(pt)} coordinates, expected {width}")
-        if not all(math.isfinite(x) for x in pt):
-            raise ValueError(f"point {i} has a non-finite coordinate")
-
     n = len(points)
+    width = len(points[0])
+    # points are numbered from 1, as load_points numbers them; the first
+    # fault names its point, whether a width or a non-finite coordinate
+    wide = next((i for i, pt in enumerate(points) if len(pt) != width), n)
+    coords = np.array(points[:wide], dtype=float).reshape(wide, width)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {int(finite.argmin()) + 1} has a non-finite coordinate")
+    if wide < n:
+        raise ValueError(f"point {wide + 1} has {len(points[wide])} coordinates, "
+                         f"expected {width}")
+
     _check_ceiling(n, max_cells)
     vertices = np.arange(n)
     layers = [(vertices.reshape(n, 1), np.zeros(n))]
     keys = SimplexKeys(n)
     keys.add(0, vertices)
     if dim_max >= 1 and n > 1:
-        heads, tails, lengths = _edges(points, r_max, max_cells)
+        heads, tails, lengths = _edges(points, coords, r_max, max_cells)
         layers.append((np.column_stack((heads, tails)), lengths))
         keys.add(heads, tails)  # a vertex's row is its number
         count = n + len(heads)

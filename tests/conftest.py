@@ -2,7 +2,8 @@
 
 Provides the 6-cell running example, exhaustive enumeration of small
 strictly-upper-triangular matrices (and the subset that are valid
-filtered complexes), seeded random Rips instances, the boundary
+filtered complexes), seeded random Rips instances and the reference
+Rips filtration with its cells' vertex tuples, the boundary
 sanity checks reused by the property suites, and chain and matrix
 helpers that only the tests need, among them the references that the
 library is checked against: the term-list anti-transpose, the plain
@@ -10,6 +11,8 @@ partition of a pairing, the text of one interval, the per-interval
 concatenated barcode, and the kernel basis of the oracle's rank tables.
 """
 
+import itertools
+import math
 import os
 
 import numpy as np
@@ -119,15 +122,56 @@ def matrix_complex(D):
         return None
 
 
-def random_rips(seed, max_points=10, p=2, dim_max=3):
-    """Deterministic random Rips instance: seeded cloud in R^2 or R^3."""
+def random_cloud(seed, max_points=10):
+    """Deterministic random cloud in R^2 or R^3, and a radius for it."""
     rng = Lcg(seed)
     count = 3 + rng.next_u64() % (max_points - 2)
     ambient = 2 + rng.next_u64() % 2
     pts = [tuple(rng.next_double() for _ in range(ambient))
            for _ in range(count)]
-    r_max = 0.4 + rng.next_double()
+    return pts, 0.4 + rng.next_double()
+
+
+def random_rips(seed, max_points=10, p=2, dim_max=3):
+    """Deterministic random Rips instance on :func:`random_cloud`."""
+    pts, r_max = random_cloud(seed, max_points)
     return rips_filtration(pts, r_max, dim_max, Field(p))
+
+
+def simplex_boundary(vertices: tuple, index_of: dict[tuple, int],
+                     p: int) -> list[tuple[int, int]]:
+    """Alternating-sign boundary of a simplex given by its sorted vertex tuple."""
+    if len(vertices) == 1:
+        return []
+    terms = []
+    for i in range(len(vertices)):
+        face = vertices[:i] + vertices[i + 1:]
+        if face not in index_of:
+            raise KeyError(face)
+        terms.append((index_of[face], (-1) ** i % p))
+    return terms
+
+
+def validating_rips(points, r_max, dim_max, field):
+    """The reference filtration: every vertex subset of diameter at most
+    ``r_max``, put through :func:`build_complex`, which checks it.
+    Returns its cells, as (dimensions, values, D), and the sorted vertex
+    tuple of each cell, in filtration order."""
+    simplices = []
+    for size in range(1, dim_max + 2):
+        for verts in itertools.combinations(range(len(points)), size):
+            value = max((math.dist(points[a], points[b])
+                         for a, b in itertools.combinations(verts, 2)), default=0.0)
+            if value <= r_max:
+                simplices.append((value, verts))
+    simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
+    index_of, rows = {}, []
+    for value, verts in simplices:
+        rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
+        index_of[verts] = len(rows)
+    ref = build_complex(rows, field)
+    cells = ref.dim_array.tolist(), ref.value_table[1:-1].tolist(), ref.csc.to_sparse()
+    return cells, [verts for _, verts in simplices]
 
 
 def anti_transpose_terms(A: SparseMatrix) -> SparseMatrix:

@@ -7,10 +7,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import perscoh
-from perscoh import Diagram, cli, persistence
+from perscoh import Diagram, Field, cli, complexes, load_cell_file, persistence, reduction
 from conftest import DATA_DIR, SPHERE_PATH, random_rips
 
 SPHERE_ARGS = [SPHERE_PATH, "--field", "11"]
@@ -181,12 +182,24 @@ class TestOracleCheck:
         assert want[0] == 0 and kept == [algorithm != "pcoh"]
 
     @pytest.mark.parametrize("algorithm, times", [("phcol", 0), ("phrow", 1), ("pcoh", 0)])
-    def test_lists_d_at_most_once(self, capsys, listed, algorithm, times):
-        """The spy counts ``CscMatrix.to_sparse`` calls: phrow's reduction
-        makes one.  phcol's route and ``verify_decomposition`` list D's
-        columns with ``term_lists`` directly, which the spy does not see."""
+    def test_lists_d_at_most_once(self, capsys, monkeypatch, listed, algorithm, times):
+        """``listed`` counts ``CscMatrix.to_sparse`` calls: phrow's
+        reduction makes one.  A second spy counts the ``term_lists``
+        calls that list the whole of D, from either module: once for
+        phcol (its cycles' columns) and phrow (its ``to_sparse`` call),
+        none for pcoh, as ``verify_decomposition`` reads D's arrays."""
+        D = load_cell_file(SPHERE_PATH, Field(11)).csc
+
+        def spy(rows, coefs, ends):
+            if all(map(np.array_equal, (rows, coefs, ends), (D.rows, D.coefs, D.start[1:]))):
+                full.append(ends)
+            return real(rows, coefs, ends)
+
+        full, real = [], complexes.term_lists
+        monkeypatch.setattr(complexes, "term_lists", spy)
+        monkeypatch.setattr(reduction, "term_lists", spy)
         code, _, _ = run_cli(capsys, ["oracle-check", *SPHERE_ARGS, "--algorithm", algorithm])
-        assert code == 0 and len(listed) == times
+        assert code == 0 and len(listed) == times and len(full) == (algorithm != "pcoh")
 
     def test_checks_r_equals_dv_with_d(self, capsys, tmp_path, monkeypatch):
         """phcol's run reads D's arrays, and R = DV is checked against

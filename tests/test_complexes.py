@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from perscoh import (GF2, ComplexError, CscMatrix, Field, Lcg, ParseError, Spars
                      anti_transpose, build_complex, cube_points,
                      load_cell_file, load_points, load_simplicial_file,
                      rips_filtration)
-from perscoh.complexes import SimplexKeys, merge_terms
-from conftest import SPHERE_PATH, anti_transpose_terms, csc_matrix, entry, term_count
+from perscoh.complexes import SimplexKeys, merge_terms, simplicial_complex
+from conftest import (SPHERE_PATH, anti_transpose_terms, csc_matrix, entry, simplex_boundary,
+                      term_count, validating_rips)
 from test_acceptance import rips_both_fields, rips_instances, small_complexes
-from test_rips import simplex_boundary
 
 F11 = Field(11)
 
@@ -302,6 +303,18 @@ class TestSimplexKeys:
             assert keys.find(k, prefixes, last).tolist() == want
 
 
+def test_simplicial_complex_keeps_no_layer():
+    """The complex is its arrays: once the caller drops its layers, no
+    simplex array of theirs is alive, while the complex is."""
+    layers = [(S, np.zeros(len(S))) for S in
+              _layers(*(list(itertools.combinations(range(6), size)) for size in (1, 2, 3)))]
+    arrays = [weakref.ref(S) for S, _ in layers]
+    K = simplicial_complex(layers, F11)
+    del layers
+    assert [ref() is None for ref in arrays] == [True] * 3
+    assert K.n == 6 + 15 + 20 and K.csc.n == K.n
+
+
 class TestLoadCellFile:
     def test_sphere_fixture(self):
         K = load_cell_file(SPHERE_PATH, F11)
@@ -445,7 +458,6 @@ class TestLoadSimplicialFile:
             assert len(set(ref.value_table[1:-1].tolist())) < ref.n  # ties
             assert ((K.dim_array.tolist(), K.value_table.tolist(), K.csc.to_sparse())
                     == (ref.dim_array.tolist(), ref.value_table.tolist(), ref.csc.to_sparse()))
-            assert K.simplex_vertices == [verts for _, verts in ordered]
 
 
 class TestLoadPoints:
@@ -514,8 +526,9 @@ class TestCscView:
                 points = [tuple(round(x * 3) / 3 for x in pt) for pt in points]
             K = rips_filtration(points, 0.9, 3, field)
             self.check(K)
+            (_, values, _), vertices = validating_rips(points, 0.9, 3, field)
             rows = [[repr(v), *(f"v{x:02}" for x in verts)]
-                    for v, verts in zip(K.value_table[1:-1].tolist(), K.simplex_vertices)]
+                    for v, verts in zip(values, vertices)]
             simp = tmp_path / f"c{seed}.simp"
             simp.write_text("".join(" ".join(r) + "\n" for r in reversed(rows)))
             S = load_simplicial_file(str(simp), field)

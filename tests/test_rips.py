@@ -5,51 +5,16 @@ import math
 
 import pytest
 
-from perscoh import Field, Lcg, build_complex, cube_points, rips, rips_filtration
-from conftest import random_rips
+from perscoh import Field, Lcg, cube_points, rips, rips_filtration
+from conftest import random_cloud, random_rips, validating_rips
 
 F11 = Field(11)
 
 
-def simplex_boundary(vertices: tuple, index_of: dict[tuple, int],
-                     p: int) -> list[tuple[int, int]]:
-    """Alternating-sign boundary of a simplex given by its sorted vertex tuple."""
-    if len(vertices) == 1:
-        return []
-    terms = []
-    for i in range(len(vertices)):
-        face = vertices[:i] + vertices[i + 1:]
-        if face not in index_of:
-            raise KeyError(face)
-        terms.append((index_of[face], (-1) ** i % p))
-    return terms
-
-
-def validating_rips(points, r_max, dim_max, field):
-    """The reference filtration: every vertex subset of diameter at most
-    ``r_max``, put through :func:`build_complex`, which checks it."""
-    simplices = []
-    for size in range(1, dim_max + 2):
-        for verts in itertools.combinations(range(len(points)), size):
-            value = max((math.dist(points[a], points[b])
-                         for a, b in itertools.combinations(verts, 2)), default=0.0)
-            if value <= r_max:
-                simplices.append((value, verts))
-    simplices.sort(key=lambda s: (s[0], len(s[1]), s[1]))
-    index_of, rows = {}, []
-    for value, verts in simplices:
-        rows.append((len(verts) - 1, value, simplex_boundary(verts, index_of, field.p)))
-        index_of[verts] = len(rows)
-    ref = build_complex(rows, field)
-    cells = ref.dim_array.tolist(), ref.value_table[1:-1].tolist(), ref.csc.to_sparse()
-    return cells, [verts for _, verts in simplices]
-
-
 def assert_matches_reference(points, r_max, dim_max, field=F11):
     K = rips_filtration(points, r_max, dim_max, field)
-    cells, vertices = validating_rips(points, r_max, dim_max, field)
+    cells, _ = validating_rips(points, r_max, dim_max, field)
     assert (K.dim_array.tolist(), K.value_table[1:-1].tolist(), K.csc.to_sparse()) == cells
-    assert K.simplex_vertices == vertices
     return K
 
 
@@ -93,22 +58,27 @@ def test_dim_max_respected():
 
 
 def test_faces_precede_cofaces():
-    K = random_rips(42, max_points=9, p=11)
+    """Cell j is the reference's j-th vertex tuple, and each face of
+    it is an earlier cell, no later in value, on a subset of its
+    vertices."""
+    points, r_max = random_cloud(42, max_points=9)
+    K = assert_matches_reference(points, r_max, 3)
+    _, vertices = validating_rips(points, r_max, 3, F11)
     D = K.csc.to_sparse()
     for j in range(1, K.n + 1):
-        verts = K.simplex_vertices[j - 1]
-        assert verts == tuple(sorted(verts))
+        verts = vertices[j - 1]
         assert K.dim_array[j - 1] == len(verts) - 1
         for i, _ in D.cols[j]:
             assert i < j
             assert K.value_table[i] <= K.value_table[j]
-            assert set(K.simplex_vertices[i - 1]) < set(verts)
+            assert set(vertices[i - 1]) < set(verts)
 
 
 def test_diameter_values_match_geometry():
     pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)]
-    K = rips_filtration(pts, 5.0, 2, F11)
-    values = {K.simplex_vertices[j - 1]: K.value_table[j] for j in range(1, K.n + 1)}
+    K = assert_matches_reference(pts, 5.0, 2)
+    _, vertices = validating_rips(pts, 5.0, 2, F11)
+    values = {verts: K.value_table[j] for j, verts in enumerate(vertices, start=1)}
     assert values[(0, 1)] == pytest.approx(2.0)
     assert values[(0, 2)] == pytest.approx(3.0)
     assert values[(1, 2)] == pytest.approx(math.hypot(2.0, 3.0))
@@ -126,8 +96,9 @@ def test_determinism():
     K1 = random_rips(5, p=2)
     K2 = random_rips(5, p=2)
     assert K1.n == K2.n
-    assert K1.simplex_vertices == K2.simplex_vertices
-    assert K1.csc.to_sparse() == K2.csc.to_sparse()
+    assert K1.dim_array.tolist() == K2.dim_array.tolist()
+    assert K1.value_table.tolist() == K2.value_table.tolist()
+    assert K1.csc == K2.csc
 
 
 def test_input_validation():
@@ -196,13 +167,12 @@ def test_many_vertices():
     far = [(10.0 * i, 0.0) for i in range(4993)]
     cluster = [(1e6 + x, y) for x, y in cube_points(7, 2, seed=4)]
     K = rips_filtration(far + cluster, 2.0, 5, F11)
-    alone = rips_filtration(cluster, 2.0, 5, F11)
+    alone = assert_matches_reference(cluster, 2.0, 5)
     shift = len(far)
     assert alone.n == 2 ** 7 - 2  # every vertex subset but the empty and the full one
+    # the far points are isolated vertices first, then the cluster's cells
     assert K.dim_array.tolist() == [0] * shift + alone.dim_array.tolist()
     assert K.value_table[1:-1].tolist() == [0.0] * shift + alone.value_table[1:-1].tolist()
-    assert K.simplex_vertices == [(v,) for v in range(shift)] + [
-        tuple(v + shift for v in verts) for verts in alone.simplex_vertices]
     assert K.csc.to_sparse().cols[1:] == [[]] * shift + [
         [(i + shift, c) for i, c in col] for col in alone.csc.to_sparse().cols[1:]]
 
@@ -216,9 +186,12 @@ def test_pair_at_exact_radius():
 
 
 def test_duplicate_points_keep_zero_length_edge():
-    K = assert_matches_reference([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0)], 0.0, 2)
+    points = [(1.0, 2.0), (0.0, 0.0), (1.0, 2.0)]
+    K = assert_matches_reference(points, 0.0, 2)
+    _, vertices = validating_rips(points, 0.0, 2, F11)
     assert K.n == 4
-    assert K.simplex_vertices[3] == (0, 2) and K.value_table[4] == 0.0
+    assert vertices[3] == (0, 2) and K.value_table[4] == 0.0
+    assert K.csc.to_sparse().cols[4] == [(1, 10), (3, 1)]
 
 
 def test_one_point():
@@ -246,14 +219,6 @@ def test_subnormal_squares():
     points = [(0.0, 0.0), (1.6e-162, 1.6e-162)]
     K = assert_matches_reference(points, math.dist(*points), 1)
     assert K.n == 3
-
-
-def test_simplex_vertices_built_on_first_read():
-    K = rips_filtration(cube_points(6, 2, seed=1), math.inf, 2, F11)
-    assert callable(K._simplex_vertices)  # nothing built yet
-    vertices = K.simplex_vertices
-    assert K._simplex_vertices is vertices and K.simplex_vertices is vertices
-    assert len(vertices) == K.n and vertices[0] == (0,)
 
 
 class TestCellCeiling:
