@@ -14,10 +14,9 @@ from .complexes import (ComplexError, CscMatrix, FilteredComplex, ParseError,
                         dual_dims, dual_index, load_cell_file, load_points,
                         load_simplicial_file, simplicial_complex)
 from .core import GF2, Chain, Field, Term, chain_axpy, field_inv
-from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorEntry,
-                          GeneratorTable, Interval, barcode, compute,
-                          concatenated_barcode, format_diagram, generators,
-                          parse_diagram, partition_of)
+from .persistence import (INF, MODULE_TAGS, Diagram, GeneratorTable, Interval,
+                          barcode, compute, concatenated_barcode, format_diagram,
+                          generators, parse_diagram, partition_of)
 from .reduction import (Decomposition, VerifyReport, pcoh, phcol, phcol_cycles,
                         phcol_pairs, phrow, verify_decomposition)
 from .rips import RIPS_MAX_CELLS, rips_filtration
@@ -44,9 +43,9 @@ __all__ = [
     "GF2", "Chain", "Field", "Term", "chain_axpy", "field_inv",
     "ORACLE_MAX_CELLS", "dense_rank", "oracle_barcode", "persistent_betti",
     "prefix_ranks",
-    "INF", "MODULE_TAGS", "Diagram", "GeneratorEntry", "GeneratorTable",
-    "Interval", "barcode", "compute", "concatenated_barcode", "format_diagram",
-    "generators", "parse_diagram", "partition_of",
+    "INF", "MODULE_TAGS", "Diagram", "GeneratorTable", "Interval", "barcode",
+    "compute", "concatenated_barcode", "format_diagram", "generators",
+    "parse_diagram", "partition_of",
     "Decomposition", "VerifyReport",
     "pcoh", "phcol", "phcol_cycles", "phcol_pairs", "phrow", "verify_decomposition",
     "RIPS_MAX_CELLS", "rips_filtration",

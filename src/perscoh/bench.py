@@ -117,8 +117,8 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     lists of D and the cell dimensions that the column reduction reads
     are listed once, before the first run.  The live-cocycle run reads
     D's arrays, which the Rips builder made.  Raises ``ValueError`` as soon as the Rips
-    enumeration passes ``max_cells`` cells, and ``AssertionError`` if
-    the two pairings ever disagree (no stats are reported in that case).
+    enumeration passes ``max_cells`` cells, and ``AssertionError``, with
+    no stats, naming the first cell that the two pairings place differently.
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
@@ -137,8 +137,14 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
         coh_time = time.perf_counter() - t0
 
         if not all(map(np.array_equal, col_partition, coh.partition)):
+            col_at, coh_at = ({**{g: f"a birth paired with death {h}" for g, h in pairs.tolist()},
+                               **{h: f"a death paired with birth {g}" for g, h in pairs.tolist()}}
+                              for _, pairs in (col_partition, coh.partition))
+            c = min((c for c, _ in col_at.items() ^ coh_at.items()), default=0)
             raise AssertionError(
-                "the two algorithms produced different barcodes; no stats reported")
+                "the two algorithms produced different barcodes; no stats reported: "
+                f"cell {c} is {col_at.get(c, 'essential')} by phcol but "
+                f"{coh_at.get(c, 'essential')} by pcoh")
         stats.append(RunStats("phcol", col.ops, col.peak_elements, col_time))
         stats.append(RunStats("pcoh", coh.result.ops, coh.result.peak_elements,
                               coh_time))

@@ -91,9 +91,9 @@ def cmd_barcode(args) -> int:
 
 def render_generators(table, indices: bool = False) -> str:
     """The listing of a generator table: each interval line of
-    :func:`format_diagram`, then its generator and, if it has one, its
-    killer, as ``<label>:<coef>`` terms, or ``0`` for an empty chain.  A
-    term is labelled by its cell; a cochain's term by its cell starred,
+    :func:`format_diagram`, then its chain (``entries``) and any killer
+    (``killers``), as ``<label>:<coef>`` terms, or ``0`` for an empty chain.
+    A term is labelled by its cell; a cochain's term by its cell starred,
     and in reverse, so that the cells ascend."""
     if table.starred:
         n = table.n
@@ -105,9 +105,9 @@ def render_generators(table, indices: bool = False) -> str:
             return " ".join([f"{i}:{c}" for i, c in chain]) or "0"
     lines = format_diagram(table.diagram, indices).split("\n")
     return "\n\n".join([
-        f"{line}\n  generator: {text(e.chain)}" if e.killer is None else
-        f"{line}\n  generator: {text(e.chain)}\n  killer: {text(e.killer)}"
-        for line, e in zip(lines, table.entries)])
+        f"{line}\n  generator: {text(chain)}" if killer is None else
+        f"{line}\n  generator: {text(chain)}\n  killer: {text(killer)}"
+        for line, chain, killer in zip(lines, table.entries, table.killers)])
 
 
 def cmd_generators(args) -> int:

@@ -270,29 +270,21 @@ def concatenated_barcode(abs_diagram: Diagram, K: FilteredComplex) -> Diagram:
 
 
 @dataclass
-class GeneratorEntry:
-    """A generator ``chain`` and its ``killer``: a chain whose boundary it is, or None."""
-
-    chain: Chain
-    killer: Chain | None = None
-
-
-@dataclass
 class GeneratorTable:
-    """The generators of one module: ``entries[k]`` is the generator of
-    the interval ``diagram.sorted()[k]``.  When ``starred``, chain terms
-    are indices of the reversed dual order of the ``n`` cells, as
-    D-perp's columns are."""
+    """The generators of one module: ``entries[k]``, the chain of the interval
+    ``diagram.sorted()[k]``, and ``killers[k]``, the chain whose boundary it is
+    or None, are the reduction's own columns.  When ``starred``, chain terms are
+    indices of the reversed dual order of the ``n`` cells, as D-perp's are."""
 
     module_tag: str
     n: int
-    starred: bool
-    entries: list[GeneratorEntry]
+    entries: list[Chain]
+    killers: list[Chain | None]
     diagram: Diagram = field(compare=False)
 
-    def by_index_pair(self) -> dict[tuple[int, int], GeneratorEntry]:
-        d, order = self.diagram, self.diagram.order()
-        return dict(zip(zip(d.p[order].tolist(), d.q[order].tolist()), self.entries))
+    @property
+    def starred(self) -> bool:
+        return self.module_tag.endswith("_coh")
 
 
 def generators(run: Computation, K: FilteredComplex, module_tag: str,
@@ -304,13 +296,14 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     ``rel_coh``/``abs_coh``; pcoh's, which has V but no R, serves
     ``abs_coh`` alone.  Any other run raises ``ValueError``.
 
-    One rule on the diagram's sorted arrays names each entry's column j:
-    an essential birth f, at ``<f, n>`` or ``<0, f-1>``, else the pivot
-    column's cell of the pair ``<g, h-1>``, the death h in D, the birth g
-    in D-perp, through dual_index when starred.  abs_hom and rel_coh take
-    a pair's chain from R[j] and its killer from V[j]; every other chain
-    is V[j], with no killer.  Chains are the reduction's lists, not copies.
-    pcoh's V is phrow's on D-perp at every column these rules read.
+    One rule on the diagram's sorted arrays names each interval's column
+    j: an essential birth f, at ``<f, n>`` or ``<0, f-1>``, else the
+    pivot column's cell of the pair ``<g, h-1>``, the death h in D, the
+    birth g in D-perp, through dual_index when starred.  abs_hom and
+    rel_coh take a pair's chain from R[j] and its killer from V[j];
+    every other chain is V[j], with no killer.  ``entries`` and
+    ``killers`` hold the reduction's lists, not copies.  pcoh's V is
+    phrow's on D-perp at every column these rules read.
     """
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module_tag {module_tag!r}")
@@ -332,16 +325,16 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     p, q = diagram.p[order], diagram.q[order]
     essential = p == 0 if rel else q == n
     cell = np.where(essential, q + 1 if rel else p, p if starred else q + 1)
-    j = dual_index(n, cell) if starred else cell
+    j = (dual_index(n, cell) if starred else cell).tolist()
+    V = dec.V.cols
     if module_tag in ("abs_hom", "rel_coh"):
-        # indices into R, V, None: a pair's R[j] killed by V[j], else V[j] alone
-        columns, m = [*dec.R.cols, *dec.V.cols, None], n + 1
-        chains = map(columns.__getitem__, np.where(essential, m + j, j).tolist())
-        killers = map(columns.__getitem__, np.where(essential, 2 * m, m + j).tolist())
-        entries = list(map(GeneratorEntry, chains, killers))
+        # a pair's R[j] killed by V[j], an essential class's V[j] alone
+        R, paired = dec.R.cols, (~essential).tolist()
+        entries = [R[c] if pair else V[c] for c, pair in zip(j, paired)]
+        killers = [V[c] if pair else None for c, pair in zip(j, paired)]
     else:
-        entries = list(map(GeneratorEntry, map(dec.V.cols.__getitem__, j.tolist())))
-    return GeneratorTable(module_tag, n, starred, entries, diagram)
+        entries, killers = list(map(V.__getitem__, j)), [None] * len(j)
+    return GeneratorTable(module_tag, n, entries, killers, diagram)
 
 
 def format_diagram(diagram: Diagram, indices: bool = False) -> str:

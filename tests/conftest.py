@@ -334,22 +334,22 @@ def assert_generator_sanity(K):
     assert_boundary_squared_zero(D, p)
     table = generators(compute(K, "abs_hom", "phcol", keep_V=True), K,
                        "abs_hom", drop_zero=False)
-    for e in table.entries:
-        assert matvec(D, e.chain, p) == [], "homology generator is not a cycle"
-        if e.killer is not None:
-            assert matvec(D, e.killer, p) == e.chain, "killer does not bound generator"
+    for chain, killer in zip(table.entries, table.killers):
+        assert matvec(D, chain, p) == [], "homology generator is not a cycle"
+        if killer is not None:
+            assert matvec(D, killer, p) == chain, "killer does not bound generator"
 
     Dp = anti_transpose_terms(D)
     tablep = generators(compute(K, "rel_coh", "phcol", keep_V=True), K,
                         "rel_coh", drop_zero=False)
-    for e in tablep.entries:
-        if e.killer is not None:
-            assert matvec(Dp, e.killer, p) == e.chain
+    for chain, killer in zip(tablep.entries, tablep.killers):
+        if killer is not None:
+            assert matvec(Dp, killer, p) == chain
 
     # the coboundary of an abs_coh cocycle is supported strictly past its death
     n = K.n
     tablec = generators(compute(K, "abs_coh", "phcol", keep_V=True), K,
                         "abs_coh", drop_zero=False)
-    for iv, e in zip(tablec.diagram.sorted(), tablec.entries):
-        for t, _ in matvec(Dp, e.chain, p):
+    for iv, chain in zip(tablec.diagram.sorted(), tablec.entries):
+        for t, _ in matvec(Dp, chain, p):
             assert n + 1 - t > iv.q, "cocycle dies before its death index"

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import perscoh.persistence as persistence_mod
-from perscoh import (Field, Lcg, cube_points, render_stats_csv,
+from perscoh import (Field, Lcg, cube_points, dual_index, render_stats_csv,
                      render_stats_text, run_bench, torus_points)
 
 
@@ -91,14 +91,22 @@ class TestRunBench:
     def test_barcode_disagreement_reports_no_stats(self, monkeypatch):
         real_pcoh = persistence_mod.pcoh
 
+        unpaired = []
+
         def broken(D, field, keep_V):
             res = real_pcoh(D, field, keep_V)
-            del res.low_of[next(iter(res.low_of))]
+            t = next(iter(res.low_of))
+            # D-perp's pair (s, t) is D's pair (h, g) in reversed dual indices
+            unpaired.append((dual_index(D.n, t), dual_index(D.n, res.low_of.pop(t))))
             return res
 
         monkeypatch.setattr(persistence_mod, "pcoh", broken)
-        with pytest.raises(AssertionError, match="no stats"):
+        with pytest.raises(AssertionError, match="no stats") as raised:
             run_bench(cube_points(10, 2, seed=1), 0.8, 2)
+        (g, h), = unpaired
+        assert str(raised.value).endswith(
+            f"no stats reported: cell {g} is a birth paired with death {h} by phcol "
+            "but essential by pcoh")
 
     def test_op_ratio(self):
         res = run_bench(cube_points(12, 2, seed=4), 0.8, 2)

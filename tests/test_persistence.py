@@ -1,7 +1,6 @@
 """Partition, barcodes, generator tables, and the diagram text format."""
 
 import copy
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -189,56 +188,51 @@ class TestConcatenatedBarcode:
             concatenated_barcode(d, sphere11)
 
 
+def entry(table, p, q):
+    """The chain and killer of the interval <p, q> of ``table``."""
+    k = [(iv.p, iv.q) for iv in table.diagram.sorted()].index((p, q))
+    return table.entries[k], table.killers[k]
+
+
 class TestSphereGenerators:
     """All four tables on the running example, entry for entry."""
-
-    def entry(self, table, p, q):
-        return table.by_index_pair()[(p, q)]
 
     def test_abs_hom(self, sphere11):
         t = generators(compute(sphere11, "abs_hom", "phcol", keep_V=True),
                        sphere11, "abs_hom")
         assert not t.starred
-        e = self.entry(t, 1, 6)
-        assert (e.chain, e.killer) == ([(1, 1)], None)
-        e = self.entry(t, 2, 2)
-        assert (e.chain, e.killer) == ([(1, 1), (2, 10)], [(3, 1)])
-        e = self.entry(t, 4, 4)
-        assert (e.chain, e.killer) == ([(3, 1), (4, 10)], [(5, 1)])
-        e = self.entry(t, 6, 6)
-        assert (e.chain, e.killer) == ([(5, 10), (6, 1)], None)
+        assert entry(t, 1, 6) == ([(1, 1)], None)
+        assert entry(t, 2, 2) == ([(1, 1), (2, 10)], [(3, 1)])
+        assert entry(t, 4, 4) == ([(3, 1), (4, 10)], [(5, 1)])
+        assert entry(t, 6, 6) == ([(5, 10), (6, 1)], None)
 
     def test_rel_hom(self, sphere11):
         t = generators(compute(sphere11, "rel_hom", "phcol", keep_V=True),
                        sphere11, "rel_hom")
         assert not t.starred
-        assert self.entry(t, 0, 0).chain == [(1, 1)]
-        assert self.entry(t, 2, 2).chain == [(3, 1)]
-        assert self.entry(t, 4, 4).chain == [(5, 1)]
-        assert self.entry(t, 0, 5).chain == [(5, 10), (6, 1)]
-        assert all(e.killer is None for e in t.entries)
+        assert entry(t, 0, 0)[0] == [(1, 1)]
+        assert entry(t, 2, 2)[0] == [(3, 1)]
+        assert entry(t, 4, 4)[0] == [(5, 1)]
+        assert entry(t, 0, 5)[0] == [(5, 10), (6, 1)]
+        assert all(killer is None for killer in t.killers)
 
     def test_rel_coh(self, sphere11):
         t = generators(compute(sphere11, "rel_coh", "phrow", keep_V=True),
                        sphere11, "rel_coh")
         assert t.starred
-        e = self.entry(t, 0, 5)
-        assert (e.chain, e.killer) == ([(1, 1)], None)
-        e = self.entry(t, 4, 4)
-        assert (e.chain, e.killer) == ([(1, 10), (2, 10)], [(3, 1)])
-        e = self.entry(t, 2, 2)
-        assert (e.chain, e.killer) == ([(3, 10), (4, 10)], [(5, 1)])
-        e = self.entry(t, 0, 0)
-        assert (e.chain, e.killer) == ([(5, 1), (6, 1)], None)
+        assert entry(t, 0, 5) == ([(1, 1)], None)
+        assert entry(t, 4, 4) == ([(1, 10), (2, 10)], [(3, 1)])
+        assert entry(t, 2, 2) == ([(3, 10), (4, 10)], [(5, 1)])
+        assert entry(t, 0, 0) == ([(5, 1), (6, 1)], None)
 
     def test_abs_coh(self, sphere11):
         t = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
                        sphere11, "abs_coh")
         assert t.starred
-        assert self.entry(t, 6, 6).chain == [(1, 1)]
-        assert self.entry(t, 4, 4).chain == [(3, 1)]
-        assert self.entry(t, 2, 2).chain == [(5, 1)]
-        assert self.entry(t, 1, 6).chain == [(5, 1), (6, 1)]
+        assert entry(t, 6, 6)[0] == [(1, 1)]
+        assert entry(t, 4, 4)[0] == [(3, 1)]
+        assert entry(t, 2, 2)[0] == [(5, 1)]
+        assert entry(t, 1, 6)[0] == [(5, 1), (6, 1)]
 
     def test_abs_coh_from_pcoh_matches_row_route(self, sphere11):
         via_rows = generators(compute(sphere11, "abs_coh", "phrow", keep_V=True),
@@ -254,7 +248,7 @@ class TestSphereGenerators:
         keys = [iv.sort_key() for iv in t.diagram.sorted()]
         assert keys == sorted(keys)
         assert len(t.entries) == len(keys)
-        assert list(t.by_index_pair()) == [(1, 6), (2, 2), (4, 4), (6, 6)]
+        assert [(iv.p, iv.q) for iv in t.diagram.sorted()] == [(1, 6), (2, 2), (4, 4), (6, 6)]
 
 
 class TestColumnRule:
@@ -282,15 +276,17 @@ class TestColumnRule:
             for drop_zero in (True, False):
                 table = generators(run, K, module, drop_zero)
                 intervals = table.diagram.sorted()
-                assert len(table.entries) == len(intervals)
-                for iv, e in zip(intervals, table.entries):
+                assert len(table.entries) == len(table.killers) == len(intervals)
+                for iv, chain, killer in zip(intervals, table.entries, table.killers):
                     j, essential = self.column(iv, module, K.n)
                     if module in ("abs_hom", "rel_coh") and not essential:
-                        assert (e.chain, e.killer) == (res.R.cols[j], res.V.cols[j]), \
+                        assert (chain, killer) == (res.R.cols[j], res.V.cols[j]), \
                             (module, algorithm, iv)
+                        assert chain is res.R.cols[j] and killer is res.V.cols[j]
                     else:
-                        assert (e.chain, e.killer) == (res.V.cols[j], None), \
+                        assert (chain, killer) == (res.V.cols[j], None), \
                             (module, algorithm, iv)
+                        assert chain is res.V.cols[j]
 
     def test_sphere(self, sphere11):
         self.check(sphere11)
@@ -343,8 +339,7 @@ class TestGeneratorTableText:
     @pytest.mark.parametrize("module", MODULE_TAGS)
     def test_empty_chain(self, sphere11, module):
         table = generators(compute(sphere11, module, "phcol", keep_V=True), sphere11, module)
-        e = table.entries[1]
-        table.entries[1] = dataclasses.replace(e, chain=[], killer=e.killer and [])
+        table.entries[1], table.killers[1] = [], table.killers[1] and []
         lines = render_generators(table).split("\n")
         assert lines[4] == "  generator: 0"
         assert lines[5] == ("  killer: 0" if module in ("abs_hom", "rel_coh") else "")
@@ -387,7 +382,7 @@ class TestGeneratorErrors:
             generators(run, sphere11, "abs_coh")
         right = generators(compute(sphere11, "abs_coh", "phcol", keep_V=True),
                            sphere11, "abs_coh")
-        assert right.by_index_pair()[1, 6].chain == [(5, 1), (6, 1)]
+        assert entry(right, 1, 6)[0] == [(5, 1), (6, 1)]
         for tag in ("abs_coh", "rel_coh"):
             run = compute(sphere11, tag, "phrow", keep_V=True)
             for other in ("abs_hom", "rel_hom"):
@@ -423,8 +418,9 @@ class TestZeroLengthGenerators:
             run = compute(K, module, algorithm, keep_V=True)
             full = generators(run, K, module, drop_zero=False)
             kept = generators(run, K, module)
-            assert kept.entries == [e for e, iv in zip(full.entries, full.diagram.sorted())
-                                    if iv.birth != iv.death]
+            nonzero = [iv.birth != iv.death for iv in full.diagram.sorted()]
+            assert kept.entries == list(itertools.compress(full.entries, nonzero))
+            assert kept.killers == list(itertools.compress(full.killers, nonzero))
             assert len(kept.entries) < len(full.entries)
 
 
