@@ -18,6 +18,8 @@ import math
 import shutil
 import sys
 
+import numpy as np
+
 from .complexes import (FilteredComplex, dual_index, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
@@ -96,10 +98,10 @@ def render_generators(table, indices: bool = False) -> str:
     A term is labelled by its cell; a cochain's term by its cell starred,
     and in reverse, so that the cells ascend."""
     if table.starred:
-        n = table.n
+        flip = dual_index(table.n, np.arange(table.n + 1)).tolist()
 
         def text(chain):
-            return " ".join([f"{dual_index(n, i)}*:{c}" for i, c in reversed(chain)]) or "0"
+            return " ".join([f"{flip[i]}*:{c}" for i, c in reversed(chain)]) or "0"
     else:
         def text(chain):
             return " ".join([f"{i}:{c}" for i, c in chain]) or "0"

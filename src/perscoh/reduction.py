@@ -9,7 +9,10 @@ reduce to zero, with the same R and ``low_of``, and stay
 entry-identical.  The live-cocycle algorithm (:func:`pcoh`) takes a
 boundary matrix D as its arrays; it sweeps the cell order and keeps
 only the basis of live cocycles.  Its pairs and cocycles are the row
-algorithm's ``low_of`` and V on D-perp, the anti-transpose of D.
+algorithm's ``low_of`` and V on D-perp, the anti-transpose of D.  Its
+store holds one state per cell, since a live cocycle holds its own
+birth cell and no other live cocycle's, and a cocycle that is still its
+own cell costs no dict and no set.
 
 :func:`phcol_pairs` gives the pairing of the barcode-only column
 algorithm on ``anti_transpose(D)`` from that matrix's flat arrays,
@@ -476,6 +479,10 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
 # all at once raised the peak RSS of ``perscoh barcode`` by some 35 MB
 _BLOCK = 1 << 16
 
+# pcoh's state of a cell whose own cocycle is live: that cocycle holds the
+# cell with coefficient 1, and no other cocycle holds it
+_LIVE = object()
+
 
 def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Decomposition:
     """Live-cocycle algorithm on a boundary matrix, read from its arrays.
@@ -487,6 +494,18 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
     blocks, which holds no list of D, as ``term_lists`` would).  Dead
     cocycles are dropped from the store immediately.
 
+    The store rests on one invariant: while cocycle t is live, cell t
+    is a term of it, with coefficient 1, and of no other live cocycle,
+    since a cell spreads to other cocycles only when its own dies as
+    the pivot and is added to them.  So one list entry per cell holds
+    all the sweep reads: None (held by no live cocycle), ``_LIVE`` (its
+    own cocycle is live), or the set of live cocycles holding it once
+    its own is dead.  A cocycle that is still its birth cell has no
+    dict of its own; it gets one, in ``Z``, when it first changes.
+    ``ops`` and ``peak_elements`` count as if every live cocycle were
+    stored: a term at a ``_LIVE`` cell is one multiply-add, and a
+    cocycle that is its own cell one stored term.
+
     The result has no R and is indexed as D-perp, the anti-transpose of
     D.  ``low_of`` is ``phrow``'s on D-perp, in sweep order; with
     ``keep_V``, V is its V, each dying cocycle at its pair's column and
@@ -494,8 +513,9 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
     empty.  Without ``keep_V`` there is no V, and the rest is the same.
 
     ``snapshot(i, Z)`` is called after each sweep step with the live
-    cocycle store, a dict mapping birth index to coefficient dict, both
-    in original-order indexing; copy anything kept.
+    cocycles, a dict mapping birth index to coefficient dict, both in
+    original-order indexing; it is built only when a callback is
+    passed, and shares the store's dicts: copy anything kept.
     """
     p = field.p
     n = D.n
@@ -503,8 +523,8 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
     terms = chain.from_iterable(zip(D.rows[a:a + _BLOCK].tolist(), D.coefs[a:a + _BLOCK].tolist())
                                 for a in range(0, len(D.rows), _BLOCK))
 
-    Z: dict[int, dict[int, int]] = {}
-    support: list[set[int] | None] = [None] * (n + 1)  # the live cocycles holding each cell
+    state: list = [None] * (n + 1)  # per cell: None, _LIVE, or the live cocycles holding it
+    Z: dict[int, dict[int, int]] = {}  # the live cocycles changed since birth
     sigma_pairs: list[tuple[int, int]] = []
     dying_chains: list[dict[int, int]] = []
     ops = 0
@@ -514,65 +534,73 @@ def pcoh(D: CscMatrix, field: Field, keep_V: bool = True, snapshot=None) -> Deco
     for i, size in enumerate(sizes, start=1):
         acc: dict[int, int] = {}
         for t, coef in islice(terms, size):
-            holders = support[t]
-            if holders:
+            holders = state[t]
+            if holders is _LIVE:
+                acc[t] = (acc.get(t, 0) + coef) % p
+                ops += 1
+            elif holders:
                 for j in holders:
                     acc[j] = (acc.get(j, 0) + coef * Z[j][t]) % p
                 ops += len(holders)
-        candidates = [j for j, v in acc.items() if v]
+        candidates = [j for j, v in acc.items() if v] if acc else []
 
+        total += 1  # the entering cell's own cocycle, born or dead on arrival
+        if total > peak:
+            peak = total
         if not candidates:
-            Z[i] = {i: 1}
-            support[i] = {i}
-            total += 1
-            if total > peak:
-                peak = total
+            state[i] = _LIVE
         else:
-            total += 1  # the entering cell's own cocycle, dead on arrival
-            if total > peak:
-                peak = total
-            piv = max(candidates)
-            zp = Z.pop(piv)  # never changed again: kept as it is
-            inv_piv = field_inv(acc[piv], p)
-            for j in sorted(candidates):
-                if j == piv:
-                    continue
+            candidates.sort()
+            piv = candidates.pop()  # the youngest dies and is added to the others
+            zp = Z.pop(piv, None) or {piv: 1}  # never changed again: kept as it is
+            for t in zp:
+                if t != piv:
+                    state[t].discard(piv)
+            if candidates:
+                state[piv] = set()
+                inv_piv = field_inv(acc[piv], p)
+            else:
+                state[piv] = None
+            for j in candidates:
                 c = (acc[j] * inv_piv) % p
-                zj = Z[j]
+                zj = Z.get(j)
+                if zj is None:
+                    zj = Z[j] = {j: 1}
                 ops += len(zp)
                 for t, a in zp.items():
                     new = (zj.get(t, 0) - c * a) % p
                     if new:
                         if t not in zj:
-                            support[t].add(j)
+                            state[t].add(j)
                             total += 1
                         zj[t] = new
                     elif t in zj:
                         del zj[t]
-                        support[t].discard(j)
+                        state[t].discard(j)
                         total -= 1
                 if total > peak:
                     peak = total
             sigma_pairs.append((piv, i))
             if keep_V:
                 dying_chains.append(zp)
-            for t in zp:
-                support[t].discard(piv)
             total -= len(zp) + 1
         if snapshot is not None:
-            snapshot(i, Z)
+            snapshot(i, {b: Z.get(b) or {b: 1} for b in range(1, i + 1) if state[b] is _LIVE})
+
+    flip = dual_index(n, np.arange(n + 1)).tolist()
 
     def to_dual(z: dict[int, int]) -> Chain:
-        return [(dual_index(n, t), a) for t, a in sorted(z.items(), reverse=True)]
+        return [(flip[t], a) for t, a in sorted(z.items(), reverse=True)]
 
-    low_of = {dual_index(n, b): dual_index(n, d) for b, d in sigma_pairs}
+    low_of = {flip[b]: flip[d] for b, d in sigma_pairs}
     if not keep_V:
         return Decomposition(None, None, low_of, ops, peak)
     V: list[Chain] = [[]] * (n + 1)  # the pairs' lows share one empty column
     for t, z in zip(low_of, dying_chains):
         V[t] = to_dual(z)
-    for b, z in Z.items():
-        V[dual_index(n, b)] = to_dual(z)
+    for b in range(1, n + 1):
+        if state[b] is _LIVE:
+            V[flip[b]] = to_dual(Z[b]) if b in Z else [(flip[b], 1)]
     return Decomposition(None, SparseMatrix(n, V), low_of, ops, peak)
 
 

@@ -169,6 +169,62 @@ class TestAgainstRowAlgorithm:
         assert checked > 30
 
 
+class TestStore:
+    """The store rests on one invariant: while cocycle b is live, cell b
+    is a term of it, with coefficient 1, and of no other live cocycle."""
+
+    @pytest.mark.parametrize("seed,p", [(s, p) for s in range(200, 216)
+                                        for p in (2, 11)])
+    def test_live_cocycle_holds_no_other_birth_cell(self, seed, p):
+        K = random_rips(seed, max_points=10, p=p, dim_max=3)
+        n = K.n
+        live = {}
+        res = pcoh(K.csc, K.field, keep_V=False,
+                   snapshot=lambda i, Z: live.__setitem__(
+                       i, {b: dict(z) for b, z in Z.items()}))
+        killed_at = {n + 1 - col: n + 1 - low for low, col in res.pairs}
+        killers = set(killed_at.values())
+        for i in range(1, n + 1):
+            Z = live[i]
+            assert list(Z) == [b for b in range(1, i + 1)
+                               if b not in killers and killed_at.get(b, n + 1) > i]
+            for b, z in Z.items():
+                assert z[b] == 1
+                assert z.keys() & Z.keys() == {b}, f"step {i}, cocycle {b}"
+
+    def test_every_store_transition(self):
+        """A Z/11 complex whose sweep walks every change of a cell's state,
+        against phrow on D-perp: pairs, V and every snapshot."""
+        K = build_complex([
+            (0, 1.0, []), (0, 2.0, []), (0, 3.0, []), (0, 4.0, []),
+            # 4 dies unchanged; 2 and 3 change for the first time, and
+            # both hold the dead cell 4
+            (1, 5.0, [(2, 1), (3, 1), (4, 1)]),
+            # 3 dies changed, with two holders of cell 4; 1 changes for
+            # the first time and takes cells 3 and 4
+            (1, 6.0, [(1, 1), (3, 1)]),
+            # 2 dies changed, and cell 4 cancels in 1: held by nobody
+            (1, 7.0, [(1, 10), (2, 1)]),
+            # a term at a cell held by nobody: a birth
+            (1, 8.0, [(4, 1)]),
+            # a term at the dead cell 3, held by 1 alone: 1 dies
+            (1, 9.0, [(3, 1)]),
+        ], F11)
+        res, _, _ = TestAgainstRowAlgorithm.check_trace(K, F11)
+        assert res.pairs == [(5, 6), (4, 7), (3, 8), (1, 9)]
+        assert (res.ops, res.peak_elements) == (14, 8)
+
+        live = {}
+        pcoh(K.csc, F11, snapshot=lambda i, Z: live.__setitem__(
+            i, {b: dict(z) for b, z in Z.items()}))
+        assert live[4] == {1: {1: 1}, 2: {2: 1}, 3: {3: 1}, 4: {4: 1}}
+        assert live[5] == {1: {1: 1}, 2: {2: 1, 4: 10}, 3: {3: 1, 4: 10}}
+        assert live[6] == {1: {1: 1, 3: 10, 4: 1}, 2: {2: 1, 4: 10}}
+        assert live[7] == {1: {1: 1, 2: 1, 3: 10}}
+        assert live[8] == {1: {1: 1, 2: 1, 3: 10}, 8: {8: 1}}
+        assert live[9] == {8: {8: 1}}
+
+
 class TestWithoutCocycles:
     """A sweep without ``keep_V`` keeps no chains, and does the same work."""
 
