@@ -114,21 +114,21 @@ def run_bench(points: list[tuple[float, ...]], r_max: float, dim_max: int,
     """Benchmark both algorithms on the Rips filtration of ``points``.
 
     Each timed run covers the reduction and its partition; the term
-    lists of D and the cell dimensions that the column reduction reads
-    are listed once, before the first run.  The live-cocycle run reads
-    D's arrays, which the Rips builder made.  Raises ``ValueError`` as soon as the Rips
+    lists of D that the column reduction reads are listed once, before
+    the first run.  The live-cocycle run reads D's arrays, which the
+    Rips builder made.  Raises ``ValueError`` as soon as the Rips
     enumeration passes ``max_cells`` cells, and ``AssertionError``, with
     no stats, naming the first cell that the two pairings place differently.
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     K = rips_filtration(points, r_max, dim_max, field, max_cells)
-    D, dims = K.csc.to_sparse(), K.dim_array.tolist()
+    D = K.csc.to_sparse()
 
     stats: list[RunStats] = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        col = phcol(D, field, keep_V=False, dims=dims)
+        col = phcol(D, field, keep_V=False, dims=K.dim_array)
         col_partition = partition_of(col.pairs, K.n, False)
         col_time = time.perf_counter() - t0
 

@@ -27,12 +27,13 @@ tuple per distinct term.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
-at once.
+at once; :func:`phcol` and :func:`phrow` add, clear and count through
+one state, :class:`_Reduction`.
 
 No reduction copies or changes its input.  Chains are never changed in
 place: :func:`~perscoh.core.chain_axpy` returns a new list, and a
 reduced column replaces its slot, so ``R`` starts as a list of the
-input's own columns.
+input's own columns, and a cleared column's V is its partner's R list.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class Decomposition:
     :func:`phcol_cycles` fills R and V, :func:`phcol` and :func:`phrow`
     R, and V with ``keep_V``; :func:`phcol_pairs` both with ``keep_V``,
     else neither, and it alone counts ``apparent`` pairs.  :func:`pcoh`
-    has no R; with ``keep_V`` its V holds its cocycles.  Nothing mutates
-    a returned result: generator tables share its columns.
+    has no R; with ``keep_V`` its V holds its cocycles.  phcol and
+    phrow count through :class:`_Reduction`.  Nothing mutates a returned
+    result: generator tables share its columns.
     """
 
     R: SparseMatrix | None
@@ -79,72 +81,91 @@ class VerifyReport:
     location: tuple[int, int] | None = None
 
 
+class _Reduction:
+    """R, V and the counters of a reduction on term lists, which phcol
+    and phrow sweep in two orders.  ``add(i, j)`` cancels column i's low
+    with column j, in R and, with V, in V; ``ops`` counts one per
+    multiply-add, the terms of R[j] and V[j].  ``clear(i, j)``, the
+    twist of Chen and Kerber 2011, zeroes column i, which must reduce to
+    zero: R[i] = 0 and, with V, V[i] = R[j], the same list, a cycle with
+    low i once R[j] is final, so R = DV holds.  ``peak_elements`` is the
+    most terms of R and V stored at once; a shared V counts as stored.
+    """
+
+    __slots__ = ("p", "R", "V", "ops", "total", "peak")
+
+    def __init__(self, D: SparseMatrix, field: Field, keep_V: bool):
+        self.p = field.p
+        self.R = list(D.cols)
+        self.V = [[]] + [[(j, 1)] for j in range(1, D.n + 1)] if keep_V else None
+        self.ops = 0
+        self.total = self.peak = sum(map(len, self.R)) + (D.n if keep_V else 0)
+
+    def add(self, i: int, j: int) -> Chain:
+        """Cancel column i's low with column j; returns the new R[i]."""
+        p, R, V = self.p, self.R, self.V
+        x, y = R[j], R[i]
+        c = p - y[-1][1] * field_inv(x[-1][1], p) % p
+        R[i] = new = chain_axpy(c, x, y, p)
+        ops, total = len(x), self.total + len(new) - len(y)
+        if V is not None:
+            x, y = V[j], V[i]
+            V[i] = newv = chain_axpy(c, x, y, p)
+            ops, total = ops + len(x), total + len(newv) - len(y)
+        self.ops += ops
+        self.total = total
+        if total > self.peak:
+            self.peak = total
+        return new
+
+    def clear(self, i: int, j: int) -> None:
+        """Zero column i without reducing it; with V, V[i] is R[j]."""
+        R, V = self.R, self.V
+        self.total -= len(R[i])
+        R[i] = []
+        if V is not None:
+            V[i] = R[j]
+            self.total += len(R[j]) - 1
+            if self.total > self.peak:
+                self.peak = self.total
+
+    def result(self, low_of: dict[int, int]) -> Decomposition:
+        n = len(self.R) - 1
+        return Decomposition(SparseMatrix(n, self.R),
+                             None if self.V is None else SparseMatrix(n, self.V),
+                             low_of, self.ops, self.peak)
+
+
 def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
-          dims: list[int] | None = None) -> Decomposition:
-    """Column algorithm with clearing.
+          dims: list[int] | np.ndarray | None = None) -> Decomposition:
+    """Column algorithm: each column cancels its low against the pivots
+    found so far, by ``add`` (see :class:`_Reduction`).
 
     ``dims[j - 1]`` is the degree of column ``j``; a degree-k column has
-    entries only in rows of degree k - 1.  Columns are visited by degree,
-    descending, and left to right within a degree.  A column whose index
-    is already a pivot row is cleared: it is zeroed without reduction
-    (the twist of Chen & Kerber 2011), and with ``keep_V`` its V column
-    becomes the R column of its partner, a cycle with that low, so
-    R = DV still holds.  Columns of different degrees never meet, so R
-    and ``low_of`` equal those of the plain left-to-right sweep; only
-    ``ops``, ``peak_elements`` and the V of cleared columns differ.
-    Without ``dims`` every column has one degree and nothing is cleared.
+    entries only in rows of degree k - 1.  Given ``dims``, columns are
+    visited by degree, descending, and left to right within a degree,
+    and a column whose index is already a pivot row is cleared.  Columns
+    of different degrees never meet, so R and ``low_of`` equal those of
+    the plain left-to-right sweep; only ``ops``, ``peak_elements`` and
+    the V of cleared columns differ.  Without ``dims`` nothing is cleared.
     """
-    p = field.p
     n = D.n
-    R: list[Chain] = list(D.cols)
-    V: list[Chain] | None = None
-    if keep_V:
-        V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
-    order = range(1, n + 1)
-    if dims is not None:
-        order = sorted(order, key=lambda j: -dims[j - 1])
-
-    ops = 0
-    total = sum(len(c) for c in R) + (n if keep_V else 0)
-    peak = total
+    state = _Reduction(D, field, keep_V)
+    add, clear, R = state.add, state.clear, state.R
+    order = (range(1, n + 1) if dims is None
+             else (np.argsort(-_ints(dims), kind="stable") + 1).tolist())
     low_to_col: dict[int, int] = {}
     for i in order:
-        col = R[i]
         partner = low_to_col.get(i)
         if partner is not None:
-            total -= len(col)
-            R[i] = []
-            if keep_V:
-                V[i] = list(R[partner])
-                total += len(V[i]) - 1
-                if total > peak:
-                    peak = total
+            clear(i, partner)
             continue
-        while col:
-            low = col[-1][0]
-            j = low_to_col.get(low)
-            if j is None:
-                break
-            c = (col[-1][1] * field_inv(R[j][-1][1], p)) % p
-            new = chain_axpy(p - c, R[j], col, p)
-            ops += len(R[j])
-            total += len(new) - len(col)
-            col = new
-            if keep_V:
-                newv = chain_axpy(p - c, V[j], V[i], p)
-                ops += len(V[j])
-                total += len(newv) - len(V[i])
-                V[i] = newv
-            if total > peak:
-                peak = total
-        R[i] = col
+        col = R[i]
+        while col and (j := low_to_col.get(col[-1][0])) is not None:
+            col = add(i, j)
         if col:
             low_to_col[col[-1][0]] = i
-
-    low_of = {j: R[j][-1][0] for j in range(1, n + 1) if R[j]}
-    return Decomposition(SparseMatrix(n, R),
-                         SparseMatrix(n, V) if keep_V else None,
-                         low_of, ops, peak)
+    return state.result({j: R[j][-1][0] for j in range(1, n + 1) if R[j]})
 
 
 def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
@@ -403,13 +424,13 @@ def _csc(n: int, columns: np.ndarray, chains: list[Chain]) -> CscMatrix:
 def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
           clear: bool = False, snapshot=None) -> Decomposition:
     """Row algorithm: sweep rows bottom-up, reducing each row's low
-    columns against the smallest-index one.
+    columns against the smallest-index one, by ``add`` (see
+    :class:`_Reduction`): phcol's additions, in another order.
 
     With ``clear``, the sweep clears: once row ``i`` has a pivot column,
     column ``i`` must reduce to zero, and no row processed so far has
-    touched it, as its low lies above row ``i``.  Its R becomes 0 and,
-    with ``keep_V``, its V becomes the pivot's final R, a cycle with low
-    ``i``, at the step of row ``i``, which the snapshot shows.  That
+    touched it, as its low lies above row ``i``.  It is cleared against
+    that pivot at the step of row ``i``, which the snapshot shows.  That
     holds only for a graded boundary matrix, such as D or D-perp, and
     there the result equals ``phcol(D, field, keep_V, dims)``, given the
     degrees ``dims`` of its columns, entry for entry.  Without ``clear``
@@ -420,23 +441,16 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
     ``snapshot(k, R, V)`` is called after the k-th row iteration
     (k = 1 processes row n) with live matrix views; copy anything kept.
     """
-    p = field.p
     n = D.n
-    R: list[Chain] = list(D.cols)
-    V: list[Chain] | None = None
-    if keep_V:
-        V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
-
-    ops = 0
-    total = sum(len(c) for c in R) + (n if keep_V else 0)
-    peak = total
+    state = _Reduction(D, field, keep_V)
+    add, clear_column, R = state.add, state.clear, state.R
     bucket: dict[int, list[int]] = {}
     for j in range(1, n + 1):
         if R[j]:
             bucket.setdefault(R[j][-1][0], []).append(j)
 
     R_view = SparseMatrix(n, R)
-    V_view = SparseMatrix(n, V) if keep_V else None
+    V_view = None if state.V is None else SparseMatrix(n, state.V)
     low_of: dict[int, int] = {}
     for k, i in enumerate(range(n, 0, -1), start=1):
         cols = sorted(bucket.pop(i, []))
@@ -444,34 +458,17 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
             piv = cols[0]
             low_of[piv] = i
             for j in cols[1:]:
-                c = (R[j][-1][1] * field_inv(R[piv][-1][1], p)) % p
-                new = chain_axpy(p - c, R[piv], R[j], p)
-                ops += len(R[piv])
-                total += len(new) - len(R[j])
-                R[j] = new
-                if keep_V:
-                    newv = chain_axpy(p - c, V[piv], V[j], p)
-                    ops += len(V[piv])
-                    total += len(newv) - len(V[j])
-                    V[j] = newv
-                if total > peak:
-                    peak = total
+                new = add(j, piv)
                 if new:
                     bucket.setdefault(new[-1][0], []).append(j)
-            if clear:  # column i is still D's, and reduces to zero
+            # column i is still D's and reduces to zero; empty and without V, it stays
+            if clear and (R[i] or keep_V):
                 if R[i]:
                     bucket[R[i][-1][0]].remove(i)
-                    total -= len(R[i])
-                    R[i] = []
-                if keep_V:
-                    V[i] = list(R[piv])
-                    total += len(V[i]) - 1
-                    if total > peak:
-                        peak = total
+                clear_column(i, piv)
         if snapshot is not None:
             snapshot(k, R_view, V_view)
-
-    return Decomposition(R_view, V_view, low_of, ops, peak)
+    return state.result(low_of)
 
 
 # pcoh lists D's terms this many at a time, so that no list of all of D's

@@ -107,6 +107,14 @@ class TestClearing:
         assert dec.V.cols[2] == dec.R.cols[3]
         assert dec.V.cols[4] == dec.R.cols[5]
 
+    def test_cleared_v_shares_partner_r(self, sphere11):
+        """A cleared column's V is its partner's R list, not a copy, in
+        both sweeps."""
+        D = sphere11.csc.to_sparse()
+        for dec in (phcol(D, F11, dims=sphere11.dim_array), phrow(D, F11, clear=True)):
+            assert dec.V.cols[2] is dec.R.cols[3]
+            assert dec.V.cols[4] is dec.R.cols[5]
+
     @pytest.mark.parametrize("p", [2, 11])
     @pytest.mark.parametrize("keep_V", [False, True])
     def test_phrow_equals_phcol(self, sphere11, p, keep_V):
