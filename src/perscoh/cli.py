@@ -23,8 +23,8 @@ import numpy as np
 from .complexes import (FilteredComplex, dual_index, load_cell_file, load_points,
                         load_simplicial_file)
 from .core import Field
-from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute, format_diagram,
-                          generators)
+from .persistence import (ALGORITHMS, MODULE_TAGS, barcode, compute, diagram_lines,
+                          format_diagram, generators)
 from .reduction import verify_decomposition
 from .rips import RIPS_MAX_CELLS, _check_ceiling, rips_filtration
 
@@ -93,8 +93,9 @@ def cmd_barcode(args) -> int:
 
 def render_generators(table, indices: bool = False) -> str:
     """The listing of a generator table: each interval line of
-    :func:`format_diagram`, then its chain (``entries``) and any killer
-    (``killers``), as ``<label>:<coef>`` terms, or ``0`` for an empty chain.
+    :func:`format_diagram`, from :func:`diagram_lines`, then its chain
+    (``entries``) and any killer (``killers``), as ``<label>:<coef>``
+    terms, or ``0`` for an empty chain.
     A term is labelled by its cell; a cochain's term by its cell starred,
     and in reverse, so that the cells ascend."""
     if table.starred:
@@ -105,7 +106,7 @@ def render_generators(table, indices: bool = False) -> str:
     else:
         def text(chain):
             return " ".join([f"{i}:{c}" for i, c in chain]) or "0"
-    lines = format_diagram(table.diagram, indices).split("\n")
+    lines = diagram_lines(table.diagram, indices)
     return "\n\n".join([
         f"{line}\n  generator: {text(chain)}" if killer is None else
         f"{line}\n  generator: {text(chain)}\n  killer: {text(killer)}"

@@ -400,7 +400,7 @@ class SimplexKeys:
         return rows
 
 
-def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field,
+def simplicial_complex(layers: list[tuple[np.ndarray, ...]], field: Field,
                        labels: list | None = None,
                        keys: SimplexKeys | None = None) -> FilteredComplex:
     """The complex of the simplices in ``layers``, in (value, dimension,
@@ -408,7 +408,11 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
 
     ``layers[k]`` is a pair of arrays: distinct k-simplices, one row of
     k + 1 increasing vertex numbers each, in lexicographic row order, and
-    their filtration values.  Vertex ``v`` is ``labels[v]`` in messages
+    their filtration values.  A layer above the vertices may carry a
+    third array, the rows of its simplices' prefixes (all but the last
+    vertex) in the layer below, as a caller that enumerated the layer
+    from those rows has them; the builder finds the prefix rows of every
+    other layer by key.  Vertex ``v`` is ``labels[v]`` in messages
     (default ``v``); with ``labels``, every vertex number is below
     ``len(labels)``.  ``keys``, when given, already indexes the first
     layers (a caller that enumerated them by it); the builder indexes
@@ -433,10 +437,10 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     """
     if keys is None:
         keys = SimplexKeys(len(labels) if labels is not None
-                           else 1 + max(int(S.max()) for S, _ in layers if S.size))
-    sizes = [len(S) for S, _ in layers]
+                           else 1 + max(int(S.max()) for S, *_ in layers if S.size))
+    sizes = [len(S) for S, *_ in layers]
     start = list(accumulate(sizes, initial=0))
-    values = np.concatenate([value for _, value in layers])
+    values = np.concatenate([layer[1] for layer in layers])
     dims = np.arange(len(layers)).repeat(sizes)
     # the layers are concatenated in (dimension, vertices) order, which a
     # stable sort keeps among equal values
@@ -459,8 +463,11 @@ def simplicial_complex(layers: list[tuple[np.ndarray, np.ndarray]], field: Field
     faces = np.zeros((sizes[0] + 1, 1), np.int64)
     faces[-1] = -1
     bad_cells = []  # (position, dimension, row) of each layer's first bad cell
-    for k, (S, _) in enumerate(layers):
-        prefix = keys.rows(S[:, :k]) if k else 0
+    for k, (S, _, *given) in enumerate(layers):
+        if given:
+            prefix, = given
+        else:
+            prefix = keys.rows(S[:, :k]) if k else 0
         if k == len(keys) < len(layers) - 1:  # the top layer has no cofaces
             keys.add(prefix, S[:, k])
         if not k:

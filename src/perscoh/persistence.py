@@ -23,8 +23,10 @@ The stages after a reduction run on int arrays:
   equals rel_hom;
 * the order, one ``lexsort`` on the values (:meth:`Diagram.order`),
   which :meth:`Diagram.sorted`, the generator tables and the text
-  (:func:`format_diagram`) share.  The generator listing takes its
-  interval lines from that text too.
+  (:func:`format_diagram`) share.  In that order the intervals that
+  print the same line are adjacent, so the text formats each distinct
+  line once, per run of them (:func:`diagram_lines`).  The generator
+  listing takes its interval lines from the same line list.
 
 :class:`Interval` objects are built only where they are read: by
 :attr:`Diagram.intervals` and :func:`parse_diagram`.
@@ -337,26 +339,60 @@ def generators(run: Computation, K: FilteredComplex, module_tag: str,
     return GeneratorTable(module_tag, n, entries, killers, diagram)
 
 
+def diagram_lines(diagram: Diagram, indices: bool = False) -> list[str]:
+    """The lines of :func:`format_diagram`, one per interval, in its order.
+
+    In that order, intervals that print the same line are adjacent: a
+    run of equal (dim, birth bits, death bits), or with ``indices`` of
+    equal (dim, p, q).  Each run's line is formatted once, and each
+    distinct value once, and every interval gets its run's line object.
+    Runs split on the float bits, not the values, as 0.0 and -0.0 tie in
+    the order but print apart.
+    """
+    order = diagram.order()
+    dim = diagram.dim[order]
+    if indices:
+        first, second = diagram.p[order], diagram.q[order]
+        keys = first, second
+    else:
+        first, second = diagram.birth[order], diagram.death[order]
+        keys = first.view(np.int64), second.view(np.int64)
+    # new[k]: interval k starts a run, printing another line than k - 1
+    new = np.ones(len(order), bool)
+    after = new[1:]
+    np.not_equal(dim[1:], dim[:-1], out=after)
+    for key in keys:
+        after |= key[1:] != key[:-1]
+    repeats = not new.all()
+    if repeats:
+        dim, first, second = dim[new], first[new], second[new]
+    dim = dim.tolist()
+    if indices:
+        first, second = first.tolist(), second.tolist()
+    else:
+        m = len(dim)
+        ends = np.concatenate((first, second))
+        bits = ends.view(np.int64).tolist()
+        # "%g" % x is format(x, "g"), in less time
+        text = {b: "%g" % x for b, x in dict(zip(bits, ends.tolist())).items()}
+        texts = list(map(text.__getitem__, bits))
+        first, second = texts[:m], texts[m:]
+    lines = [f"{d} {x} {y}" for d, x, y in zip(dim, first, second)]
+    if repeats:
+        # interval k prints the line of run new[:k + 1].sum() - 1
+        lines = np.array(lines, dtype=object)[new.cumsum() - 1].tolist()
+    return lines
+
+
 def format_diagram(diagram: Diagram, indices: bool = False) -> str:
     """One interval per line, ``<dim> <birth> <death>``, or with
     ``indices`` the index pair ``<dim> <p> <q>``, sorted by (dim, birth,
-    death, p, q).
+    death, p, q): the lines of :func:`diagram_lines`.
 
-    Each distinct value is formatted once: values with the same float
-    bits print the same.
+    Each distinct line is formatted once, and each distinct value once:
+    values with the same float bits print the same.
     """
-    order = diagram.order()
-    if indices:
-        first, second = diagram.p[order].tolist(), diagram.q[order].tolist()
-    else:
-        m = len(order)
-        ends = np.concatenate((diagram.birth[order], diagram.death[order]))
-        bits = ends.view(np.int64).tolist()
-        text = {b: format(x, "g") for b, x in dict(zip(bits, ends.tolist())).items()}
-        texts = list(map(text.__getitem__, bits))
-        first, second = texts[:m], texts[m:]
-    return "\n".join([f"{d} {x} {y}" for d, x, y in
-                      zip(diagram.dim[order].tolist(), first, second)])
+    return "\n".join(diagram_lines(diagram, indices))
 
 
 def parse_diagram(text: str, module_tag: str = "abs_hom") -> Diagram:

@@ -10,7 +10,8 @@ larger diameter and fewer vertices.
 The simplices are enumerated one dimension at a time on integer arrays:
 the edges by a numpy neighbour search over blocks of point pairs, each
 kept on its exact ``math.dist`` length, and every higher dimension from
-the one below it (:func:`_cofaces`).  The per-dimension arrays go to
+the one below it (:func:`_cofaces`).  The per-dimension arrays, each
+with the prefix rows it was enumerated by, go to
 :func:`~perscoh.complexes.simplicial_complex`, the builder that
 simplicial files share, which orders them and writes the boundary
 matrix.
@@ -160,13 +161,12 @@ def rips_filtration(points: list[tuple[float, ...]], r_max: float,
     keys.add(0, vertices)
     if dim_max >= 1 and n > 1:
         heads, tails, lengths = _edges(points, coords, r_max, max_cells)
-        layers.append((np.column_stack((heads, tails)), lengths))
-        keys.add(heads, tails)  # a vertex's row is its number
+        # each layer above the vertices comes with its prefix rows: an
+        # edge's prefix is its head vertex, whose row is its number
+        layers.append((np.column_stack((heads, tails)), lengths, heads))
+        keys.add(heads, tails)
         count = n + len(heads)
-        prefix = heads
-        while len(layers) <= dim_max and len(prefix):
-            S, values, prefix = _cofaces(*layers[-1], prefix, keys, lengths,
-                                         count, max_cells)
-            layers.append((S, values))
-            count += len(S)
+        while len(layers) <= dim_max and len(layers[-1][0]):
+            layers.append(_cofaces(*layers[-1], keys, lengths, count, max_cells))
+            count += len(layers[-1][0])
     return simplicial_complex(layers, field, keys=keys)

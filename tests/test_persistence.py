@@ -13,7 +13,7 @@ from perscoh import (GF2, Decomposition, Diagram, Field, Interval, anti_transpos
                      load_cell_file, parse_diagram, partition_of, pcoh, phcol, phcol_pairs,
                      phrow, rips_filtration, torus_points)
 from perscoh.cli import render_generators
-from perscoh.persistence import ALGORITHMS, INF, MODULE_TAGS
+from perscoh.persistence import ALGORITHMS, INF, MODULE_TAGS, GeneratorTable
 from conftest import (SPHERE_PATH, anti_transpose_terms, assert_listed_by_rule,
                       concatenated_intervals, format_interval, infinite_part, partition_lists,
                       partition_reference, random_rips)
@@ -534,6 +534,67 @@ class TestDiagramColumns:
         assert format_diagram(d) == "0 -inf 1\n0 1 inf\n0 2 3\n1 4 5"
         assert d.index_multiset() == Counter((iv.dim, iv.p, iv.q) for iv in intervals)
         assert d.value_multiset() == Counter((iv.dim, iv.birth, iv.death) for iv in intervals)
+
+
+class TestDiagramRuns:
+    """format_diagram formats each run of equal lines once: its text is
+    still the per-interval text of the sorted intervals."""
+
+    @staticmethod
+    def check(d, indices=False):
+        text = format_diagram(d, indices)
+        assert text == "\n".join(format_interval(iv, indices) for iv in d.sorted())
+        return text
+
+    def test_empty(self):
+        d = Diagram.from_intervals("abs_hom", [])
+        assert self.check(d) == self.check(d, indices=True) == ""
+        assert render_generators(GeneratorTable("abs_hom", 0, [], [], d)) == ""
+
+    def test_runs_split_on_bits(self):
+        """0.0 and -0.0 tie in the order, which p then breaks, so the
+        three births interleave; equal values with other bits start a run."""
+        d = Diagram.from_intervals("abs_hom", [
+            Interval(0, p, 5, birth, 1.0) for p, birth in ((1, 0.0), (2, -0.0), (3, 0.0))])
+        assert self.check(d) == "0 0 1\n0 -0 1\n0 0 1"
+
+    def test_single_run(self):
+        d = Diagram.from_intervals("abs_hom", [Interval(1, p, p + 5, 0.5, 2.0)
+                                               for p in range(1000, 0, -1)])
+        assert self.check(d) == "\n".join(["1 0.5 2"] * 1000)
+        assert self.check(d, indices=True).splitlines()[:2] == ["1 1 6", "1 2 7"]
+
+    def test_object_dim(self):
+        """Runs in an object dim column, which compares its Python ints
+        (test_text_is_the_sorted_intervals covers the complex whose dim
+        column is one)."""
+        d = Diagram.from_intervals("abs_hom", [
+            Interval(dim, p, 9, 0.5, 1.0) for p, dim in enumerate((10**20, 0, 10**20, 10**20, 1))])
+        assert d.dim.dtype == object
+        assert self.check(d) == "0 0.5 1\n1 0.5 1\n" + "\n".join([f"{10**20} 0.5 1"] * 3)
+        self.check(d, indices=True)
+
+    def test_index_runs(self):
+        """With indices a run is equal (dim, p, q), as a parsed text has
+        (its indices are -1), whatever the values."""
+        d = parse_diagram("0 0 1\n0 0 2\n0 0 2\n1 0 2\n1 1 2\n1 1 2")
+        assert self.check(d, indices=True) == "\n".join(["0 -1 -1"] * 3 + ["1 -1 -1"] * 3)
+        assert self.check(d) == "0 0 1\n0 0 2\n0 0 2\n1 0 2\n1 1 2\n1 1 2"
+
+    @pytest.mark.parametrize("module", MODULE_TAGS)
+    def test_listing_lines(self, module):
+        """On a grid most intervals share their line, and the generator
+        listing prints each interval's line, with values and with indices."""
+        K = TestDiagramColumns.complexes()[1]
+        run = compute(K, module, "phcol", keep_V=True)
+        for drop_zero in (True, False):
+            table = generators(run, K, module, drop_zero)
+            ordered = table.diagram.sorted()
+            assert len(set((iv.dim, iv.birth, iv.death) for iv in ordered)) < len(ordered) / 2
+            for indices in (False, True):
+                listing = render_generators(table, indices)
+                assert [block.split("\n")[0] for block in listing.split("\n\n")] == \
+                    [format_interval(iv, indices) for iv in ordered]
 
 
 class TestCompute:
