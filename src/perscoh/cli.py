@@ -5,6 +5,10 @@ Subcommands: ``barcode`` (diagram of one persistence module),
 live-cocycle instrumented comparison), ``oracle-check`` (cross-check
 the reduction pipeline against the dense rank oracle).
 
+The parser is two tables: ``_OPTIONS`` holds each flag's argparse
+keywords, once, and ``COMMANDS`` holds one row per subcommand, its help
+line, handler, input help and flags; ``_add_arguments`` reads both.
+
 Exit codes: 0 on success, 1 when a verification cross-check fails,
 2 on input or usage errors.
 """
@@ -153,8 +157,10 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-# the field and Rips options, by flag; bench takes them in its own order
-_POINT_OPTIONS = {
+# the argparse keywords of each flag
+_OPTIONS = {
+    "--format": dict(choices=("cells", "simplicial", "points"), default="cells",
+                     help="input format (default cells)"),
     "--field": dict(type=int, default=2, metavar="P",
                     help="prime field modulus (default 2)"),
     "--rmax": dict(type=float, default=math.inf,
@@ -163,82 +169,51 @@ _POINT_OPTIONS = {
                      help="Rips maximum simplex dimension (default 2)"),
     "--seed": dict(type=int, default=0,
                    help="seed for generated point clouds (default 0)"),
-}
-
-
-def _input_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input",
-                   help="input file; with --format points also "
-                        "cube:<count>:<dim> or torus:<count>")
-    p.add_argument("--format", choices=("cells", "simplicial", "points"),
-                   default="cells", help="input format (default cells)")
-    for flag, options in _POINT_OPTIONS.items():
-        p.add_argument(flag, **options)
-
-
-# the module and algorithm options, by flag; oracle-check takes the algorithm
-_RUN_OPTIONS = {
     "--module": dict(choices=MODULE_TAGS, default="abs_hom",
                      help="persistence module (default abs_hom)"),
     "--algorithm": dict(choices=ALGORITHMS, default="phcol",
                         help="reduction: column phcol, row phrow or live-cocycle pcoh "
                              "(default phcol)"),
+    "--oracle": dict(action="store_true",
+                     help="cross-check against the dense rank oracle (small inputs)"),
+    "--indices": dict(action="store_true",
+                      help="print index pairs instead of filtration values"),
+    "--keep-zero-length": dict(action="store_true",
+                               help="keep intervals with equal birth and death values"),
+    "--repeat": dict(type=int, default=1,
+                     help="run each algorithm this many times (default 1)"),
+    "--max-cells": dict(type=int, default=RIPS_MAX_CELLS, dest="max_cells",
+                        help="abort once the Rips filtration passes this cell count "
+                             f"(default {RIPS_MAX_CELLS})"),
+    "--csv": dict(action="store_true",
+                  help="emit CSV (algorithm,ops,peak_elements,seconds)"),
 }
 
+_INPUT = "input file; with --format points also cube:<count>:<dim> or torus:<count>"
+_INPUT_FLAGS = ("--format", "--field", "--rmax", "--maxdim", "--seed")
+_LISTING_FLAGS = ("--indices", "--keep-zero-length")
 
-def _listing_arguments(p: argparse.ArgumentParser, oracle: bool = False) -> None:
-    """The input and options of a barcode or generator listing."""
-    _input_arguments(p)
-    for flag, options in _RUN_OPTIONS.items():
-        p.add_argument(flag, **options)
-    if oracle:
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check against the dense rank oracle (small inputs)")
-    p.add_argument("--indices", action="store_true",
-                   help="print index pairs instead of filtration values")
-    p.add_argument("--keep-zero-length", action="store_true",
-                   help="keep intervals with equal birth and death values")
-
-
-def _barcode_arguments(p: argparse.ArgumentParser) -> None:
-    _listing_arguments(p, oracle=True)
-    p.set_defaults(func=cmd_barcode)
-
-
-def _generators_arguments(p: argparse.ArgumentParser) -> None:
-    _listing_arguments(p)
-    p.set_defaults(func=cmd_generators)
-
-
-def _bench_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input",
-                   help="points file, cube:<count>:<dim>, or torus:<count>")
-    for flag in ("--rmax", "--maxdim", "--field", "--seed"):
-        p.add_argument(flag, **_POINT_OPTIONS[flag])
-    p.add_argument("--repeat", type=int, default=1,
-                   help="run each algorithm this many times (default 1)")
-    p.add_argument("--max-cells", type=int, default=RIPS_MAX_CELLS, dest="max_cells",
-                   help="abort once the Rips filtration passes this cell count "
-                        f"(default {RIPS_MAX_CELLS})")
-    p.add_argument("--csv", action="store_true",
-                   help="emit CSV (algorithm,ops,peak_elements,seconds)")
-    p.set_defaults(func=cmd_bench)
-
-
-def _oracle_check_arguments(p: argparse.ArgumentParser) -> None:
-    _input_arguments(p)
-    p.add_argument("--algorithm", **_RUN_OPTIONS["--algorithm"])
-    p.set_defaults(func=cmd_oracle_check)
-
-
-# each subcommand's help line and the function that adds its arguments
+# each subcommand's help line, handler, input help and flags, in help order
 COMMANDS = {
-    "barcode": ("compute one persistence diagram", _barcode_arguments),
-    "generators": ("list interval generators", _generators_arguments),
-    "bench": ("compare phcol and pcoh on one Rips filtration", _bench_arguments),
+    "barcode": ("compute one persistence diagram", cmd_barcode, _INPUT,
+                (*_INPUT_FLAGS, "--module", "--algorithm", "--oracle", *_LISTING_FLAGS)),
+    "generators": ("list interval generators", cmd_generators, _INPUT,
+                   (*_INPUT_FLAGS, "--module", "--algorithm", *_LISTING_FLAGS)),
+    "bench": ("compare phcol and pcoh on one Rips filtration", cmd_bench,
+              "points file, cube:<count>:<dim>, or torus:<count>",
+              ("--rmax", "--maxdim", "--field", "--seed", "--repeat", "--max-cells", "--csv")),
     "oracle-check": ("verify the reduction barcode against the rank oracle",
-                     _oracle_check_arguments),
+                     cmd_oracle_check, _INPUT, (*_INPUT_FLAGS, "--algorithm")),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Adds subcommand ``name``'s input and flags, and its handler as ``func``."""
+    _, func, input_help, flags = COMMANDS[name]
+    parser.add_argument("input", help=input_help)
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(func=func)
 
 
 def _formatter():
@@ -256,8 +231,8 @@ def build_parser(formatter=None) -> argparse.ArgumentParser:
         description="Persistent (co)homology of filtered complexes over Z/p.",
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
+    for name, (help_text, *_) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
@@ -273,7 +248,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in COMMANDS:
         command = argparse.ArgumentParser(prog=f"perscoh {argv[0]}",
                                           formatter_class=formatter)
-        COMMANDS[argv[0]][1](command)
+        _add_arguments(command, argv[0])
         args, unknown = command.parse_known_args(argv[1:])
         if not unknown:
             args.command = argv[0]

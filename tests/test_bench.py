@@ -112,6 +112,17 @@ class TestRunBench:
         res = run_bench(cube_points(12, 2, seed=4), 0.8, 2)
         assert res.op_ratio == res.ops("phcol") / res.ops("pcoh")
 
+    def test_op_ratio_without_ops(self):
+        # two points farther apart than r_max: no edge, no addition
+        res = run_bench([(0.0, 0.0), (2.0, 0.0)], 1.0, 1)
+        assert res.ops("phcol") == res.ops("pcoh") == 0
+        assert res.op_ratio == 1.0
+
+    def test_ops_of_an_algorithm_not_run(self):
+        res = run_bench([(0.0, 0.0), (2.0, 0.0)], 1.0, 1)
+        with pytest.raises(KeyError, match="phrow"):
+            res.ops("phrow")
+
 
 class TestRendering:
     def test_text(self):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -328,6 +329,13 @@ class TestInputHandling:
         assert "NaN" in err and str(f) in err
         assert f"{f}:3:" in err
 
+    def test_value_without_vertex_rejected(self, capsys, tmp_path):
+        f = tmp_path / "bare.simplicial"
+        f.write_text("0 a\n0 b\n1\n")
+        code, out, err = run_cli(capsys, ["barcode", str(f), "--format", "simplicial"])
+        assert code == 2 and out == ""
+        assert err == f"error: {f}:3: expected '<value> <v0> ...'\n"
+
     def test_face_after_coface_rejected(self, capsys, tmp_path):
         # every face is listed, but the triangle enters before its edges
         f = tmp_path / "early.simplicial"
@@ -440,6 +448,46 @@ class TestParser:
     def test_same_namespace(self, argv):
         assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["barcode", "in.cells"],
+         dict(format="cells", field=2, rmax=math.inf, maxdim=2, seed=0, module="abs_hom",
+              algorithm="phcol", oracle=False, indices=False, keep_zero_length=False)),
+        (["barcode", "in.cells", "--format", "points", "--field", "11", "--rmax", "0.5",
+          "--maxdim", "3", "--seed", "4", "--module", "rel_coh", "--algorithm", "phrow",
+          "--oracle", "--indices", "--keep-zero-length"],
+         dict(format="points", field=11, rmax=0.5, maxdim=3, seed=4, module="rel_coh",
+              algorithm="phrow", oracle=True, indices=True, keep_zero_length=True)),
+        (["generators", "in.cells"],
+         dict(format="cells", field=2, rmax=math.inf, maxdim=2, seed=0, module="abs_hom",
+              algorithm="phcol", indices=False, keep_zero_length=False)),
+        (["generators", "in.cells", "--format", "simplicial", "--field", "5", "--rmax", "2",
+          "--maxdim", "1", "--seed", "8", "--module", "abs_coh", "--algorithm", "pcoh",
+          "--indices", "--keep-zero-length"],
+         dict(format="simplicial", field=5, rmax=2.0, maxdim=1, seed=8, module="abs_coh",
+              algorithm="pcoh", indices=True, keep_zero_length=True)),
+        (["bench", "in.pts"],
+         dict(rmax=math.inf, maxdim=2, field=2, seed=0, repeat=1, max_cells=500_000,
+              csv=False)),
+        (["bench", "in.pts", "--rmax", "1.5", "--maxdim", "3", "--field", "7", "--seed", "9",
+          "--repeat", "2", "--max-cells", "50", "--csv"],
+         dict(rmax=1.5, maxdim=3, field=7, seed=9, repeat=2, max_cells=50, csv=True)),
+        (["oracle-check", "in.cells"],
+         dict(format="cells", field=2, rmax=math.inf, maxdim=2, seed=0, algorithm="phcol")),
+        (["oracle-check", "in.cells", "--format", "points", "--field", "3", "--rmax", "0.25",
+          "--maxdim", "4", "--seed", "6", "--algorithm", "pcoh"],
+         dict(format="points", field=3, rmax=0.25, maxdim=4, seed=6, algorithm="pcoh")),
+    ], ids=[f"{command} {flags}" for command in ("barcode", "generators", "bench", "oracle-check")
+            for flags in ("defaults", "every flag")])
+    def test_parsed_values(self, argv, expected):
+        """Each flag's type, default and dest, pinned apart from the tables
+        that both parsers are built from."""
+        got = vars(cli.parse_args(argv))
+        got["func"] = got["func"].__name__
+        expected = dict(expected, input=argv[1], command=argv[0],
+                        func="cmd_" + argv[0].replace("-", "_"))
+        assert got == expected
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+
     @pytest.mark.parametrize("argv", [
         ["barcode", "in.cells", "--field", "11", "--oracle"],
         ["bench", "cube:10:3", "--csv"],
@@ -521,6 +569,33 @@ class TestCollector:
             after = gc.isenabled()
         finally:
             (gc.enable if before else gc.disable)()
+        assert during == [False]
+        assert after == enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bench_mismatch_exits_1(self, capsys, monkeypatch, enabled):
+        """A bench whose two pairings differ reports no stats and exits 1."""
+        during = []
+
+        def broken(D, field, keep_V):
+            during.append(gc.isenabled())
+            res = real_pcoh(D, field, keep_V)
+            res.low_of.pop(next(iter(res.low_of)))
+            return res
+
+        real_pcoh = persistence.pcoh
+        monkeypatch.setattr(persistence, "pcoh", broken)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, out, err = run_cli(capsys, ["bench", "cube:10:2", "--rmax", "0.8",
+                                              "--maxdim", "2", "--seed", "1"])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert code == 1 and out == ""
+        assert err.startswith("mismatch: the two algorithms produced different barcodes; "
+                              "no stats reported: cell ")
         assert during == [False]
         assert after == enabled
 

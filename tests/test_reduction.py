@@ -594,6 +594,21 @@ class TestPhcolCycles:
         self.check(build_complex([(0, 0.0, []), (10**20, 0.5, []), (0, 1.0, []),
                                   (1, 2.0, [(1, 1), (3, -1)])], F11))
 
+    @pytest.mark.parametrize("complex_, message", [
+        (lambda: load_cell_file(SPHERE_PATH, F11), "pairing disagrees with column 5 of D"),
+        # the complete 4-skeleton on 10 points: its H_4 has rank C(9, 5) = 126,
+        # enough essential columns for the rounds
+        (lambda: rips_filtration(cube_points(10, 4, 0), math.inf, 4, GF2),
+         "pairing disagrees with an essential column of D"),
+    ], ids=["one at a time", "rounds"])
+    def test_pairs_not_of_d_rejected(self, complex_, message):
+        """Without the pair of the last death, that column meets a low
+        whose partner is not to its left."""
+        K = complex_()
+        pairs = partition_of(phcol_pairs(K.csc, K.field, K.dim_array).pairs, K.n, True)[1]
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            phcol_cycles(K.csc, K.field, np.delete(pairs, pairs[:, 1].argmax(), axis=0))
+
     @pytest.mark.parametrize("module", ["abs_hom", "rel_hom"])
     def test_compute_builds_no_term_lists(self, listed, module):
         for seed in range(6):
