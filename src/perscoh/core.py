@@ -49,6 +49,9 @@ class Field:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.p == self.p
 
+    def __hash__(self) -> int:
+        return hash(self.p)
+
     def __repr__(self) -> str:
         return f"Field({self.p})"
 

@@ -27,8 +27,10 @@ tuple per distinct term.
 
 Each reduction counts its own work: ``ops`` is one per coefficient
 multiply-add, and ``peak_elements`` the largest number of terms stored
-at once; :func:`phcol` and :func:`phrow` add, clear and count through
-one state, :class:`_Reduction`.
+at once.  Every reduction on term lists, :func:`phcol`, :func:`phrow`,
+:func:`phcol_pairs` and :func:`phcol_cycles`, stores, adds, clears and
+counts through one state, :class:`_Reduction`; :func:`pcoh` counts in
+its own sweep.
 
 No reduction copies or changes its input.  Chains are never changed in
 place: :func:`~perscoh.core.chain_axpy` returns a new list, and a
@@ -56,9 +58,12 @@ class Decomposition:
     :func:`phcol_cycles` fills R and V, :func:`phcol` and :func:`phrow`
     R, and V with ``keep_V``; :func:`phcol_pairs` both with ``keep_V``,
     else neither, and it alone counts ``apparent`` pairs.  :func:`pcoh`
-    has no R; with ``keep_V`` its V holds its cocycles.  phcol and
-    phrow count through :class:`_Reduction`.  Nothing mutates a returned
-    result: generator tables share its columns.
+    has no R; with ``keep_V`` its V holds its cocycles.  Every
+    reduction but pcoh counts through :class:`_Reduction`, whose
+    ``peak_elements`` is the most terms of R and V stored at once
+    (phcol_cycles adds the most terms a round's merge sorts).
+    Nothing mutates a returned result: generator tables share its
+    columns.
     """
 
     R: SparseMatrix | None
@@ -82,9 +87,12 @@ class VerifyReport:
 
 
 class _Reduction:
-    """R, V and the counters of a reduction on term lists, which phcol
-    and phrow sweep in two orders.  ``add(i, j)`` cancels column i's low
-    with column j, in R and, with V, in V; ``ops`` counts one per
+    """R, V and the counters of a column reduction on term lists, the one
+    state of every route but pcoh's: phcol and phrow sweep all of R in two
+    orders, and phcol_pairs and phcol_cycles store the columns they
+    reduce as they first read them.  ``store(j, col)`` sets column j,
+    empty so far, to ``col``.  ``add(i, j)`` cancels column i's low with
+    column j, in R and, with V, in V; ``ops`` counts one per
     multiply-add, the terms of R[j] and V[j].  ``clear(i, j)``, the
     twist of Chen and Kerber 2011, zeroes column i, which must reduce to
     zero: R[i] = 0 and, with V, V[i] = R[j], the same list, a cycle with
@@ -94,18 +102,29 @@ class _Reduction:
 
     __slots__ = ("p", "R", "V", "ops", "total", "peak")
 
-    def __init__(self, D: SparseMatrix, field: Field, keep_V: bool):
+    def __init__(self, cols: list[Chain], field: Field, keep_V: bool):
+        n = len(cols) - 1
         self.p = field.p
-        self.R = list(D.cols)
-        self.V = [[]] + [[(j, 1)] for j in range(1, D.n + 1)] if keep_V else None
+        self.R = list(cols)
+        self.V = [[]] + [[(j, 1)] for j in range(1, n + 1)] if keep_V else None
         self.ops = 0
-        self.total = self.peak = sum(map(len, self.R)) + (D.n if keep_V else 0)
+        # the array routes list few columns: skipping the empty ones is
+        # three times as fast there
+        self.total = self.peak = sum(map(len, filter(None, self.R))) + (n if keep_V else 0)
+
+    def store(self, j: int, col: Chain) -> Chain:
+        """Set column j, empty so far, to ``col``; returns it."""
+        self.R[j] = col
+        self.total += len(col)
+        if self.total > self.peak:
+            self.peak = self.total
+        return col
 
     def add(self, i: int, j: int) -> Chain:
         """Cancel column i's low with column j; returns the new R[i]."""
         p, R, V = self.p, self.R, self.V
         x, y = R[j], R[i]
-        c = p - y[-1][1] * field_inv(x[-1][1], p) % p
+        c = p - y[-1][1] * pow(x[-1][1], p - 2, p) % p  # x[-1] is a nonzero low
         R[i] = new = chain_axpy(c, x, y, p)
         ops, total = len(x), self.total + len(new) - len(y)
         if V is not None:
@@ -150,7 +169,7 @@ def phcol(D: SparseMatrix, field: Field, keep_V: bool = True,
     the V of cleared columns differ.  Without ``dims`` nothing is cleared.
     """
     n = D.n
-    state = _Reduction(D, field, keep_V)
+    state = _Reduction(D.cols, field, keep_V)
     add, clear, R = state.add, state.clear, state.R
     order = (range(1, n + 1) if dims is None
              else (np.argsort(-_ints(dims), kind="stable") + 1).tolist())
@@ -192,17 +211,18 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
     those pairs first changes no addition: the pairs and ``ops`` are
     phcol's.  Only the columns reduced, and the pivots they meet, are
     listed, each by ``column(j)`` when the reduction first reads it, not
-    all at once by :func:`~perscoh.complexes.term_lists`.
+    all at once by :func:`~perscoh.complexes.term_lists`, and stored in
+    phcol's state, :class:`_Reduction`, which adds, clears and counts.
 
     With ``keep_V`` the same pass gives phcol's R and V: an apparent
     pivot keeps its column, with V = e_j, all of them listed at once by
     :func:`~perscoh.complexes.term_lists`; a reduced column adds c * V[j]
     with each c * R[j], and ``ops`` counts the terms of both, as phcol
-    does; a cleared column, empty or not, has R = 0 and V = its partner's
-    R; every other column has R = 0 and V = e_j.  ``peak_elements`` counts the terms of
-    R and V as returned.
+    does; a cleared column, empty or not, is cleared after the pass,
+    with R = 0 and V = its partner's R; every other column has R = 0 and
+    V = e_j.  ``peak_elements`` is the state's: the most terms of the
+    stored columns, and with ``keep_V`` of V, held at once.
     """
-    p = field.p
     n = D.n
     P = anti_transpose(D)
     cols = (P.start[1:] > P.start[:-1]).nonzero()[0] + 1  # nonempty columns
@@ -224,44 +244,32 @@ def phcol_pairs(D: CscMatrix, field: Field, dims: list[int] | np.ndarray,
         a, b = pstart[j - 1], pstart[j]
         return list(zip(P.rows[a:b].tolist(), P.coefs[a:b].tolist()))
 
-    reduced: dict[int, Chain] = {}  # the pivots' R
-    if keep_V:
-        pivots = cols[apparent]
-        at, size = P.gather(pivots)
-        reduced = dict(zip(pivots.tolist(), term_lists(P.rows[at], P.coefs[at], size.cumsum())))
-        V = [[]] + [[(j, 1)] for j in range(1, n + 1)]
-    ops = 0
+    R = [[]] * (n + 1)
+    if keep_V:  # the apparent pivots, listed at once
+        at, size = P.gather(cols[apparent])
+        for j, col in zip(low_to_col.values(), term_lists(P.rows[at], P.coefs[at], size.cumsum())):
+            R[j] = col
+    state = _Reduction(R, field, keep_V)
+    add, store, R = state.add, state.store, state.R
     for i in rest.tolist():
         if i in low_to_col:  # a pivot row, an apparent one or found: cleared
             continue
-        col = column(i)
-        while col:
-            j = low_to_col.get(col[-1][0])
-            if j is None:
-                break
-            pivot = reduced.get(j)
-            if pivot is None:
-                pivot = reduced[j] = column(j)
-            c = p - col[-1][1] * field_inv(pivot[-1][1], p) % p
-            col = chain_axpy(c, pivot, col, p)
-            ops += len(pivot)
-            if keep_V:
-                V[i] = chain_axpy(c, V[j], V[i], p)
-                ops += len(V[j])
+        col = store(i, column(i))
+        while col and (j := low_to_col.get(col[-1][0])) is not None:
+            if not R[j]:  # an apparent pivot, first met
+                store(j, column(j))
+            col = add(i, j)
         if col:
             low_to_col[col[-1][0]] = i
-            reduced[i] = col
 
     low_of, count = dict(zip(low_to_col.values(), low_to_col)), int(apparent.sum())
     if not keep_V:
-        return Decomposition(None, None, low_of, ops, apparent=count)
-    R: list[Chain] = [[] for _ in range(n + 1)]
-    for t, col in reduced.items():
-        R[t] = col
+        return Decomposition(None, None, low_of, state.ops, state.peak, count)
     for s, t in low_to_col.items():
-        V[s] = reduced[t]
-    peak = sum(map(len, R)) + sum(map(len, V))
-    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), low_of, ops, peak, count)
+        state.clear(s, t)
+    result = state.result(low_of)
+    result.apparent = count
+    return result
 
 
 # phcol_cycles reduces the essential columns in batched rounds while at
@@ -298,61 +306,57 @@ def phcol_cycles(D: CscMatrix, field: Field, pairs: np.ndarray) -> Decomposition
 
     Only the rounds use arrays; the deaths, the columns reduced one at a
     time and the output are term lists, and D's columns are listed once,
-    by :func:`~perscoh.complexes.term_lists`.  ``peak_elements`` counts
-    the terms of R and V as returned plus the most terms that a round's
-    merge sorts.  Pairs that are not D's raise ``RuntimeError`` where a
-    column meets a low whose partner is not to its left.
+    by :func:`~perscoh.complexes.term_lists`.  The term lists are stored,
+    added, cleared and counted by phcol's state, :class:`_Reduction`,
+    with the rounds' ops added to its ``ops``: ``peak_elements`` is the
+    most terms of R and V stored at once, plus the most terms that a
+    round's merge sorts.  Pairs that are not D's raise ``RuntimeError``
+    where a column meets a low whose partner is not to its left.
     """
-    p = field.p
     n = D.n
     birth, death = pairs[pairs[:, 1].argsort()].T  # by h ascending
     deaths, births = death.tolist(), birth.tolist()
     columns = [[]] + term_lists(D.rows, D.coefs, D.start[1:])  # D's columns
     partner_of = [0] * (n + 1)  # the final pivot table, row g -> column h
-    R: list[Chain] = [[] for _ in range(n + 1)]
-    V: list[Chain] = [[]] + [[(j, 1)] for j in range(1, n + 1)]
+    R = [[]] * (n + 1)
     for h, g in zip(deaths, births):
         partner_of[g] = h
         R[h] = columns[h]
+    state = _Reduction(R, field, True)
+    add, clear, R, V = state.add, state.clear, state.R, state.V
 
-    def reduce(i: int, col: Chain) -> int:
-        """Reduce column i, now ``col``, until its low's partner is i or
-        it is zero, as phcol does; V[i] is its V so far.  Returns the
-        multiply-adds."""
-        v = V[i]
-        work = 0
+    def reduce(i: int) -> None:
+        """Reduce column i until its low's partner is i or it is zero, as
+        phcol does."""
+        col = R[i]
         while col and (j := partner_of[col[-1][0]]) != i:
             if not 0 < j < i:
                 raise RuntimeError(f"pairing disagrees with column {i} of D")
-            rj, vj = R[j], V[j]
-            c = p - col[-1][1] * pow(rj[-1][1], p - 2, p) % p
-            col = chain_axpy(c, rj, col, p)
-            v = chain_axpy(c, vj, v, p)
-            work += len(rj) + len(vj)
-        R[i], V[i] = col, v
-        return work
+            col = add(i, j)
 
     # deaths, ascending: most keep D's column, whose low is their birth
-    ops = sum(reduce(h, R[h]) for h, g in zip(deaths, births) if R[h][-1][0] != g)
     for h, g in zip(deaths, births):
-        V[g] = R[h]
+        if R[h][-1][0] != g:
+            reduce(h)
+        clear(g, h)
 
     # essential columns: in rounds while many are nonzero, then one at a time
     free = np.ones(n + 1, bool)
     free[0] = free[death] = free[birth] = False
     essential = (free[1:] & (D.start[1:] > D.start[:-1])).nonzero()[0] + 1
-    peak = 0
+    merged = 0
     if len(essential) >= _ROUND_MIN:
-        rest, peak, round_ops = _rounds(D, essential, R, V, death, birth, p)
-        ops += round_ops
+        rest, merged, ops = _rounds(D, essential, R, V, death, birth, field.p)
+        state.ops += ops
+        state.total += sum(len(V[f]) - 1 for f in essential.tolist())  # the rounds' V
     else:
         rest = ((f, columns[f]) for f in essential.tolist())
     for f, col in rest:
-        ops += reduce(f, col)
+        state.store(f, col)
+        reduce(f)
 
-    peak += sum(map(len, R)) + sum(map(len, V))
-    return Decomposition(SparseMatrix(n, R), SparseMatrix(n, V), dict(zip(deaths, births)),
-                         ops, peak)
+    state.peak = max(state.peak, state.total) + merged
+    return state.result(dict(zip(deaths, births)))
 
 
 def _rounds(D: CscMatrix, columns: np.ndarray, R: list[Chain], V: list[Chain],
@@ -442,7 +446,7 @@ def phrow(D: SparseMatrix, field: Field, keep_V: bool = True,
     (k = 1 processes row n) with live matrix views; copy anything kept.
     """
     n = D.n
-    state = _Reduction(D, field, keep_V)
+    state = _Reduction(D.cols, field, keep_V)
     add, clear_column, R = state.add, state.clear, state.R
     bucket: dict[int, list[int]] = {}
     for j in range(1, n + 1):

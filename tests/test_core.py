@@ -46,6 +46,12 @@ class TestField:
         assert Field(11) == Field(11)
         assert Field(11) != Field(2)
 
+    def test_hash_follows_equality(self):
+        assert hash(Field(11)) == hash(Field(11))
+        assert {Field(11), Field(11), Field(2)} == {Field(2), Field(11)}
+        table = {Field(11): "eleven"}
+        assert table[Field(11)] == "eleven" and Field(2) not in table
+
 
 class TestFieldInv:
     def test_examples(self):

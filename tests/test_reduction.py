@@ -205,7 +205,8 @@ def test_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
 def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     """The same counts with clearing (the rows above run without
     degrees).  phcol on D-perp counts the same ops from D's arrays
-    (:func:`phcol_pairs`), with V or without."""
+    (:func:`phcol_pairs`), with V or without; that route stores only the
+    columns it reads, so its peak is its own."""
     M, dims = _pinned_matrix(source, p, dual)
     if algorithm == "phcol":
         result = phcol(M, Field(p), keep_V=keep_V, dims=dims)
@@ -214,7 +215,31 @@ def test_cleared_counters_pinned(source, p, dual, algorithm, keep_V, ops, peak):
     assert (result.ops, result.peak_elements) == (ops, peak)
     if dual and algorithm == "phcol":
         K = _pinned_complex(source, p)
-        assert phcol_pairs(K.csc, K.field, K.dim_array, keep_V).ops == ops
+        pairs = phcol_pairs(K.csc, K.field, K.dim_array, keep_V)
+        pairs_peak = {("cube", False): 285, ("cube", True): 10768, ("sphere", True): 13}
+        assert (pairs.ops, pairs.peak_elements) == (ops, pairs_peak[source, keep_V])
+
+
+def test_array_route_peaks():
+    """Barcode-only phcol_pairs stores each column it reduces, every
+    nonempty column of D-perp that is neither an apparent pivot nor
+    cleared, so its peak is nonzero exactly when it reduces one;
+    phcol_cycles stores the R and V it returns, so its peak is at least
+    their terms."""
+    complexes = [random_rips(seed, max_points=10, p=(2, 11)[seed % 2], dim_max=3)
+                 for seed in range(20)]
+    complexes += [load_cell_file(SPHERE_PATH, F11),
+                  build_complex([(0, float(v), []) for v in range(4)], F11)]
+    reduced = []
+    for K in complexes:
+        res = phcol_pairs(K.csc, K.field, K.dim_array)
+        P = anti_transpose(K.csc)
+        nonempty = set(((P.start[1:] > P.start[:-1]).nonzero()[0] + 1).tolist())
+        reduced.append(len(nonempty - set(res.low_of.values())) > res.apparent)
+        assert (res.peak_elements > 0) == reduced[-1]
+        dec = phcol_cycles(K.csc, K.field, partition_of(res.pairs, K.n, True)[1])
+        assert dec.peak_elements >= term_count(dec.R) + term_count(dec.V)
+    assert any(reduced) and not all(reduced)
 
 
 class TestPhrow:
